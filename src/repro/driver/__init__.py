@@ -9,9 +9,12 @@ Public surface::
         run_one_guarded, default_worker_count, DriverSession,
     )
 
-:class:`DriverSession` is the incremental (submit/collect) front end
-the ``repro serve`` daemon runs on; :func:`optimize_functions` is the
-batch entry point everything else uses.
+:class:`DriverSession` is the driver's one engine: incremental
+submit/collect over a persistent cache, dedupe table, quarantine list
+and worker pool.  The ``repro serve`` daemon drives one long-lived
+session; :func:`optimize_functions`, the batch entry point everything
+else uses, is a thin client that submits a whole batch, drains the
+session, and returns the results in job order.
 """
 
 from .cache import ResultCache, job_key, model_fingerprint

@@ -1,20 +1,23 @@
 """The parallel, memoizing, fault-tolerant optimization driver.
 
-:func:`optimize_functions` fans per-function RoLAG work out over a
-process pool.  Each worker receives a picklable :class:`FunctionJob`
-(IR or mini-C text), rebuilds the module in its own interpreter, runs
-the standard measurement pipeline -- size before, LLVM-style reroll
-baseline, RoLAG, verify, size after -- and sends back a plain
-:class:`FunctionResult`.
+One engine, :class:`DriverSession`, fans per-function RoLAG work out
+over a process pool.  Each worker receives a picklable
+:class:`FunctionJob` (IR or mini-C text), rebuilds the module in its
+own interpreter, runs the standard measurement pipeline -- size
+before, LLVM-style reroll baseline, RoLAG, verify, size after -- and
+sends back a plain :class:`FunctionResult`.  The ``repro serve``
+daemon drives one long-lived session; the batch entry point
+:func:`optimize_functions` is a thin client that submits every job,
+drains the session, and returns the results in job order.
 
-Scheduling is chunked (one pickle round-trip per chunk, not per
+Dispatch is chunked (one pickle round-trip per chunk, not per
 function) and falls back to a deterministic in-process loop for
 ``workers=1``, so tests and small runs never pay pool startup.  With a
 cache directory, results are memoized content-addressed under an
 *alpha-invariant structural* key (see ``cache.py`` and
 ``repro.ir.structhash``): a warm rerun resolves entirely from disk
 even if every value, label, and function in the corpus was renamed in
-between.  The same fingerprints drive an in-batch dedupe pass --
+between.  The same fingerprints drive in-flight dedupe --
 structurally identical jobs are coalesced before they reach the pool,
 one leader computes, and every follower receives a copy rewritten
 into its own namespace via the canonical-renaming witness.
@@ -51,7 +54,7 @@ from __future__ import annotations
 import os
 import zlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter, sleep
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -60,7 +63,6 @@ from ..difftest.runner import check_module_semantics
 from ..faultinject import (
     DeadlineExceeded,
     FaultPlan,
-    active_plan,
     checkpoint,
     deadline_scope,
     fire,
@@ -412,6 +414,30 @@ def _follower_result(
     return result
 
 
+def _dedupe_key(
+    job: FunctionJob,
+    cache_key: Optional[str],
+    summary_of: Callable[[], Optional[StructuralSummary]],
+    exact_text: bool,
+) -> object:
+    """The key identical in-flight jobs coalesce on.
+
+    With a cache it is the structural cache key.  Without one, the
+    batch policy (``exact_text``) coalesces only textually identical
+    jobs, so a plain no-cache batch computes no hashes at all; the
+    daemon policy coalesces on the alpha-invariant fingerprint (same
+    respell machinery as cache retargeting).  Jobs that do not build
+    fall back to exact text either way.
+    """
+    if cache_key is not None:
+        return cache_key
+    if not exact_text:
+        summary = summary_of()
+        if summary is not None:
+            return ("struct", job.format, summary.fingerprint)
+    return ("text", job.format, job.name, job.text)
+
+
 # --- pool plumbing ----------------------------------------------------------
 #
 # The per-run knobs are shipped once per worker through the pool
@@ -509,303 +535,7 @@ def _terminate_pool_workers(executor) -> None:
             pass
 
 
-def _attempt_serially(
-    job: FunctionJob,
-    qkey_fn: Callable[[], str],
-    config: Optional[RolagConfig],
-    measure_model: Optional[CodeSizeCostModel],
-    timed: bool,
-    check_semantics: bool,
-    evaluator: str,
-    deadline: Optional[float],
-    retries: int,
-    retry_backoff: float,
-    quarantine: QuarantineList,
-    stats: DriverStats,
-) -> FunctionResult:
-    """The in-process retry loop: attempt, back off, degrade.
-
-    ``qkey_fn`` is lazy: deriving a quarantine key means fingerprinting
-    the job (structurally when it builds), which only failure paths
-    should ever pay for.
-    """
-    attempts = 0
-    dispatch_start = perf_counter()
-    while True:
-        attempts += 1
-        outcome = run_one_guarded(
-            job, config, measure_model, timed, check_semantics, evaluator,
-            deadline,
-        )
-        if isinstance(outcome, FunctionResult):
-            outcome.attempts = attempts
-            stats.record_latency(perf_counter() - dispatch_start)
-            return outcome
-        quarantine.record_failure(
-            qkey_fn(), job.label, outcome.kind, outcome.message
-        )
-        if attempts <= retries:
-            stats.retried += 1
-            if retry_backoff > 0.0:
-                sleep(retry_backoff * (2 ** (attempts - 1)))
-            continue
-        if outcome.kind == "timeout":
-            stats.timed_out += 1
-        else:
-            stats.crashed += 1
-        stats.record_latency(perf_counter() - dispatch_start)
-        return _error_result(job, outcome.kind, outcome.message, attempts)
-
-
-def _run_pool(
-    jobs: Sequence[FunctionJob],
-    pending: List[int],
-    config: RolagConfig,
-    measure_model: Optional[CodeSizeCostModel],
-    timed: bool,
-    check_semantics: bool,
-    evaluator: str,
-    deadline: Optional[float],
-    retries: int,
-    retry_backoff: float,
-    quarantine: QuarantineList,
-    qkey: Callable[[int], str],
-    stats: DriverStats,
-    workers: int,
-    chunk_size: Optional[int],
-    plan: Optional[FaultPlan],
-    serial_fallback: bool,
-    max_pool_respawns: int,
-) -> Dict[int, FunctionResult]:
-    """Crash/hang-isolated pool execution with respawn and retry.
-
-    A worker that dies abruptly breaks the whole
-    :class:`~concurrent.futures.ProcessPoolExecutor`; the executor
-    cannot say *which* job killed it, so in-flight chunks are requeued
-    uncharged and the pool is rebuilt -- the respawn budget bounds a
-    poison job that kills every pool it meets.  A chunk observed
-    running past its whole-chunk deadline budget is declared hung
-    (non-cooperative stall): its jobs are charged a timeout, its
-    workers are killed, and the pool is rebuilt.
-    """
-    from concurrent.futures import (
-        FIRST_COMPLETED,
-        ProcessPoolExecutor,
-        wait,
-    )
-    from concurrent.futures.process import BrokenProcessPool
-
-    computed: Dict[int, FunctionResult] = {}
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    not_before: Dict[int, float] = {i: 0.0 for i in pending}
-    queue: deque = deque(pending)
-    respawns = 0
-    poll = 0.1 if deadline is None else max(0.002, min(0.05, deadline / 4.0))
-    chunk = chunk_size or (
-        1
-        if (deadline is not None or plan is not None)
-        else _default_chunk_size(len(pending), workers)
-    )
-
-    def finish_failure(index: int, kind: str, message: str) -> None:
-        attempts[index] += 1
-        quarantine.record_failure(
-            qkey(index), jobs[index].label, kind, message
-        )
-        if attempts[index] <= retries:
-            stats.retried += 1
-            backoff = retry_backoff * (2 ** (attempts[index] - 1))
-            not_before[index] = perf_counter() + backoff
-            queue.append(index)
-            return
-        if kind == "timeout":
-            stats.timed_out += 1
-        else:
-            stats.crashed += 1
-        computed[index] = _error_result(
-            jobs[index], kind, message, attempts[index]
-        )
-
-    def harvest(
-        indices: List[int],
-        outcomes: List[Outcome],
-        submitted: Optional[float] = None,
-    ) -> None:
-        now = perf_counter()
-        for index, outcome in zip(indices, outcomes):
-            if isinstance(outcome, FunctionResult):
-                outcome.attempts = attempts[index] + 1
-                computed[index] = outcome
-                if submitted is not None:
-                    stats.record_latency(now - submitted)
-            else:
-                finish_failure(index, outcome.kind, outcome.message)
-
-    executor: Optional[ProcessPoolExecutor] = None
-    futures: Dict[object, dict] = {}
-
-    def shutdown(kill: bool) -> None:
-        nonlocal executor
-        if executor is None:
-            return
-        if kill:
-            _terminate_pool_workers(executor)
-        try:
-            executor.shutdown(wait=not kill, cancel_futures=True)
-        except Exception:
-            pass
-        executor = None
-
-    def drain_inflight(hung: set) -> None:
-        """Settle every in-flight chunk after a pool teardown."""
-        for future, info in list(futures.items()):
-            if future in hung:
-                for index in info["indices"]:
-                    finish_failure(
-                        index,
-                        "timeout",
-                        f"exceeded the {deadline:.3f}s wall-clock deadline "
-                        "without yielding; worker killed",
-                    )
-            elif future.done():
-                try:
-                    outcomes = future.result(timeout=0)
-                except Exception:
-                    queue.extend(info["indices"])
-                else:
-                    harvest(info["indices"], outcomes, info.get("submitted"))
-            else:
-                queue.extend(info["indices"])
-        futures.clear()
-
-    pool_error: Optional[str] = None
-    try:
-        while queue or futures:
-            if executor is None and queue:
-                if respawns > max_pool_respawns:
-                    break  # pool declared unhealthy; drained below
-                executor = ProcessPoolExecutor(
-                    max_workers=min(workers, max(1, len(queue))),
-                    initializer=_init_worker,
-                    initargs=(
-                        config, measure_model, timed, check_semantics,
-                        evaluator, deadline,
-                        plan.fresh() if plan is not None else None,
-                    ),
-                )
-            if executor is not None and queue:
-                now = perf_counter()
-                eligible: List[int] = []
-                waiting: deque = deque()
-                while queue:
-                    index = queue.popleft()
-                    if not_before[index] <= now:
-                        eligible.append(index)
-                    else:
-                        waiting.append(index)
-                queue = waiting
-                for start in range(0, len(eligible), chunk):
-                    indices = eligible[start:start + chunk]
-                    future = executor.submit(
-                        _run_chunk, [jobs[i] for i in indices]
-                    )
-                    futures[future] = {
-                        "indices": indices,
-                        "first_running": None,
-                        "submitted": perf_counter(),
-                    }
-            if not futures:
-                if queue:
-                    sleep(poll)  # every queued job is inside its backoff
-                continue
-
-            done, _ = wait(
-                set(futures), timeout=poll, return_when=FIRST_COMPLETED
-            )
-            now = perf_counter()
-            broken = False
-            for future in done:
-                info = futures.pop(future)
-                try:
-                    outcomes = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    queue.extend(info["indices"])
-                except Exception:
-                    # Executor infrastructure failure: treat like a death.
-                    broken = True
-                    queue.extend(info["indices"])
-                else:
-                    harvest(info["indices"], outcomes, info.get("submitted"))
-            if broken:
-                respawns += 1
-                stats.pool_respawns += 1
-                drain_inflight(hung=set())
-                shutdown(kill=True)
-                continue
-
-            if deadline is not None and executor is not None:
-                hung = set()
-                for future, info in futures.items():
-                    if info["first_running"] is None and future.running():
-                        info["first_running"] = now
-                    if info["first_running"] is None:
-                        continue
-                    budget = (
-                        deadline * len(info["indices"])
-                        + max(4 * poll, 0.05)
-                    )
-                    if now - info["first_running"] > budget:
-                        hung.add(future)
-                if hung:
-                    respawns += 1
-                    stats.pool_respawns += 1
-                    drain_inflight(hung)
-                    shutdown(kill=True)
-    except Exception as error:
-        # A parent-side failure mid-collect (executor plumbing, a
-        # harvest gone wrong, a signal-interrupted wait) must never
-        # leak the in-flight requeue: pull every uncomputed index back
-        # out of the in-flight map so the post-loop degradation path
-        # settles it.  The pool itself is no longer trustworthy, so
-        # charge the whole respawn budget.
-        pool_error = f"{type(error).__name__}: {error}"
-        for info in futures.values():
-            queue.extend(
-                i for i in info["indices"] if i not in computed
-            )
-        respawns = max_pool_respawns + 1
-    finally:
-        shutdown(kill=bool(futures))
-        futures.clear()
-
-    if queue:
-        # Respawn budget exhausted: the pool is unhealthy.  Either
-        # degrade to the in-process path or abandon the leftovers as
-        # structured errors -- never deadlock.
-        remaining = list(queue)
-        queue.clear()
-        if serial_fallback:
-            stats.serial_fallback = True
-            for index in remaining:
-                computed[index] = _attempt_serially(
-                    jobs[index], lambda i=index: qkey(i), config, measure_model,
-                    timed, check_semantics, evaluator, deadline,
-                    retries, retry_backoff, quarantine, stats,
-                )
-        else:
-            detail = f": {pool_error}" if pool_error else ""
-            for index in remaining:
-                stats.crashed += 1
-                computed[index] = _error_result(
-                    jobs[index],
-                    "pool",
-                    f"worker pool unhealthy after {respawns} respawn(s)"
-                    f"{detail}; job abandoned (enable serial_fallback to "
-                    "retry in-process)",
-                    attempts[index],
-                )
-    return computed
+# --- the batch entry point --------------------------------------------------
 
 
 def optimize_functions(
@@ -832,29 +562,26 @@ def optimize_functions(
 ) -> DriverReport:
     """Optimize every job, in parallel, memoized, and fault-tolerant.
 
-    ``workers`` defaults to :func:`default_worker_count`; ``workers=1``
-    runs serially in-process (bit-identical to the pool path, since
-    workers rebuild modules from text either way).  With ``cache_dir``
-    set (and ``use_cache`` true), results are looked up before dispatch
-    and newly computed ones written back.  Results come back in job
-    order regardless of completion order.  ``check_semantics`` turns on
-    the per-job differential oracle (see :func:`optimize_one`); it is
-    part of the cache key, so checked and unchecked results never mix.
-    ``evaluator`` picks the oracle's execution backend and is likewise
-    fingerprinted into the key.
+    A thin client of :class:`DriverSession`: every job is submitted,
+    the session is drained, and the results come back in job order
+    regardless of completion order.  Every keyword means what it means
+    on the session.  ``workers`` defaults to
+    :func:`default_worker_count`; ``workers=1`` runs serially
+    in-process (bit-identical to the pool path, since workers rebuild
+    modules from text either way).  With ``cache_dir`` set (and
+    ``use_cache`` true), cache hits resolve at submit time, before any
+    job is dispatched, and newly computed results are written back.
+    ``check_semantics`` turns on the per-job differential oracle (see
+    :func:`optimize_one`); it is part of the cache key, so checked and
+    unchecked results never mix.  ``evaluator`` picks the oracle's
+    execution backend and is likewise fingerprinted into the key.
 
-    The batch is scheduled through a warm-path partition.  With the
-    cache on, every job is structurally fingerprinted (see
-    ``repro.ir.structhash``) and split three ways: **cache hits** are
-    served inline (rewritten into the job's namespace via the stored
-    witness, no pool round-trip), **dedupe followers** -- jobs
-    structurally identical to an earlier job in the same batch -- wait
-    for their leader's single computation and receive a renamed copy,
-    and only the **unique misses** reach the retry/pool machinery.
-    Without a cache no fingerprinting happens (the no-cache fast path
-    stays overhead-free) and dedupe degrades to coalescing textually
-    identical jobs.  ``dedupe=False`` disables the coalescing
-    entirely.
+    Structurally identical jobs coalesce onto one leader computation
+    (``dedupe=False`` turns this off).  With a cache the coalescing key
+    is the structural cache key; without one the batch coalesces only
+    textually identical jobs, so a plain no-cache run fingerprints
+    nothing.  A batch with a single job left to compute runs it
+    in-process rather than start a pool for it.
 
     Resilience knobs (see the module docstring and
     ``docs/robustness.md``): ``deadline`` bounds each function's wall
@@ -868,200 +595,112 @@ def optimize_functions(
     a result: on unrecoverable failure, a degraded one carrying the
     original text and a structured ``error``.
     """
-    config = config or RolagConfig()
-    workers = default_worker_count() if workers is None else max(1, workers)
-    start = perf_counter()
-    plan = resolve_plan(
-        fault_plan if fault_plan is not None else config.fault_plan
+    with DriverSession(
+        config,
+        workers=workers,
+        cache_dir=cache_dir,
+        use_cache=use_cache,
+        measure_model=measure_model,
+        chunk_size=chunk_size,
+        timed=timed,
+        check_semantics=check_semantics,
+        evaluator=evaluator,
+        deadline=deadline,
+        retries=retries,
+        retry_backoff=retry_backoff,
+        quarantine_file=quarantine_file,
+        quarantine_after=quarantine_after,
+        fault_plan=fault_plan,
+        serial_fallback=serial_fallback,
+        max_pool_respawns=max_pool_respawns,
+        dedupe=dedupe,
+        _batch=True,
+    ) as session:
+        tickets = [session.submit(job) for job in jobs]
+        resolved = dict(session.drain())
+    return DriverReport(
+        results=[resolved[ticket] for ticket in tickets],
+        stats=session.stats,
     )
 
-    stats = DriverStats(jobs=len(jobs), workers=workers)
-    quarantine = QuarantineList(quarantine_file, threshold=quarantine_after)
-    summaries: Dict[int, Optional[StructuralSummary]] = {}
-    hash_seconds = 0.0
-    qkey_memo: Dict[int, str] = {}
 
-    def summary_of(index: int) -> Optional[StructuralSummary]:
-        """Memoized structural summary (None when the job won't build).
-
-        Lazy on purpose: without a cache only failure/quarantine paths
-        ever fingerprint a job, keeping the plain no-cache run at zero
-        hashing overhead.
-        """
-        nonlocal hash_seconds
-        if index not in summaries:
-            hash_start = perf_counter()
-            summaries[index] = job_struct_summary(jobs[index])
-            hash_seconds += perf_counter() - hash_start
-            if summaries[index] is None:
-                stats.hash_fallbacks += 1
-        return summaries[index]
-
-    def qkey(index: int) -> str:
-        if index not in qkey_memo:
-            qkey_memo[index] = quarantine_key(
-                jobs[index], summary_of(index)
-            )
-        return qkey_memo[index]
-
-    with active_plan(plan):
-        cache = (
-            ResultCache(cache_dir) if (cache_dir and use_cache) else None
-        )
-        results: List[Optional[FunctionResult]] = [None] * len(jobs)
-        pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(jobs)
-        # In-batch dedupe: leader index per content key, follower
-        # indices per leader.  With the cache on, the content key is
-        # the full structural job key; without it, exact text.
-        leader_by_key: Dict[object, int] = {}
-        followers_of: Dict[int, List[int]] = {}
-        for i, job in enumerate(jobs):
-            if cache is not None:
-                summary = summary_of(i)
-                keys[i] = job_key(
-                    job, config, measure_model, check_semantics, evaluator,
-                    summary=summary,
-                )
-                hit = cache.get(keys[i])
-                if hit is not None:
-                    # Structural hits may come from a differently-named
-                    # producer: restamp the job's identity and respell
-                    # the output via the envelope witness.
-                    hit.name = job.name
-                    hit.metadata = dict(job.metadata)
-                    _retarget_result(
-                        hit,
-                        hit.producer_witness,  # type: ignore[arg-type]
-                        summary,
-                    )
-                    results[i] = hit
-                    stats.cache_hits += 1
-                    continue
-                stats.cache_misses += 1
-            if len(quarantine) and quarantine.is_quarantined(qkey(i)):
-                stats.quarantined += 1
-                results[i] = _error_result(
-                    job, "quarantined", quarantine.describe(qkey(i)),
-                    attempts=0,
-                )
-                continue
-            if dedupe:
-                dkey: object = (
-                    keys[i]
-                    if keys[i] is not None
-                    else ("text", job.format, job.name, job.text)
-                )
-                leader = leader_by_key.get(dkey)
-                if leader is not None:
-                    followers_of.setdefault(leader, []).append(i)
-                    stats.dedupe_hits += 1
-                    continue
-                leader_by_key[dkey] = i
-            pending.append(i)
-
-        if pending:
-            if workers == 1 or len(pending) == 1:
-                computed = {
-                    i: _attempt_serially(
-                        jobs[i], lambda i=i: qkey(i), config, measure_model,
-                        timed, check_semantics, evaluator, deadline, retries,
-                        retry_backoff, quarantine, stats,
-                    )
-                    for i in pending
-                }
-            else:
-                computed = _run_pool(
-                    jobs, pending, config, measure_model, timed,
-                    check_semantics, evaluator, deadline, retries,
-                    retry_backoff, quarantine, qkey, stats, workers,
-                    chunk_size, plan, serial_fallback, max_pool_respawns,
-                )
-            for i in pending:
-                result = computed[i]
-                results[i] = result
-                # Error results are never cached: transient failures
-                # must not poison warm reruns.
-                if cache is not None and not result.failed:
-                    cache.put(keys[i], result, summary=summaries.get(i))
-
-        # Fan leaders out to their followers (same key, so never
-        # cache-written twice; failed leaders degrade each follower).
-        for leader, follower_indices in followers_of.items():
-            leader_result = results[leader]
-            assert leader_result is not None
-            for i in follower_indices:
-                results[i] = _follower_result(
-                    leader_result, jobs[i],
-                    summaries.get(leader), summaries.get(i), stats,
-                )
-
-        quarantine.save()
-        if cache is not None:
-            stats.cache_writes = cache.writes
-            stats.cache_corrupt = cache.corrupt
-            stats.cache_write_errors = cache.write_errors
-
-    final: List[FunctionResult] = [r for r in results if r is not None]
-    assert len(final) == len(jobs)
-    stats.guard_failures = sum(len(r.guard_reports) for r in final)
-    for result in final:
-        for phase, seconds in result.phase_seconds.items():
-            stats.phase_seconds[phase] = (
-                stats.phase_seconds.get(phase, 0.0) + seconds
-            )
-    if timed:
-        # Parent-side structural fingerprinting books under ``hash``.
-        stats.phase_seconds["hash"] = (
-            stats.phase_seconds.get("hash", 0.0) + hash_seconds
-        )
-    stats.wall_seconds = perf_counter() - start
-    return DriverReport(results=final, stats=stats)
+# --- the engine -------------------------------------------------------------
 
 
-# --- the incremental front end ---------------------------------------------
+@dataclass
+class _Ticket:
+    """Everything a session holds for one unresolved ticket.
+
+    Dropped the moment the ticket resolves, so a long-lived session
+    keeps state only for work still outstanding.
+    """
+
+    job: FunctionJob
+    #: Structural cache key (with a cache only).
+    key: Optional[str] = None
+    #: Lazily computed structural summary (``None`` when unbuildable).
+    summary: Optional[StructuralSummary] = None
+    hashed: bool = False
+    qkey: Optional[str] = None
+    #: Dedupe key while this ticket leads an in-flight group.
+    dkey: object = None
+    followers: List[int] = field(default_factory=list)
+    #: Failed attempts charged so far.
+    attempts: int = 0
+    #: Retry backoff: not dispatched before this perf_counter time.
+    not_before: float = 0.0
 
 
 class DriverSession:
-    """Incremental submit/collect access to the driver machinery.
+    """The driver engine: incremental submit/collect over one pool.
 
-    Where :func:`optimize_functions` consumes a whole batch and
-    returns, a session stays open: jobs arrive one at a time
-    (:meth:`submit` returns a ticket immediately), results are
-    harvested as they complete (:meth:`collect`), and the memo cache,
-    quarantine list, structural-dedupe table, and worker pool persist
-    across the session's lifetime.  This is the engine behind
-    ``repro serve`` -- a streaming daemon needs admission to be cheap
-    and non-blocking while computation proceeds elsewhere.
-
-    Semantics mirror the batch entry point exactly:
+    Jobs arrive one at a time (:meth:`submit` returns a ticket
+    immediately), results are harvested as they complete
+    (:meth:`collect`), and the memo cache, quarantine list, dedupe
+    table, and worker pool persist across the session's lifetime.
+    This is the engine behind both ``repro serve`` (one long-lived
+    session) and :func:`optimize_functions` (submit a batch, then
+    :meth:`drain`).
 
     * with a cache, every job is structurally fingerprinted and cache
       hits are served at submit time, rewritten into the submitting
       job's namespace via the stored witness;
-    * a job structurally identical to one still *in flight* coalesces
-      onto that leader (even when the two came from different
-      submitters): one computation, every follower gets a renamed
-      copy, failures degrade every follower alike;
+    * a job identical to one still *in flight* coalesces onto that
+      leader (even when the two came from different submitters): one
+      computation, every follower gets a renamed copy, failures
+      degrade every follower alike.  Without a cache a session
+      coalesces on the alpha-invariant fingerprint; a batch coalesces
+      on exact text only (see :func:`_dedupe_key`);
     * quarantined jobs are refused with a structured error result;
     * the resilience contract holds: deadlines, retries with backoff,
       pool respawn after crashes/hangs, graceful degradation -- every
       submitted ticket always resolves to exactly one result.
 
-    With ``workers == 1`` jobs execute in-process at the next
-    :meth:`pump`/:meth:`collect` (deterministic, pool-free -- the mode
-    tests and single-core daemons run; deferring execution past
-    :meth:`submit` is what lets back-to-back identical submissions
-    coalesce even without a pool).  With more workers a persistent
-    :class:`~concurrent.futures.ProcessPoolExecutor` computes jobs as
-    single-job futures; :meth:`collect` (or :meth:`pump`) advances the
-    event loop.  A session is *not* thread-safe: one owner thread
-    (the serve scheduler) drives it.
+    :meth:`submit` never executes anything: work runs at the next
+    :meth:`pump`/:meth:`collect`, so jobs submitted back-to-back can
+    still coalesce and a pool receives them together.  With
+    ``workers == 1`` jobs execute in-process, in submission order
+    (deterministic, pool-free -- the mode tests and single-core daemons
+    run).  With more workers a persistent
+    :class:`~concurrent.futures.ProcessPoolExecutor` computes them in
+    chunks of ``chunk_size`` jobs (by default about four chunks per
+    worker over the current queue, and single jobs under a deadline or
+    a fault plan).  A chunk running longer than ``deadline`` per job
+    is declared hung and its pool killed.  When the pool keeps dying,
+    the remaining jobs run in-process (``serial_fallback=True``, what
+    the daemon uses) or degrade to ``pool``-class error results (the
+    default: an ``abort`` fault retried in-process would exit the
+    caller).  A session is *not* thread-safe: one owner thread (the
+    serve scheduler) drives it.
 
     Always :meth:`close` a session (or use it as a context manager):
     closing drains or degrades every outstanding ticket and tears the
     pool down -- no orphaned workers, no leaked in-flight jobs, even
     when teardown itself hits an exception.
+
+    ``_batch`` is set by :func:`optimize_functions` alone: its whole
+    batch is submitted before the first pump, so it dedupes on exact
+    text without a cache and runs a lone job to compute in-process.
     """
 
     def __init__(
@@ -1072,6 +711,7 @@ class DriverSession:
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         measure_model: Optional[CodeSizeCostModel] = None,
+        chunk_size: Optional[int] = None,
         timed: bool = False,
         check_semantics: bool = False,
         evaluator: str = "interp",
@@ -1082,15 +722,17 @@ class DriverSession:
         quarantine_after: int = 2,
         quarantine_fsync: bool = False,
         fault_plan: Union[None, str, FaultPlan] = None,
-        serial_fallback: bool = True,
+        serial_fallback: bool = False,
         max_pool_respawns: int = 2,
         dedupe: bool = True,
+        _batch: bool = False,
     ) -> None:
         self.config = config or RolagConfig()
         self.workers = (
             default_worker_count() if workers is None else max(1, workers)
         )
         self._measure_model = measure_model
+        self._chunk_size = chunk_size
         self._timed = timed
         self._check_semantics = check_semantics
         self._evaluator = evaluator
@@ -1100,8 +742,15 @@ class DriverSession:
         self._serial_fallback = serial_fallback
         self._max_pool_respawns = max_pool_respawns
         self._dedupe = dedupe
+        self._batch = _batch
+        self._poll = 0.005 if deadline is None else max(
+            0.002, min(0.05, deadline / 4.0)
+        )
 
         self.stats = DriverStats(jobs=0, workers=self.workers)
+        if timed:
+            # Parent-side structural fingerprinting books under ``hash``.
+            self.stats.phase_seconds["hash"] = 0.0
         self._cache = (
             ResultCache(cache_dir) if (cache_dir and use_cache) else None
         )
@@ -1122,8 +771,9 @@ class DriverSession:
             install_plan(self._plan)
 
         #: Called as ``on_result(ticket, result)`` the moment a ticket
-        #: resolves (from submit for cache hits / serial runs, from
-        #: pump for pool completions).  The serve scheduler hooks this.
+        #: resolves (from submit for cache hits / quarantine refusals,
+        #: from pump for everything else).  The serve scheduler hooks
+        #: this.
         self.on_result: Optional[Callable[[int, FunctionResult], None]] = None
         #: Called as ``on_respawn(count)`` each time the worker pool is
         #: torn down and rebuilt after a death or hang -- the session
@@ -1132,25 +782,19 @@ class DriverSession:
         self.on_respawn: Optional[Callable[[int], None]] = None
 
         self._next_ticket = 0
-        self._jobs: Dict[int, FunctionJob] = {}
-        self._keys: Dict[int, Optional[str]] = {}
-        self._summaries: Dict[int, Optional[StructuralSummary]] = {}
-        self._qkeys: Dict[int, str] = {}
-        self._submitted_at: Dict[int, float] = {}
+        #: Unresolved tickets only; ``pending`` is its length.
+        self._tickets: Dict[int, _Ticket] = {}
         self._ready: deque = deque()  # (ticket, result) awaiting collect
-        self._done: Dict[int, bool] = {}
-        # In-flight dedupe: content key -> leader ticket (only while
-        # the leader is unresolved), plus follower lists per leader.
+        # In-flight dedupe: content key -> leader ticket, only while
+        # the leader is unresolved.
         self._leader_by_key: Dict[object, int] = {}
-        self._dkey_of: Dict[int, object] = {}
-        self._followers: Dict[int, List[int]] = {}
         # Pool state (workers > 1).
         self._queue: deque = deque()  # tickets awaiting dispatch
-        self._attempts: Dict[int, int] = {}
-        self._not_before: Dict[int, float] = {}
-        self._inflight: Dict[object, dict] = {}  # future -> info
+        self._inflight: Dict[object, dict] = {}  # future -> chunk info
         self._executor = None
         self._respawns = 0
+        #: Cause of the last parent-side pool failure, if any.
+        self._pool_error: Optional[str] = None
         self._closed = False
         self._started = perf_counter()
 
@@ -1164,19 +808,26 @@ class DriverSession:
 
     # -- bookkeeping helpers -----------------------------------------------
 
-    def _summary_of(self, ticket: int) -> Optional[StructuralSummary]:
-        if ticket not in self._summaries:
-            self._summaries[ticket] = job_struct_summary(self._jobs[ticket])
-            if self._summaries[ticket] is None:
-                self.stats.hash_fallbacks += 1
-        return self._summaries[ticket]
+    def _summary_of(self, rec: _Ticket) -> Optional[StructuralSummary]:
+        """Memoized structural summary (None when the job won't build).
 
-    def _qkey(self, ticket: int) -> str:
-        if ticket not in self._qkeys:
-            self._qkeys[ticket] = quarantine_key(
-                self._jobs[ticket], self._summary_of(ticket)
-            )
-        return self._qkeys[ticket]
+        Lazy on purpose: without a cache only the failure and
+        quarantine paths (and daemon dedupe) ever fingerprint a job.
+        """
+        if not rec.hashed:
+            start = perf_counter()
+            rec.summary = job_struct_summary(rec.job)
+            rec.hashed = True
+            if self._timed:
+                self.stats.phase_seconds["hash"] += perf_counter() - start
+            if rec.summary is None:
+                self.stats.hash_fallbacks += 1
+        return rec.summary
+
+    def _qkey(self, rec: _Ticket) -> str:
+        if rec.qkey is None:
+            rec.qkey = quarantine_key(rec.job, self._summary_of(rec))
+        return rec.qkey
 
     def _sync_cache_counters(self) -> None:
         if self._cache is not None:
@@ -1185,8 +836,10 @@ class DriverSession:
             self.stats.cache_write_errors = self._cache.write_errors
 
     def _finish(self, ticket: int, result: FunctionResult) -> None:
-        """Resolve one ticket: stats, ready queue, completion hook."""
-        self._done[ticket] = True
+        """Resolve one ticket: drop its state, stats, ready queue, hook."""
+        rec = self._tickets.pop(ticket)
+        if rec.dkey is not None:
+            self._leader_by_key.pop(rec.dkey, None)
         self.stats.guard_failures += len(result.guard_reports)
         for phase, seconds in result.phase_seconds.items():
             self.stats.phase_seconds[phase] = (
@@ -1196,42 +849,51 @@ class DriverSession:
         if self.on_result is not None:
             self.on_result(ticket, result)
 
-    def _fire_respawn(self) -> None:
-        """Invoke the on_respawn hook; a raising hook never stops pump."""
-        hook = self.on_respawn
-        if hook is None:
-            return
-        try:
-            hook(self._respawns)
-        except Exception:  # pragma: no cover - defensive
-            pass
-
     def _settle(self, ticket: int, result: FunctionResult) -> None:
         """A leader computed (or degraded): cache, finish, fan out."""
+        rec = self._tickets[ticket]
+        # Error results are never cached: transient failures must not
+        # poison warm reruns.
         if (
             self._cache is not None
             and not result.failed
-            and self._keys.get(ticket) is not None
+            and rec.key is not None
         ):
-            self._cache.put(
-                self._keys[ticket], result, summary=self._summaries.get(ticket)
-            )
+            self._cache.put(rec.key, result, summary=rec.summary)
             self._sync_cache_counters()
-        dkey = self._dkey_of.pop(ticket, None)
-        if dkey is not None:
-            self._leader_by_key.pop(dkey, None)
         self._finish(ticket, result)
-        for follower in self._followers.pop(ticket, ()):  # type: ignore
+        for follower in rec.followers:
+            follower_rec = self._tickets[follower]
             self._finish(
                 follower,
                 _follower_result(
-                    result,
-                    self._jobs[follower],
-                    self._summaries.get(ticket),
-                    self._summaries.get(follower),
-                    self.stats,
+                    result, follower_rec.job, rec.summary,
+                    follower_rec.summary, self.stats,
                 ),
             )
+
+    def _charge(self, rec: _Ticket, kind: str, message: str) -> bool:
+        """Count one failed attempt; True when the job gets another.
+
+        Deriving the quarantine key fingerprints the job, which only
+        failure paths should ever pay for.
+        """
+        rec.attempts += 1
+        self._quarantine.record_failure(
+            self._qkey(rec), rec.job.label, kind, message
+        )
+        self._quarantine.save()
+        if rec.attempts <= self._retries:
+            self.stats.retried += 1
+            return True
+        if kind == "timeout":
+            self.stats.timed_out += 1
+        else:
+            self.stats.crashed += 1
+        return False
+
+    def _backoff(self, rec: _Ticket) -> float:
+        return self._retry_backoff * (2 ** (rec.attempts - 1))
 
     # -- submission ---------------------------------------------------------
 
@@ -1246,21 +908,20 @@ class DriverSession:
             raise RuntimeError("session is closed")
         ticket = self._next_ticket
         self._next_ticket += 1
-        self._jobs[ticket] = job
-        self._done[ticket] = False
-        self._submitted_at[ticket] = perf_counter()
+        rec = self._tickets[ticket] = _Ticket(job)
         self.stats.jobs += 1
 
-        key: Optional[str] = None
         if self._cache is not None:
-            summary = self._summary_of(ticket)
-            key = job_key(
+            summary = self._summary_of(rec)
+            rec.key = job_key(
                 job, self.config, self._measure_model,
                 self._check_semantics, self._evaluator, summary=summary,
             )
-            self._keys[ticket] = key
-            hit = self._cache.get(key)
+            hit = self._cache.get(rec.key)
             if hit is not None:
+                # Structural hits may come from a differently-named
+                # producer: restamp the job's identity and respell the
+                # output via the envelope witness.
                 hit.name = job.name
                 hit.metadata = dict(job.metadata)
                 _retarget_result(
@@ -1272,57 +933,75 @@ class DriverSession:
                 self._finish(ticket, hit)
                 return ticket
             self.stats.cache_misses += 1
-        else:
-            self._keys[ticket] = None
 
         if len(self._quarantine) and self._quarantine.is_quarantined(
-            self._qkey(ticket)
+            self._qkey(rec)
         ):
             self.stats.quarantined += 1
             self._finish(
                 ticket,
                 _error_result(
                     job, "quarantined",
-                    self._quarantine.describe(self._qkey(ticket)),
+                    self._quarantine.describe(self._qkey(rec)),
                     attempts=0,
                 ),
             )
             return ticket
 
         if self._dedupe:
-            if key is not None:
-                dkey: object = key
-            else:
-                # No cache key to coalesce on; fall back to the
-                # alpha-invariant fingerprint (same respell machinery
-                # as cache retargeting), then to exact text.
-                summary = self._summary_of(ticket)
-                dkey = (
-                    ("struct", job.format, summary.fingerprint)
-                    if summary is not None
-                    else ("text", job.format, job.name, job.text)
-                )
+            dkey = _dedupe_key(
+                job, rec.key, lambda: self._summary_of(rec),
+                exact_text=self._batch,
+            )
             leader = self._leader_by_key.get(dkey)
-            if leader is not None and not self._done[leader]:
-                self._followers.setdefault(leader, []).append(ticket)
+            if leader is not None:
+                self._tickets[leader].followers.append(ticket)
                 self.stats.dedupe_hits += 1
                 return ticket
             self._leader_by_key[dkey] = ticket
-            self._dkey_of[ticket] = dkey
+            rec.dkey = dkey
 
-        self._attempts[ticket] = 0
-        self._not_before[ticket] = 0.0
         self._queue.append(ticket)
-        if self.workers > 1:
-            # Get the pool started; serial execution waits for the
-            # next pump/collect so that structurally identical jobs
-            # submitted back-to-back can still coalesce in flight.
-            self.pump()
         return ticket
 
-    # -- pool event loop ----------------------------------------------------
+    # -- execution ----------------------------------------------------------
+
+    def _runs_in_process(self) -> bool:
+        """One worker runs everything in-process; so does a batch whose
+        lone job to compute would otherwise start a pool for itself."""
+        return self.workers == 1 or (
+            self._batch
+            and self._executor is None
+            and self._respawns == 0
+            and not self._inflight
+            and len(self._queue) == 1
+        )
+
+    def _run_serially(self, ticket: int) -> None:
+        """The in-process retry loop: attempt, back off, degrade, settle."""
+        rec = self._tickets[ticket]
+        start = perf_counter()
+        while True:
+            outcome = run_one_guarded(
+                rec.job, self.config, self._measure_model, self._timed,
+                self._check_semantics, self._evaluator, self._deadline,
+            )
+            if isinstance(outcome, FunctionResult):
+                outcome.attempts = rec.attempts + 1
+                result = outcome
+                break
+            if not self._charge(rec, outcome.kind, outcome.message):
+                result = _error_result(
+                    rec.job, outcome.kind, outcome.message, rec.attempts
+                )
+                break
+            if self._retry_backoff > 0.0:
+                sleep(self._backoff(rec))
+        self.stats.record_latency(perf_counter() - start)
+        self._settle(ticket, result)
 
     def _spawn_executor(self, want: int):
+        """A fresh pool, never wider than the ``want`` jobs queued."""
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor(
@@ -1335,41 +1014,65 @@ class DriverSession:
             ),
         )
 
-    def _kill_executor(self) -> None:
-        """Tear the pool down hard; never raises."""
+    def _shutdown_executor(self, kill: bool = True) -> None:
+        """Tear the pool down; never raises.
+
+        ``kill`` SIGTERMs the workers and returns at once (a dead,
+        hung or abandoned pool); otherwise the idle workers are shut
+        down and waited for, so none outlives the call.
+        """
         executor = self._executor
         self._executor = None
         if executor is None:
             return
-        _terminate_pool_workers(executor)
+        if kill:
+            _terminate_pool_workers(executor)
         try:
-            executor.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=not kill, cancel_futures=True)
         except Exception:
             pass
 
+    def _requeue_inflight(self) -> None:
+        """Move every unresolved in-flight ticket back to the queue,
+        uncharged."""
+        queued = set(self._queue)
+        for info in self._inflight.values():
+            self._queue.extend(
+                t for t in info["tickets"]
+                if t in self._tickets and t not in queued
+            )
+        self._inflight.clear()
+
+    def _pool_died(self, cause: Optional[str] = None) -> None:
+        """Count one pool death and tear the pool down for a respawn.
+
+        The executor cannot say *which* job killed it, so in-flight
+        work is requeued uncharged; the respawn budget bounds a poison
+        job that kills every pool it meets.
+        """
+        self._respawns += 1
+        self.stats.pool_respawns += 1
+        if cause is not None:
+            self._pool_error = cause
+        self._requeue_inflight()
+        self._shutdown_executor()
+        hook = self.on_respawn
+        if hook is not None:
+            try:
+                hook(self._respawns)
+            except Exception:  # pragma: no cover - defensive
+                pass
+
     def _pool_failure(self, ticket: int, kind: str, message: str) -> None:
-        """One failed pool attempt: retry with backoff or degrade."""
-        self._attempts[ticket] += 1
-        self._quarantine.record_failure(
-            self._qkey(ticket), self._jobs[ticket].label, kind, message
-        )
-        self._quarantine.save()
-        if self._attempts[ticket] <= self._retries:
-            self.stats.retried += 1
-            backoff = self._retry_backoff * (2 ** (self._attempts[ticket] - 1))
-            self._not_before[ticket] = perf_counter() + backoff
+        """One failed pool attempt: requeue with backoff, or degrade."""
+        rec = self._tickets[ticket]
+        if self._charge(rec, kind, message):
+            rec.not_before = perf_counter() + self._backoff(rec)
             self._queue.append(ticket)
-            return
-        if kind == "timeout":
-            self.stats.timed_out += 1
         else:
-            self.stats.crashed += 1
-        self._settle(
-            ticket,
-            _error_result(
-                self._jobs[ticket], kind, message, self._attempts[ticket]
-            ),
-        )
+            self._settle(
+                ticket, _error_result(rec.job, kind, message, rec.attempts)
+            )
 
     def _degrade_remaining(self, message: str) -> None:
         """Settle every queued ticket without a pool (fallback path)."""
@@ -1378,86 +1081,64 @@ class DriverSession:
         if self._serial_fallback and not self._closed:
             self.stats.serial_fallback = True
             for ticket in remaining:
-                result = _attempt_serially(
-                    self._jobs[ticket], lambda t=ticket: self._qkey(t),
-                    self.config, self._measure_model, self._timed,
-                    self._check_semantics, self._evaluator, self._deadline,
-                    self._retries, self._retry_backoff, self._quarantine,
-                    self.stats,
-                )
-                self._quarantine.save()
-                self._settle(ticket, result)
-        else:
-            for ticket in remaining:
-                self.stats.crashed += 1
-                self._settle(
-                    ticket,
-                    _error_result(
-                        self._jobs[ticket], "pool", message,
-                        self._attempts.get(ticket, 0),
-                    ),
-                )
+                self._run_serially(ticket)
+            return
+        for ticket in remaining:
+            rec = self._tickets[ticket]
+            self.stats.crashed += 1
+            self._settle(
+                ticket, _error_result(rec.job, "pool", message, rec.attempts)
+            )
 
-    def pump(self) -> int:
-        """Advance the pool without blocking; returns tickets resolved.
-
-        Dispatches eligible queued tickets as single-job futures,
-        harvests completions, requeues uncharged in-flight work when
-        the pool dies (respawning it up to the budget), and kills
-        non-cooperative hangs past their deadline budget.  With
-        ``workers == 1`` it instead runs every queued ticket to
-        completion in-process, in submission order.
-        """
-        if self.workers == 1:
-            resolved = 0
-            while self._queue:
-                ticket = self._queue.popleft()
-                result = _attempt_serially(
-                    self._jobs[ticket], lambda t=ticket: self._qkey(t),
-                    self.config, self._measure_model, self._timed,
-                    self._check_semantics, self._evaluator, self._deadline,
-                    self._retries, self._retry_backoff, self._quarantine,
-                    self.stats,
-                )
-                self._quarantine.save()
-                self._settle(ticket, result)
-                resolved += 1
-            return resolved
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        resolved = 0
+    def _dispatch(self) -> None:
+        """Send every queued ticket past its backoff to the pool."""
         now = perf_counter()
+        eligible = [
+            t for t in self._queue if self._tickets[t].not_before <= now
+        ]
+        if not eligible:
+            return
+        self._queue = deque(
+            t for t in self._queue if self._tickets[t].not_before > now
+        )
+        size = self._chunk_size or (
+            1
+            if (self._deadline is not None or self._plan is not None)
+            else _default_chunk_size(len(eligible), self.workers)
+        )
+        start = 0
+        try:
+            while start < len(eligible):
+                chunk = eligible[start:start + size]
+                future = self._executor.submit(
+                    _run_chunk, [self._tickets[t].job for t in chunk]
+                )
+                self._inflight[future] = {
+                    "tickets": chunk,
+                    "first_running": None,
+                    "submitted": perf_counter(),
+                }
+                start += size
+        finally:
+            self._queue.extend(eligible[start:])
+
+    def _pump_pool(self) -> None:
+        from concurrent.futures import FIRST_COMPLETED, wait
 
         if self._queue and self._executor is None:
             if self._respawns > self._max_pool_respawns:
-                before = len(self._ready)
+                detail = f": {self._pool_error}" if self._pool_error else ""
                 self._degrade_remaining(
                     f"worker pool unhealthy after {self._respawns} "
-                    "respawn(s); job abandoned (serial_fallback off)"
+                    f"respawn(s){detail}; job abandoned (enable "
+                    "serial_fallback to retry in-process)"
                 )
-                return len(self._ready) - before
+                return
             self._executor = self._spawn_executor(len(self._queue))
-
-        if self._queue and self._executor is not None:
-            waiting: deque = deque()
-            while self._queue:
-                ticket = self._queue.popleft()
-                if self._not_before[ticket] <= now:
-                    future = self._executor.submit(
-                        _run_chunk, [self._jobs[ticket]]
-                    )
-                    self._inflight[future] = {
-                        "ticket": ticket,
-                        "first_running": None,
-                        "submitted": perf_counter(),
-                    }
-                else:
-                    waiting.append(ticket)
-            self._queue = waiting
-
+        if self._queue:
+            self._dispatch()
         if not self._inflight:
-            return resolved
+            return
 
         done, _ = wait(
             set(self._inflight), timeout=0, return_when=FIRST_COMPLETED
@@ -1465,73 +1146,82 @@ class DriverSession:
         now = perf_counter()
         broken = False
         for future in done:
-            info = self._inflight.pop(future)
-            ticket = info["ticket"]
             try:
                 outcomes = future.result()
-            except BrokenProcessPool:
-                broken = True
-                self._queue.append(ticket)
             except Exception:
+                # BrokenProcessPool, or executor plumbing failing: a
+                # pool death either way.
                 broken = True
-                self._queue.append(ticket)
-            else:
-                outcome = outcomes[0]
+                continue
+            info = self._inflight[future]
+            for ticket, outcome in zip(info["tickets"], outcomes):
                 if isinstance(outcome, FunctionResult):
-                    outcome.attempts = self._attempts[ticket] + 1
+                    outcome.attempts = self._tickets[ticket].attempts + 1
                     self.stats.record_latency(now - info["submitted"])
                     self._settle(ticket, outcome)
-                    resolved += 1
                 else:
                     self._pool_failure(ticket, outcome.kind, outcome.message)
-                    if self._done[ticket]:
-                        resolved += 1
+            del self._inflight[future]
         if broken:
-            self._respawns += 1
-            self.stats.pool_respawns += 1
-            self._fire_respawn()
-            for future, info in list(self._inflight.items()):
-                self._queue.append(info["ticket"])
-            self._inflight.clear()
-            self._kill_executor()
-            return resolved
+            self._pool_died()
+        elif self._deadline is not None:
+            self._kill_hangs(now)
 
-        if self._deadline is not None and self._executor is not None:
-            hung = []
-            for future, info in self._inflight.items():
-                if info["first_running"] is None and future.running():
-                    info["first_running"] = now
-                if info["first_running"] is None:
-                    continue
-                budget = self._deadline + 0.05
-                if now - info["first_running"] > budget:
-                    hung.append(future)
-            if hung:
-                self._respawns += 1
-                self.stats.pool_respawns += 1
-                self._fire_respawn()
-                for future in hung:
-                    info = self._inflight.pop(future)
-                    self._pool_failure(
-                        info["ticket"],
-                        "timeout",
-                        f"exceeded the {self._deadline:.3f}s wall-clock "
-                        "deadline without yielding; worker killed",
-                    )
-                    if self._done[info["ticket"]]:
-                        resolved += 1
-                for future, info in list(self._inflight.items()):
-                    self._queue.append(info["ticket"])
-                self._inflight.clear()
-                self._kill_executor()
-        return resolved
+    def _kill_hangs(self, now: float) -> None:
+        """Charge a timeout to every chunk running past its budget
+        (a non-cooperative stall) and kill the pool."""
+        slack = max(4 * self._poll, 0.05)
+        hung = []
+        for future, info in self._inflight.items():
+            if info["first_running"] is None and future.running():
+                info["first_running"] = now
+            if info["first_running"] is None:
+                continue
+            budget = self._deadline * len(info["tickets"]) + slack
+            if now - info["first_running"] > budget:
+                hung.append(future)
+        if not hung:
+            return
+        for future in hung:
+            for ticket in self._inflight[future]["tickets"]:
+                self._pool_failure(
+                    ticket,
+                    "timeout",
+                    f"exceeded the {self._deadline:.3f}s wall-clock "
+                    "deadline without yielding; worker killed",
+                )
+            del self._inflight[future]
+        self._pool_died()
+
+    def pump(self) -> int:
+        """Advance the engine without blocking; returns tickets resolved.
+
+        With a pool: dispatches eligible queued tickets in chunks,
+        harvests completions, requeues uncharged in-flight work when
+        the pool dies (respawning it up to the budget), and kills
+        non-cooperative hangs past their deadline budget.  A failure
+        in this process mid-pump counts as one pool death too, so it
+        never reaches the caller or strands in-flight work.  In-process
+        (see :meth:`_runs_in_process`) it instead runs every queued
+        ticket to completion, in submission order.
+        """
+        before = len(self._ready)
+        if self._queue and self._runs_in_process():
+            while self._queue:
+                self._run_serially(self._queue.popleft())
+        elif self._queue or self._inflight:
+            try:
+                self._pump_pool()
+            except Exception as error:
+                self._pool_died(f"{type(error).__name__}: {error}")
+        return len(self._ready) - before
 
     # -- harvesting ---------------------------------------------------------
 
     @property
     def pending(self) -> int:
         """Tickets submitted but not yet resolved."""
-        return sum(1 for done in self._done.values() if not done)
+        return len(self._tickets)
 
     @property
     def unread(self) -> int:
@@ -1548,9 +1238,6 @@ class DriverSession:
         arrives or nothing is pending.  Results come back in
         resolution order (not submission order -- this is a stream).
         """
-        poll = 0.005 if self._deadline is None else max(
-            0.002, min(0.05, self._deadline / 4.0)
-        )
         deadline_at = (
             None if timeout is None else perf_counter() + (timeout or 0.0)
         )
@@ -1560,7 +1247,7 @@ class DriverSession:
                 break
             if deadline_at is not None and perf_counter() >= deadline_at:
                 break
-            sleep(poll)
+            sleep(self._poll)
         out = list(self._ready)
         self._ready.clear()
         return out
@@ -1608,31 +1295,23 @@ class DriverSession:
                 out.extend(self.drain(timeout=drain_timeout))
         finally:
             self._closed = True
+            message = "session closed with the job still outstanding"
+            kill = bool(self._inflight)
             try:
                 # Whatever is still queued or in flight degrades; the
                 # _closed flag above keeps the fallback path from
                 # re-executing work during teardown.
-                for info in self._inflight.values():
-                    self._queue.append(info["ticket"])
-                self._inflight.clear()
-                self._degrade_remaining(
-                    "session closed with the job still outstanding"
-                )
+                self._requeue_inflight()
+                self._degrade_remaining(message)
                 # Followers whose leader never resolved degrade too.
-                for ticket, done in list(self._done.items()):
-                    if not done:
-                        self.stats.crashed += 1
-                        self._finish(
-                            ticket,
-                            _error_result(
-                                self._jobs[ticket], "pool",
-                                "session closed with the job still "
-                                "outstanding",
-                                self._attempts.get(ticket, 0),
-                            ),
-                        )
+                for ticket, rec in list(self._tickets.items()):
+                    self.stats.crashed += 1
+                    self._finish(
+                        ticket,
+                        _error_result(rec.job, "pool", message, rec.attempts),
+                    )
             finally:
-                self._kill_executor()
+                self._shutdown_executor(kill)
                 try:
                     self._quarantine.save()
                 except Exception:

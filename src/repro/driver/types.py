@@ -9,8 +9,14 @@ IR, JSON-serializable for the on-disk memo cache.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
+
+#: Latency samples a stats object keeps (the most recent ones), so a
+#: long-lived daemon's stats stay bounded.  Larger than any batch the
+#: repo runs, so batch percentiles are exact.
+LATENCY_WINDOW = 16384
 
 
 def percentile(samples: List[float], q: float) -> float:
@@ -24,6 +30,52 @@ def percentile(samples: List[float], q: float) -> float:
     ordered = sorted(samples)
     rank = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))
     return ordered[rank]
+
+
+def latency_window() -> Deque[float]:
+    """An empty sample window for a :class:`LatencyRecorder` field."""
+    return deque(maxlen=LATENCY_WINDOW)
+
+
+class LatencyRecorder:
+    """Garbage-rejecting latency samples and their percentiles.
+
+    Shared by :class:`DriverStats` and :class:`ServiceStats`; each
+    declares the ``_latency`` field (a :func:`latency_window`), which
+    keeps only the most recent :data:`LATENCY_WINDOW` samples.
+    """
+
+    _latency: Deque[float]
+
+    def record_latency(self, seconds: object) -> None:
+        """Record one latency in seconds, rejecting garbage.
+
+        Teardown paths call this with whatever a dying worker left
+        behind; a non-numeric, negative, or non-finite sample must
+        never poison the percentiles (or raise mid-teardown).
+        """
+        try:
+            value = float(seconds)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            return
+        if not math.isfinite(value) or value < 0.0:
+            return
+        self._latency.append(value)
+
+    @property
+    def latency_seconds(self) -> List[float]:
+        """The recorded samples, oldest first."""
+        return list(self._latency)
+
+    @property
+    def latency_p50(self) -> float:
+        """Median latency in seconds (0.0 before the first sample)."""
+        return percentile(self.latency_seconds, 0.50)
+
+    @property
+    def latency_p99(self) -> float:
+        """99th-percentile latency (0.0 before the first sample)."""
+        return percentile(self.latency_seconds, 0.99)
 
 
 @dataclass(frozen=True)
@@ -171,8 +223,9 @@ class FunctionResult:
 
 
 @dataclass
-class DriverStats:
-    """Aggregate behaviour of one :func:`optimize_functions` run."""
+class DriverStats(LatencyRecorder):
+    """Aggregate behaviour of one :func:`optimize_functions` run (or
+    of one :class:`~repro.driver.DriverSession` so far)."""
 
     jobs: int = 0
     workers: int = 1
@@ -210,33 +263,9 @@ class DriverStats:
     #: Per-job dispatch-to-completion latencies in seconds, recorded
     #: for executed jobs (pool and serial paths alike; cache hits and
     #: dedupe fan-outs are not dispatched, so they do not appear).
-    #: Feeds :attr:`latency_p50` / :attr:`latency_p99`.
-    latency_seconds: List[float] = field(default_factory=list)
-
-    def record_latency(self, seconds: object) -> None:
-        """Record one job latency, rejecting garbage.
-
-        Teardown paths call this with whatever a dying worker left
-        behind; a non-numeric, negative, or non-finite sample must
-        never poison the percentiles (or raise mid-teardown).
-        """
-        try:
-            value = float(seconds)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return
-        if not math.isfinite(value) or value < 0.0:
-            return
-        self.latency_seconds.append(value)
-
-    @property
-    def latency_p50(self) -> float:
-        """Median executed-job latency in seconds (0.0 if none ran)."""
-        return percentile(self.latency_seconds, 0.50)
-
-    @property
-    def latency_p99(self) -> float:
-        """99th-percentile executed-job latency (0.0 if none ran)."""
-        return percentile(self.latency_seconds, 0.99)
+    #: Read through :attr:`latency_seconds`, :attr:`latency_p50` and
+    #: :attr:`latency_p99`.
+    _latency: Deque[float] = field(default_factory=latency_window, repr=False)
 
     @property
     def executed(self) -> int:
@@ -275,7 +304,7 @@ class TenantStats:
 
 
 @dataclass
-class ServiceStats:
+class ServiceStats(LatencyRecorder):
     """Aggregate behaviour of one ``repro serve`` daemon lifetime.
 
     Where :class:`DriverStats` describes one batch, this describes a
@@ -305,7 +334,7 @@ class ServiceStats:
     #: idempotency key matched an in-flight or memoized execution.
     idempotent_hits: int = 0
     #: Admission-to-response latency per completed job, in seconds.
-    latency_seconds: List[float] = field(default_factory=list)
+    _latency: Deque[float] = field(default_factory=latency_window, repr=False)
     #: Wall seconds the service has been accepting work (set by the
     #: owning service when snapshotting).
     wall_seconds: float = 0.0
@@ -318,24 +347,6 @@ class ServiceStats:
         if name not in self.per_tenant:
             self.per_tenant[name] = TenantStats()
         return self.per_tenant[name]
-
-    def record_latency(self, seconds: object) -> None:
-        """Record one admission-to-response latency (garbage-safe)."""
-        try:
-            value = float(seconds)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return
-        if not math.isfinite(value) or value < 0.0:
-            return
-        self.latency_seconds.append(value)
-
-    @property
-    def latency_p50(self) -> float:
-        return percentile(self.latency_seconds, 0.50)
-
-    @property
-    def latency_p99(self) -> float:
-        return percentile(self.latency_seconds, 0.99)
 
     @property
     def jobs_per_second(self) -> float:

@@ -270,17 +270,21 @@ class Scheduler:
         """One deterministic scheduling step (also the thread's body).
 
         Submits every inboxed entry to the session, then pumps/collects
-        it once.  ``wait`` is the collect timeout: 0 polls (the
-        threaded loop's mode), ``None`` blocks until at least one
-        result resolves or nothing is pending -- what an unthreaded
-        driver over a process pool needs to make guaranteed progress.
-        Completion callbacks fire from inside this call.  Returns the
-        number of results that completed.
+        it once.  With a pool, each entry is dispatched as soon as it
+        is submitted: a daemon sends single jobs, and its pool spawns
+        on the first admitted job, sized to it.  (A serial session
+        runs nothing until the collect, so back-to-back identical
+        entries can still coalesce.)  ``wait`` is the collect timeout:
+        0 polls (the threaded loop's mode), ``None`` blocks until at
+        least one result resolves or nothing is pending -- what an
+        unthreaded driver over a process pool needs to make guaranteed
+        progress.  Completion callbacks fire from inside this call.
+        Returns the number of results that completed.
         """
-        submitted = 0
         while self._inbox:
             self._submit_entry(self._inbox.popleft())
-            submitted += 1
+            if self.session.workers > 1:
+                self.session.pump()
         before = self.stats.completed
         # collect() both pumps the pool and drains resolved tickets;
         # results reach entries via the on_result hook.

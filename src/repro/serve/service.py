@@ -170,6 +170,9 @@ class OptimizeService:
             quarantine_file=self.config.quarantine_file,
             quarantine_fsync=durable,
             fault_plan=self.config.fault_plan,
+            # The daemon's own process outlives a dying pool: leftover
+            # jobs are retried in-process rather than abandoned.
+            serial_fallback=True,
             dedupe=self.config.dedupe,
         )
         session.on_respawn = self._on_pool_respawn

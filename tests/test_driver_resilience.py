@@ -496,14 +496,22 @@ class TestLatencyStats:
         assert percentile([7.0], 0.50) == 7.0
 
     def test_record_latency_rejects_garbage(self):
-        from repro.driver import DriverStats
+        from repro.driver import DriverStats, ServiceStats
+        from repro.driver.types import LATENCY_WINDOW
 
-        stats = DriverStats()
-        stats.record_latency(0.25)
-        stats.record_latency(-1.0)       # negative: dropped
-        stats.record_latency(float("nan"))
-        stats.record_latency("bogus")
-        assert stats.latency_seconds == [0.25]
+        for stats in (DriverStats(), ServiceStats()):
+            stats.record_latency(0.25)
+            stats.record_latency(-1.0)       # negative: dropped
+            stats.record_latency(float("nan"))
+            stats.record_latency("bogus")
+            assert stats.latency_seconds == [0.25]
+            # Bounded: only the most recent LATENCY_WINDOW samples stay.
+            for i in range(LATENCY_WINDOW + 10):
+                stats.record_latency(1.0 + i)
+            samples = stats.latency_seconds
+            assert len(samples) == LATENCY_WINDOW
+            assert samples[0] == 11.0
+            assert samples[-1] == float(LATENCY_WINDOW + 10)
 
     def test_serial_run_populates_latency(self):
         report = optimize_functions(_jobs(3), workers=1)
@@ -543,6 +551,46 @@ class TestDriverSessionResilience:
         assert get_active_plan() is not None
         session.close()
         assert get_active_plan() is None
+
+    def test_resolved_tickets_leave_no_state(self, tmp_path):
+        # A long-lived daemon must not keep every job it ever saw: once
+        # 2,000 tickets (executed, deduped and cache hits) resolve and
+        # are collected, no per-ticket container holds anything.
+        from collections import deque
+
+        from repro.driver import DriverSession
+
+        def job(i):
+            return FunctionJob(name=f"f{i}", ir_text=(
+                f"define i32 @f{i}(i32 %a) {{\nentry:\n"
+                f"  %b = add i32 %a, {i}\n  ret i32 %b\n}}\n"
+            ))
+
+        with DriverSession(
+            workers=1, cache_dir=str(tmp_path / "cache")
+        ) as session:
+            for batch in range(20):
+                # 50 fresh jobs, each submitted twice (the second copy
+                # coalesces), then 50 cache hits on earlier jobs.
+                fresh = [job(batch * 50 + i) for i in range(50)]
+                for item in fresh + fresh:
+                    session.submit(item)
+                assert len(session.drain()) == 100
+            for i in range(0, 1000, 20):
+                session.submit(job(i))
+            assert len(session.collect()) == 50
+            assert session.pending == 0
+            assert session.stats.jobs == 2050
+            assert session.stats.cache_hits == 50
+            containers = {
+                name: value for name, value in vars(session).items()
+                if isinstance(value, (dict, set, list, deque))
+            }
+            assert containers
+            assert all(not value for value in containers.values()), {
+                name: len(value) for name, value in containers.items()
+                if value
+            }
 
     def test_injected_crash_degrades_one_ticket(self):
         from repro.driver import DriverSession
