@@ -1,10 +1,9 @@
 """Evaluator-backend performance suite (machine-readable).
 
-One entry point, :func:`run_perf_suite`, measures every execution
-backend -- the reference interpreter, the closure-compiling evaluator
-(``repro.ir.compile_eval``) and the superinstruction bytecode machine
-(``repro.ir.bytecode_eval``) -- on the workloads that motivated them
-and returns a plain JSON-serializable dict: the payload behind
+One entry point, :func:`run_perf_suite`, measures both execution
+tiers -- the reference interpreter and the closure-compiling evaluator
+(``repro.ir.compile_eval``) -- on the workloads that motivated the
+fast tier and returns a plain JSON-serializable dict: the payload behind
 ``repro bench``, ``benchmarks/emit_bench_json.py`` and
 ``BENCH_compiled_eval.json``.
 
@@ -29,7 +28,7 @@ Four experiments:
     payoff.
 ``parity``
     The fuzzer parity smoke: full Observation equality (status, trap
-    kind, memory, extern traces, steps) across all backends.
+    kind, memory, extern traces, steps) between the two tiers.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ def run_perf_suite(
     quick: bool = False,
     campaign_repeats: int = 2,
 ) -> Dict[str, object]:
-    """Measure every backend against the interpreter on each workload.
+    """Measure both evaluator tiers on each workload.
 
     ``quick`` shrinks every count for smoke-test runs; the saved JSON
     records the effective sizes either way so numbers are never
@@ -184,9 +183,6 @@ def run_perf_suite(
     campaign["speedup"] = _speedup(
         campaign["interp"]["seconds"], campaign["compiled"]["seconds"]
     )
-    campaign["speedup_bytecode"] = _speedup(
-        campaign["interp"]["seconds"], campaign["bytecode"]["seconds"]
-    )
 
     # Short timed regions are noisy: best-of-two keeps each row stable.
     oracle_seconds = {
@@ -200,12 +196,8 @@ def run_perf_suite(
         "count": oracle_count,
         "interp_seconds": oracle_seconds["interp"],
         "compiled_seconds": oracle_seconds["compiled"],
-        "bytecode_seconds": oracle_seconds["bytecode"],
         "speedup": _speedup(
             oracle_seconds["interp"], oracle_seconds["compiled"]
-        ),
-        "speedup_bytecode": _speedup(
-            oracle_seconds["interp"], oracle_seconds["bytecode"]
         ),
     }
 
@@ -222,9 +214,6 @@ def run_perf_suite(
         ),
         "speedup": _speedup(
             tsvc_runs["interp"]["seconds"], tsvc_runs["compiled"]["seconds"]
-        ),
-        "speedup_bytecode": _speedup(
-            tsvc_runs["interp"]["seconds"], tsvc_runs["bytecode"]["seconds"]
         ),
     }
     tsvc_dynamic.update(tsvc_runs)
@@ -296,33 +285,27 @@ def render_perf_suite(results: Dict[str, object]) -> str:
             f"--count {campaign['count']}",
             f"{campaign['interp']['seconds']:.2f}s",
             f"{campaign['compiled']['seconds']:.2f}s",
-            f"{campaign['bytecode']['seconds']:.2f}s",
             f"{campaign['speedup']:.2f}x",
-            f"{campaign['speedup_bytecode']:.2f}x",
         ),
         (
             f"oracle observations ({oracle['count']} fuzzed cases, "
             f"repeated sweeps)",
             f"{oracle['interp_seconds']:.2f}s",
             f"{oracle['compiled_seconds']:.2f}s",
-            f"{oracle['bytecode_seconds']:.2f}s",
             f"{oracle['speedup']:.2f}x",
-            f"{oracle['speedup_bytecode']:.2f}x",
         ),
         (
             f"TSVC dynamic execution ({len(tsvc_dyn['kernels'])} kernels, "
             f"factor {tsvc_dyn['factor']}, x{tsvc_dyn['interp']['calls']})",
             f"{tsvc_dyn['interp']['seconds']:.2f}s",
             f"{tsvc_dyn['compiled']['seconds']:.2f}s",
-            f"{tsvc_dyn['bytecode']['seconds']:.2f}s",
             f"{tsvc_dyn['speedup']:.2f}x",
-            f"{tsvc_dyn['speedup_bytecode']:.2f}x",
         ),
     ]
     lines = ["Evaluator backends vs reference interpreter"]
     lines.append(
         format_table(
-            ["Workload", "interp", "compiled", "bytecode", "comp", "byte"],
+            ["Workload", "interp", "compiled", "speedup"],
             rows,
         )
     )

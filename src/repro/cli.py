@@ -29,8 +29,9 @@ fuzzed IR functions through the full pipeline, observed against the
 reference interpreter, mismatches bisected to the guilty pass and
 minimized (see ``docs/difftest.md``).
 
-``repro bench`` times the compiled evaluator against the interpreter
-on the difftest/oracle/TSVC workloads and writes
+``repro bench`` times the compiled evaluator (the one fast tier)
+against the reference interpreter on the difftest/oracle/TSVC
+workloads and writes
 ``BENCH_compiled_eval.json`` (see ``repro.bench.perfsuite``).
 
 ``repro serve`` runs the always-on streaming optimization daemon over

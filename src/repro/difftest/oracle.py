@@ -158,10 +158,6 @@ def program_for(module: Module, evaluator: str):
     """
     if evaluator == "compiled":
         return CompiledProgram(module)
-    if evaluator == "bytecode":
-        from ..ir.bytecode_eval import BytecodeProgram
-
-        return BytecodeProgram(module)
     return None
 
 

@@ -1,11 +1,10 @@
-"""Cross-backend parity: every evaluator tier vs. the reference interpreter.
+"""Evaluator parity: the compiled tier vs. the reference interpreter.
 
-PR 2's differential oracle checks *transforms* against the
-interpreter; this layer turns the same fuzzer corpus into a harness
-for *evaluator backends* (``repro.ir.compile_eval``'s closure compiler
-and ``repro.ir.bytecode_eval``'s superinstruction register machine).
-Every fuzzed function is observed under each backend on identical
-argument vectors, and the full
+The differential oracle (``repro.difftest.runner``) checks
+*transforms* against the interpreter; this layer turns the same fuzzer corpus into a harness
+for the fast evaluator tier (``repro.ir.compile_eval``'s closure
+compiler).  Every fuzzed function is observed under both evaluators
+on identical argument vectors, and the full
 :class:`~repro.difftest.oracle.Observation` must compare **equal** --
 not merely :func:`compare_observations`-equivalent.  That pins
 results, final global/buffer bytes, extern traces, trap statuses *and
@@ -36,13 +35,7 @@ from .oracle import (
 )
 
 
-#: Non-reference backends the parity sweep checks against the interpreter.
-PARITY_BACKENDS = ("compiled", "bytecode")
-
-
-def _describe_diff(
-    reference: Observation, candidate: Observation, backend: str = "compiled"
-) -> str:
+def _describe_diff(reference: Observation, candidate: Observation) -> str:
     if reference == candidate:
         return "equal"
     parts = []
@@ -58,7 +51,7 @@ def _describe_diff(
         ref = getattr(reference, name)
         cand = getattr(candidate, name)
         if ref != cand:
-            parts.append(f"{name}: interp={ref!r} {backend}={cand!r}")
+            parts.append(f"{name}: interp={ref!r} compiled={cand!r}")
     return "; ".join(parts)
 
 
@@ -70,16 +63,14 @@ def check_backend_parity(
     run_pipeline: bool = True,
     config: Optional[RolagConfig] = None,
     fuzz_config: Optional[FuzzConfig] = None,
-    backends: tuple = PARITY_BACKENDS,
 ) -> List[str]:
-    """Observe ``count`` fuzzed cases under every backend.
+    """Observe ``count`` fuzzed cases under both evaluators.
 
-    Each backend in ``backends`` (default: all non-interpreter tiers)
-    is compared against the reference interpreter.  Returns a list of
-    human-readable mismatch descriptions; an empty list is the passing
-    verdict.  Timeouts must also agree: all backends count steps
-    identically, so a budget exhausted under one must be exhausted
-    under the others at the same count.
+    The compiled tier is compared against the reference interpreter.
+    Returns a list of human-readable mismatch descriptions; an empty
+    list is the passing verdict.  Timeouts must also agree: both
+    evaluators count steps identically, so a budget exhausted under
+    one must be exhausted under the other at the same count.
     """
     fuzzer = FunctionFuzzer(seed, fuzz_config)
     mismatches: List[str] = []
@@ -97,7 +88,7 @@ def check_backend_parity(
                 verify_module(transformed)
             except Exception:
                 # A pipeline bug (invalid IR or a raising pass) is the
-                # difftest campaign's finding, not a backend
+                # difftest campaign's finding, not an evaluator
                 # divergence; skip the variant.
                 pass
             else:
@@ -108,19 +99,14 @@ def check_backend_parity(
             fn, (seed * 1_000_003 + index) & 0x7FFFFFFF, vectors_per_case
         )
         for variant_name, variant in variants:
-            programs = {}
-            build_failed = False
-            for backend in backends:
-                try:
-                    programs[backend] = program_for(variant, backend)
-                except Exception as error:
-                    mismatches.append(
-                        f"seed={seed} index={index} {variant_name} "
-                        f"@{fn_name}: {backend} backend failed to build: "
-                        f"{type(error).__name__}: {error}"
-                    )
-                    build_failed = True
-            if build_failed:
+            where = f"seed={seed} index={index} {variant_name} @{fn_name}"
+            try:
+                program = program_for(variant, "compiled")
+            except Exception as error:
+                mismatches.append(
+                    f"{where}: compiled backend failed to build: "
+                    f"{type(error).__name__}: {error}"
+                )
                 continue
             for vector in vectors:
                 try:
@@ -129,37 +115,31 @@ def check_backend_parity(
                     )
                 except Exception as error:
                     mismatches.append(
-                        f"seed={seed} index={index} {variant_name} "
-                        f"@{fn_name} {vector.describe()}: evaluator "
+                        f"{where} {vector.describe()}: evaluator "
                         f"error: {type(error).__name__}: {error}"
                     )
                     continue
-                for backend in backends:
-                    try:
-                        candidate = observe_call(
-                            variant,
-                            fn_name,
-                            vector,
-                            step_limit=step_limit,
-                            evaluator=backend,
-                            program=programs[backend],
-                        )
-                    except Exception as error:
-                        # An evaluator that raises (backend bug or
-                        # injected fault) is itself a parity finding:
-                        # report it per vector, structurally, and keep
-                        # going.
-                        mismatches.append(
-                            f"seed={seed} index={index} {variant_name} "
-                            f"@{fn_name} {vector.describe()}: {backend} "
-                            f"evaluator error: "
-                            f"{type(error).__name__}: {error}"
-                        )
-                        continue
-                    if reference != candidate:
-                        mismatches.append(
-                            f"seed={seed} index={index} {variant_name} "
-                            f"@{fn_name} {vector.describe()}: "
-                            f"{_describe_diff(reference, candidate, backend)}"
-                        )
+                try:
+                    candidate = observe_call(
+                        variant,
+                        fn_name,
+                        vector,
+                        step_limit=step_limit,
+                        evaluator="compiled",
+                        program=program,
+                    )
+                except Exception as error:
+                    # An evaluator that raises (backend bug or injected
+                    # fault) is itself a parity finding: report it per
+                    # vector, structurally, and keep going.
+                    mismatches.append(
+                        f"{where} {vector.describe()}: compiled "
+                        f"evaluator error: {type(error).__name__}: {error}"
+                    )
+                    continue
+                if reference != candidate:
+                    mismatches.append(
+                        f"{where} {vector.describe()}: "
+                        f"{_describe_diff(reference, candidate)}"
+                    )
     return mismatches

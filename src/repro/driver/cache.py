@@ -58,7 +58,8 @@ log = logging.getLogger(__name__)
 #: the self-describing envelope (schema + checksum) around the result.
 #: 5: results gained ``guard_reports`` (online translation validation).
 #: 6: stats gained the ``parse`` phase timer, and the evaluator knob
-#: grew the ``bytecode`` tier (same knob string keys different code).
+#: grew a third tier (same knob string keys different code; the tier
+#: is gone, and its ``evaluator:`` key can no longer be requested).
 #: 7: keys went structural (alpha-invariant fingerprint + canonical
 #: target instead of raw text), and the envelope gained the producing
 #: job's renaming witness.

@@ -52,7 +52,6 @@ through the deterministic fault-injection sites in
 from __future__ import annotations
 
 import os
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
@@ -161,8 +160,14 @@ def optimize_one(
     validate = config.validate
     # Vector seed derives from the input text, so reruns replay the
     # same vectors (for both the oracle and the online validation gate)
-    # and the cache entry stays meaningful.
-    vector_seed = zlib.crc32(job.text.encode("utf-8")) & 0x7FFFFFFF
+    # and the cache entry stays meaningful.  Only those two consume it,
+    # so a run with neither never imports ``repro.validation`` (lazily
+    # imported, see ``_make_validator``).
+    vector_seed = 0
+    if validate != "off" or check_semantics:
+        from ..validation import evidence_seed
+
+        vector_seed = evidence_seed(job.text)
     guard_reports: List[Dict[str, object]] = []
 
     # Baseline: LLVM-style rerolling on its own fresh copy.  With

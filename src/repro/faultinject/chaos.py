@@ -190,6 +190,67 @@ def check_invariants(jobs: Sequence[object], report: object) -> List[str]:
     return violations
 
 
+def ir_corpus(job_count: int, seed: int) -> List[object]:
+    """The seeded Angha corpus as precompiled IR-text jobs.
+
+    Every oracle-checked harness storms IR text, not mini-C:
+    ``corrupt-ir`` fires at *pass exits*, and the oracle needs a
+    parseable "before" module -- corrupting inside the C frontend would
+    be neither transactional nor replayable.  Each job carries its
+    corpus family as metadata.
+    """
+    from ..bench import angha
+    from ..driver import FunctionJob
+    from ..frontend.lower import compile_c
+    from ..ir import print_module
+
+    return [
+        FunctionJob(
+            name=cs.name,
+            ir_text=print_module(compile_c(cs.source, cs.name)),
+            metadata=(("family", cs.family),),
+        )
+        for cs in angha.generate_sources(count=job_count, seed=seed)
+    ]
+
+
+def evidence_verdict(
+    text: str, optimized_ir: str, config: object
+) -> Tuple[str, str]:
+    """Replay the gate's evidence for one output: ``(verdict, detail)``.
+
+    The check is :func:`repro.validation.evidence_check` under the
+    driver's per-job vector seed (:func:`repro.validation.evidence_seed`),
+    i.e. *exactly* the observations the online gate attested -- the
+    invariant "a validated run never emits IR that contradicts the
+    evidence it committed on" is deterministic, unlike re-sampling
+    fresh vectors would be.  ``config`` supplies the gate's vector
+    count, step limit and evaluator.
+
+    ``verdict`` is ``"ok"``, ``"wrong"`` (semantics-changing output;
+    ``detail`` is the first mismatch) or ``"error"`` (the oracle itself
+    raised; ``detail`` names the exception).  Callers own the message
+    text and the accounting.
+    """
+    from ..ir import parse_module
+    from ..validation import evidence_check, evidence_seed
+
+    try:
+        ok, details = evidence_check(
+            parse_module(text),
+            parse_module(optimized_ir),
+            seed=evidence_seed(text),
+            vectors=config.validate_vectors,
+            step_limit=config.validate_step_limit,
+            evaluator=config.validate_evaluator,
+        )
+    except Exception as error:
+        return "error", f"{type(error).__name__}: {error}"
+    if ok:
+        return "ok", ""
+    return "wrong", details[0] if details else "mismatch"
+
+
 def oracle_check(
     jobs: Sequence[object],
     report: object,
@@ -199,46 +260,24 @@ def oracle_check(
 ) -> Tuple[int, List[str]]:
     """Replay every successful IR-job result against its input.
 
-    The check uses :func:`repro.validation.evidence_check` with the
-    driver's per-job vector seed, i.e. *exactly* the observations the
-    online gate attested -- the invariant "a validated run never emits
-    IR that contradicts the evidence it committed on" is deterministic,
-    unlike re-sampling fresh vectors would be.
-
-    Returns ``(wrong_outputs, violations)``.  A semantics-changing
-    output is always counted; it is a *violation* only when the round
-    ran with the validation gate on -- that is the gate's contract.
+    See :func:`evidence_verdict`.  Returns ``(wrong_outputs,
+    violations)``.  A semantics-changing output is always counted; it
+    is a *violation* only when the round ran with the validation gate
+    on -- that is the gate's contract.
     """
-    import zlib
-
-    from ..ir import parse_module
-    from ..validation import evidence_check
-
     wrong = 0
     violations: List[str] = []
     for job, result in zip(jobs, report.results):
         if result.failed or job.format != "ir":
             continue
-        vector_seed = zlib.crc32(job.text.encode("utf-8")) & 0x7FFFFFFF
-        try:
-            ok, details = evidence_check(
-                parse_module(job.text),
-                parse_module(result.optimized_ir),
-                seed=vector_seed,
-                vectors=config.validate_vectors,
-                step_limit=config.validate_step_limit,
-                evaluator=config.validate_evaluator,
-            )
-        except Exception as error:
-            violations.append(
-                f"{job.label}: oracle error: "
-                f"{type(error).__name__}: {error}"
-            )
-            continue
-        if not ok:
+        verdict, detail = evidence_verdict(
+            job.text, result.optimized_ir, config
+        )
+        if verdict == "error":
+            violations.append(f"{job.label}: oracle error: {detail}")
+        elif verdict == "wrong":
             wrong += 1
             if validate != "off":
-                detail = details[0] if details else "mismatch"
                 violations.append(
                     f"{job.label}: validated run emitted "
                     f"semantics-changing IR: {detail}"
@@ -276,31 +315,16 @@ def run_chaos(
     if validate not in VALIDATION_LEVELS:
         raise ValueError(f"unknown validation level {validate!r}")
 
-    sources = angha.generate_sources(count=job_count, seed=seed)
     oracle = ir_faults or validate != "off"
     if oracle:
-        # Precompiled IR-text jobs: corrupt-ir fires at *pass exits*,
-        # and the oracle needs a parseable "before" module -- corrupting
-        # inside the C frontend would be neither transactional nor
-        # replayable.
-        from ..frontend.lower import compile_c
-        from ..ir import print_module
-
-        jobs = [
-            FunctionJob(
-                name=cs.name,
-                ir_text=print_module(compile_c(cs.source, cs.name)),
-                metadata=(("family", cs.family),),
-            )
-            for cs in sources
-        ]
+        jobs = ir_corpus(job_count, seed)
     else:
         jobs = [
             FunctionJob(
                 name=cs.name, c_source=cs.source,
                 metadata=(("family", cs.family),),
             )
-            for cs in sources
+            for cs in angha.generate_sources(count=job_count, seed=seed)
         ]
     report = ChaosReport(seed=seed, jobs=len(jobs))
 
@@ -496,9 +520,6 @@ def run_serve_chaos(
     """
     import tempfile
 
-    from ..bench import angha
-    from ..frontend.lower import compile_c
-    from ..ir import print_module
     from ..serve import LoopbackClient, OptimizeService, ServeConfig
     from ..serve.protocol import response_error_kind
     from ..validation import VALIDATION_LEVELS
@@ -513,12 +534,7 @@ def run_serve_chaos(
     else:
         spec = ""  # fault-free baseline (throughput measurement)
     report = ServeChaosReport(seed=seed, plan=spec)
-
-    sources = angha.generate_sources(count=job_count, seed=seed)
-    corpus = [
-        (cs.name, print_module(compile_c(cs.source, cs.name)))
-        for cs in sources
-    ]
+    corpus = ir_corpus(job_count, seed)
 
     def storm(root: str) -> None:
         service = OptimizeService(
@@ -578,7 +594,8 @@ def run_serve_chaos(
                 f"{name}: still refused after draining the queue"
             )
 
-        for index, (name, ir_text) in enumerate(corpus):
+        for index, job in enumerate(corpus):
+            name, ir_text = job.name, job.text
             tenant = tenants[index % len(tenants)]
             submit(name, ir_text, tenant, dup=False)
             if duplicate_every and index % duplicate_every == 0:
@@ -600,11 +617,6 @@ def run_serve_chaos(
                 break
             service.pump_once(wait=None)
         ping()
-
-        import zlib
-
-        from ..ir import parse_module
-        from ..validation import evidence_check
 
         config = service.config.rolag_config()
         for rid, (name, text, dup) in outstanding.items():
@@ -644,25 +656,13 @@ def run_serve_chaos(
                 continue
             if validate == "off":
                 continue
-            vector_seed = zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
-            try:
-                ok, details = evidence_check(
-                    parse_module(text),
-                    parse_module(result["optimized_ir"]),
-                    seed=vector_seed,
-                    vectors=config.validate_vectors,
-                    step_limit=config.validate_step_limit,
-                    evaluator=config.validate_evaluator,
-                )
-            except Exception as error:
-                report.violations.append(
-                    f"{name}: oracle error: "
-                    f"{type(error).__name__}: {error}"
-                )
-                continue
-            if not ok:
+            verdict, detail = evidence_verdict(
+                text, result["optimized_ir"], config
+            )
+            if verdict == "error":
+                report.violations.append(f"{name}: oracle error: {detail}")
+            elif verdict == "wrong":
                 report.wrong_outputs += 1
-                detail = details[0] if details else "mismatch"
                 report.violations.append(
                     f"{name}: validated daemon emitted semantics-"
                     f"changing IR: {detail}"
@@ -797,14 +797,10 @@ def run_serve_kill_chaos(
     import tempfile
     import threading
     import time
-    import zlib
 
-    from ..bench import angha
-    from ..frontend.lower import compile_c
-    from ..ir import parse_module, print_module
     from ..rolag.config import RolagConfig
     from ..serve.supervisor import read_pid_file
-    from ..validation import VALIDATION_LEVELS, evidence_check
+    from ..validation import VALIDATION_LEVELS
 
     if validate not in VALIDATION_LEVELS:
         raise ValueError(f"unknown validation level {validate!r}")
@@ -815,11 +811,7 @@ def run_serve_kill_chaos(
     if overall_timeout is None:
         overall_timeout = max(120.0, job_count * deadline)
 
-    sources = angha.generate_sources(count=job_count, seed=seed)
-    corpus = [
-        (cs.name, print_module(compile_c(cs.source, cs.name)))
-        for cs in sources
-    ]
+    corpus = ir_corpus(job_count, seed)
     rolag_config = RolagConfig(validate=validate)
 
     def storm(root: str) -> None:
@@ -1013,9 +1005,9 @@ def run_serve_kill_chaos(
             max(1, (index + 1) * job_count // (kills + 1))
             for index in range(kills)
         }
-        for index, (name, text) in enumerate(corpus):
+        for index, job in enumerate(corpus):
             key = f"k{index}"
-            by_key[key] = (name, text)
+            by_key[key] = (job.name, job.text)
             submit(key)
             if index + 1 in kill_points:
                 # Let the live generation boot and answer something
@@ -1074,25 +1066,13 @@ def run_serve_kill_chaos(
                     f"{key} ({name}): ok result carries no IR"
                 )
                 continue
-            vector_seed = zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
-            try:
-                ok, details = evidence_check(
-                    parse_module(text),
-                    parse_module(optimized),
-                    seed=vector_seed,
-                    vectors=rolag_config.validate_vectors,
-                    step_limit=rolag_config.validate_step_limit,
-                    evaluator=rolag_config.validate_evaluator,
-                )
-            except Exception as error:
+            verdict, detail = evidence_verdict(text, optimized, rolag_config)
+            if verdict == "error":
                 report.violations.append(
-                    f"{key} ({name}): oracle error: "
-                    f"{type(error).__name__}: {error}"
+                    f"{key} ({name}): oracle error: {detail}"
                 )
-                continue
-            if not ok:
+            elif verdict == "wrong":
                 report.wrong_outputs += 1
-                detail = details[0] if details else "mismatch"
                 report.violations.append(
                     f"{key} ({name}): recovered output is semantics-"
                     f"changing: {detail}"

@@ -90,7 +90,7 @@ from .types import (
 from .values import Argument, ConstantInt, Value
 
 #: The evaluator backends an ``evaluator=`` knob accepts.
-EVALUATOR_CHOICES: Tuple[str, ...] = ("interp", "compiled", "bytecode")
+EVALUATOR_CHOICES: Tuple[str, ...] = ("interp", "compiled")
 
 #: A compiled instruction: mutates machine/registers, returns nothing.
 StepFn = Callable[[Machine, list], None]
@@ -1243,8 +1243,7 @@ def make_machine(
 ) -> Machine:
     """Build the machine for an ``evaluator`` knob value.
 
-    ``program`` (compiled/bytecode only) shares one
-    :class:`CompiledProgram` / :class:`~repro.ir.bytecode_eval.BytecodeProgram`
+    ``program`` (compiled only) shares one :class:`CompiledProgram`
     across many machines, so repeated observations of one module pay
     compilation once.
     """
@@ -1252,12 +1251,6 @@ def make_machine(
         return Machine(module, layout=layout, step_limit=step_limit)
     if evaluator == "compiled":
         return CompiledMachine(
-            module, layout=layout, step_limit=step_limit, program=program
-        )
-    if evaluator == "bytecode":
-        from .bytecode_eval import BytecodeMachine
-
-        return BytecodeMachine(
             module, layout=layout, step_limit=step_limit, program=program
         )
     raise ValueError(

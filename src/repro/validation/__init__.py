@@ -4,7 +4,7 @@ Public surface::
 
     from repro.validation import (
         Validator, VALIDATION_LEVELS, function_stage, evidence_check,
-        GuardReport, FAILURE_KINDS,
+        evidence_seed, GuardReport, FAILURE_KINDS,
         unified_ir_diff, write_guard_bundle,
     )
 
@@ -22,6 +22,7 @@ from .gate import (
     VALIDATION_LEVELS,
     Validator,
     evidence_check,
+    evidence_seed,
     function_stage,
 )
 from .report import (
@@ -37,6 +38,7 @@ __all__ = [
     "VALIDATION_LEVELS",
     "Validator",
     "evidence_check",
+    "evidence_seed",
     "function_stage",
     "unified_ir_diff",
     "write_guard_bundle",

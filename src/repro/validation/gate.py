@@ -164,6 +164,17 @@ def evidence_check(
     return (not details, details)
 
 
+def evidence_seed(text: str) -> int:
+    """The gate's vector seed for one job, derived from its input text.
+
+    The driver seeds each job's :class:`Validator` with it, and offline
+    replays pass it to :func:`evidence_check`: reruns of the same text
+    replay the same vectors, so cache entries and chaos verdicts stay
+    meaningful.
+    """
+    return zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
+
+
 class Validator:
     """Gates transactions for one module's pipeline run.
 

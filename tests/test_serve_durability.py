@@ -256,6 +256,68 @@ class TestIdempotency:
         finally:
             client.close()
 
+    # The two edges below pin where "at most once" stops holding: a
+    # settled key lives only in the in-memory memo of one daemon
+    # generation, capped at IDEMPOTENCY_MEMO_CAP entries.
+
+    @staticmethod
+    def _settle(client, service, key):
+        rid = client.submit_optimize(IR, name="f", idempotency_key=key)
+        service.pump_once()
+        return client.wait(rid)["result"]
+
+    def test_resend_after_memo_eviction_re_executes(self, monkeypatch):
+        import repro.serve.service as service_mod
+
+        monkeypatch.setattr(service_mod, "IDEMPOTENCY_MEMO_CAP", 2)
+        service = unthreaded_service()
+        client = LoopbackClient(service)
+        try:
+            assert "idempotent_hit" not in self._settle(client, service, "old")
+            self._settle(client, service, "newer-1")
+            self._settle(client, service, "newer-2")
+            assert client.stats()["driver"]["executed"] == 3
+
+            # Two newer settles pushed "old" out of the memo: the
+            # resend is a fresh execution, not a memo answer.
+            again = self._settle(client, service, "old")
+            assert again["status"] == "ok"
+            assert "idempotent_hit" not in again
+            stats = client.stats()
+            assert stats["driver"]["executed"] == 4
+            assert stats["idempotent_hits"] == 0
+        finally:
+            client.close()
+
+    def test_resend_after_clean_restart_re_executes(self, tmp_path):
+        journal_dir = str(tmp_path / "journal")
+        service = unthreaded_service(
+            journal_dir=journal_dir, journal_sync="always"
+        )
+        client = LoopbackClient(service)
+        try:
+            first = self._settle(client, service, "k")
+            assert "idempotent_hit" not in first
+        finally:
+            client.close()
+
+        # A clean shutdown records the job ``done``; the next
+        # generation replays nothing and has an empty memo.
+        service = unthreaded_service(
+            journal_dir=journal_dir, journal_sync="always"
+        )
+        client = LoopbackClient(service)
+        try:
+            assert service.replay_journal() == 0
+            again = self._settle(client, service, "k")
+            assert again["status"] == "ok"
+            assert "idempotent_hit" not in again
+            stats = client.stats()
+            assert stats["driver"]["executed"] == 1
+            assert stats["idempotent_hits"] == 0
+        finally:
+            client.close()
+
     def test_blank_idempotency_key_rejected(self):
         service = unthreaded_service()
         client = LoopbackClient(service)
