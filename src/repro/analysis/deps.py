@@ -10,7 +10,7 @@ ordering edges refined by alias analysis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.instructions import Call, Instruction, Load, Store
 from ..ir.module import BasicBlock
@@ -88,22 +88,6 @@ class DependenceGraph:
                     self.edges[j].add(i)
 
     @staticmethod
-    def _may_conflict(
-        a: Instruction,
-        b: Instruction,
-        aa: AliasAnalysis,
-        layout: DataLayout,
-    ) -> bool:
-        loc_a = DependenceGraph._location(a, layout)
-        loc_b = DependenceGraph._location(b, layout)
-        if loc_a is None or loc_b is None:
-            # A call with unknown effects conflicts with everything,
-            # except pairs already filtered (read-read).
-            return True
-        (ptr_a, size_a), (ptr_b, size_b) = loc_a, loc_b
-        return aa.alias(ptr_a, size_a, ptr_b, size_b) is not AliasResult.NO
-
-    @staticmethod
     def _location(inst: Instruction, layout: DataLayout):
         if isinstance(inst, Load):
             return inst.pointer, layout.size_of(inst.type)
@@ -120,14 +104,24 @@ class DependenceGraph:
         return i in self.edges[j]
 
     def respects(self, new_order: List[Instruction]) -> bool:
-        """Whether ``new_order`` preserves every dependence edge."""
-        position = {id(inst): p for p, inst in enumerate(new_order)}
+        """Whether ``new_order`` preserves every dependence edge.
+
+        Instructions of the block that ``new_order`` omits are skipped,
+        as are entries of ``new_order`` from outside the block.
+        """
+        # position[i]: where block instruction i sits in ``new_order``.
+        position: List[Optional[int]] = [None] * len(self.instructions)
+        index = self.index
+        for p, inst in enumerate(new_order):
+            i = index.get(id(inst))
+            if i is not None:
+                position[i] = p
         for j, preds in enumerate(self.edges):
-            pj = position.get(id(self.instructions[j]))
+            pj = position[j]
             if pj is None:
                 continue
             for i in preds:
-                pi = position.get(id(self.instructions[i]))
+                pi = position[i]
                 if pi is not None and pi >= pj:
                     return False
         return True

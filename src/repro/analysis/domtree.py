@@ -54,6 +54,7 @@ class DominatorTree:
         self._compute()
         self._depth: Dict[int, int] = {}
         self._compute_depths()
+        self._positions: Dict[int, Dict[int, int]] = {}
 
     def _compute(self) -> None:
         if not self.order:
@@ -127,6 +128,14 @@ class DominatorTree:
         instruction definition the use site must come after it in the
         same block or in a dominated block.  Phi uses are checked at the
         end of the corresponding incoming block.
+
+        The tree is a snapshot of the function at construction: ``idom``
+        is computed then, and the first same-block query on a block
+        memoizes that block's ``{id(inst): position}`` map, so every
+        later query is O(1).  Do not edit the function while the tree
+        is in use; build a new tree instead.  An instruction whose
+        ``parent`` names a block that does not hold it raises
+        ``KeyError``.
         """
         if not isinstance(definition, Instruction):
             return True
@@ -145,9 +154,20 @@ class DominatorTree:
             return ok
 
         if def_block is use_block:
-            instructions = def_block.instructions
-            return instructions.index(definition) < instructions.index(use_site)
+            positions = self._block_positions(def_block)
+            return positions[id(definition)] < positions[id(use_site)]
         return self.strictly_dominates_block(def_block, use_block)
+
+    def _block_positions(self, block: BasicBlock) -> Dict[int, int]:
+        positions = self._positions.get(id(block))
+        if positions is None:
+            # First occurrence wins, as with ``list.index``, should a
+            # corrupted block hold one instruction twice.
+            positions = {}
+            for i, inst in enumerate(block.instructions):
+                positions.setdefault(id(inst), i)
+            self._positions[id(block)] = positions
+        return positions
 
     def dominance_frontiers(self) -> Dict[BasicBlock, List[BasicBlock]]:
         """Dominance frontier of every reachable block.

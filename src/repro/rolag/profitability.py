@@ -12,7 +12,7 @@ harness measures the *actual* post-codegen sizes independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..analysis.costmodel import CodeSizeCostModel
 from ..ir.instructions import Instruction
@@ -63,13 +63,14 @@ def estimate(
     config: RolagConfig,
 ) -> ProfitabilityReport:
     """Compare the straight-line region against its rolled form."""
+    claimed = ag.claimed_instructions()
     original = 0
-    for inst in ag.claimed_instructions():
+    for inst in claimed:
         original += cost_model.instruction_cost(inst)
 
     rolled = LOOP_CONTROL_COST
     rodata = 0
-    external = _external_use_summary(ag)
+    external = _external_use_summary(ag, claimed)
 
     seen: Set[int] = set()
     for root in ag.roots:
@@ -96,9 +97,15 @@ def estimate(
 
 def _external_use_summary(
     ag: AlignmentGraph,
+    claimed: List[Instruction],
 ) -> Dict[int, Tuple[AlignNode, Set[int]]]:
+    """Lanes of each node whose value is used outside the graph.
+
+    ``claimed`` is ``ag.claimed_instructions()``, computed once by the
+    caller.
+    """
     result: Dict[int, Tuple[AlignNode, Set[int]]] = {}
-    for inst in ag.claimed_instructions():
+    for inst in claimed:
         node, lane = ag.claimed[id(inst)]
         if isinstance(node, (ReductionNode, MinMaxReductionNode)):
             continue

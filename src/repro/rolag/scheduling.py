@@ -28,7 +28,6 @@ from .alignment import (
     AlignmentGraph,
     AlignNode,
     BinOpNeutralNode,
-    JointNode,
     MatchNode,
     MinMaxReductionNode,
     PtrSeqNode,
@@ -52,17 +51,23 @@ class Schedule:
     after: List[Instruction]
 
 
-def _iteration_order(ag: AlignmentGraph) -> Optional[List[List[Instruction]]]:
+def _iteration_order(
+    ag: AlignmentGraph, deps: DependenceGraph
+) -> Optional[List[List[Instruction]]]:
     """Claimed instructions per lane, operands before users.
 
     Mirrors the code generator's post-order emission so that the
-    simulated order matches what will actually execute.
+    simulated order matches what will actually execute.  Block
+    positions come from ``deps.index``, built once for the unmodified
+    block.
     """
     root = ag.roots[0] if ag.roots else None
     if root is None:
         return None
 
-    lane_count = _lane_count(root)
+    index = deps.index
+    block_insts = deps.instructions
+    lane_count = root.lane_count
     lanes: List[List[Instruction]] = [[] for _ in range(lane_count)]
     emitted: Set[int] = set()
 
@@ -88,15 +93,15 @@ def _iteration_order(ag: AlignmentGraph) -> Optional[List[List[Instruction]]]:
                         lanes[lane].append(value)
         elif isinstance(node, PtrSeqNode):
             # Claimed GEP chains, innermost first.
-            by_lane: Dict[int, List[Instruction]] = {}
+            by_lane: Dict[int, List[int]] = {}
             for inst_id, (owner, lane) in ag.claimed.items():
                 if owner is node:
-                    inst = _find_inst(ag.block, inst_id)
-                    if inst is not None:
-                        by_lane.setdefault(lane, []).append(inst)
-            index = {id(i): p for p, i in enumerate(ag.block.instructions)}
-            for lane, insts in by_lane.items():
-                for inst in sorted(insts, key=lambda i: index[id(i)]):
+                    position = index.get(inst_id)
+                    if position is not None:
+                        by_lane.setdefault(lane, []).append(position)
+            for lane, positions in by_lane.items():
+                for position in sorted(positions):
+                    inst = block_insts[position]
                     if id(inst) not in emitted:
                         emitted.add(id(inst))
                         lanes[lane].append(inst)
@@ -106,7 +111,6 @@ def _iteration_order(ag: AlignmentGraph) -> Optional[List[List[Instruction]]]:
             # Model them conservatively in the *last* lane, in block
             # order: every leaf then precedes every accumulation and all
             # original internal-internal edges stay satisfied.
-            index = {id(i): p for p, i in enumerate(ag.block.instructions)}
             ordered = sorted(node.internal, key=lambda i: index[id(i)])
             for inst in ordered:
                 if id(inst) not in emitted:
@@ -120,23 +124,9 @@ def _iteration_order(ag: AlignmentGraph) -> Optional[List[List[Instruction]]]:
     # generator emits the loop body position-ordered to match (which is
     # what lets joint groups interleave, e.g. all loads of an iteration
     # before its stores).
-    index = {id(i): p for p, i in enumerate(ag.block.instructions)}
     for lane in lanes:
         lane.sort(key=lambda i: index[id(i)])
     return lanes
-
-
-def _lane_count(root: AlignNode) -> int:
-    if isinstance(root, JointNode):
-        return root.lane_count
-    return root.lane_count
-
-
-def _find_inst(block: BasicBlock, inst_id: int) -> Optional[Instruction]:
-    for inst in block.instructions:
-        if id(inst) == inst_id:
-            return inst
-    return None
 
 
 def analyze_scheduling(
@@ -158,16 +148,16 @@ def analyze_scheduling(
     if aa is None:
         aa = AliasAnalysis(fn)
 
-    lanes = _iteration_order(ag)
+    if deps is None:
+        deps = DependenceGraph(block, aa)
+
+    lanes = _iteration_order(ag, deps)
     if lanes is None:
         return None
     loop_order: List[Instruction] = [inst for lane in lanes for inst in lane]
     loop_ids = {id(inst) for inst in loop_order}
     if len(loop_ids) != len(ag.claimed):
         return None  # some claimed instruction was not scheduled
-
-    if deps is None:
-        deps = DependenceGraph(block, aa)
 
     # Partition the rest: phis and transitive dependencies go before.
     depended = deps.transitive_predecessors(loop_order)

@@ -1,5 +1,7 @@
 """Tests for dominators, alias analysis, dependences, loops, cost model."""
 
+import random
+
 import pytest
 
 from repro.analysis import (
@@ -381,6 +383,101 @@ entry:
         a, b, c, ret = fn.entry.instructions
         preds = dg.transitive_predecessors([c])
         assert preds == {0, 1}
+
+
+def _respects_brute_force(dg, order):
+    """Replay every edge by scanning ``order`` for each endpoint."""
+
+    def where(inst):
+        for p, other in enumerate(order):
+            if other is inst:
+                return p
+        return None
+
+    for j, preds in enumerate(dg.edges):
+        pj = where(dg.instructions[j])
+        if pj is None:
+            continue
+        for i in preds:
+            pi = where(dg.instructions[i])
+            if pi is not None and pi >= pj:
+                return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def corpus_blocks():
+    """(function, block) pairs of real Angha and TSVC blocks."""
+    from repro.bench import angha, tsvc
+
+    modules = [cf.module for cf in angha.generate_corpus(count=20, seed=7)]
+    modules += [
+        tsvc.build_unrolled_kernel(name, factor=4)
+        for name in ("s000", "vdotr", "s121", "s1281", "s452", "s2102")
+    ]
+    return [
+        (fn, block)
+        for module in modules
+        for fn in module.functions
+        if not fn.is_declaration
+        for block in fn.blocks
+        if len(block.instructions) >= 3
+    ]
+
+
+def _random_topological(dg, rng):
+    """A random order of the whole block that keeps every edge."""
+    placed = set()
+    order = []
+    while len(order) < len(dg.instructions):
+        ready = [
+            j for j, preds in enumerate(dg.edges)
+            if j not in placed and preds <= placed
+        ]
+        j = rng.choice(ready)
+        placed.add(j)
+        order.append(dg.instructions[j])
+    return order
+
+
+class TestRespectsAgainstBruteForce:
+    """``respects`` must agree with a plain edge replay on real blocks,
+    for full orders and for partial ones that omit instructions."""
+
+    def test_random_orders(self, corpus_blocks):
+        rng = random.Random(1505)
+        assert len(corpus_blocks) > 20
+        verdicts = {True: 0, False: 0}
+        for fn, block in corpus_blocks:
+            dg = DependenceGraph(block, AliasAnalysis(fn))
+            insts = list(block.instructions)
+            topological = _random_topological(dg, rng)
+            assert dg.respects(insts) and dg.respects(topological)
+            orders = [insts, topological]
+            for _ in range(4):
+                shuffled = list(insts)
+                rng.shuffle(shuffled)
+                orders.append(shuffled)
+                kept = rng.sample(insts, rng.randint(1, len(insts) - 1))
+                orders.append(kept)
+                partial = [
+                    inst for inst in _random_topological(dg, rng)
+                    if rng.random() < 0.7
+                ]
+                orders.append(partial)
+            for order in orders:
+                expected = _respects_brute_force(dg, order)
+                assert dg.respects(order) == expected, (fn.name, block.name)
+                verdicts[expected] += 1
+        # Both answers must actually be exercised.
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_foreign_instructions_are_ignored(self, corpus_blocks):
+        (fn_a, block_a), (_, block_b) = corpus_blocks[0], corpus_blocks[1]
+        dg = DependenceGraph(block_a, AliasAnalysis(fn_a))
+        order = list(block_b.instructions) + list(block_a.instructions)
+        assert dg.respects(order) == _respects_brute_force(dg, order)
+        assert dg.respects(order)
 
 
 class TestLoopInfo:

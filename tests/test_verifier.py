@@ -156,6 +156,19 @@ class TestSSADominance:
         with pytest.raises(VerificationError, match="detached"):
             verify_function(fn)
 
+    def test_operand_parent_names_block_not_holding_it(self):
+        module, fn, block = make_fn(ret=I32)
+        builder = IRBuilder(block)
+        a = builder.add(builder.i32(1), builder.i32(2))
+        b = builder.add(a, builder.i32(3))
+        builder.ret(b)
+        # Move a out of the block while its parent pointer still lies
+        # that the block holds it; b keeps using it.
+        block.instructions.remove(a)
+        assert a.parent is block
+        with pytest.raises(VerificationError, match="dominance query failed"):
+            verify_function(fn)
+
 
 class TestTypeChecks:
     def test_store_type_mismatch(self):
