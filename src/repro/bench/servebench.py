@@ -7,7 +7,8 @@ backpressure and resubmission are part of the measured path, not an
 untested corner):
 
 * **clean** -- no injected faults, validation off: the daemon's
-  baseline latency distribution and throughput;
+  baseline latency distribution and throughput (every answer still
+  oracle-checked, after the stats snapshot);
 * **journaled** -- the identical clean run with the write-ahead job
   journal on: its throughput delta against *clean* is the journal
   overhead, which must stay under
@@ -42,16 +43,9 @@ reported in the payload:
 
 from __future__ import annotations
 
-import os
-import tempfile
 from typing import Dict
 
-from ..faultinject.chaos import (
-    ServeChaosReport,
-    ServeKillChaosReport,
-    run_serve_chaos,
-    run_serve_kill_chaos,
-)
+from ..faultinject.chaos import run_serve_chaos, run_serve_kill_chaos
 
 #: Admitted jobs that must complete without degradation under the storm.
 MIN_SUCCESS_RATE = 0.99
@@ -61,61 +55,15 @@ MIN_SUCCESS_RATE = 0.99
 MAX_JOURNAL_OVERHEAD_PERCENT = 5.0
 
 
-def _report_payload(report: ServeChaosReport) -> Dict[str, object]:
-    return {
-        "plan": report.plan,
-        "submitted": report.submitted,
-        "accepted": report.accepted,
-        "completed": report.completed,
-        "failed": report.failed,
-        "success_rate": report.success_rate,
-        "refused_busy": report.refused_busy,
-        "refused_quota": report.refused_quota,
-        "resubmissions": report.resubmissions,
-        "duplicates": report.duplicates,
-        "coalesced": report.coalesced,
-        "guard_failures": report.guard_failures,
-        "wrong_outputs": report.wrong_outputs,
-        "pings_ok": report.pings_ok,
-        "latency_p50_ms": report.latency_p50 * 1000.0,
-        "latency_p99_ms": report.latency_p99 * 1000.0,
-        "jobs_per_second": report.jobs_per_second,
-        "ok": report.ok,
-        "violations": list(report.violations),
-    }
-
-
-def _kill_report_payload(report: ServeKillChaosReport) -> Dict[str, object]:
-    return {
-        "jobs": report.jobs,
-        "kills": report.kills_delivered,
-        "submitted": report.submitted,
-        "resubmissions": report.resubmissions,
-        "answered": report.answered,
-        "failed": report.failed,
-        "replayed_responses": report.replayed_responses,
-        "idempotent_responses": report.idempotent_responses,
-        "fresh_executions": report.fresh_executions,
-        "duplicate_executions": report.duplicate_executions,
-        "wrong_outputs": report.wrong_outputs,
-        "generations": report.generations,
-        "recovery_seconds": list(report.recovery_seconds),
-        "supervisor_exit": report.supervisor_exit,
-        "ok": report.ok,
-        "violations": list(report.violations),
-    }
-
-
-def _clean_run(seed: int, count: int, journal_dir=None) -> ServeChaosReport:
+def _clean_run(seed: int, count: int, journal: bool) -> Dict[str, object]:
     return run_serve_chaos(
         seed=seed,
         job_count=count,
         validate="off",
         faults=False,
         retries=1,
-        journal_dir=journal_dir,
-        journal_sync="batch",
-    )
+        journal=journal,
+    ).to_json()
 
 
 def run_serve_suite(
@@ -125,37 +73,24 @@ def run_serve_suite(
     if quick:
         count = min(count, 16)
     # Journal overhead: best-of-N throughput on otherwise identical
-    # clean runs (best-of damps scheduler noise; a single quick run is
-    # informational only).
-    attempts = 1 if quick else 2
-    clean = journaled = None
-    for _ in range(attempts):
-        candidate = _clean_run(seed, count)
-        if clean is None or (
-            candidate.jobs_per_second > clean.jobs_per_second
-        ):
-            clean = candidate
-        with tempfile.TemporaryDirectory(prefix="rolag-servebench-j-") as d:
-            candidate = _clean_run(
-                seed, count, journal_dir=os.path.join(d, "journal")
-            )
-        if journaled is None or (
-            candidate.jobs_per_second > journaled.jobs_per_second
-        ):
-            journaled = candidate
-    if clean.jobs_per_second > 0:
+    # clean runs, interleaved (best-of damps scheduler noise; a single
+    # quick run is informational only).
+    pairs = [
+        (_clean_run(seed, count, False), _clean_run(seed, count, True))
+        for _ in range(1 if quick else 2)
+    ]
+    clean, journaled = (
+        max(runs, key=lambda run: run["jobs_per_second"])
+        for runs in zip(*pairs)
+    )
+    if clean["jobs_per_second"] > 0:
         overhead = (
-            (clean.jobs_per_second - journaled.jobs_per_second)
-            / clean.jobs_per_second * 100.0
+            (clean["jobs_per_second"] - journaled["jobs_per_second"])
+            / clean["jobs_per_second"] * 100.0
         )
     else:
         overhead = 0.0
-    storm = run_serve_chaos(
-        seed=seed,
-        job_count=count,
-        validate="safe",
-        ir_faults=True,
-    )
+    storm = run_serve_chaos(seed=seed, job_count=count, validate="safe")
     recovery = run_serve_kill_chaos(
         seed=seed,
         job_count=12 if quick else 40,
@@ -167,11 +102,11 @@ def run_serve_suite(
         "quick": bool(quick),
         "seed": seed,
         "count": count,
-        "clean": _report_payload(clean),
-        "journaled": _report_payload(journaled),
+        "clean": clean,
+        "journaled": journaled,
         "journal_overhead_percent": overhead,
-        "storm": _report_payload(storm),
-        "recovery": _kill_report_payload(recovery),
+        "storm": storm.to_json(),
+        "recovery": recovery.to_json(),
         "min_success_rate_bar": MIN_SUCCESS_RATE,
         "max_journal_overhead_percent_bar": MAX_JOURNAL_OVERHEAD_PERCENT,
     }

@@ -413,7 +413,6 @@ def run_chaos_command(argv: List[str]) -> int:
             workers=args.workers,
             deadline=args.deadline,
             validate=args.validate if args.validate is not None else "safe",
-            ir_faults=True,
             base_dir=args.base_dir,
         )
         print(report.summary())

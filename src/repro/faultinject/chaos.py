@@ -1,50 +1,52 @@
-"""Chaos campaign: hammer the corpus driver with randomized fault plans.
+"""Chaos storms: hammer the driver and the daemon with seeded faults.
 
-``repro chaos`` runs a small synthetic corpus through
-:func:`repro.driver.optimize_functions` for several rounds, each under
-a different seeded :class:`~repro.faultinject.FaultPlan` (worker
-crashes, cooperative hangs, cache corruption, pass failures), and
-checks the driver's resilience invariants after every round:
+``repro chaos`` has three fault schedules, each a small driver:
 
-* every job yields exactly one result, in order;
-* a failed job degrades gracefully -- original text preserved,
-  ``error_kind`` one of the documented classes;
-* the failure counters on :class:`~repro.driver.DriverStats` agree
-  with the per-result errors;
-* the run terminates (no deadlock, no lost batch).
+* :func:`run_chaos` -- batch rounds through
+  :func:`repro.driver.optimize_functions`, each round under a different
+  seeded :class:`~repro.faultinject.FaultPlan` (worker crashes,
+  cooperative hangs, cache corruption, pass failures);
+* :func:`run_serve_chaos` -- one seeded plan against an unthreaded
+  in-process :class:`~repro.serve.OptimizeService`, through the wire
+  protocol;
+* :func:`run_serve_kill_chaos` -- SIGKILLs against a real supervised
+  ``repro serve`` subprocess with the journal on.
 
-Round 0 always runs fault-free to warm the shared cache, so later
-rounds exercise the corrupt-entry path against real entries.  The
-quarantine file persists across rounds, so repeat offenders get
-skipped the way they would across real runs.
+The three drive different targets, so their loops stay separate.
+Everything after an answer arrives is shared: each storm normalises its
+answers to :class:`Answer` and hands them to :func:`check_answer`, the
+one oracle policy, and reports on one :class:`ChaosReport`.  Checks
+that only make sense for one target stay in that driver: result order
+and count (batch), duplicate coalescing and pings (serve), at-most-once
+execution per idempotency key (kill), answered equals accepted.
 
-With ``ir_faults`` the draw pool also includes the ``corrupt-ir``
-action at the pass-exit sites (``pipeline.pass.exit``,
-``rolag.roll.exit``): verifier-clean, semantics-changing IR mutations
-simulating miscompiling passes.  The corpus then ships as precompiled
-IR text (not mini-C), keeping the frontend cleanup out of the blast
-radius, and every successful result is checked against its input on
-the *gate's own evidence vectors*
-(:func:`repro.validation.evidence_check`).  The headline invariant:
-with ``validate`` on
-(the online translation-validation gate, see ``repro.validation``), a
-run must *never* emit semantics-changing IR -- every injected
-corruption is rolled back and recorded as a guard failure.  With
-``validate`` off, wrong outputs are counted (demonstrating the gate is
-load-bearing) but are not violations.
+The ``corrupt-ir`` action at the pass-exit sites
+(``pipeline.pass.exit``, ``rolag.roll.exit``) injects verifier-clean,
+semantics-changing IR mutations, simulating miscompiling passes.  It
+is in every faulted serve plan, and in the batch plans under
+``ir_faults``.  Oracle-checked storms run on precompiled IR text (not
+mini-C), keeping the frontend out of the blast radius, and every ok
+answer to an IR input is replayed on the *gate's own evidence vectors*
+(:func:`evidence_verdict`).  The headline invariant: a run never emits
+semantics-changing IR, except where a round injected ``corrupt-ir``
+with the online validation gate (``repro.validation``) off -- there
+wrong outputs are counted, showing the gate is load-bearing, but are
+not violations.
 
 Everything is derived from ``seed``: the same seed replays the same
-campaign.  This module imports the driver and the corpus generator, so
-it is deliberately *not* re-exported from ``repro.faultinject`` --
-import it as ``repro.faultinject.chaos``.
+storm.  This module imports the driver, the daemon and the corpus
+generator, so it is deliberately *not* re-exported from
+``repro.faultinject`` -- import it as ``repro.faultinject.chaos``.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .plan import FaultPlan, FaultSpec
 
@@ -66,29 +68,43 @@ IR_SITE_ACTIONS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("rolag.roll.exit", ("corrupt-ir",)),
 )
 
+#: Error kinds a degraded answer may legitimately carry.
+DEGRADED_KINDS = ("crash", "timeout", "quarantined", "pool")
+
+#: The serve storm's admission edges: a small window and per-tenant
+#: quota so busy/quota refusals and resubmission are on the stormed
+#: path, and every 7th job chased by an alpha-renamed duplicate from
+#: the next tenant.
+SERVE_MAX_QUEUE = 8
+SERVE_TENANT_QUOTA = 4
+SERVE_TENANTS = ("alice", "bob", "carol")
+DUPLICATE_EVERY = 7
+
+#: Display names for counters whose key reads poorly in prose.
+_LABELS = {"guard_failures": "guard rollbacks"}
+
 
 @dataclass
 class ChaosRound:
-    """One round's plan and outcome."""
+    """One round of a storm: its fault plan, counters and violations.
 
-    index: int
-    plan: str
-    failed: int = 0
-    cache_corrupt: int = 0
-    quarantined: int = 0
-    retried: int = 0
-    #: Transactions the online validation gate rolled back this round.
-    guard_failures: int = 0
-    #: Successful results whose IR the oracle found semantics-changing.
-    #: A violation when validation was on; informational when off.
-    wrong_outputs: int = 0
+    ``plan`` is the round's fault-plan spec (``""`` when fault-free),
+    or ``None`` when the storm's faults are not a plan (the kill
+    storm's SIGKILLs).  ``counts`` holds the storm's counters in
+    display order; ``measures`` its timings and rates.
+    """
+
+    plan: Optional[str]
+    counts: Dict[str, int]
+    measures: Dict[str, object] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
 
 
 @dataclass
 class ChaosReport:
-    """Outcome of one chaos campaign."""
+    """Outcome of one storm; the serve storms run a single round."""
 
+    title: str
     seed: int
     jobs: int
     rounds: List[ChaosRound] = field(default_factory=list)
@@ -98,29 +114,147 @@ class ChaosReport:
         return not any(r.violations for r in self.rounds)
 
     def summary(self) -> str:
-        lines = [f"chaos: {len(self.rounds)} round(s), {self.jobs} job(s), "
-                 f"seed {self.seed}"]
-        for r in self.rounds:
-            plan = r.plan or "(no faults)"
-            line = (
-                f"  round {r.index}: plan [{plan}] -> "
-                f"failed {r.failed}, retried {r.retried}, "
-                f"quarantined {r.quarantined}, "
-                f"cache corrupt {r.cache_corrupt}"
+        lines = [
+            f"{self.title}: seed {self.seed}, {self.jobs} job(s), "
+            f"{len(self.rounds)} round(s)"
+        ]
+        for index, r in enumerate(self.rounds):
+            lines.append(
+                f"  round {index}" if r.plan is None
+                else f"  round {index}: plan [{r.plan or '(no faults)'}]"
             )
-            if r.guard_failures or r.wrong_outputs:
-                line += (
-                    f", guard rollbacks {r.guard_failures}, "
-                    f"wrong outputs {r.wrong_outputs}"
-                )
-            lines.append(line)
-            for violation in r.violations:
-                lines.append(f"    VIOLATION: {violation}")
+            items = [
+                f"{_LABELS.get(key, key.replace('_', ' '))} {value}"
+                for key, value in r.counts.items()
+            ] + [
+                f"{key.replace('_', ' ')} {_show(value)}"
+                for key, value in r.measures.items()
+            ]
+            for start in range(0, len(items), 4):
+                lines.append("    " + ", ".join(items[start:start + 4]))
+            lines.extend(f"    VIOLATION: {v}" for v in r.violations)
         lines.append(
             "  OK: all invariants held" if self.ok
-            else "  FAILED: resilience invariants violated"
+            else "  FAILED: invariants violated"
         )
         return "\n".join(lines)
+
+    def to_json(self) -> Dict[str, object]:
+        """A one-round report as one flat row (``BENCH_serve.json``)."""
+        (entry,) = self.rounds
+        plan = {} if entry.plan is None else {"plan": entry.plan}
+        return {
+            **plan, **entry.counts, **entry.measures,
+            "ok": self.ok, "violations": list(entry.violations),
+        }
+
+
+def _show(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_show(v) for v in value) + "]"
+    return str(value)
+
+
+def response_path(result: Dict[str, object]) -> str:
+    """Which path answered an ``optimize`` response (see :class:`Answer`).
+
+    The most specific flag wins: a journal replay that hit the cache
+    counts as ``cache``, one that executed as ``replayed``.
+    """
+    for path in ("idempotent", "dedupe", "cache"):
+        if result.get(f"{path}_hit"):
+            return path
+    return "replayed" if result.get("replayed") else "executed"
+
+
+@dataclass(frozen=True)
+class Answer:
+    """One answer, normalised across the batch driver and the wire.
+
+    ``text`` is the input (IR, or mini-C when ``ir_input`` is false);
+    ``path`` names what answered it: ``executed``, ``cache``,
+    ``dedupe``, ``idempotent`` or ``replayed`` (a journal replay that
+    executed).
+    """
+
+    label: str
+    text: str
+    ok: bool
+    error_kind: Optional[str]
+    optimized_ir: str
+    path: str
+    ir_input: bool = True
+
+    @classmethod
+    def from_result(cls, job, result) -> "Answer":
+        """A batch driver's :class:`~repro.driver.FunctionResult`."""
+        return cls(
+            job.label, job.text, not result.failed, result.error_kind,
+            result.optimized_ir,
+            "dedupe" if result.dedupe_hit
+            else "cache" if result.cache_hit else "executed",
+            ir_input=job.format == "ir",
+        )
+
+    @classmethod
+    def from_response(
+        cls, label: str, text: str, result: Dict[str, object]
+    ) -> "Answer":
+        """A daemon's ``optimize`` response body for IR input ``text``."""
+        optimized = result.get("optimized_ir")
+        return cls(
+            label, text, result.get("status") == "ok",
+            result.get("error_kind"),
+            optimized if isinstance(optimized, str) else "",
+            response_path(result),
+        )
+
+
+def check_answer(answer: Answer, entry: ChaosRound, config: object) -> None:
+    """The oracle policy every storm applies to every answer.
+
+    Counts ``failed`` and ``wrong_outputs`` on ``entry`` and records
+    its violations:
+
+    * a degraded answer carries a kind in :data:`DEGRADED_KINDS` and
+      keeps its original text;
+    * an ok answer carries non-empty IR;
+    * every ok answer to an IR input is replayed on the gate's
+      evidence vectors under ``config`` (:func:`evidence_verdict`);
+    * a wrong output is a violation unless the round injected
+      ``corrupt-ir`` with ``validate=off``.
+    """
+    if not answer.ok:
+        entry.counts["failed"] += 1
+        if answer.error_kind not in DEGRADED_KINDS:
+            entry.violations.append(
+                f"{answer.label}: unknown error_kind {answer.error_kind!r}"
+            )
+        if answer.optimized_ir != answer.text:
+            entry.violations.append(
+                f"{answer.label}: degraded result lost the original text"
+            )
+        return
+    if not answer.optimized_ir.strip():
+        entry.violations.append(f"{answer.label}: ok answer carries no IR")
+        return
+    if not answer.ir_input:
+        return
+    verdict, detail = evidence_verdict(
+        answer.text, answer.optimized_ir, config
+    )
+    if verdict == "error":
+        entry.violations.append(f"{answer.label}: oracle error: {detail}")
+    elif verdict == "wrong":
+        entry.counts["wrong_outputs"] += 1
+        if config.validate != "off" or ":corrupt-ir" not in (
+            entry.plan or ""
+        ):
+            entry.violations.append(
+                f"{answer.label}: emitted semantics-changing IR: {detail}"
+            )
 
 
 def build_chaos_plan(
@@ -150,44 +284,6 @@ def build_chaos_plan(
                 )
             )
     return FaultPlan(specs=specs, seed=rng.randint(0, 2**31 - 1))
-
-
-def check_invariants(jobs: Sequence[object], report: object) -> List[str]:
-    """The resilience contract, checked against one driver report."""
-    violations: List[str] = []
-    results = report.results
-    stats = report.stats
-    if len(results) != len(jobs):
-        violations.append(
-            f"{len(jobs)} job(s) in, {len(results)} result(s) out"
-        )
-        return violations
-    failed = 0
-    for job, result in zip(jobs, results):
-        if result.name != job.name:
-            violations.append(
-                f"result order broken: {result.name} for {job.name}"
-            )
-        if result.failed:
-            failed += 1
-            if result.error_kind not in (
-                "crash", "timeout", "quarantined", "pool"
-            ):
-                violations.append(
-                    f"{job.name}: unknown error_kind {result.error_kind!r}"
-                )
-            if result.optimized_ir != job.text:
-                violations.append(
-                    f"{job.name}: degraded result lost the original text"
-                )
-        elif not result.optimized_ir.strip():
-            violations.append(f"{job.name}: successful result carries no IR")
-    if stats.failed != failed:
-        violations.append(
-            f"stats.failed={stats.failed} but {failed} result(s) "
-            "carry errors"
-        )
-    return violations
 
 
 def ir_corpus(job_count: int, seed: int) -> List[object]:
@@ -251,38 +347,19 @@ def evidence_verdict(
     return "wrong", details[0] if details else "mismatch"
 
 
-def oracle_check(
-    jobs: Sequence[object],
-    report: object,
-    *,
-    validate: str,
-    config: object,
-) -> Tuple[int, List[str]]:
-    """Replay every successful IR-job result against its input.
+@contextmanager
+def _storm_dir(base_dir: Optional[str], validate: str) -> Iterator[str]:
+    """Check ``validate``; yield ``base_dir`` or a discarded temp dir."""
+    from ..validation import VALIDATION_LEVELS
 
-    See :func:`evidence_verdict`.  Returns ``(wrong_outputs,
-    violations)``.  A semantics-changing output is always counted; it
-    is a *violation* only when the round ran with the validation gate
-    on -- that is the gate's contract.
-    """
-    wrong = 0
-    violations: List[str] = []
-    for job, result in zip(jobs, report.results):
-        if result.failed or job.format != "ir":
-            continue
-        verdict, detail = evidence_verdict(
-            job.text, result.optimized_ir, config
-        )
-        if verdict == "error":
-            violations.append(f"{job.label}: oracle error: {detail}")
-        elif verdict == "wrong":
-            wrong += 1
-            if validate != "off":
-                violations.append(
-                    f"{job.label}: validated run emitted "
-                    f"semantics-changing IR: {detail}"
-                )
-    return wrong, violations
+    if validate not in VALIDATION_LEVELS:
+        raise ValueError(f"unknown validation level {validate!r}")
+    if base_dir is not None:
+        os.makedirs(base_dir, exist_ok=True)
+        yield base_dir
+        return
+    with tempfile.TemporaryDirectory(prefix="rolag-chaos-") as root:
+        yield root
 
 
 def run_chaos(
@@ -296,41 +373,36 @@ def run_chaos(
     validate: str = "off",
     ir_faults: bool = False,
 ) -> ChaosReport:
-    """Run the campaign; see the module docstring for the contract.
+    """Batch rounds under seeded fault plans; see the module docstring.
 
     ``base_dir`` holds the shared cache and quarantine file; a
-    temporary directory is used (and discarded) when omitted.
-    ``validate`` turns on the online translation-validation gate at
-    that level; ``ir_faults`` adds ``corrupt-ir`` clauses to every
-    faulted round and oracle-checks each successful result.
+    temporary directory is used (and discarded) when omitted.  Round 0
+    always runs fault-free to warm the shared cache, so later rounds
+    exercise the corrupt-entry path against real entries; the
+    quarantine file persists across rounds, so repeat offenders get
+    skipped the way they would across real runs.  ``validate`` turns
+    on the online translation-validation gate at that level;
+    ``ir_faults`` adds ``corrupt-ir`` clauses to every faulted round.
+    Either one switches the corpus to IR, so every ok answer is
+    oracle-checked.
     """
-    import tempfile
-
     from ..bench import angha
     from ..driver import FunctionJob, optimize_functions
     from ..rolag.config import RolagConfig
 
-    from ..validation import VALIDATION_LEVELS
-
-    if validate not in VALIDATION_LEVELS:
-        raise ValueError(f"unknown validation level {validate!r}")
-
-    oracle = ir_faults or validate != "off"
-    if oracle:
-        jobs = ir_corpus(job_count, seed)
-    else:
-        jobs = [
-            FunctionJob(
-                name=cs.name, c_source=cs.source,
-                metadata=(("family", cs.family),),
-            )
-            for cs in angha.generate_sources(count=job_count, seed=seed)
-        ]
-    report = ChaosReport(seed=seed, jobs=len(jobs))
-
-    def campaign(root: str) -> None:
-        cache_dir = os.path.join(root, "cache")
-        quarantine_file = os.path.join(root, "quarantine.json")
+    with _storm_dir(base_dir, validate) as root:
+        oracle = ir_faults or validate != "off"
+        if oracle:
+            jobs = ir_corpus(job_count, seed)
+        else:
+            jobs = [
+                FunctionJob(
+                    name=cs.name, c_source=cs.source,
+                    metadata=(("family", cs.family),),
+                )
+                for cs in angha.generate_sources(count=job_count, seed=seed)
+            ]
+        report = ChaosReport("chaos", seed, len(jobs))
         guard_dir = (
             os.path.join(root, "guards") if validate != "off" else None
         )
@@ -341,7 +413,11 @@ def run_chaos(
                 else build_chaos_plan(rng, job_count, ir_faults=ir_faults)
             )
             spec = plan.spec_string()
-            entry = ChaosRound(index=index, plan=spec)
+            entry = ChaosRound(spec, dict.fromkeys((
+                "failed", "retried", "quarantined", "cache_corrupt",
+                "guard_failures", "wrong_outputs",
+            ), 0))
+            report.rounds.append(entry)
             # In oracle mode the plan rides on the *config* so it lands
             # in the cache fingerprint: a corrupt-ir round must never
             # share memo entries with a clean one (a successful-but-
@@ -356,10 +432,10 @@ def run_chaos(
                     jobs,
                     config,
                     workers=workers,
-                    cache_dir=cache_dir,
+                    cache_dir=os.path.join(root, "cache"),
                     deadline=deadline,
                     retries=retries,
-                    quarantine_file=quarantine_file,
+                    quarantine_file=os.path.join(root, "quarantine.json"),
                     fault_plan=plan,
                 )
             except Exception as error:
@@ -368,126 +444,43 @@ def run_chaos(
                 entry.violations.append(
                     f"campaign error: {type(error).__name__}: {error}"
                 )
-                report.rounds.append(entry)
                 continue
-            entry.failed = outcome.stats.failed
-            entry.retried = outcome.stats.retried
-            entry.quarantined = outcome.stats.quarantined
-            entry.cache_corrupt = outcome.stats.cache_corrupt
-            entry.guard_failures = outcome.stats.guard_failures
-            entry.violations = check_invariants(jobs, outcome)
-            if oracle:
-                wrong, oracle_violations = oracle_check(
-                    jobs, outcome, validate=validate, config=config
-                )
-                entry.wrong_outputs = wrong
-                entry.violations.extend(oracle_violations)
-            if index == 0 and outcome.stats.failed:
+            stats = outcome.stats
+            entry.counts.update(
+                retried=stats.retried,
+                quarantined=stats.quarantined,
+                cache_corrupt=stats.cache_corrupt,
+                guard_failures=stats.guard_failures,
+            )
+            if len(outcome.results) != len(jobs):
                 entry.violations.append(
-                    "fault-free round reported failures"
+                    f"{len(jobs)} job(s) in, {len(outcome.results)} "
+                    "result(s) out"
                 )
-            if index == 0 and outcome.stats.guard_failures:
+                continue
+            for job, result in zip(jobs, outcome.results):
+                if result.name != job.name:
+                    entry.violations.append(
+                        f"result order broken: {result.name} for {job.name}"
+                    )
+                check_answer(Answer.from_result(job, result), entry, config)
+            if stats.failed != entry.counts["failed"]:
+                entry.violations.append(
+                    f"stats.failed={stats.failed} but "
+                    f"{entry.counts['failed']} result(s) carry errors"
+                )
+            if index == 0 and stats.failed:
+                entry.violations.append("fault-free round reported failures")
+            if index == 0 and stats.guard_failures:
                 entry.violations.append(
                     "fault-free round reported guard rollbacks"
                 )
-            report.rounds.append(entry)
-
-    if base_dir is not None:
-        os.makedirs(base_dir, exist_ok=True)
-        campaign(base_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="rolag-chaos-") as root:
-            campaign(root)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Chaos against the live daemon (``repro chaos --serve``)
 # ---------------------------------------------------------------------------
-
-#: Error kinds a degraded serve job may legitimately carry.
-DEGRADED_KINDS = ("crash", "timeout", "quarantined", "pool")
-
-
-@dataclass
-class ServeChaosReport:
-    """Outcome of one storm against a live :class:`OptimizeService`.
-
-    The invariants, in storm order: every admitted submission is
-    answered exactly once; refusals are typed (``busy``/``quota``) and
-    succeed on resubmission; failed jobs degrade per-job with a
-    documented ``error_kind`` and their original text intact; with the
-    validation gate on, no successful result contradicts the gate's
-    own evidence vectors (zero wrong outputs); structural duplicates
-    submitted by other tenants never execute twice; and the daemon
-    answers ``ping`` from admission to drain -- it never dies.
-    """
-
-    seed: int
-    plan: str = ""
-    submitted: int = 0
-    accepted: int = 0
-    completed: int = 0
-    failed: int = 0
-    refused_busy: int = 0
-    refused_quota: int = 0
-    resubmissions: int = 0
-    duplicates: int = 0
-    coalesced: int = 0
-    guard_failures: int = 0
-    wrong_outputs: int = 0
-    pings_ok: int = 0
-    latency_p50: float = 0.0
-    latency_p99: float = 0.0
-    jobs_per_second: float = 0.0
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def success_rate(self) -> float:
-        """Completed-without-degradation over completed."""
-        if not self.completed:
-            return 1.0
-        return (self.completed - self.failed) / self.completed
-
-    def summary(self) -> str:
-        lines = [
-            f"serve chaos: seed {self.seed}, plan "
-            f"[{self.plan or '(no faults)'}]",
-            f"  submitted {self.submitted} ({self.duplicates} duplicates)"
-            f", accepted {self.accepted}, completed {self.completed}, "
-            f"failed {self.failed} "
-            f"(success rate {self.success_rate * 100:.1f}%)",
-            f"  refused busy {self.refused_busy}, quota "
-            f"{self.refused_quota}, resubmissions {self.resubmissions}",
-            f"  coalesced {self.coalesced}/{self.duplicates} duplicates, "
-            f"guard rollbacks {self.guard_failures}, wrong outputs "
-            f"{self.wrong_outputs}, pings {self.pings_ok}",
-            f"  p50 {self.latency_p50 * 1000:.2f} ms, "
-            f"p99 {self.latency_p99 * 1000:.2f} ms, "
-            f"{self.jobs_per_second:.1f} jobs/s",
-        ]
-        for violation in self.violations:
-            lines.append(f"    VIOLATION: {violation}")
-        lines.append(
-            "  OK: all invariants held" if self.ok
-            else "  FAILED: serve resilience invariants violated"
-        )
-        return "\n".join(lines)
-
-
-def _alpha_duplicate(ir_text: str, name: str, suffix: str) -> Tuple[str, str]:
-    """A structurally identical respelling of ``ir_text``.
-
-    Renames the defined function (a different tenant would own a
-    different symbol) -- exact text changes, the alpha-invariant
-    fingerprint does not, so the daemon must coalesce the pair.
-    """
-    new_name = f"{name}_{suffix}"
-    return ir_text.replace(f"@{name}", f"@{new_name}"), new_name
 
 
 def run_serve_chaos(
@@ -497,46 +490,47 @@ def run_serve_chaos(
     deadline: float = 5.0,
     retries: int = 2,
     validate: str = "safe",
-    ir_faults: bool = True,
     faults: bool = True,
     base_dir: Optional[str] = None,
-    max_queue: int = 8,
-    tenant_quota: int = 4,
-    duplicate_every: int = 7,
-    tenants: Sequence[str] = ("alice", "bob", "carol"),
-    journal_dir: Optional[str] = None,
-    journal_sync: str = "batch",
-) -> ServeChaosReport:
-    """Storm a live in-process daemon; see :class:`ServeChaosReport`.
+    journal: bool = False,
+) -> ChaosReport:
+    """Storm a live in-process daemon with one seeded plan.
 
-    The service runs *unthreaded*: the storm drives
-    ``pump_once`` itself, so admission edges (busy under a small
-    ``max_queue``, quota under ``tenant_quota``) and the
-    hang-fault virtual clock are deterministic -- same seed, same
-    storm, no real sleeps.  Every ``duplicate_every``-th submission is
-    chased by an alpha-renamed duplicate from the next tenant, which
-    must coalesce onto the original's computation (in-flight dedupe)
-    or its cached result -- never a second execution.
+    The invariants, in storm order: every admitted submission is
+    answered exactly once; refusals are typed (``busy``/``quota``) and
+    succeed on resubmission; every answer passes :func:`check_answer`;
+    structural duplicates submitted by other tenants never execute
+    twice; and the daemon answers ``ping`` from admission to drain.
+
+    The service runs *unthreaded*: the storm drives ``pump_once``
+    itself, so admission edges and the hang-fault virtual clock are
+    deterministic -- same seed, same storm, no real sleeps.  Every
+    :data:`DUPLICATE_EVERY`-th submission is chased by an alpha-renamed
+    duplicate from the next tenant, which must coalesce onto the
+    original's computation (in-flight dedupe) or its cached result.
+    ``faults=False`` is the fault-free baseline (throughput
+    measurement); ``journal`` turns the write-ahead job journal on
+    (batch sync).  The service's stats are snapshotted before the
+    oracle runs, so its cost stays out of the measures.
     """
-    import tempfile
-
     from ..serve import LoopbackClient, OptimizeService, ServeConfig
     from ..serve.protocol import response_error_kind
-    from ..validation import VALIDATION_LEVELS
 
-    if validate not in VALIDATION_LEVELS:
-        raise ValueError(f"unknown validation level {validate!r}")
-
-    rng = random.Random(seed)
-    if faults:
-        plan = build_chaos_plan(rng, job_count, ir_faults=ir_faults)
-        spec = plan.spec_string()
-    else:
-        spec = ""  # fault-free baseline (throughput measurement)
-    report = ServeChaosReport(seed=seed, plan=spec)
-    corpus = ir_corpus(job_count, seed)
-
-    def storm(root: str) -> None:
+    with _storm_dir(base_dir, validate) as root:
+        spec = (
+            build_chaos_plan(
+                random.Random(seed), job_count, ir_faults=True
+            ).spec_string()
+            if faults else ""
+        )
+        corpus = ir_corpus(job_count, seed)
+        entry = ChaosRound(spec, dict.fromkeys((
+            "submitted", "accepted", "completed", "failed", "refused_busy",
+            "refused_quota", "resubmissions", "duplicates", "coalesced",
+            "guard_failures", "wrong_outputs", "pings_ok",
+        ), 0))
+        counts = entry.counts
+        report = ChaosReport("serve chaos", seed, len(corpus), [entry])
         service = OptimizeService(
             ServeConfig(
                 workers=workers,
@@ -547,10 +541,11 @@ def run_serve_chaos(
                 retries=retries,
                 quarantine_file=os.path.join(root, "quarantine.json"),
                 fault_plan=spec or None,
-                max_queue=max_queue,
-                tenant_quota=tenant_quota,
-                journal_dir=journal_dir,
-                journal_sync=journal_sync,
+                max_queue=SERVE_MAX_QUEUE,
+                tenant_quota=SERVE_TENANT_QUOTA,
+                journal_dir=(
+                    os.path.join(root, "journal") if journal else None
+                ),
             )
         )
         service.start(threaded=False)
@@ -559,53 +554,53 @@ def run_serve_chaos(
 
         def ping() -> None:
             if client.ping():
-                report.pings_ok += 1
+                counts["pings_ok"] += 1
             else:
-                report.violations.append("daemon stopped answering ping")
+                entry.violations.append("daemon stopped answering ping")
 
         def submit(name: str, text: str, tenant: str, dup: bool) -> None:
             """Admit one job, riding out backpressure deterministically."""
-            report.submitted += 1
-            for _ in range(10 * max_queue + 10):
+            counts["submitted"] += 1
+            for _ in range(10 * SERVE_MAX_QUEUE + 10):
                 rid = client.submit_optimize(
                     text, name=name, tenant=tenant, emit_ir=True
                 )
                 refusal = client.poll(rid)
                 if refusal is None:
-                    report.accepted += 1
+                    counts["accepted"] += 1
                     outstanding[rid] = (name, text, dup)
                     return
                 kind = response_error_kind(refusal)
-                if kind == "busy":
-                    report.refused_busy += 1
-                elif kind == "quota":
-                    report.refused_quota += 1
-                else:
-                    report.violations.append(
+                if kind not in ("busy", "quota"):
+                    entry.violations.append(
                         f"{name}: unexpected refusal kind {kind!r}"
                     )
                     return
-                report.resubmissions += 1
+                counts[f"refused_{kind}"] += 1
+                counts["resubmissions"] += 1
                 # Block until something resolves: over a process pool
                 # an instant poll would spin through the attempt
                 # budget before any job finishes.
                 service.pump_once(wait=None)
-            report.violations.append(
+            entry.violations.append(
                 f"{name}: still refused after draining the queue"
             )
 
         for index, job in enumerate(corpus):
             name, ir_text = job.name, job.text
-            tenant = tenants[index % len(tenants)]
-            submit(name, ir_text, tenant, dup=False)
-            if duplicate_every and index % duplicate_every == 0:
-                dup_text, dup_name = _alpha_duplicate(
-                    ir_text, name, f"dup{index}"
-                )
-                report.duplicates += 1
+            tenant = index % len(SERVE_TENANTS)
+            submit(name, ir_text, SERVE_TENANTS[tenant], dup=False)
+            if index % DUPLICATE_EVERY == 0:
+                # A structurally identical respelling: renaming the
+                # function changes the text but not the alpha-invariant
+                # fingerprint, so the daemon must coalesce the pair.
+                dup_name = f"{name}_dup{index}"
+                dup_text = ir_text.replace(f"@{name}", f"@{dup_name}")
+                counts["duplicates"] += 1
                 submit(
                     dup_name, dup_text,
-                    tenants[(index + 1) % len(tenants)], dup=True,
+                    SERVE_TENANTS[(tenant + 1) % len(SERVE_TENANTS)],
+                    dup=True,
                 )
             if index % 10 == 0:
                 ping()
@@ -618,76 +613,49 @@ def run_serve_chaos(
             service.pump_once(wait=None)
         ping()
 
+        snapshot = service.stats_snapshot()
+        counts["guard_failures"] = snapshot["driver"]["guard_failures"]
+        entry.measures.update(
+            latency_p50_ms=snapshot["latency_p50"] * 1000.0,
+            latency_p99_ms=snapshot["latency_p99"] * 1000.0,
+            jobs_per_second=snapshot["jobs_per_second"],
+        )
+
         config = service.config.rolag_config()
         for rid, (name, text, dup) in outstanding.items():
             response = client.poll(rid)
             if response is None:
-                report.violations.append(f"{name}: admitted but unanswered")
+                entry.violations.append(f"{name}: admitted but unanswered")
                 continue
-            report.completed += 1
+            counts["completed"] += 1
             kind = response_error_kind(response)
             if kind is not None:
-                report.violations.append(
+                entry.violations.append(
                     f"{name}: admitted job answered with protocol "
                     f"error {kind!r}"
                 )
                 continue
-            result = response["result"]
-            if dup and not (
-                result.get("dedupe_hit") or result.get("cache_hit")
-            ):
-                report.violations.append(
+            answer = Answer.from_response(name, text, response["result"])
+            if dup and answer.path in ("dedupe", "cache"):
+                counts["coalesced"] += 1
+            elif dup:
+                entry.violations.append(
                     f"{name}: structural duplicate executed instead of "
                     "coalescing"
                 )
-            elif dup:
-                report.coalesced += 1
-            if result["status"] != "ok":
-                report.failed += 1
-                if result.get("error_kind") not in DEGRADED_KINDS:
-                    report.violations.append(
-                        f"{name}: unknown error_kind "
-                        f"{result.get('error_kind')!r}"
-                    )
-                if result.get("optimized_ir") != text:
-                    report.violations.append(
-                        f"{name}: degraded result lost the original text"
-                    )
-                continue
-            if validate == "off":
-                continue
-            verdict, detail = evidence_verdict(
-                text, result["optimized_ir"], config
-            )
-            if verdict == "error":
-                report.violations.append(f"{name}: oracle error: {detail}")
-            elif verdict == "wrong":
-                report.wrong_outputs += 1
-                report.violations.append(
-                    f"{name}: validated daemon emitted semantics-"
-                    f"changing IR: {detail}"
-                )
+            check_answer(answer, entry, config)
 
-        snapshot = service.stats_snapshot()
-        report.guard_failures = snapshot["driver"]["guard_failures"]
-        report.latency_p50 = snapshot["latency_p50"]
-        report.latency_p99 = snapshot["latency_p99"]
-        report.jobs_per_second = snapshot["jobs_per_second"]
-        if report.completed != report.accepted:
-            report.violations.append(
-                f"accepted {report.accepted} but answered "
-                f"{report.completed}"
+        completed = counts["completed"]
+        entry.measures["success_rate"] = (
+            (completed - counts["failed"]) / completed if completed else 1.0
+        )
+        if completed != counts["accepted"]:
+            entry.violations.append(
+                f"accepted {counts['accepted']} but answered {completed}"
             )
         service.stop()
         if service.alive:
-            report.violations.append("service still alive after stop()")
-
-    if base_dir is not None:
-        os.makedirs(base_dir, exist_ok=True)
-        storm(base_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="rolag-serve-chaos-") as root:
-            storm(root)
+            entry.violations.append("service still alive after stop()")
     return report
 
 
@@ -695,77 +663,6 @@ def run_serve_chaos(
 # Kill chaos against a real supervised daemon
 # (``repro chaos --serve --kill-daemon``)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ServeKillChaosReport:
-    """Outcome of one SIGKILL storm against a supervised daemon.
-
-    The durability contract, end to end: a **real** ``repro serve
-    --supervise`` subprocess (write-ahead journal, ``--journal-sync
-    always``) is stormed over its pipes and SIGKILLed mid-flight --
-    the hard kill an OOM killer or ``kill -9`` delivers, no exit
-    handlers, no flushes.  The supervisor must restart it (fresh
-    generation in the pid file), the new generation must replay the
-    journal, and after resubmitting every unanswered request under
-    its original idempotency key:
-
-    * every submitted job is eventually answered (``status: ok``) and
-      its output verifies against the evidence oracle;
-    * no idempotency key executes twice -- at most one response per
-      key reports a fresh execution, the rest are cache / dedupe /
-      idempotent hits or journal replays;
-    * the supervisor survives every kill and still exits 0 on
-      ``shutdown``.
-    """
-
-    seed: int
-    jobs: int
-    kills_requested: int
-    kills_delivered: int = 0
-    submitted: int = 0
-    resubmissions: int = 0
-    answered: int = 0
-    failed: int = 0
-    replayed_responses: int = 0
-    idempotent_responses: int = 0
-    fresh_executions: int = 0
-    duplicate_executions: int = 0
-    wrong_outputs: int = 0
-    garbage_lines: int = 0
-    generations: int = 1
-    #: Seconds from each SIGKILL to the next generation's pid-file.
-    recovery_seconds: List[float] = field(default_factory=list)
-    supervisor_exit: Optional[int] = None
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        recoveries = ", ".join(f"{r:.2f}s" for r in self.recovery_seconds)
-        lines = [
-            f"serve kill chaos: seed {self.seed}, {self.jobs} job(s), "
-            f"{self.kills_delivered}/{self.kills_requested} SIGKILL(s)",
-            f"  submitted {self.submitted} (+{self.resubmissions} "
-            f"resubmissions), answered {self.answered}, failed "
-            f"{self.failed}",
-            f"  fresh executions {self.fresh_executions}, duplicates "
-            f"{self.duplicate_executions}, replayed "
-            f"{self.replayed_responses}, idempotent "
-            f"{self.idempotent_responses}, wrong outputs "
-            f"{self.wrong_outputs}",
-            f"  generations {self.generations}, recovery [{recoveries}], "
-            f"supervisor exit {self.supervisor_exit}",
-        ]
-        for violation in self.violations:
-            lines.append(f"    VIOLATION: {violation}")
-        lines.append(
-            "  OK: all invariants held" if self.ok
-            else "  FAILED: durability invariants violated"
-        )
-        return "\n".join(lines)
 
 
 def run_serve_kill_chaos(
@@ -777,48 +674,57 @@ def run_serve_kill_chaos(
     validate: str = "safe",
     base_dir: Optional[str] = None,
     kills: int = 2,
-    overall_timeout: Optional[float] = None,
-) -> ServeKillChaosReport:
-    """SIGKILL a live supervised daemon mid-storm; see the report class.
+) -> ChaosReport:
+    """SIGKILL a live supervised daemon mid-storm.
 
-    Unlike :func:`run_serve_chaos` this storms a *subprocess* (the only
-    honest way to test SIGKILL): ``repro serve --supervise`` with the
-    journal on ``always`` sync, driven over its stdio pipes.  Kills
-    land at roughly 1/3 and 2/3 of the submission stream (further
-    kills spread evenly); after each one the storm waits for the
-    supervisor to publish the next generation's pid, then resubmits
-    every still-unanswered request under its original idempotency key.
+    The durability contract, end to end: a **real** ``repro serve
+    --supervise`` subprocess (write-ahead journal, ``--journal-sync
+    always``) is stormed over its stdio pipes and SIGKILLed mid-flight
+    -- the hard kill an OOM killer or ``kill -9`` delivers, no exit
+    handlers, no flushes.  Kills land at roughly 1/3 and 2/3 of the
+    submission stream (further kills spread evenly); after each one the
+    storm waits for the supervisor to publish the next generation's
+    pid, then resubmits every still-unanswered request under its
+    original idempotency key.  Then:
+
+    * every submitted job is answered ``ok`` (a degraded answer is a
+      violation here) and passes :func:`check_answer`;
+    * no idempotency key executes twice -- at most one response per
+      key reports a fresh execution, the rest are cache / dedupe /
+      idempotent hits or journal replays of cached work;
+    * the supervisor survives every kill and still exits 0 on
+      ``shutdown``.
     """
-    import json as json_mod
+    import json
     import queue as queue_mod
     import signal
     import subprocess
-    import sys as sys_mod
-    import tempfile
+    import sys
     import threading
     import time
 
     from ..rolag.config import RolagConfig
+    from ..serve.protocol import encode_line, response_error_kind
     from ..serve.supervisor import read_pid_file
-    from ..validation import VALIDATION_LEVELS
 
-    if validate not in VALIDATION_LEVELS:
-        raise ValueError(f"unknown validation level {validate!r}")
-    kills = max(0, kills)
-    report = ServeKillChaosReport(
-        seed=seed, jobs=job_count, kills_requested=kills
-    )
-    if overall_timeout is None:
-        overall_timeout = max(120.0, job_count * deadline)
+    with _storm_dir(base_dir, validate) as root:
+        kills = max(0, kills)
+        corpus = ir_corpus(job_count, seed)
+        entry = ChaosRound(None, dict.fromkeys((
+            "jobs", "kills", "submitted", "resubmissions", "answered",
+            "failed", "fresh_executions", "duplicate_executions",
+            "replayed_responses", "idempotent_responses", "wrong_outputs",
+            "generations",
+        ), 0))
+        counts = entry.counts
+        counts.update(jobs=len(corpus), generations=1)
+        entry.measures.update(recovery_seconds=[], supervisor_exit=None)
+        report = ChaosReport("serve kill chaos", seed, len(corpus), [entry])
 
-    corpus = ir_corpus(job_count, seed)
-    rolag_config = RolagConfig(validate=validate)
-
-    def storm(root: str) -> None:
         pid_file = os.path.join(root, "daemon.pid")
         capacity = str(2 * job_count + 8)
         argv = [
-            sys_mod.executable, "-m", "repro", "serve",
+            sys.executable, "-m", "repro", "serve",
             "--supervise",
             "--journal-dir", os.path.join(root, "journal"),
             "--journal-sync", "always",
@@ -851,19 +757,13 @@ def run_serve_kill_chaos(
 
         reader = threading.Thread(target=pump_stdout, daemon=True)
         reader.start()
-        started_at = time.monotonic()
-
-        def budget_left() -> float:
-            return overall_timeout - (time.monotonic() - started_at)
+        give_up_at = time.monotonic() + max(120.0, job_count * deadline)
 
         def send(req_id: str, method: str, params: dict) -> None:
-            frame = {
+            proc.stdin.write(encode_line({
                 "jsonrpc": "2.0", "id": req_id,
                 "method": method, "params": params,
-            }
-            proc.stdin.write(
-                json_mod.dumps(frame, separators=(",", ":")) + "\n"
-            )
+            }))
             proc.stdin.flush()
 
         # key -> (name, ir_text); answers land in results[key].
@@ -871,8 +771,7 @@ def run_serve_kill_chaos(
         results: Dict[str, Dict[str, object]] = {}
         fresh_count: Dict[str, int] = {}
         attempts: Dict[str, int] = {}
-        control: Dict[str, Dict[str, object]] = {}
-        eof = False
+        shutdown_acked = eof = False
 
         def submit(key: str) -> None:
             name, text = by_key[key]
@@ -888,117 +787,103 @@ def run_serve_kill_chaos(
                     "idempotency_key": key,
                 },
             )
-            if attempt:
-                report.resubmissions += 1
-            else:
-                report.submitted += 1
+            counts["resubmissions" if attempt else "submitted"] += 1
 
         def absorb(message: Dict[str, object]) -> None:
+            # Frames that are not ours (or torn by a kill) are tolerated:
+            # their jobs recover via journal replay or resubmission.
+            nonlocal shutdown_acked
             req_id = message.get("id")
             if not isinstance(req_id, str):
-                report.garbage_lines += 1
                 return
             key = req_id.split(":", 1)[0]
-            if key in control or key in ("stats", "shutdown", "ping"):
-                control[key] = message
+            if key == "shutdown":
+                shutdown_acked = True
                 return
             if key not in by_key:
-                report.garbage_lines += 1
                 return
-            if message.get("error") is not None:
-                error = message["error"]
-                detail = (
-                    error.get("message") if isinstance(error, dict) else error
-                )
-                report.violations.append(
-                    f"{key}: protocol error {detail!r}"
+            kind = response_error_kind(message)
+            if kind is not None:
+                entry.violations.append(
+                    f"{key}: protocol error {kind!r}: {message['error']}"
                 )
                 return
             result = message.get("result")
             if not isinstance(result, dict):
-                report.garbage_lines += 1
                 return
-            if result.get("replayed"):
-                report.replayed_responses += 1
-            if result.get("idempotent_hit"):
-                report.idempotent_responses += 1
-            if not (
-                result.get("cache_hit")
-                or result.get("dedupe_hit")
-                or result.get("idempotent_hit")
-            ):
+            path = response_path(result)
+            counts["replayed_responses"] += bool(result.get("replayed"))
+            counts["idempotent_responses"] += path == "idempotent"
+            if path in ("executed", "replayed"):
                 fresh_count[key] = fresh_count.get(key, 0) + 1
-                report.fresh_executions += 1
+                counts["fresh_executions"] += 1
             if key not in results:
                 results[key] = result
-                report.answered += 1
+                counts["answered"] += 1
 
-        def drain_lines(timeout: float) -> int:
-            """Absorb buffered responses; returns how many arrived.
+        def drain_lines(timeout: float) -> None:
+            """Absorb buffered responses.
 
-            Blocks up to ``timeout`` for the first line, then sweeps
+            Blocks up to ``timeout`` for the first response, then sweeps
             whatever else is already buffered without waiting.
             """
             nonlocal eof
-            absorbed = 0
             while True:
                 try:
-                    line = lines.get(
-                        timeout=max(0.0, timeout) if absorbed == 0 else 0.0
-                    )
+                    line = lines.get(timeout=max(0.0, timeout))
                 except queue_mod.Empty:
-                    return absorbed
+                    return
                 if line is None:
                     eof = True
-                    return absorbed
-                text = line.strip()
-                if not text:
-                    continue
+                    return
                 try:
-                    message = json_mod.loads(text)
+                    message = json.loads(line)
                 except ValueError:
-                    # A generation died mid-write: the torn frame is
-                    # tolerated, its job recovers via journal replay
-                    # or resubmission.
-                    report.garbage_lines += 1
-                    continue
+                    continue  # blank, or a generation died mid-write
                 absorb(message)
-                absorbed += 1
+                timeout = 0.0
+
+        def resubmit_unanswered() -> None:
+            for key in by_key:
+                if key not in results:
+                    submit(key)
+
+        def await_generation(after: int, timeout: float):
+            """The pid file once it names a generation past ``after``."""
+            waited_at = time.monotonic()
+            while time.monotonic() - waited_at < timeout:
+                info = read_pid_file(pid_file)
+                if info and int(info.get("generation", 0)) > after:
+                    return info
+                time.sleep(0.02)
+            return None
 
         def kill_daemon() -> bool:
             """SIGKILL the live generation; wait for its successor."""
-            info = None
-            waited_at = time.monotonic()
-            while info is None and time.monotonic() - waited_at < 30.0:
-                info = read_pid_file(pid_file)
-                if info is None:
-                    time.sleep(0.02)
+            info = await_generation(-1, 30.0)
             if info is None:
-                report.violations.append("pid file never appeared")
+                entry.violations.append("pid file never appeared")
                 return False
             generation = int(info.get("generation", 0))
             try:
                 os.kill(int(info["pid"]), signal.SIGKILL)
             except (OSError, ValueError) as error:
-                report.violations.append(f"could not kill daemon: {error}")
+                entry.violations.append(f"could not kill daemon: {error}")
                 return False
             killed_at = time.monotonic()
-            report.kills_delivered += 1
-            while time.monotonic() - killed_at < 60.0:
-                info = read_pid_file(pid_file)
-                if info is not None and int(
-                    info.get("generation", 0)
-                ) > generation:
-                    recovery = time.monotonic() - killed_at
-                    report.recovery_seconds.append(recovery)
-                    report.generations = int(info["generation"])
-                    return True
-                time.sleep(0.02)
-            report.violations.append(
-                f"no new generation within 60s of SIGKILL "
-                f"(generation {generation})"
+            counts["kills"] += 1
+            info = await_generation(generation, 60.0)
+            if info is None:
+                entry.violations.append(
+                    f"no new generation within 60s of SIGKILL "
+                    f"(generation {generation})"
+                )
+                return False
+            entry.measures["recovery_seconds"].append(
+                time.monotonic() - killed_at
             )
-            return False
+            counts["generations"] = int(info["generation"])
+            return True
 
         # -- the storm ------------------------------------------------------
         kill_points = {
@@ -1026,66 +911,50 @@ def run_serve_kill_chaos(
                     # the same keys -- the journal/idempotency layers
                     # make the overlap coalesce instead of re-execute.
                     drain_lines(0.0)
-                    for pending_key in by_key:
-                        if pending_key not in results:
-                            submit(pending_key)
+                    resubmit_unanswered()
 
         # -- drain ----------------------------------------------------------
         stall_retries = 3
-        while len(results) < len(by_key) and not eof and budget_left() > 0:
+        while (
+            len(results) < len(by_key)
+            and not eof
+            and time.monotonic() < give_up_at
+        ):
             before = len(results)
-            drain_lines(min(10.0, max(0.1, budget_left())))
+            drain_lines(min(10.0, max(0.1, give_up_at - time.monotonic())))
             if len(results) == before and stall_retries > 0:
                 stall_retries -= 1
-                for pending_key in by_key:
-                    if pending_key not in results:
-                        submit(pending_key)
-        for key in by_key:
-            if key not in results:
-                report.violations.append(f"{key}: never answered")
+                resubmit_unanswered()
 
         # -- verify ---------------------------------------------------------
-        for key, result in sorted(results.items()):
-            name, text = by_key[key]
+        rolag_config = RolagConfig(validate=validate)
+        for key, (name, text) in by_key.items():
+            result = results.get(key)
+            if result is None:
+                entry.violations.append(f"{key}: never answered")
+                continue
             if fresh_count.get(key, 0) > 1:
-                report.duplicate_executions += fresh_count[key] - 1
-                report.violations.append(
+                counts["duplicate_executions"] += fresh_count[key] - 1
+                entry.violations.append(
                     f"{key}: executed {fresh_count[key]} times despite "
                     "its idempotency key"
                 )
-            if result.get("status") != "ok":
-                report.failed += 1
-                report.violations.append(
-                    f"{key} ({name}): failed with "
-                    f"{result.get('error_kind')!r}: {result.get('error')}"
+            answer = Answer.from_response(f"{key} ({name})", text, result)
+            if not answer.ok:
+                entry.violations.append(
+                    f"{answer.label}: failed with {answer.error_kind!r}: "
+                    f"{result.get('error')}"
                 )
-                continue
-            optimized = result.get("optimized_ir")
-            if not isinstance(optimized, str) or not optimized.strip():
-                report.violations.append(
-                    f"{key} ({name}): ok result carries no IR"
-                )
-                continue
-            verdict, detail = evidence_verdict(text, optimized, rolag_config)
-            if verdict == "error":
-                report.violations.append(
-                    f"{key} ({name}): oracle error: {detail}"
-                )
-            elif verdict == "wrong":
-                report.wrong_outputs += 1
-                report.violations.append(
-                    f"{key} ({name}): recovered output is semantics-"
-                    f"changing: {detail}"
-                )
+            check_answer(answer, entry, rolag_config)
 
         # -- shutdown -------------------------------------------------------
         try:
             send("shutdown:0", "shutdown", {})
         except (BrokenPipeError, OSError, ValueError):
-            report.violations.append("could not send shutdown")
+            entry.violations.append("could not send shutdown")
         shutdown_at = time.monotonic()
         while (
-            "shutdown" not in control
+            not shutdown_acked
             and not eof
             and time.monotonic() - shutdown_at < 60.0
         ):
@@ -1095,25 +964,19 @@ def run_serve_kill_chaos(
         except OSError:
             pass
         try:
-            report.supervisor_exit = proc.wait(timeout=60.0)
+            exit_code = proc.wait(timeout=60.0)
+            entry.measures["supervisor_exit"] = exit_code
+            if exit_code != 0:
+                entry.violations.append(
+                    f"supervisor exited {exit_code}, expected 0"
+                )
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(timeout=10.0)
-            report.violations.append("supervisor did not exit; killed")
-        if report.supervisor_exit is not None and report.supervisor_exit != 0:
-            report.violations.append(
-                f"supervisor exited {report.supervisor_exit}, expected 0"
-            )
-        if report.kills_delivered < kills:
-            report.violations.append(
-                f"only {report.kills_delivered}/{kills} kill(s) delivered"
+            entry.violations.append("supervisor did not exit; killed")
+        if counts["kills"] < kills:
+            entry.violations.append(
+                f"only {counts['kills']}/{kills} kill(s) delivered"
             )
         reader.join(timeout=5.0)
-
-    if base_dir is not None:
-        os.makedirs(base_dir, exist_ok=True)
-        storm(base_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="rolag-kill-chaos-") as root:
-            storm(root)
     return report

@@ -11,9 +11,14 @@ import pytest
 from repro.faultinject import clear_plan
 from repro.faultinject.chaos import (
     SITE_ACTIONS,
+    Answer,
+    ChaosRound,
     build_chaos_plan,
+    check_answer,
     run_chaos,
+    run_serve_kill_chaos,
 )
+from repro.rolag.config import RolagConfig
 
 pytestmark = pytest.mark.fault
 
@@ -56,6 +61,91 @@ class TestChaosPlans:
         }
 
 
+IR = """
+define i32 @f(i32 %n) {
+entry:
+  %a = add i32 %n, 1
+  %b = add i32 %a, 2
+  %c = add i32 %b, 3
+  ret i32 %c
+}
+"""
+
+#: ``IR`` miscompiled: returns n + 7 instead of n + 6.
+WRONG_IR = IR.replace("%b, 3", "%b, 4")
+
+CORRUPT_PLAN = "rolag.roll.exit:corrupt-ir@2"
+
+
+def _answer(ok=True, error_kind=None, optimized_ir=IR):
+    return Answer("f", IR, ok, error_kind, optimized_ir, "executed")
+
+
+def _broken_oracle(*args, **kwargs):
+    raise RuntimeError("evaluator exploded")
+
+
+class TestCheckAnswer:
+    """The one oracle policy every storm applies to every answer."""
+
+    @pytest.mark.parametrize(
+        "answer, validate, plan, oracle_raises, failed, wrong, violation",
+        [
+            pytest.param(_answer(), "safe", "", False, 0, 0, None, id="ok"),
+            pytest.param(
+                _answer(False, "crash"), "safe", "", False, 1, 0, None,
+                id="degraded",
+            ),
+            pytest.param(
+                _answer(False, "bogus"), "safe", "", False, 1, 0,
+                "f: unknown error_kind 'bogus'", id="unknown-kind",
+            ),
+            pytest.param(
+                _answer(False, "timeout", ""), "off", "", False, 1, 0,
+                "f: degraded result lost the original text", id="lost-text",
+            ),
+            pytest.param(
+                _answer(optimized_ir="  \n"), "off", "", False, 0, 0,
+                "f: ok answer carries no IR", id="empty-ir",
+            ),
+            pytest.param(
+                _answer(optimized_ir=WRONG_IR), "safe", CORRUPT_PLAN, False,
+                0, 1, "f: emitted semantics-changing IR", id="wrong-safe",
+            ),
+            pytest.param(
+                _answer(optimized_ir=WRONG_IR), "off", CORRUPT_PLAN, False,
+                0, 1, None, id="wrong-off-corrupt-ir-injected",
+            ),
+            # Validation off but nothing injected: RoLAG itself was wrong.
+            pytest.param(
+                _answer(optimized_ir=WRONG_IR), "off", "", False, 0, 1,
+                "f: emitted semantics-changing IR", id="wrong-off-unfaulted",
+            ),
+            pytest.param(
+                _answer(), "off", CORRUPT_PLAN, True, 0, 0,
+                "f: oracle error: RuntimeError: evaluator exploded",
+                id="oracle-raises",
+            ),
+        ],
+    )
+    def test_policy(
+        self, monkeypatch, answer, validate, plan, oracle_raises,
+        failed, wrong, violation,
+    ):
+        if oracle_raises:
+            monkeypatch.setattr(
+                "repro.validation.evidence_check", _broken_oracle
+            )
+        entry = ChaosRound(plan, {"failed": 0, "wrong_outputs": 0})
+        check_answer(answer, entry, RolagConfig(validate=validate))
+        assert entry.counts == {"failed": failed, "wrong_outputs": wrong}
+        if violation is None:
+            assert entry.violations == []
+        else:
+            assert len(entry.violations) == 1, entry.violations
+            assert entry.violations[0].startswith(violation)
+
+
 @pytest.mark.slow
 class TestChaosCampaign:
     def test_campaign_holds_invariants(self, tmp_path):
@@ -69,7 +159,7 @@ class TestChaosCampaign:
         )
         assert len(report.rounds) == 3
         # Round 0 is fault-free and must be clean.
-        assert report.rounds[0].failed == 0
+        assert report.rounds[0].counts["failed"] == 0
         assert report.ok, report.summary()
         assert "OK" in report.summary()
 
@@ -87,11 +177,11 @@ class TestChaosCampaign:
         )
         assert report.ok, report.summary()
         # Round 0 is fault-free: the gate must stay silent.
-        assert report.rounds[0].guard_failures == 0
+        assert report.rounds[0].counts["guard_failures"] == 0
         # The storm rounds actually exercised the gate...
-        assert sum(r.guard_failures for r in report.rounds) > 0
+        assert sum(r.counts["guard_failures"] for r in report.rounds) > 0
         # ...and nothing semantics-changing got through.
-        assert all(r.wrong_outputs == 0 for r in report.rounds)
+        assert all(r.counts["wrong_outputs"] == 0 for r in report.rounds)
         assert "guard rollbacks" in report.summary()
 
     @pytest.mark.guard
@@ -109,7 +199,7 @@ class TestChaosCampaign:
         # Wrong outputs are informational with the gate off: the same
         # storm the validated campaign survives provably miscompiles.
         assert report.ok, report.summary()
-        assert sum(r.wrong_outputs for r in report.rounds) >= 1
+        assert sum(r.counts["wrong_outputs"] for r in report.rounds) >= 1
 
     def test_chaos_cli_exits_zero(self, tmp_path, capsys):
         from repro.cli import main
@@ -125,3 +215,15 @@ class TestChaosCampaign:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "chaos" in out
+
+    def test_kill_storm_recovers_every_job(self, tmp_path):
+        report = run_serve_kill_chaos(
+            seed=0, job_count=12, kills=2, base_dir=str(tmp_path)
+        )
+        assert report.ok, report.summary()
+        row = report.to_json()
+        assert row["answered"] == row["jobs"] == 12
+        assert row["kills"] == 2
+        assert row["duplicate_executions"] == 0
+        assert row["wrong_outputs"] == 0
+        assert row["supervisor_exit"] == 0

@@ -400,16 +400,17 @@ class TestChaosUnderServe:
             base_dir=str(tmp_path),
         )
         assert report.ok, report.summary()
+        row = report.to_json()
         # Every admitted job answered; daemon alive throughout.
-        assert report.completed == report.accepted
-        assert report.pings_ok >= 2
+        assert row["completed"] == row["accepted"]
+        assert row["pings_ok"] >= 2
         # The validation gate held: degradation is per-job and typed,
         # wrong outputs are zero even with corrupt-ir faults firing.
-        assert report.wrong_outputs == 0
-        assert report.success_rate >= 0.99
+        assert row["wrong_outputs"] == 0
+        assert row["success_rate"] >= 0.99
         # Cross-tenant duplicates coalesced rather than re-executed.
-        assert report.duplicates > 0
-        assert report.coalesced == report.duplicates
+        assert row["duplicates"] > 0
+        assert row["coalesced"] == row["duplicates"]
 
     def test_storm_is_deterministic_per_seed(self, tmp_path):
         from repro.faultinject.chaos import run_serve_chaos
@@ -422,11 +423,39 @@ class TestChaosUnderServe:
             seed=5, job_count=6, workers=1,
             base_dir=str(tmp_path / "b"),
         )
-        assert first.plan == second.plan
-        assert first.ok and second.ok
-        assert (first.submitted, first.failed, first.coalesced) == (
-            second.submitted, second.failed, second.coalesced
+        first, second = first.to_json(), second.to_json()
+        assert first["plan"] == second["plan"]
+        assert first["ok"] and second["ok"]
+        assert (first["submitted"], first["failed"], first["coalesced"]) == (
+            second["submitted"], second["failed"], second["coalesced"]
         )
+
+    def test_throughput_snapshot_precedes_the_oracle(
+        self, tmp_path, monkeypatch
+    ):
+        """The storm's jobs/s and wall time must not bill the oracle."""
+        from repro.faultinject import chaos
+
+        calls = []
+        snapshot = OptimizeService.stats_snapshot
+        verdict = chaos.evidence_verdict
+
+        def logged_snapshot(service):
+            calls.append("snapshot")
+            return snapshot(service)
+
+        def logged_verdict(*args):
+            calls.append("oracle")
+            return verdict(*args)
+
+        monkeypatch.setattr(OptimizeService, "stats_snapshot", logged_snapshot)
+        monkeypatch.setattr(chaos, "evidence_verdict", logged_verdict)
+        report = chaos.run_serve_chaos(
+            seed=5, job_count=6, workers=1, base_dir=str(tmp_path),
+        )
+        assert report.ok, report.summary()
+        assert calls.count("snapshot") == 1 and "oracle" in calls
+        assert "oracle" not in calls[:calls.index("snapshot")], calls
 
 
 @pytest.mark.parallel
