@@ -39,8 +39,10 @@ from ..ir.module import Module
 class CorpusSource:
     """One generated function before compilation: source + family tag.
 
-    The parallel driver ships these to worker processes as text, so the
-    (comparatively expensive) frontend run happens in the workers.
+    The parallel driver takes these as text and runs the
+    (comparatively expensive) frontend once per function: in its own
+    process when it fingerprints the job for the cache, else in the
+    worker.
     """
 
     name: str
@@ -372,7 +374,7 @@ def generate_sources(
     """Generate ``count`` function sources with a deterministic seed.
 
     Pure string work -- no frontend runs -- so the corpus definition is
-    cheap to produce in a driver parent while worker processes compile.
+    cheap to produce before the driver compiles anything.
     """
     rng = random.Random(seed)
     names = list(FAMILIES)

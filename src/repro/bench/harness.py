@@ -107,8 +107,8 @@ def run_angha_experiment(
     decisions that looked like wins at the IR level can come out
     negative in the measured binary.
 
-    Runs on the parallel driver: ``jobs`` worker processes compile and
-    optimize the corpus (``jobs=1`` is the deterministic serial path),
+    Runs on the parallel driver: ``jobs`` worker processes optimize
+    the corpus (``jobs=1`` is the deterministic serial path),
     and ``cache_dir`` memoizes per-function results so an unchanged
     rerun is near-instant.
     """

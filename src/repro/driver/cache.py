@@ -43,11 +43,12 @@ import json
 import logging
 import os
 import tempfile
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..analysis.costmodel import CodeSizeCostModel
 from ..faultinject import corrupt_bytes, fire
-from ..ir import parse_module
+from ..ir import FrozenModule, parse_module
+from ..ir.module import Module
 from ..ir.structhash import StructuralSummary, structural_summary
 from ..rolag.config import RolagConfig
 from .types import FunctionJob, FunctionResult
@@ -78,26 +79,51 @@ def model_fingerprint(model: Optional[CodeSizeCostModel]) -> str:
     return digest.hexdigest()[:16]
 
 
-def job_struct_summary(job: FunctionJob) -> Optional[StructuralSummary]:
-    """The job's structural summary, or ``None`` if it does not build.
+def materialize(job: FunctionJob) -> Module:
+    """Build the job's module in this process.
 
-    IR jobs are parsed; mini-C jobs run through the frontend (the
-    compile is a fraction of what the full worker pipeline costs, and
-    only cache-enabled or failure paths ever need it).  Any exception
-    means "no structural identity": the caller falls back to keying by
-    raw text, and the job still flows -- its worker will report the
-    real error.
+    The driver's one frontend entry: IR jobs are parsed (not verified;
+    the worker verifies every copy it consumes), mini-C jobs are
+    compiled.  Fingerprinting and the worker pipeline both come here,
+    so a key and the module it was taken from always agree.
+    """
+    if job.ir_text is not None:
+        return parse_module(job.ir_text)
+    from ..frontend import compile_c
+
+    return compile_c(job.c_source, module_name=f"driver.{job.name}")
+
+
+def fingerprint_job(
+    job: FunctionJob, freeze: bool = False
+) -> Tuple[Optional[StructuralSummary], Optional[FrozenModule]]:
+    """The job's structural summary, or ``(None, None)`` if it does
+    not build.
+
+    With ``freeze`` set, a mini-C job also returns the
+    :class:`FrozenModule` of the module it was fingerprinted from, so
+    the pipeline can thaw copies of it instead of running the frontend
+    again.  (An IR job's text already is its frozen form.)  Any
+    exception means "no structural identity": the caller falls back to
+    keying by raw text, and the job still flows -- its worker will
+    report the real error.
     """
     try:
-        if job.ir_text is not None:
-            module = parse_module(job.ir_text)
-        else:
-            from ..frontend import compile_c
-
-            module = compile_c(job.c_source, module_name="structhash.probe")
-        return structural_summary(module)
+        module = materialize(job)
+        summary = structural_summary(module)
+        frozen = (
+            FrozenModule.freeze(module)
+            if freeze and job.c_source is not None
+            else None
+        )
     except Exception:
-        return None
+        return None, None
+    return summary, frozen
+
+
+def job_struct_summary(job: FunctionJob) -> Optional[StructuralSummary]:
+    """The job's structural summary, or ``None`` if it does not build."""
+    return fingerprint_job(job)[0]
 
 
 def text_fingerprint(job: FunctionJob) -> str:

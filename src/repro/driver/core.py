@@ -2,13 +2,19 @@
 
 One engine, :class:`DriverSession`, fans per-function RoLAG work out
 over a process pool.  Each worker receives a picklable
-:class:`FunctionJob` (IR or mini-C text), rebuilds the module in its
-own interpreter, runs the standard measurement pipeline -- size
-before, LLVM-style reroll baseline, RoLAG, verify, size after -- and
-sends back a plain :class:`FunctionResult`.  The ``repro serve``
-daemon drives one long-lived session; the batch entry point
-:func:`optimize_functions` is a thin client that submits every job,
-drains the session, and returns the results in job order.
+:class:`FunctionJob` (IR or mini-C text), runs the standard
+measurement pipeline -- size before, LLVM-style reroll baseline,
+RoLAG, verify, size after -- on fresh copies of the job's module, and
+sends back a plain :class:`FunctionResult`.  Every job runs the
+mini-C frontend at most once: when the session has already compiled
+a C job to fingerprint it, the job travels with that module's
+:class:`~repro.ir.FrozenModule` (printed IR plus fresh-name counters)
+and the worker thaws its copies from it; otherwise the worker
+compiles once and thaws from its own frozen form.  An IR job's text
+already is its frozen form.  The ``repro serve`` daemon drives one
+long-lived session; the batch entry point :func:`optimize_functions`
+is a thin client that submits every job, drains the session, and
+returns the results in job order.
 
 Dispatch is chunked (one pickle round-trip per chunk, not per
 function) and falls back to a deterministic in-process loop for
@@ -55,7 +61,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.costmodel import CodeSizeCostModel
 from ..difftest.runner import check_module_semantics
@@ -68,10 +74,9 @@ from ..faultinject import (
     install_plan,
     resolve_plan,
 )
-from ..frontend import compile_c
 from ..ir import (
+    FrozenModule,
     ParseError,
-    parse_module,
     print_module,
     rename_function_locals,
     rename_globals,
@@ -81,7 +86,7 @@ from ..ir.module import Module
 from ..ir.structhash import StructuralSummary, compose_witness_renames
 from ..rolag import RolagConfig, RolagStats, roll_loops_in_module
 from ..transforms.reroll import reroll_loops
-from .cache import ResultCache, job_key, job_struct_summary
+from .cache import ResultCache, fingerprint_job, job_key, materialize
 from .quarantine import QuarantineList, quarantine_key
 from .types import DriverReport, DriverStats, FunctionJob, FunctionResult
 
@@ -95,12 +100,12 @@ def default_worker_count() -> int:
 
 
 def _load_module(job: FunctionJob) -> Module:
-    """Materialize the job's module in this process."""
+    """One fresh, verified copy of an IR job's module, or the freshly
+    compiled module of a mini-C job."""
+    module = materialize(job)
     if job.ir_text is not None:
-        module = parse_module(job.ir_text)
         verify_module(module)
-        return module
-    return compile_c(job.c_source, module_name=f"driver.{job.name}")
+    return module
 
 
 def _measure(
@@ -124,8 +129,16 @@ def optimize_one(
     timed: bool = False,
     check_semantics: bool = False,
     evaluator: str = "interp",
+    frozen: Optional[FrozenModule] = None,
 ) -> FunctionResult:
     """The per-function pipeline one worker runs for one job.
+
+    Every stage -- reroll baseline, RoLAG, and the oracle's original --
+    consumes its own fresh, verified copy of the input.  An IR job
+    parses its text for each.  A mini-C job runs the frontend at most
+    once: each copy is thawed from ``frozen`` (the module the session
+    fingerprinted), or, without one, from a module compiled and frozen
+    here.
 
     With ``check_semantics`` set, both transformed modules are
     differentially tested against a fresh copy of the input via the
@@ -151,9 +164,14 @@ def optimize_one(
     def load() -> Module:
         # Parse/verify wall time books under the stats' ``parse`` phase
         # so timed runs attribute the Amdahl floor directly.
-        nonlocal parse_seconds
+        nonlocal parse_seconds, frozen
         parse_start = perf_counter()
-        loaded = _load_module(job)
+        if job.ir_text is not None:
+            loaded = _load_module(job)
+        else:
+            if frozen is None:
+                frozen = FrozenModule.freeze(_load_module(job))
+            loaded = frozen.thaw()
         parse_seconds += perf_counter() - parse_start
         return loaded
 
@@ -299,6 +317,7 @@ def run_one_guarded(
     check_semantics: bool = False,
     evaluator: str = "interp",
     deadline: Optional[float] = None,
+    frozen: Optional[FrozenModule] = None,
 ) -> Outcome:
     """One attempt at one job, with crash/timeout containment.
 
@@ -312,7 +331,8 @@ def run_one_guarded(
         with deadline_scope(deadline):
             fire("driver.worker.start")
             return optimize_one(
-                job, config, measure_model, timed, check_semantics, evaluator
+                job, config, measure_model, timed, check_semantics,
+                evaluator, frozen,
             )
     except DeadlineExceeded as error:
         return _Failure("timeout", str(error))
@@ -503,8 +523,11 @@ def _init_worker(
     install_plan(fault_plan)
 
 
-def _run_chunk(jobs: Sequence[FunctionJob]) -> List[Outcome]:
-    """Worker entry point: one guarded attempt per job in the chunk."""
+def _run_chunk(
+    pairs: Sequence[Tuple[FunctionJob, Optional[FrozenModule]]]
+) -> List[Outcome]:
+    """Worker entry point: one guarded attempt per ``(job, frozen)``
+    pair in the chunk."""
     return [
         run_one_guarded(
             job,
@@ -514,14 +537,10 @@ def _run_chunk(jobs: Sequence[FunctionJob]) -> List[Outcome]:
             check_semantics=_WORKER_STATE["check_semantics"],
             evaluator=_WORKER_STATE["evaluator"],
             deadline=_WORKER_STATE.get("deadline"),
+            frozen=frozen,
         )
-        for job in jobs
+        for job, frozen in pairs
     ]
-
-
-def _default_chunk_size(pending: int, workers: int) -> int:
-    # ~4 chunks per worker balances pickle overhead against stragglers.
-    return max(1, -(-pending // (workers * 4)))
 
 
 def _terminate_pool_workers(executor) -> None:
@@ -572,10 +591,14 @@ def optimize_functions(
     regardless of completion order.  Every keyword means what it means
     on the session.  ``workers`` defaults to
     :func:`default_worker_count`; ``workers=1`` runs serially
-    in-process (bit-identical to the pool path, since workers rebuild
-    modules from text either way).  With ``cache_dir`` set (and
-    ``use_cache`` true), cache hits resolve at submit time, before any
-    job is dispatched, and newly computed results are written back.
+    in-process (bit-identical to the pool path: either way each stage
+    works on a copy parsed from the same text).  With more workers the
+    pool starts while the batch is still being submitted: every whole
+    chunk leaves as soon as it is queued, but nothing is harvested
+    before the last submit, so cache, dedupe and quarantine decisions
+    are those of submit-all-then-drain.  With ``cache_dir`` set (and
+    ``use_cache`` true), cache hits resolve at submit time, and newly
+    computed results are written back.
     ``check_semantics`` turns on the per-job differential oracle (see
     :func:`optimize_one`); it is part of the cache key, so checked and
     unchecked results never mix.  ``evaluator`` picks the oracle's
@@ -619,7 +642,7 @@ def optimize_functions(
         serial_fallback=serial_fallback,
         max_pool_respawns=max_pool_respawns,
         dedupe=dedupe,
-        _batch=True,
+        _batch=len(jobs),
     ) as session:
         tickets = [session.submit(job) for job in jobs]
         resolved = dict(session.drain())
@@ -645,6 +668,9 @@ class _Ticket:
     key: Optional[str] = None
     #: Lazily computed structural summary (``None`` when unbuildable).
     summary: Optional[StructuralSummary] = None
+    #: The fingerprinted module of a mini-C job, shipped with every
+    #: attempt so the worker never runs the frontend again.
+    frozen: Optional[FrozenModule] = None
     hashed: bool = False
     qkey: Optional[str] = None
     #: Dedupe key while this ticket leads an in-flight group.
@@ -669,7 +695,10 @@ class DriverSession:
 
     * with a cache, every job is structurally fingerprinted and cache
       hits are served at submit time, rewritten into the submitting
-      job's namespace via the stored witness;
+      job's namespace via the stored witness.  Whenever a mini-C job
+      is fingerprinted, the compiled module is kept frozen on its
+      ticket and shipped with every attempt, so the frontend runs
+      once per job;
     * a job identical to one still *in flight* coalesces onto that
       leader (even when the two came from different submitters): one
       computation, every follower gets a renamed copy, failures
@@ -681,16 +710,19 @@ class DriverSession:
       pool respawn after crashes/hangs, graceful degradation -- every
       submitted ticket always resolves to exactly one result.
 
-    :meth:`submit` never executes anything: work runs at the next
-    :meth:`pump`/:meth:`collect`, so jobs submitted back-to-back can
-    still coalesce and a pool receives them together.  With
+    :meth:`submit` never executes or harvests anything: work runs at
+    the next :meth:`pump`/:meth:`collect`, so jobs submitted
+    back-to-back can still coalesce and a pool receives them together
+    (a batch session also hands whole chunks to its pool as they
+    queue up).  With
     ``workers == 1`` jobs execute in-process, in submission order
     (deterministic, pool-free -- the mode tests and single-core daemons
     run).  With more workers a persistent
     :class:`~concurrent.futures.ProcessPoolExecutor` computes them in
     chunks of ``chunk_size`` jobs (by default about four chunks per
-    worker over the current queue, and single jobs under a deadline or
-    a fault plan).  A chunk running longer than ``deadline`` per job
+    worker over the current queue -- over the whole batch while a
+    batch is being submitted -- and single jobs under a deadline or a
+    fault plan).  A chunk running longer than ``deadline`` per job
     is declared hung and its pool killed.  When the pool keeps dying,
     the remaining jobs run in-process (``serial_fallback=True``, what
     the daemon uses) or degrade to ``pool``-class error results (the
@@ -703,9 +735,12 @@ class DriverSession:
     pool down -- no orphaned workers, no leaked in-flight jobs, even
     when teardown itself hits an exception.
 
-    ``_batch`` is set by :func:`optimize_functions` alone: its whole
-    batch is submitted before the first pump, so it dedupes on exact
-    text without a cache and runs a lone job to compute in-process.
+    ``_batch`` (the batch's job count) is set by
+    :func:`optimize_functions` alone: its whole batch is submitted
+    before the first pump, so it dedupes on exact text without a cache,
+    runs a lone job to compute in-process, and otherwise feeds whole
+    chunks to a pool up to ``workers`` wide during submission (see
+    :meth:`_feed`).
     """
 
     def __init__(
@@ -730,7 +765,7 @@ class DriverSession:
         serial_fallback: bool = False,
         max_pool_respawns: int = 2,
         dedupe: bool = True,
-        _batch: bool = False,
+        _batch: int = 0,
     ) -> None:
         self.config = config or RolagConfig()
         self.workers = (
@@ -821,7 +856,7 @@ class DriverSession:
         """
         if not rec.hashed:
             start = perf_counter()
-            rec.summary = job_struct_summary(rec.job)
+            rec.summary, rec.frozen = fingerprint_job(rec.job, freeze=True)
             rec.hashed = True
             if self._timed:
                 self.stats.phase_seconds["hash"] += perf_counter() - start
@@ -956,18 +991,46 @@ class DriverSession:
         if self._dedupe:
             dkey = _dedupe_key(
                 job, rec.key, lambda: self._summary_of(rec),
-                exact_text=self._batch,
+                exact_text=bool(self._batch),
             )
             leader = self._leader_by_key.get(dkey)
             if leader is not None:
                 self._tickets[leader].followers.append(ticket)
                 self.stats.dedupe_hits += 1
+                rec.frozen = None  # a follower never executes
                 return ticket
             self._leader_by_key[dkey] = ticket
             rec.dkey = dkey
 
         self._queue.append(ticket)
+        if self._batch:
+            self._feed()
         return ticket
+
+    def _feed(self) -> None:
+        """Batch only: ship every whole chunk queued so far to the pool.
+
+        Nothing is harvested here: a result settling mid-submission
+        would write the cache, charge the quarantine list or release a
+        dedupe leader, and later submits would decide differently from
+        submit-all-then-drain.  Until two jobs are queued the batch may
+        still turn out to have a lone job to compute, which runs
+        in-process (see :meth:`_runs_in_process`); after a pool death
+        the pump takes over.
+        """
+        size = self._chunk_size_for(self._batch)
+        if (
+            self.workers == 1
+            or self._respawns
+            or len(self._queue) < max(2, size)
+        ):
+            return
+        try:
+            if self._executor is None:
+                self._executor = self._spawn_executor()
+            self._dispatch(size)
+        except Exception as error:
+            self._pool_died(f"{type(error).__name__}: {error}")
 
     # -- execution ----------------------------------------------------------
 
@@ -990,6 +1053,7 @@ class DriverSession:
             outcome = run_one_guarded(
                 rec.job, self.config, self._measure_model, self._timed,
                 self._check_semantics, self._evaluator, self._deadline,
+                rec.frozen,
             )
             if isinstance(outcome, FunctionResult):
                 outcome.attempts = rec.attempts + 1
@@ -1005,10 +1069,12 @@ class DriverSession:
         self.stats.record_latency(perf_counter() - start)
         self._settle(ticket, result)
 
-    def _spawn_executor(self, want: int):
-        """A fresh pool, never wider than the ``want`` jobs queued."""
+    def _spawn_executor(self):
+        """A fresh pool, never wider than the batch, or than the jobs
+        queued in an open-ended session."""
         from concurrent.futures import ProcessPoolExecutor
 
+        want = self._batch or len(self._queue)
         return ProcessPoolExecutor(
             max_workers=min(self.workers, max(1, want)),
             initializer=_init_worker,
@@ -1095,8 +1161,22 @@ class DriverSession:
                 ticket, _error_result(rec.job, "pool", message, rec.attempts)
             )
 
-    def _dispatch(self) -> None:
-        """Send every queued ticket past its backoff to the pool."""
+    def _chunk_size_for(self, pending: int) -> int:
+        """Chunk size for ``pending`` jobs: the configured one, single
+        jobs under a deadline or a fault plan, else about four chunks
+        per worker (balancing pickle overhead against stragglers)."""
+        if self._chunk_size:
+            return self._chunk_size
+        if self._deadline is not None or self._plan is not None:
+            return 1
+        return max(1, -(-pending // (self.workers * 4)))
+
+    def _dispatch(self, whole: Optional[int] = None) -> None:
+        """Send every queued ticket past its backoff to the pool.
+
+        With ``whole`` set, only whole chunks of that size leave; the
+        remainder stays queued.
+        """
         now = perf_counter()
         eligible = [
             t for t in self._queue if self._tickets[t].not_before <= now
@@ -1106,17 +1186,18 @@ class DriverSession:
         self._queue = deque(
             t for t in self._queue if self._tickets[t].not_before > now
         )
-        size = self._chunk_size or (
-            1
-            if (self._deadline is not None or self._plan is not None)
-            else _default_chunk_size(len(eligible), self.workers)
-        )
+        size = whole or self._chunk_size_for(len(eligible))
+        stop = len(eligible) - len(eligible) % size if whole else len(eligible)
         start = 0
         try:
-            while start < len(eligible):
+            while start < stop:
                 chunk = eligible[start:start + size]
                 future = self._executor.submit(
-                    _run_chunk, [self._tickets[t].job for t in chunk]
+                    _run_chunk,
+                    [
+                        (self._tickets[t].job, self._tickets[t].frozen)
+                        for t in chunk
+                    ],
                 )
                 self._inflight[future] = {
                     "tickets": chunk,
@@ -1139,7 +1220,7 @@ class DriverSession:
                     "serial_fallback to retry in-process)"
                 )
                 return
-            self._executor = self._spawn_executor(len(self._queue))
+            self._executor = self._spawn_executor()
         if self._queue:
             self._dispatch()
         if not self._inflight:

@@ -34,6 +34,7 @@ import os
 import tempfile
 from typing import Dict, Optional
 
+from .cache import _AUTO, _content_fingerprint, job_struct_summary
 from .types import FunctionJob
 
 log = logging.getLogger(__name__)
@@ -43,18 +44,15 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 2
 
 
-def quarantine_key(job: FunctionJob, summary: object = None) -> str:
+def quarantine_key(job: FunctionJob, summary: object = _AUTO) -> str:
     """Config-independent structural fingerprint of one job.
 
     ``summary`` mirrors :func:`repro.driver.cache.job_key`: pass a
     precomputed :class:`~repro.ir.structhash.StructuralSummary` (the
-    driver memoizes them), or leave the default to compute one here.
+    driver memoizes them), ``None`` for a job known not to build, or
+    leave the default to compute one here.
     """
-    from .cache import _content_fingerprint, job_struct_summary
-
-    if summary is None:
-        # Covers both "caller did not compute one" and "job does not
-        # build" (recomputing the latter lands on the text fallback).
+    if summary is _AUTO:
         summary = job_struct_summary(job)
     target = job.name
     if summary is not None:

@@ -82,8 +82,14 @@ class LatencyRecorder:
 class FunctionJob:
     """One unit of per-function RoLAG work.
 
-    Exactly one of ``ir_text`` / ``c_source`` must be set: workers
-    parse IR text directly, or run mini-C through the frontend first.
+    Exactly one of ``ir_text`` / ``c_source`` must be set.  Workers
+    parse IR text directly.  Mini-C goes through the frontend once per
+    job: in the session when it fingerprints the job (the worker then
+    receives the compiled module frozen, see
+    :class:`~repro.ir.FrozenModule`), else once in the worker.  The
+    submitted text stays the job's identity either way: the cache and
+    quarantine keys, the evidence seed and degraded results all derive
+    from the job, never from a frozen module.
     ``name`` selects the function whose size the result reports; when
     ``None`` the whole module is measured.
     """

@@ -22,15 +22,23 @@ in-tree pass already works this way.
 Module-level state is covered too: passes may append globals (RoLAG
 emits ``__rolag*`` mismatch tables); restore removes globals that did
 not exist at capture and rewinds the fresh-name counters.
+
+A :class:`FrozenModule` is the other kind of snapshot: a whole module
+as picklable text, for shipping one built module to another process
+and thawing independent copies of it there.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .instructions import Instruction
 from .module import BasicBlock, Function, Module
+from .parser import parse_module
+from .printer import print_module
 from .values import Value
+from .verifier import verify_module
 
 #: One captured instruction: (object, name, operand list at capture).
 _InstEntry = Tuple[Instruction, str, Tuple[Value, ...]]
@@ -166,3 +174,48 @@ class FunctionSnapshot:
                 g for g in self.module.globals if id(g) in self.global_ids
             ]
             self.module._next_global = self.next_global
+
+
+@dataclass(frozen=True)
+class FrozenModule:
+    """A module as printed IR plus the fresh-name counters it cannot
+    encode.
+
+    ``pickle`` of a live :class:`Module` is no substitute: its object
+    graph hits the recursion limit at the default depth, and interned
+    types do not unpickle.  The printed text round-trips everything
+    except the per-function ``_next_temp`` and the module's
+    ``_next_global`` counters; they travel alongside, so names a pass
+    derives in a thawed copy are spelled exactly as in the original.
+    """
+
+    text: str
+    #: ``_next_temp`` of each function that has drawn a fresh name.
+    next_temps: Dict[str, int]
+    next_global: int
+
+    @classmethod
+    def freeze(cls, module: Module) -> "FrozenModule":
+        """Capture ``module`` (which stays untouched and usable)."""
+        return cls(
+            text=print_module(module),
+            next_temps={
+                fn.name: fn._next_temp
+                for fn in module.functions
+                if fn._next_temp
+            },
+            next_global=module._next_global,
+        )
+
+    def thaw(self) -> Module:
+        """A fresh, verified copy of the frozen module.
+
+        Raises what :func:`parse_module` or :func:`verify_module`
+        raise, exactly as loading a bad IR text would.
+        """
+        module = parse_module(self.text)
+        for fn in module.functions:
+            fn._next_temp = self.next_temps.get(fn.name, 0)
+        module._next_global = self.next_global
+        verify_module(module)
+        return module
