@@ -5,15 +5,17 @@ LLVM-flavoured syntax, engineered for batch throughput: difftest
 campaigns and batch drivers parse thousands of module variants, so the
 parser is the single hottest component of an end-to-end run.
 
-Three structural decisions keep it fast:
+Two structural decisions keep it fast:
 
 * **Array tokens.** The lexer produces three parallel arrays (integer
   kinds, interned texts, source offsets) instead of per-token objects,
   and never tracks line numbers on the hot path -- ``line:column``
   positions are recovered lazily from the token offset only when a
   :class:`ParseError` is actually raised.  Token arrays are memoized in
-  a small keyed-by-source cache, so the two parses the difftest runner
-  performs per case (reference and transformed) tokenize once.
+  a small keyed-by-source cache: the driver's per-function pipeline
+  parses a fresh copy of one job's text for each stage (reroll
+  baseline, RoLAG, the oracle's original), and every copy after the
+  first skips the lexer.
 
 * **Interning.**  Token texts are interned process-wide; types are
   interned by the type system itself; integer/float constants and the
@@ -21,14 +23,12 @@ Three structural decisions keep it fast:
   module-wide :class:`InternTable`, so a constant that appears a
   hundred times in a module is one object with one parse of its text.
 
-* **Lazy bodies.**  Module parsing scans top-level structure only:
-  struct definitions, globals, and function *signatures* are
-  materialized, while a ``define`` body is recorded as a token span on
-  a :class:`LazyFunction` and parsed on first touch of ``fn.blocks``.
-  Signature queries (``is_declaration``, ``return_type``,
-  ``arguments``) never force a body.  A body that fails to parse
-  raises :class:`ParseError` deterministically on first touch and on
-  every touch thereafter.
+A module parses in two phases.  The first scans the top level: struct
+definitions, globals and every ``declare``/``define`` signature enter
+one symbol table (which rejects redefinitions and conflicting
+signatures), and each ``define`` body is recorded as a token span.  The
+second parses every span into its function, so a body may call a
+function defined further down the text.
 
 Forward references (phi operands, branch targets, values used before
 their definition line) are resolved through placeholder values that are
@@ -38,7 +38,7 @@ patched once the function body is complete.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .instructions import (
     Alloca,
@@ -168,10 +168,10 @@ _KIND_BY_CHAR.update({c: _K_PUNCT for c in "()[]{}<>,=:*"})
 _TEXT_INTERN: Dict[str, str] = {}
 _TEXT_INTERN_CAP = 1 << 16
 
-#: Token-array memo keyed by source text: the difftest runner parses
-#: the identical text twice per case (reference and transformed side),
-#: and the bisector re-parses one text per stage; sharing the token
-#: arrays removes the second lex entirely.  Entries are immutable.
+#: Token-array memo keyed by source text: the driver parses one job's
+#: text once per pipeline stage, and the bisector re-parses one text
+#: per stage; sharing the token arrays lexes each text once.  Entries
+#: are immutable.
 _TOKEN_CACHE: Dict[str, Tuple[List[int], List[str], List[int]]] = {}
 _TOKEN_CACHE_MAX = 32
 
@@ -288,52 +288,7 @@ class InternTable:
         return c
 
 
-# ----- lazy function bodies -------------------------------------------------
-
-
-class LazyFunction(Function):
-    """A function whose body parses from the token stream on first touch.
-
-    Until ``blocks`` is first read, only the signature exists;
-    ``is_declaration`` answers from a has-body flag without forcing.
-    A body whose parse fails stores the :class:`ParseError` and
-    re-raises it on this and every subsequent touch -- errors surface
-    deterministically at first touch, they are never swallowed.
-    """
-
-    _thunk: Optional[Callable[[], None]] = None
-    _parse_error: Optional[ParseError] = None
-
-    @property
-    def blocks(self) -> List[BasicBlock]:
-        error = self._parse_error
-        if error is not None:
-            raise error
-        thunk = self._thunk
-        if thunk is not None:
-            self._thunk = None
-            try:
-                thunk()
-            except ParseError as parse_error:
-                self._parse_error = parse_error
-                raise
-        return self._blocks
-
-    @blocks.setter
-    def blocks(self, value: List[BasicBlock]) -> None:
-        self._blocks = value
-
-    @property
-    def is_declaration(self) -> bool:
-        """Whether the function has no body (never forces a parse)."""
-        if self._thunk is not None or self._parse_error is not None:
-            return False
-        return not self._blocks
-
-    @property
-    def is_materialized(self) -> bool:
-        """Whether the body (if any) has already been parsed."""
-        return self._thunk is None and self._parse_error is None
+# ----- forward references ---------------------------------------------------
 
 
 class _Forward(Value):
@@ -373,11 +328,11 @@ class Parser:
         self.pos = 0
         self.module = Module()
         self.interns = InternTable()
-        # Name -> object maps mirroring the module lists; the module's
-        # own lookups are linear scans, far too slow for call-heavy
-        # bodies.
-        self._functions: Dict[str, Function] = {}
-        self._globals: Dict[str, Value] = {}
+        # The module's symbol table (its own lookups are linear scans,
+        # far too slow for call-heavy bodies), and each define's body
+        # span in text order.
+        self._symbols: Dict[str, Value] = {}
+        self._bodies: Dict[str, Tuple[Function, int, int]] = {}
 
     # ----- errors ---------------------------------------------------------
 
@@ -494,14 +449,8 @@ class Parser:
 
     # ----- module level ---------------------------------------------------
 
-    def parse_module(self, lazy: bool = False) -> Module:
-        """Parse the whole module.
-
-        With ``lazy`` set, function bodies are left as token spans on
-        :class:`LazyFunction` and parse on first touch of ``.blocks``;
-        otherwise every body materializes before returning (so all
-        parse errors surface here, exactly as the eager parser did).
-        """
+    def parse_module(self) -> Module:
+        """Parse the whole module: top level first, then every body."""
         kinds = self.kinds
         texts = self.texts
         while True:
@@ -519,9 +468,8 @@ class Parser:
                 self._parse_declare()
             else:
                 raise self.error(f"unexpected top-level token {text!r}")
-        if not lazy:
-            for fn in self.module.functions:
-                fn.blocks  # force materialization, surfacing body errors
+        for fn, start, end in self._bodies.values():
+            self._parse_body(fn, start, end)
         return self.module
 
     def _parse_struct_def(self) -> None:
@@ -543,7 +491,8 @@ class Parser:
         self.module.register_struct(struct)
 
     def _parse_global(self) -> None:
-        name = self.texts[self.pos][1:]
+        name_pos = self.pos
+        name = self.texts[name_pos][1:]
         self.pos += 1
         self.expect_punct("=")
         external = self.accept_ident("external")
@@ -556,8 +505,11 @@ class Parser:
         initializer: Optional[Constant] = None
         if not external:
             initializer = self.parse_constant(value_type)
-        gv = self.module.add_global(name, value_type, initializer, is_const)
-        self._globals[name] = gv
+        if name in self._symbols:
+            raise self.error(f"redefinition of @{name}", name_pos)
+        self._symbols[name] = self.module.add_global(
+            name, value_type, initializer, is_const
+        )
 
     def parse_constant(self, ty: Type) -> Constant:
         """Parse a constant of the given type."""
@@ -601,10 +553,15 @@ class Parser:
             return ConstantAggregate(ty, elements)
         raise self._expected("constant")
 
-    def _parse_signature(
-        self, arg_names_required: bool
-    ) -> Tuple[Type, str, List[Type], List[str], bool]:
+    def _parse_function_header(self, is_define: bool) -> Function:
+        """Parse ``declare``/``define`` up to ``)`` and bind the function.
+
+        A function may be declared any number of times and defined once,
+        all with one type; the definition names the arguments.
+        """
+        self.pos += 1  # 'declare' / 'define'
         return_type = self.parse_type()
+        name_pos = self.pos
         name = self.expect_kind(_K_GLOBAL)[1:]
         self.expect_punct("(")
         params: List[Type] = []
@@ -620,34 +577,34 @@ class Parser:
                 if self.kinds[self.pos] == _K_LOCAL:
                     arg_names.append(self.texts[self.pos][1:])
                     self.pos += 1
-                elif arg_names_required:
+                elif is_define:
                     raise self._expected("local")
                 if not self.accept_punct(","):
                     break
             self.expect_punct(")")
-        return return_type, name, params, arg_names, vararg
-
-    def _get_or_add_function(
-        self,
-        name: str,
-        function_type: FunctionType,
-        arg_names: List[str],
-    ) -> Function:
-        fn = self._functions.get(name)
+        function_type = FunctionType(return_type, params, vararg)
+        fn = self._symbols.get(name)
         if fn is None:
-            fn = LazyFunction(name, function_type, self.module, arg_names)
+            fn = Function(name, function_type, self.module, arg_names)
             self.module.functions.append(fn)
-            self._functions[name] = fn
+            self._symbols[name] = fn
+        elif not isinstance(fn, Function) or (
+            is_define and name in self._bodies
+        ):
+            raise self.error(f"redefinition of @{name}", name_pos)
+        elif fn.function_type is not function_type:
+            raise self.error(
+                f"conflicting types for @{name}: {function_type} "
+                f"after {fn.function_type}",
+                name_pos,
+            )
+        elif is_define:
+            for argument, arg_name in zip(fn.arguments, arg_names):
+                argument.name = arg_name
         return fn
 
     def _parse_declare(self) -> None:
-        self.pos += 1  # 'declare'
-        return_type, name, params, arg_names, vararg = self._parse_signature(
-            arg_names_required=False
-        )
-        fn = self._get_or_add_function(
-            name, FunctionType(return_type, params, vararg), arg_names
-        )
+        fn = self._parse_function_header(is_define=False)
         while self.kinds[self.pos] == _K_IDENT and self.texts[self.pos] in (
             "readnone",
             "readonly",
@@ -656,20 +613,10 @@ class Parser:
             self.pos += 1
 
     def _parse_define(self) -> None:
-        self.pos += 1  # 'define'
-        return_type, name, params, arg_names, vararg = self._parse_signature(
-            arg_names_required=True
-        )
-        fn = self._get_or_add_function(
-            name, FunctionType(return_type, params, vararg), arg_names
-        )
+        fn = self._parse_function_header(is_define=True)
         self.expect_punct("{")
         body_start = self.pos
-        body_end = self._skip_body()
-        if not isinstance(fn, LazyFunction):  # pragma: no cover - defensive
-            raise self.error(f"redefinition of @{name}")
-        fn._thunk = lambda: self._parse_body(fn, body_start, body_end)
-        fn._parse_error = None
+        self._bodies[fn.name] = (fn, body_start, self._skip_body())
 
     def _skip_body(self) -> int:
         """Advance past a brace-balanced body; return the index of ``}``."""
@@ -771,9 +718,7 @@ class Parser:
         if kind == _K_GLOBAL:
             self.pos = pos + 1
             name = self.texts[pos][1:]
-            target = self._globals.get(name)
-            if target is None:
-                target = self._functions.get(name)
+            target = self._symbols.get(name)
             if target is None:
                 raise self.error(f"unknown global @{name}", pos)
             return target
@@ -876,8 +821,8 @@ class Parser:
             self.pos = pos + 1
             self.parse_type()  # return type (redundant with callee)
             callee_name = self.expect_kind(_K_GLOBAL)[1:]
-            callee = self._functions.get(callee_name)
-            if callee is None:
+            callee = self._symbols.get(callee_name)
+            if not isinstance(callee, Function):
                 raise self.error(f"unknown function @{callee_name}")
             self.expect_punct("(")
             args = []
@@ -932,14 +877,9 @@ class Parser:
         raise self.error(f"unknown instruction {op!r}")
 
 
-def parse_module(source: str, *, lazy: bool = False) -> Module:
-    """Parse IR text into a :class:`Module`.
-
-    ``lazy`` defers function-body parsing until ``fn.blocks`` is first
-    touched (see :class:`LazyFunction`); the default materializes every
-    body before returning, so all parse errors surface immediately.
-    """
-    return Parser(source).parse_module(lazy=lazy)
+def parse_module(source: str) -> Module:
+    """Parse IR text into a :class:`Module`, every body included."""
+    return Parser(source).parse_module()
 
 
 def parse_function(source: str) -> Function:

@@ -98,6 +98,7 @@ class ServeConfig:
     def rolag_config(self) -> RolagConfig:
         return RolagConfig(
             validate=self.validate,
+            validate_evaluator=self.evaluator,
             guard_dir=self.guard_dir,
         )
 

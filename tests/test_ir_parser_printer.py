@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.difftest.fuzzer import FunctionFuzzer
 from repro.ir import (
     ParseError,
     parse_function,
@@ -116,6 +117,50 @@ entry:
 ]
 
 
+MULTI_FUNCTION = """
+declare i32 @ext(i32)
+
+@G = global [4 x i32] [i32 1, i32 2, i32 3, i32 4]
+
+define i32 @first(i32 %x) {
+entry:
+  %t = call i32 @third()
+  %r = add i32 %x, %t
+  ret i32 %r
+}
+
+define i32 @second(i32 %n) {
+entry:
+  %start = icmp slt i32 0, %n
+  br i1 %start, label %loop, label %done
+loop:
+  %i = phi i32 [ 0, %entry ], [ %next, %loop ]
+  %acc = phi i32 [ 0, %entry ], [ %sum, %loop ]
+  %sum = add i32 %acc, %i
+  %next = add i32 %i, 1
+  %more = icmp slt i32 %next, %n
+  br i1 %more, label %loop, label %done
+done:
+  %r = phi i32 [ 0, %entry ], [ %sum, %loop ]
+  %c = call i32 @ext(i32 %r)
+  ret i32 %c
+}
+
+define i32 @third() {
+entry:
+  %p = getelementptr [4 x i32], [4 x i32]* @G, i64 0, i64 2
+  %v = load i32, i32* %p
+  ret i32 %v
+}
+"""
+
+
+def parse_error(source):
+    with pytest.raises(ParseError) as excinfo:
+        parse_module(source)
+    return excinfo.value
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("source", GOOD_MODULES)
     def test_parse_print_fixpoint(self, source):
@@ -145,6 +190,44 @@ entry:
         verify_module(m)
         call = m.get_function("caller").entry.instructions[0]
         assert call.callee is m.get_function("callee")
+
+    def test_multi_function_module(self):
+        m = parse_module(MULTI_FUNCTION)
+        verify_module(m)
+        assert [f.name for f in m.functions] == [
+            "ext", "first", "second", "third"
+        ]
+        assert m.get_function("ext").is_declaration
+        call = m.get_function("first").entry.instructions[0]
+        assert call.callee is m.get_function("third")
+        text = print_module(m)
+        assert print_module(parse_module(text)) == text
+
+    def test_fuzzed_print_parse_fixpoint(self):
+        fuzzer = FunctionFuzzer(7)
+        for index in range(25):
+            module, _ = fuzzer.build(index)
+            text1 = print_module(module)
+            text2 = print_module(parse_module(text1))
+            assert print_module(parse_module(text2)) == text2, (
+                f"case {index} diverged"
+            )
+
+    def test_define_after_declare_takes_argument_names(self):
+        m = parse_module(
+            """
+declare i32 @h(i32)
+
+define i32 @h(i32 %a) {
+entry:
+  ret i32 %a
+}
+"""
+        )
+        verify_module(m)
+        (fn,) = m.functions
+        assert [a.name for a in fn.arguments] == ["a"]
+        assert not fn.is_declaration
 
     def test_forward_value_reference_in_phi(self):
         m = parse_module(
@@ -210,6 +293,70 @@ entry:
 }
 """
             )
+
+    def test_broken_body_reports_position(self):
+        error = parse_error(
+            """define i32 @fine() {
+entry:
+  ret i32 0
+}
+
+define i32 @broken(i32 %x) {
+entry:
+  %r = add i32 %x, 1
+  ret i32 %r
+  %s = frobnicate i32 %r
+}
+"""
+        )
+        assert (error.line, error.column) == (10, 8)
+        assert "frobnicate" in str(error)
+        assert str(error).startswith("line 10:8: ")
+
+    @pytest.mark.parametrize(
+        "source, line, column, message",
+        [
+            (
+                "define i32 @f() {\nentry:\n  ret i32 0\n}\n"
+                "define i32 @f() {\nentry:\n  ret i32 1\n}\n",
+                5, 12, "redefinition of @f",
+            ),
+            (
+                "@G = global i32 0\n@G = global i32 1\n",
+                2, 1, "redefinition of @G",
+            ),
+            (
+                "@x = global i32 0\ndeclare i32 @x()\n",
+                2, 13, "redefinition of @x",
+            ),
+            (
+                "declare i32 @x()\n@x = global i32 0\n",
+                2, 1, "redefinition of @x",
+            ),
+            (
+                "define i32 @g(i32 %a) {\nentry:\n  ret i32 %a\n}\n"
+                "declare i64 @g(i64)\n",
+                5, 13, "conflicting types for @g",
+            ),
+            (
+                "declare i32 @g(i32)\n"
+                "define i32 @g(i32 %a, i32 %b) {\nentry:\n  ret i32 %a\n}\n",
+                2, 12, "conflicting types for @g",
+            ),
+        ],
+        ids=[
+            "second-define",
+            "second-global",
+            "function-after-global",
+            "global-after-function",
+            "declare-after-define-type",
+            "define-after-declare-type",
+        ],
+    )
+    def test_symbol_table_rejects(self, source, line, column, message):
+        error = parse_error(source)
+        assert (error.line, error.column) == (line, column)
+        assert message in str(error)
 
     def test_unknown_callee(self):
         with pytest.raises(ParseError):

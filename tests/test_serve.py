@@ -140,6 +140,30 @@ class TestInProcessDaemon:
         finally:
             client.close()
 
+    def test_evaluator_reaches_the_validation_gate(self, monkeypatch):
+        import repro.driver.core as driver_core
+
+        gate_evaluators = []
+        make_validator = driver_core._make_validator
+
+        def recording_make_validator(config, seed):
+            gate_evaluators.append(config.validate_evaluator)
+            return make_validator(config, seed)
+
+        monkeypatch.setattr(
+            driver_core, "_make_validator", recording_make_validator
+        )
+        service = unthreaded_service(validate="safe", evaluator="compiled")
+        client = LoopbackClient(service)
+        try:
+            ticket = client.submit_optimize(IR, name="f")
+            service.pump_once()
+            assert client.wait(ticket)["result"]["status"] == "ok"
+        finally:
+            client.close()
+        assert gate_evaluators
+        assert set(gate_evaluators) == {"compiled"}
+
     def test_malformed_params_rejected_inline(self):
         service = unthreaded_service()
         client = LoopbackClient(service)
