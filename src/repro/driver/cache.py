@@ -14,7 +14,9 @@ A cache entry is keyed by a SHA-256 fingerprint of
   themselves -- or a reordering of reachable blocks -- still *hits*.
   Inputs that fail to build (unparseable IR, uncompilable C) fall back
   to a digest of their raw text, flagged with a distinct prefix so the
-  two namespaces cannot collide.
+  two namespaces cannot collide.  Fingerprinting a mini-C job also
+  yields its printed IR, which the driver ships to the worker so the
+  frontend runs once per job.
 
 Equal inputs therefore hit regardless of process, worker count, run
 order, or spelling; any config/model/structural change misses and
@@ -47,7 +49,7 @@ from typing import Dict, Optional, Tuple
 
 from ..analysis.costmodel import CodeSizeCostModel
 from ..faultinject import corrupt_bytes, fire
-from ..ir import FrozenModule, parse_module
+from ..ir import parse_module, print_module
 from ..ir.module import Module
 from ..ir.structhash import StructuralSummary, structural_summary
 from ..rolag.config import RolagConfig
@@ -63,8 +65,9 @@ log = logging.getLogger(__name__)
 #: is gone, and its ``evaluator:`` key can no longer be requested).
 #: 7: keys went structural (alpha-invariant fingerprint + canonical
 #: target instead of raw text), and the envelope gained the producing
-#: job's renaming witness.
-SCHEMA_VERSION = 7
+#: job's renaming witness.  8: derived names became ``prefix.N``, drawn
+#: from the live IR instead of carried counters.
+SCHEMA_VERSION = 8
 
 #: ``job_key``/``quarantine_key`` sentinel: "compute the summary here".
 _AUTO = object()
@@ -95,35 +98,34 @@ def materialize(job: FunctionJob) -> Module:
 
 
 def fingerprint_job(
-    job: FunctionJob, freeze: bool = False
-) -> Tuple[Optional[StructuralSummary], Optional[FrozenModule]]:
+    job: FunctionJob,
+) -> Tuple[Optional[StructuralSummary], Optional[str]]:
     """The job's structural summary, or ``(None, None)`` if it does
     not build.
 
-    With ``freeze`` set, a mini-C job also returns the
-    :class:`FrozenModule` of the module it was fingerprinted from, so
-    the pipeline can thaw copies of it instead of running the frontend
-    again.  (An IR job's text already is its frozen form.)  Any
-    exception means "no structural identity": the caller falls back to
-    keying by raw text, and the job still flows -- its worker will
-    report the real error.
+    A mini-C job also returns the printed IR of the module it was
+    fingerprinted from, so the pipeline can parse copies of it instead
+    of running the frontend again.  (An IR job's text already is that
+    form.)  Any exception means "no structural identity": the caller
+    falls back to keying by raw text, and the job still flows -- its
+    worker will report the real error.
     """
     try:
         module = materialize(job)
         summary = structural_summary(module)
-        frozen = (
-            FrozenModule.freeze(module)
-            if freeze and job.c_source is not None
-            else None
-        )
+        ir_text = print_module(module) if job.c_source is not None else None
     except Exception:
         return None, None
-    return summary, frozen
+    return summary, ir_text
 
 
 def job_struct_summary(job: FunctionJob) -> Optional[StructuralSummary]:
-    """The job's structural summary, or ``None`` if it does not build."""
-    return fingerprint_job(job)[0]
+    """The job's structural summary, or ``None`` if it does not build
+    (:func:`fingerprint_job` without printing the module)."""
+    try:
+        return structural_summary(materialize(job))
+    except Exception:
+        return None
 
 
 def text_fingerprint(job: FunctionJob) -> str:

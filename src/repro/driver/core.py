@@ -7,14 +7,16 @@ measurement pipeline -- size before, LLVM-style reroll baseline,
 RoLAG, verify, size after -- on fresh copies of the job's module, and
 sends back a plain :class:`FunctionResult`.  Every job runs the
 mini-C frontend at most once: when the session has already compiled
-a C job to fingerprint it, the job travels with that module's
-:class:`~repro.ir.FrozenModule` (printed IR plus fresh-name counters)
-and the worker thaws its copies from it; otherwise the worker
-compiles once and thaws from its own frozen form.  An IR job's text
-already is its frozen form.  The ``repro serve`` daemon drives one
-long-lived session; the batch entry point :func:`optimize_functions`
-is a thin client that submits every job, drains the session, and
-returns the results in job order.
+a C job to fingerprint it, the job travels with that module's printed
+IR and the worker parses its copies from it; otherwise the worker
+compiles once and parses its copies from its own print.  An IR job's
+text already is that form.  The printed text is all a copy needs:
+fresh names derive from the live IR (see
+:meth:`repro.ir.Function.next_name`), so a parsed copy names what a
+pass derives exactly as the compiled module would.  The ``repro
+serve`` daemon drives one long-lived session; the batch entry point
+:func:`optimize_functions` is a thin client that submits every job,
+drains the session, and returns the results in job order.
 
 Dispatch is chunked (one pickle round-trip per chunk, not per
 function) and falls back to a deterministic in-process loop for
@@ -75,8 +77,8 @@ from ..faultinject import (
     resolve_plan,
 )
 from ..ir import (
-    FrozenModule,
     ParseError,
+    parse_module,
     print_module,
     rename_function_locals,
     rename_globals,
@@ -97,15 +99,6 @@ MAX_DEFAULT_WORKERS = 8
 def default_worker_count() -> int:
     """``min(os.cpu_count(), 8)``, and at least 1."""
     return max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
-
-
-def _load_module(job: FunctionJob) -> Module:
-    """One fresh, verified copy of an IR job's module, or the freshly
-    compiled module of a mini-C job."""
-    module = materialize(job)
-    if job.ir_text is not None:
-        verify_module(module)
-    return module
 
 
 def _measure(
@@ -129,16 +122,15 @@ def optimize_one(
     timed: bool = False,
     check_semantics: bool = False,
     evaluator: str = "interp",
-    frozen: Optional[FrozenModule] = None,
+    shipped_ir: Optional[str] = None,
 ) -> FunctionResult:
     """The per-function pipeline one worker runs for one job.
 
     Every stage -- reroll baseline, RoLAG, and the oracle's original --
-    consumes its own fresh, verified copy of the input.  An IR job
-    parses its text for each.  A mini-C job runs the frontend at most
-    once: each copy is thawed from ``frozen`` (the module the session
-    fingerprinted), or, without one, from a module compiled and frozen
-    here.
+    parses and verifies its own fresh copy of one IR text: the job's
+    own, ``shipped_ir`` (the printed module the session fingerprinted
+    a mini-C job from), or, without either, the print of one frontend
+    run here.
 
     With ``check_semantics`` set, both transformed modules are
     differentially tested against a fresh copy of the input via the
@@ -164,14 +156,16 @@ def optimize_one(
     def load() -> Module:
         # Parse/verify wall time books under the stats' ``parse`` phase
         # so timed runs attribute the Amdahl floor directly.
-        nonlocal parse_seconds, frozen
+        nonlocal parse_seconds, shipped_ir
         parse_start = perf_counter()
-        if job.ir_text is not None:
-            loaded = _load_module(job)
-        else:
-            if frozen is None:
-                frozen = FrozenModule.freeze(_load_module(job))
-            loaded = frozen.thaw()
+        if shipped_ir is None:
+            shipped_ir = (
+                job.ir_text
+                if job.ir_text is not None
+                else print_module(materialize(job))
+            )
+        loaded = parse_module(shipped_ir)
+        verify_module(loaded)
         parse_seconds += perf_counter() - parse_start
         return loaded
 
@@ -317,7 +311,7 @@ def run_one_guarded(
     check_semantics: bool = False,
     evaluator: str = "interp",
     deadline: Optional[float] = None,
-    frozen: Optional[FrozenModule] = None,
+    shipped_ir: Optional[str] = None,
 ) -> Outcome:
     """One attempt at one job, with crash/timeout containment.
 
@@ -332,7 +326,7 @@ def run_one_guarded(
             fire("driver.worker.start")
             return optimize_one(
                 job, config, measure_model, timed, check_semantics,
-                evaluator, frozen,
+                evaluator, shipped_ir,
             )
     except DeadlineExceeded as error:
         return _Failure("timeout", str(error))
@@ -524,9 +518,9 @@ def _init_worker(
 
 
 def _run_chunk(
-    pairs: Sequence[Tuple[FunctionJob, Optional[FrozenModule]]]
+    pairs: Sequence[Tuple[FunctionJob, Optional[str]]]
 ) -> List[Outcome]:
-    """Worker entry point: one guarded attempt per ``(job, frozen)``
+    """Worker entry point: one guarded attempt per ``(job, shipped_ir)``
     pair in the chunk."""
     return [
         run_one_guarded(
@@ -537,9 +531,9 @@ def _run_chunk(
             check_semantics=_WORKER_STATE["check_semantics"],
             evaluator=_WORKER_STATE["evaluator"],
             deadline=_WORKER_STATE.get("deadline"),
-            frozen=frozen,
+            shipped_ir=shipped_ir,
         )
-        for job, frozen in pairs
+        for job, shipped_ir in pairs
     ]
 
 
@@ -668,9 +662,9 @@ class _Ticket:
     key: Optional[str] = None
     #: Lazily computed structural summary (``None`` when unbuildable).
     summary: Optional[StructuralSummary] = None
-    #: The fingerprinted module of a mini-C job, shipped with every
-    #: attempt so the worker never runs the frontend again.
-    frozen: Optional[FrozenModule] = None
+    #: The printed IR a mini-C job was fingerprinted from, shipped with
+    #: every attempt so the worker never runs the frontend again.
+    shipped_ir: Optional[str] = None
     hashed: bool = False
     qkey: Optional[str] = None
     #: Dedupe key while this ticket leads an in-flight group.
@@ -696,8 +690,8 @@ class DriverSession:
     * with a cache, every job is structurally fingerprinted and cache
       hits are served at submit time, rewritten into the submitting
       job's namespace via the stored witness.  Whenever a mini-C job
-      is fingerprinted, the compiled module is kept frozen on its
-      ticket and shipped with every attempt, so the frontend runs
+      is fingerprinted, the compiled module's printed IR is kept on
+      its ticket and shipped with every attempt, so the frontend runs
       once per job;
     * a job identical to one still *in flight* coalesces onto that
       leader (even when the two came from different submitters): one
@@ -856,7 +850,7 @@ class DriverSession:
         """
         if not rec.hashed:
             start = perf_counter()
-            rec.summary, rec.frozen = fingerprint_job(rec.job, freeze=True)
+            rec.summary, rec.shipped_ir = fingerprint_job(rec.job)
             rec.hashed = True
             if self._timed:
                 self.stats.phase_seconds["hash"] += perf_counter() - start
@@ -997,7 +991,7 @@ class DriverSession:
             if leader is not None:
                 self._tickets[leader].followers.append(ticket)
                 self.stats.dedupe_hits += 1
-                rec.frozen = None  # a follower never executes
+                rec.shipped_ir = None  # a follower never executes
                 return ticket
             self._leader_by_key[dkey] = ticket
             rec.dkey = dkey
@@ -1053,7 +1047,7 @@ class DriverSession:
             outcome = run_one_guarded(
                 rec.job, self.config, self._measure_model, self._timed,
                 self._check_semantics, self._evaluator, self._deadline,
-                rec.frozen,
+                rec.shipped_ir,
             )
             if isinstance(outcome, FunctionResult):
                 outcome.attempts = rec.attempts + 1
@@ -1195,7 +1189,7 @@ class DriverSession:
                 future = self._executor.submit(
                     _run_chunk,
                     [
-                        (self._tickets[t].job, self._tickets[t].frozen)
+                        (self._tickets[t].job, self._tickets[t].shipped_ir)
                         for t in chunk
                     ],
                 )

@@ -3,7 +3,9 @@
 Jobs travel *into* worker processes and results travel back, so both
 carry only text and primitives: a job is IR (or mini-C) text plus a
 target function name; a result is sizes, counters, and the optimized
-IR, JSON-serializable for the on-disk memo cache.
+IR, JSON-serializable for the on-disk memo cache.  Printed IR is the
+whole shipped form of a module: nothing about its names lives outside
+the text.
 """
 
 from __future__ import annotations
@@ -85,11 +87,10 @@ class FunctionJob:
     Exactly one of ``ir_text`` / ``c_source`` must be set.  Workers
     parse IR text directly.  Mini-C goes through the frontend once per
     job: in the session when it fingerprints the job (the worker then
-    receives the compiled module frozen, see
-    :class:`~repro.ir.FrozenModule`), else once in the worker.  The
-    submitted text stays the job's identity either way: the cache and
-    quarantine keys, the evidence seed and degraded results all derive
-    from the job, never from a frozen module.
+    receives the compiled module as printed IR), else once in the
+    worker.  The submitted text stays the job's identity either way:
+    the cache and quarantine keys, the evidence seed and degraded
+    results all derive from the job, never from the shipped IR.
     ``name`` selects the function whose size the result reports; when
     ``None`` the whole module is measured.
     """

@@ -882,4 +882,7 @@ def compile_c(
 
         default_cleanup_pipeline(verify=True).run(module)
         verify_module(module)
+    # Name later passes as if the module had been parsed from its text.
+    for fn in module.functions:
+        fn.reset_names()
     return module

@@ -99,7 +99,7 @@ from .values import (
     neutral_element,
     zero_constant_for,
 )
-from .snapshot import FrozenModule, FunctionSnapshot
+from .snapshot import FunctionSnapshot
 from .verifier import (
     VerificationError,
     verify_blocks,
@@ -114,7 +114,7 @@ __all__ = [
     "ConstantAggregate", "ConstantFloat",
     "ConstantInt", "ConstantNull", "ConstantZero", "DataLayout",
     "DEFAULT_LAYOUT", "EVALUATOR_CHOICES", "F32", "F64", "FCmp",
-    "FloatType", "FrozenModule", "Function",
+    "FloatType", "Function",
     "FunctionSnapshot",
     "FunctionType", "GetElementPtr", "GlobalVariable", "I1", "I16", "I32",
     "I64", "I8", "ICmp", "IRBuilder", "Instruction", "IntType", "LABEL",

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .instructions import Br, Instruction, Phi
 from .types import FunctionType, LABEL, PointerType, StructType, Type
 from .values import Argument, Constant, GlobalVariable, Value
+
+
+def _fresh_name(prefix: str, taken: Set[str], last: int = 0) -> Tuple[str, int]:
+    """The first ``prefix.N`` with ``N > last`` that is not in ``taken``,
+    and its ``N``."""
+    while True:
+        last += 1
+        name = f"{prefix}.{last}"
+        if name not in taken:
+            return name, last
 
 
 class BasicBlock(Value):
@@ -117,7 +127,11 @@ class Function(Constant):
             Argument(ty, names[i] if i < len(names) else f"arg{i}", i)
             for i, ty in enumerate(function_type.params)
         ]
-        self._next_temp = 0
+        #: Every local name live or drawn since the memo was built
+        #: (``None`` until the first draw), and per prefix the last
+        #: ``N`` drawn.  See :meth:`next_name`.
+        self._taken: Optional[Set[str]] = None
+        self._last: Dict[str, int] = {}
 
     @property
     def return_type(self) -> Type:
@@ -145,34 +159,37 @@ class Function(Constant):
         return block
 
     def next_name(self, prefix: str = "t") -> str:
-        """A fresh local name with the given prefix."""
-        self._next_temp += 1
-        return f"{prefix}{self._next_temp}"
+        """A fresh local name, ``prefix.N``.
+
+        ``N`` counts up from 1 per prefix and skips every name an
+        argument, block or instruction of the function holds (or a
+        previous draw returned), so a derived name never equals an
+        input name.  The names taken are collected at the first draw
+        (or the first after :meth:`reset_names`), so draws depend on the
+        live IR alone: a function and a parsed copy of its printed text
+        draw the same names.
+        """
+        if self._taken is None:
+            self._taken = {a.name for a in self.arguments}
+            for block in self.blocks:
+                self._taken.add(block.name)
+                self._taken.update(inst.name for inst in block.instructions)
+        name, self._last[prefix] = _fresh_name(
+            prefix, self._taken, self._last.get(prefix, 0)
+        )
+        self._taken.add(name)
+        return name
+
+    def reset_names(self) -> None:
+        """Forget the names drawn so far; the next draw starts over from
+        the live names, as in a freshly parsed copy."""
+        self._taken = None
+        self._last.clear()
 
     def instructions(self) -> Iterator[Instruction]:
         """Iterate all instructions in block order."""
         for block in self.blocks:
             yield from block.instructions
-
-    def rename_locals(self) -> None:
-        """Give every block and named-value a unique, stable name."""
-        taken: Set[str] = {a.name for a in self.arguments}
-        counter = 0
-
-        def fresh(base: str) -> str:
-            nonlocal counter
-            candidate = base
-            while not candidate or candidate in taken:
-                candidate = f"{base or 'v'}.{counter}" if base else f"v{counter}"
-                counter += 1
-            taken.add(candidate)
-            return candidate
-
-        for block in self.blocks:
-            block.name = fresh(block.name or "bb")
-        for inst in self.instructions():
-            if not inst.type.is_void:
-                inst.name = fresh(inst.name)
 
     def short_name(self) -> str:
         """Printable reference (``@name``)."""
@@ -190,7 +207,6 @@ class Module:
         self.functions: List[Function] = []
         self.globals: List[GlobalVariable] = []
         self.struct_types: Dict[str, StructType] = {}
-        self._next_global = 0
 
     def add_function(
         self,
@@ -230,15 +246,10 @@ class Module:
         return None
 
     def unique_global_name(self, base: str) -> str:
-        """A global name not yet taken, derived from ``base``."""
+        """``base`` if no global or function holds it, else the first
+        ``base.N`` none holds (the rule of :meth:`Function.next_name`)."""
         taken = {g.name for g in self.globals} | {f.name for f in self.functions}
-        if base not in taken:
-            return base
-        while True:
-            self._next_global += 1
-            candidate = f"{base}.{self._next_global}"
-            if candidate not in taken:
-                return candidate
+        return base if base not in taken else _fresh_name(base, taken)[0]
 
     def register_struct(self, struct: StructType) -> None:
         """Record a named struct for printing."""

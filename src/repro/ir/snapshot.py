@@ -21,24 +21,18 @@ in-tree pass already works this way.
 
 Module-level state is covered too: passes may append globals (RoLAG
 emits ``__rolag*`` mismatch tables); restore removes globals that did
-not exist at capture and rewinds the fresh-name counters.
-
-A :class:`FrozenModule` is the other kind of snapshot: a whole module
-as picklable text, for shipping one built module to another process
-and thawing independent copies of it there.
+not exist at capture.  Fresh names need no rewinding: they derive from
+the live IR (see :meth:`Function.next_name`), and restore makes the
+function forget the names the rolled-back pass drew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .instructions import Instruction
 from .module import BasicBlock, Function, Module
-from .parser import parse_module
-from .printer import print_module
 from .values import Value
-from .verifier import verify_module
 
 #: One captured instruction: (object, name, operand list at capture).
 _InstEntry = Tuple[Instruction, str, Tuple[Value, ...]]
@@ -52,7 +46,6 @@ class FunctionSnapshot:
 
     def __init__(self, fn: Function) -> None:
         self.fn = fn
-        self.next_temp = fn._next_temp
         self.blocks: List[_BlockEntry] = [
             (
                 block,
@@ -68,11 +61,9 @@ class FunctionSnapshot:
         if self.module is not None:
             self.global_ids = frozenset(id(g) for g in self.module.globals)
             self.global_count = len(self.module.globals)
-            self.next_global = self.module._next_global
         else:
             self.global_ids = frozenset()
             self.global_count = 0
-            self.next_global = 0
 
     # -- inspection --------------------------------------------------------
 
@@ -166,56 +157,10 @@ class FunctionSnapshot:
                 block.instructions.append(inst)
                 for operand in operands:
                     inst.add_operand(operand)
-        fn._next_temp = self.next_temp
+        fn.reset_names()
         # Phase 3: remove globals the pass added (RoLAG mismatch tables
-        # and the like) and rewind the module's fresh-name counter.
+        # and the like).
         if self.module is not None:
             self.module.globals = [
                 g for g in self.module.globals if id(g) in self.global_ids
             ]
-            self.module._next_global = self.next_global
-
-
-@dataclass(frozen=True)
-class FrozenModule:
-    """A module as printed IR plus the fresh-name counters it cannot
-    encode.
-
-    ``pickle`` of a live :class:`Module` is no substitute: its object
-    graph hits the recursion limit at the default depth, and interned
-    types do not unpickle.  The printed text round-trips everything
-    except the per-function ``_next_temp`` and the module's
-    ``_next_global`` counters; they travel alongside, so names a pass
-    derives in a thawed copy are spelled exactly as in the original.
-    """
-
-    text: str
-    #: ``_next_temp`` of each function that has drawn a fresh name.
-    next_temps: Dict[str, int]
-    next_global: int
-
-    @classmethod
-    def freeze(cls, module: Module) -> "FrozenModule":
-        """Capture ``module`` (which stays untouched and usable)."""
-        return cls(
-            text=print_module(module),
-            next_temps={
-                fn.name: fn._next_temp
-                for fn in module.functions
-                if fn._next_temp
-            },
-            next_global=module._next_global,
-        )
-
-    def thaw(self) -> Module:
-        """A fresh, verified copy of the frozen module.
-
-        Raises what :func:`parse_module` or :func:`verify_module`
-        raise, exactly as loading a bad IR text would.
-        """
-        module = parse_module(self.text)
-        for fn in module.functions:
-            fn._next_temp = self.next_temps.get(fn.name, 0)
-        module._next_global = self.next_global
-        verify_module(module)
-        return module

@@ -1,19 +1,21 @@
 """Each job runs the mini-C frontend once, and outputs do not change.
 
 A mini-C job's pipeline consumes three copies of its module (reroll
-baseline, RoLAG, the oracle's original).  They are thawed from one
-:class:`~repro.ir.FrozenModule`: the one the session took when it
-fingerprinted the job, or one the worker froze after compiling once.
-The tests here count ``compile_c`` calls, pin every output against a
-reference where each copy is freshly compiled, and check the batch
-pool is fed while the batch is still being submitted (pool tests are
-marked ``parallel``).
+baseline, RoLAG, the oracle's original).  They are parsed from one
+printed IR text: the one the session printed when it fingerprinted the
+job, or one the worker printed after compiling once.  The tests here
+count ``compile_c`` calls, pin every output against an independently
+compiled reference, check that a C job, its printed-IR job and a
+pipeline compiling each stage afresh answer byte-identically, and
+check the batch pool is fed while the batch is still being submitted
+(pool tests are marked ``parallel``).
 """
 
 import pytest
 
 import repro.frontend
 from repro.bench import angha
+from repro.bench.objsize import function_size
 from repro.driver import (
     DriverSession,
     FunctionJob,
@@ -21,11 +23,12 @@ from repro.driver import (
     optimize_one,
     run_one_guarded,
 )
-from repro.driver.core import _Ticket, _load_module
+from repro.driver.core import _Ticket
 from repro.driver.quarantine import quarantine_key
 from repro.frontend import compile_c
-from repro.ir import FrozenModule, VerificationError, print_module
-from repro.rolag import RolagConfig
+from repro.ir import print_module
+from repro.rolag import RolagConfig, roll_loops_in_module
+from repro.transforms.reroll import reroll_loops
 
 SEED = 2022
 COUNT = 6
@@ -68,16 +71,6 @@ def compiles(monkeypatch):
     return calls
 
 
-class _Recompiling:
-    """Stands in for a frozen module: every thaw runs the frontend."""
-
-    def __init__(self, job):
-        self.job = job
-
-    def thaw(self):
-        return compile_c(self.job.c_source, module_name="reference")
-
-
 RUNS = {
     "cache": (RolagConfig(), {"cache": True}),
     "no-cache": (RolagConfig(), {}),
@@ -106,7 +99,9 @@ def test_frontend_runs_once_per_job_and_outputs_match(
     reference = [
         optimize_one(
             job, config, check_semantics=options.get("check_semantics", False),
-            frozen=_Recompiling(job),
+            shipped_ir=print_module(
+                compile_c(job.c_source, module_name="reference")
+            ),
         )
         for job in jobs
     ]
@@ -133,42 +128,51 @@ def test_ir_jobs_never_reach_the_frontend(compiles, tmp_path):
     assert compiles == []
 
 
-class TestFrozenModule:
-    def test_round_trip_keeps_text_and_counters(self):
-        module = compile_c(_corpus()[0].c_source)
-        fn = module.functions[0]
-        fn.next_name()
-        module.unique_global_name(fn.name)
-        frozen = FrozenModule.freeze(module)
-        assert frozen.next_temps[fn.name] == fn._next_temp > 0
-        assert frozen.next_global == module._next_global == 1
+IDENTITY_COUNT = 40
 
-        thawed = frozen.thaw()
-        assert thawed is not module
-        assert print_module(thawed) == print_module(module) == frozen.text
-        assert [f._next_temp for f in thawed.functions] == [
-            f._next_temp for f in module.functions
-        ]
-        assert thawed._next_global == module._next_global
-        # Copies are independent.
-        assert frozen.thaw().functions[0] is not thawed.functions[0]
+
+def _fresh_per_stage(job, config):
+    """The pipeline as ``perfbench/trace.py`` replays it: each stage
+    compiles its own copy, and the passes are called directly."""
+    llvm_module = compile_c(job.c_source, module_name=f"driver.{job.name}")
+    for fn in llvm_module.functions:
+        reroll_loops(fn)
+    module = compile_c(job.c_source, module_name=f"driver.{job.name}")
+    roll_loops_in_module(module, config=config)
+    return (
+        function_size(llvm_module.get_function(job.name), None),
+        function_size(module.get_function(job.name), None),
+        print_module(module),
+    )
+
+
+class TestShippedText:
+    def test_c_ir_and_fresh_stage_pipelines_agree_byte_for_byte(self):
+        config = RolagConfig()
+        rolled = 0
+        for cs in angha.generate_sources(count=IDENTITY_COUNT, seed=SEED):
+            c_job = FunctionJob(name=cs.name, c_source=cs.source)
+            ir_job = FunctionJob(
+                name=cs.name, ir_text=print_module(compile_c(cs.source))
+            )
+            from_c = optimize_one(c_job, config)
+            from_ir = optimize_one(ir_job, config)
+            fresh = _fresh_per_stage(c_job, config)
+            assert from_c.optimized_ir == from_ir.optimized_ir, cs.name
+            assert fresh == (
+                from_c.llvm_size, from_c.rolag_size, from_c.optimized_ir
+            ), cs.name
+            assert from_ir.savings == from_c.savings, cs.name
+            rolled += from_c.rolag_rolled
+        assert rolled > 0, "corpus rolls nothing"
 
     def test_malformed_text_fails_like_a_bad_ir_job(self):
-        frozen = FrozenModule(text=UNVERIFIABLE_IR, next_temps={}, next_global=0)
-        ir_job = FunctionJob(name="f", ir_text=UNVERIFIABLE_IR)
-        with pytest.raises(VerificationError) as thawed:
-            frozen.thaw()
-        with pytest.raises(VerificationError) as loaded:
-            _load_module(ir_job)
-        assert str(thawed.value) == str(loaded.value)
-
-        c_job = _corpus()[0]
-        from_frozen = run_one_guarded(c_job, frozen=frozen)
-        from_ir = run_one_guarded(ir_job)
-        assert (from_frozen.kind, from_frozen.message) == (
+        shipped = run_one_guarded(_corpus()[0], shipped_ir=UNVERIFIABLE_IR)
+        from_ir = run_one_guarded(FunctionJob(name="f", ir_text=UNVERIFIABLE_IR))
+        assert (shipped.kind, shipped.message) == (
             from_ir.kind, from_ir.message,
         )
-        assert from_frozen.message.startswith("VerificationError")
+        assert shipped.message.startswith("VerificationError")
 
 
 class TestQuarantineKeyOfUnbuildableJobs:
@@ -186,7 +190,7 @@ class TestQuarantineKeyOfUnbuildableJobs:
             assert len(compiles) == 1
             assert not session._charge(rec, "crash", "boom")
             assert len(compiles) == 1
-            assert rec.summary is None and rec.frozen is None
+            assert rec.summary is None and rec.shipped_ir is None
 
     def test_failing_job_through_the_batch(self, compiles):
         report = optimize_functions(

@@ -243,15 +243,6 @@ class TestBlocksAndFunctions:
         assert entry.phis() == [phi]
         assert entry.first_non_phi_index() == 1
 
-    def test_rename_locals_unique(self):
-        m, fn, entry = make_fn()
-        builder = IRBuilder(entry)
-        x = builder.add(builder.i32(1), builder.i32(2), name="x")
-        y = builder.add(builder.i32(1), builder.i32(2), name="x")
-        builder.ret()
-        fn.rename_locals()
-        assert x.name != y.name
-
     def test_module_lookup(self):
         m = Module()
         fn = m.add_function("foo", FunctionType(VOID, []))
