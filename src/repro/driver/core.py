@@ -6,10 +6,11 @@ over a process pool.  Each worker receives a picklable
 measurement pipeline -- size before, LLVM-style reroll baseline,
 RoLAG, verify, size after -- on fresh copies of the job's module, and
 sends back a plain :class:`FunctionResult`.  Every job runs the
-mini-C frontend at most once: when the session has already compiled
-a C job to fingerprint it, the job travels with that module's printed
-IR and the worker parses its copies from it; otherwise the worker
-compiles once and parses its copies from its own print.  An IR job's
+mini-C frontend at most once: when a C job has already been compiled
+to fingerprint it (by a pool worker for a cached batch, else by the
+session), the job travels with that module's printed IR and the
+worker parses its copies from it; otherwise the worker compiles once
+and parses its copies from its own print.  An IR job's
 text already is that form.  The printed text is all a copy needs:
 fresh names derive from the live IR (see
 :meth:`repro.ir.Function.next_name`), so a parsed copy names what a
@@ -537,6 +538,19 @@ def _run_chunk(
     ]
 
 
+def _fingerprint_chunk(
+    jobs: Sequence[FunctionJob],
+) -> List[Tuple[Optional[StructuralSummary], Optional[str], float]]:
+    """Worker entry point: ``(summary, shipped_ir, seconds)`` per job,
+    as :func:`fingerprint_job` returns them plus its wall time here."""
+    out = []
+    for job in jobs:
+        start = perf_counter()
+        summary, shipped_ir = fingerprint_job(job)
+        out.append((summary, shipped_ir, perf_counter() - start))
+    return out
+
+
 def _terminate_pool_workers(executor) -> None:
     """SIGTERM every live worker of ``executor``; never raises.
 
@@ -586,13 +600,11 @@ def optimize_functions(
     on the session.  ``workers`` defaults to
     :func:`default_worker_count`; ``workers=1`` runs serially
     in-process (bit-identical to the pool path: either way each stage
-    works on a copy parsed from the same text).  With more workers the
-    pool starts while the batch is still being submitted: every whole
-    chunk leaves as soon as it is queued, but nothing is harvested
-    before the last submit, so cache, dedupe and quarantine decisions
-    are those of submit-all-then-drain.  With ``cache_dir`` set (and
-    ``use_cache`` true), cache hits resolve at submit time, and newly
-    computed results are written back.
+    works on a copy parsed from the same text).  With ``cache_dir`` set
+    (and ``use_cache`` true), cache hits resolve at submit time, and
+    newly computed results are written back; a cached batch bound for a
+    pool is fingerprinted on that pool before its first submit, so this
+    process runs no frontend for it.
     ``check_semantics`` turns on the per-job differential oracle (see
     :func:`optimize_one`); it is part of the cache key, so checked and
     unchecked results never mix.  ``evaluator`` picks the oracle's
@@ -638,7 +650,7 @@ def optimize_functions(
         dedupe=dedupe,
         _batch=len(jobs),
     ) as session:
-        tickets = [session.submit(job) for job in jobs]
+        tickets = session._submit_batch(jobs)
         resolved = dict(session.drain())
     return DriverReport(
         results=[resolved[ticket] for ticket in tickets],
@@ -692,7 +704,8 @@ class DriverSession:
       job's namespace via the stored witness.  Whenever a mini-C job
       is fingerprinted, the compiled module's printed IR is kept on
       its ticket and shipped with every attempt, so the frontend runs
-      once per job;
+      once per job (a pooled batch fingerprints on its pool, see
+      :meth:`_submit_batch`);
     * a job identical to one still *in flight* coalesces onto that
       leader (even when the two came from different submitters): one
       computation, every follower gets a renamed copy, failures
@@ -706,17 +719,14 @@ class DriverSession:
 
     :meth:`submit` never executes or harvests anything: work runs at
     the next :meth:`pump`/:meth:`collect`, so jobs submitted
-    back-to-back can still coalesce and a pool receives them together
-    (a batch session also hands whole chunks to its pool as they
-    queue up).  With
-    ``workers == 1`` jobs execute in-process, in submission order
+    back-to-back can still coalesce and a pool receives them together.
+    With ``workers == 1`` jobs execute in-process, in submission order
     (deterministic, pool-free -- the mode tests and single-core daemons
     run).  With more workers a persistent
     :class:`~concurrent.futures.ProcessPoolExecutor` computes them in
     chunks of ``chunk_size`` jobs (by default about four chunks per
-    worker over the current queue -- over the whole batch while a
-    batch is being submitted -- and single jobs under a deadline or a
-    fault plan).  A chunk running longer than ``deadline`` per job
+    worker over the current queue, and single jobs under a deadline or
+    a fault plan).  A chunk running longer than ``deadline`` per job
     is declared hung and its pool killed.  When the pool keeps dying,
     the remaining jobs run in-process (``serial_fallback=True``, what
     the daemon uses) or degrade to ``pool``-class error results (the
@@ -732,9 +742,9 @@ class DriverSession:
     ``_batch`` (the batch's job count) is set by
     :func:`optimize_functions` alone: its whole batch is submitted
     before the first pump, so it dedupes on exact text without a cache,
-    runs a lone job to compute in-process, and otherwise feeds whole
-    chunks to a pool up to ``workers`` wide during submission (see
-    :meth:`_feed`).
+    runs a lone job to compute in-process, opens its pool no wider than
+    the batch, and with a cache fingerprints on that pool (see
+    :meth:`_submit_batch`).
     """
 
     def __init__(
@@ -783,7 +793,8 @@ class DriverSession:
 
         self.stats = DriverStats(jobs=0, workers=self.workers)
         if timed:
-            # Parent-side structural fingerprinting books under ``hash``.
+            # Structural fingerprinting books under ``hash``, at the
+            # seconds it took in whichever process ran it.
             self.stats.phase_seconds["hash"] = 0.0
         self._cache = (
             ResultCache(cache_dir) if (cache_dir and use_cache) else None
@@ -850,13 +861,25 @@ class DriverSession:
         """
         if not rec.hashed:
             start = perf_counter()
-            rec.summary, rec.shipped_ir = fingerprint_job(rec.job)
-            rec.hashed = True
-            if self._timed:
-                self.stats.phase_seconds["hash"] += perf_counter() - start
-            if rec.summary is None:
-                self.stats.hash_fallbacks += 1
+            summary, shipped_ir = fingerprint_job(rec.job)
+            self._fingerprinted(
+                rec, summary, shipped_ir, perf_counter() - start
+            )
         return rec.summary
+
+    def _fingerprinted(
+        self,
+        rec: _Ticket,
+        summary: Optional[StructuralSummary],
+        shipped_ir: Optional[str],
+        seconds: float,
+    ) -> None:
+        """Record one fingerprint, taken here or in a pool worker."""
+        rec.summary, rec.shipped_ir, rec.hashed = summary, shipped_ir, True
+        if self._timed:
+            self.stats.phase_seconds["hash"] += seconds
+        if summary is None:
+            self.stats.hash_fallbacks += 1
 
     def _qkey(self, rec: _Ticket) -> str:
         if rec.qkey is None:
@@ -938,11 +961,17 @@ class DriverSession:
         returns; everything else resolves during a later
         :meth:`pump`/:meth:`collect`.
         """
+        return self._admit(_Ticket(job))
+
+    def _admit(self, rec: _Ticket) -> int:
+        """:meth:`submit` for a record that may already carry its
+        fingerprint (see :meth:`_submit_batch`)."""
         if self._closed:
             raise RuntimeError("session is closed")
+        job = rec.job
         ticket = self._next_ticket
         self._next_ticket += 1
-        rec = self._tickets[ticket] = _Ticket(job)
+        self._tickets[ticket] = rec
         self.stats.jobs += 1
 
         if self._cache is not None:
@@ -997,32 +1026,73 @@ class DriverSession:
             rec.dkey = dkey
 
         self._queue.append(ticket)
-        if self._batch:
-            self._feed()
         return ticket
 
-    def _feed(self) -> None:
-        """Batch only: ship every whole chunk queued so far to the pool.
+    def _submit_batch(self, jobs: Sequence[FunctionJob]) -> List[int]:
+        """Submit a whole batch, in order (:func:`optimize_functions`).
 
-        Nothing is harvested here: a result settling mid-submission
-        would write the cache, charge the quarantine list or release a
-        dedupe leader, and later submits would decide differently from
-        submit-all-then-drain.  Until two jobs are queued the batch may
-        still turn out to have a lone job to compute, which runs
-        in-process (see :meth:`_runs_in_process`); after a pool death
-        the pump takes over.
+        A cached batch bound for a pool is fingerprinted on that pool
+        first, so every job enters :meth:`_admit` with its summary and
+        shipped IR set and this process runs no frontend at all.
+        Admission itself (cache reads, quarantine, dedupe) is
+        unchanged, and nothing is dispatched before the last job is
+        admitted.
         """
-        size = self._chunk_size_for(self._batch)
-        if (
-            self.workers == 1
-            or self._respawns
-            or len(self._queue) < max(2, size)
-        ):
-            return
+        recs = [_Ticket(job) for job in jobs]
+        if self._cache is not None and self.workers > 1 and len(recs) > 1:
+            self._fingerprint_on_pool(recs)
+        return [self._admit(rec) for rec in recs]
+
+    def _fingerprint_on_pool(self, recs: List[_Ticket]) -> None:
+        """Fingerprint ``recs`` on a fresh pool, in chunks.
+
+        The seconds each fingerprint took in its worker book under
+        ``hash``.
+        A pool death, or a chunk running past its deadline budget (see
+        :meth:`_overdue`), counts one death against the respawn budget;
+        the records it leaves unfingerprinted are fingerprinted lazily
+        in this process, like a serve session's.
+        """
+        from concurrent.futures import FIRST_EXCEPTION, wait
+
+        size = self._chunk_size_for(len(recs))
+        chunks: Dict[object, dict] = {}
         try:
-            if self._executor is None:
-                self._executor = self._spawn_executor()
-            self._dispatch(size)
+            self._executor = self._spawn_executor()
+            for start in range(0, len(recs), size):
+                chunk = recs[start:start + size]
+                future = self._executor.submit(
+                    _fingerprint_chunk, [rec.job for rec in chunk]
+                )
+                chunks[future] = {"tickets": chunk, "first_running": None}
+            pending = set(chunks)
+            while pending:
+                done, pending = wait(
+                    pending,
+                    timeout=None if self._deadline is None else self._poll,
+                    return_when=FIRST_EXCEPTION,
+                )
+                broken = None
+                for future in done:
+                    try:
+                        found = future.result()
+                    except Exception as error:
+                        broken = error
+                        continue
+                    for rec, fingerprint in zip(
+                        chunks[future]["tickets"], found
+                    ):
+                        self._fingerprinted(rec, *fingerprint)
+                if broken is not None:
+                    raise broken
+                if self._deadline is not None and self._overdue(
+                    {future: chunks[future] for future in pending},
+                    perf_counter(),
+                ):
+                    raise TimeoutError(
+                        "fingerprinting exceeded the "
+                        f"{self._deadline:.3f}s-per-job deadline budget"
+                    )
         except Exception as error:
             self._pool_died(f"{type(error).__name__}: {error}")
 
@@ -1165,12 +1235,8 @@ class DriverSession:
             return 1
         return max(1, -(-pending // (self.workers * 4)))
 
-    def _dispatch(self, whole: Optional[int] = None) -> None:
-        """Send every queued ticket past its backoff to the pool.
-
-        With ``whole`` set, only whole chunks of that size leave; the
-        remainder stays queued.
-        """
+    def _dispatch(self) -> None:
+        """Send every queued ticket past its backoff to the pool."""
         now = perf_counter()
         eligible = [
             t for t in self._queue if self._tickets[t].not_before <= now
@@ -1180,11 +1246,10 @@ class DriverSession:
         self._queue = deque(
             t for t in self._queue if self._tickets[t].not_before > now
         )
-        size = whole or self._chunk_size_for(len(eligible))
-        stop = len(eligible) - len(eligible) % size if whole else len(eligible)
+        size = self._chunk_size_for(len(eligible))
         start = 0
         try:
-            while start < stop:
+            while start < len(eligible):
                 chunk = eligible[start:start + size]
                 future = self._executor.submit(
                     _run_chunk,
@@ -1247,12 +1312,12 @@ class DriverSession:
         elif self._deadline is not None:
             self._kill_hangs(now)
 
-    def _kill_hangs(self, now: float) -> None:
-        """Charge a timeout to every chunk running past its budget
-        (a non-cooperative stall) and kill the pool."""
+    def _overdue(self, chunks: Dict[object, dict], now: float) -> List[object]:
+        """The futures in ``chunks`` that have run longer than
+        ``deadline`` per job plus slack: non-cooperative stalls."""
         slack = max(4 * self._poll, 0.05)
         hung = []
-        for future, info in self._inflight.items():
+        for future, info in chunks.items():
             if info["first_running"] is None and future.running():
                 info["first_running"] = now
             if info["first_running"] is None:
@@ -1260,6 +1325,12 @@ class DriverSession:
             budget = self._deadline * len(info["tickets"]) + slack
             if now - info["first_running"] > budget:
                 hung.append(future)
+        return hung
+
+    def _kill_hangs(self, now: float) -> None:
+        """Charge a timeout to every chunk running past its budget
+        and kill the pool."""
+        hung = self._overdue(self._inflight, now)
         if not hung:
             return
         for future in hung:

@@ -132,7 +132,9 @@ class RolagStats:
 
     #: Seed groups for which an alignment graph was built.
     attempted: int = 0
-    #: Groups rejected by the scheduling analysis.
+    #: Groups rejected by the scheduling analysis (without
+    #: ``loop_aware``, only groups the cost model found profitable
+    #: reach it).
     schedule_rejected: int = 0
     #: Groups rejected by the profitability analysis.
     unprofitable: int = 0

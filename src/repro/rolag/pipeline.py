@@ -1,9 +1,12 @@
 """The RollLoop driver (paper Fig. 5).
 
 For every basic block: collect seed groups, optionally join alternating
-groups, build the alignment graph, run the scheduling analysis, decide
-profitability against the code-size cost model, and generate the rolled
-loop when it wins.  Newly created loop blocks are themselves skipped
+groups, build the alignment graph, decide profitability against the
+code-size cost model, run the scheduling analysis on the winners, and
+generate the rolled loop when one can be scheduled.  The cost model
+never reads the schedule, so the cheaper rejection runs first; only
+``config.loop_aware`` schedules first, because its in-place reroll
+needs a schedule even where the cost model says no.  Newly created loop blocks are themselves skipped
 (rolling a rolled loop again is never profitable and would not
 terminate).
 
@@ -284,6 +287,14 @@ def _attempt(
         return None
 
     stats.attempted += 1
+    if not config.loop_aware:
+        # The cost model never reads the schedule, and most candidates
+        # lose on it: reject those before the scheduling analysis.
+        report = estimate(ag, cost_model, config)
+        if not report.profitable:
+            stats.unprofitable += 1
+            return None
+
     start = perf_counter() if timed else 0.0
     schedule = analyze_scheduling(ag, aa, deps)
     if timed:
@@ -292,9 +303,8 @@ def _attempt(
         stats.schedule_rejected += 1
         return None
 
-    report = estimate(ag, cost_model, config)
-
     if config.loop_aware:
+        report = estimate(ag, cost_model, config)
         # In-place rerolling deletes lanes 1..n-1 outright, so it is
         # profitable whenever it applies; try it before the general
         # (new inner loop) code generator.
@@ -315,10 +325,9 @@ def _attempt(
                 exit=block,
                 lane_count=ag.roots[0].lane_count,
             )
-
-    if not report.profitable:
-        stats.unprofitable += 1
-        return None
+        if not report.profitable:
+            stats.unprofitable += 1
+            return None
 
     start = perf_counter() if timed else 0.0
     result = generate_rolled_loop(ag, schedule)

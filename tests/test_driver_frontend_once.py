@@ -7,9 +7,13 @@ job, or one the worker printed after compiling once.  The tests here
 count ``compile_c`` calls, pin every output against an independently
 compiled reference, check that a C job, its printed-IR job and a
 pipeline compiling each stage afresh answer byte-identically, and
-check the batch pool is fed while the batch is still being submitted
-(pool tests are marked ``parallel``).
+check that a pooled, cached batch fingerprints on its pool, so the
+parent runs no frontend (pool tests are marked ``parallel``).
 """
+
+import itertools
+import os
+import time
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.driver import (
     optimize_one,
     run_one_guarded,
 )
+from repro.driver import core
 from repro.driver.core import _Ticket
 from repro.driver.quarantine import quarantine_key
 from repro.frontend import compile_c
@@ -202,7 +207,7 @@ class TestQuarantineKeyOfUnbuildableJobs:
         assert len(compiles) == 2
 
 
-# --- the batch pool is fed during submission ----------------------------
+# --- a pooled, cached batch fingerprints on its pool ---------------------
 
 
 def _twinned_corpus():
@@ -221,59 +226,135 @@ def _twinned_corpus():
 
 
 @pytest.fixture
-def pool_events(monkeypatch):
-    """Record, in order, every ``submit`` return and every chunk the
-    session hands its executor; and count executors spawned."""
-    events = []
-    real_submit = DriverSession.submit
+def spawns(monkeypatch):
+    """Count the executors a session spawns."""
+    calls = []
     real_spawn = DriverSession._spawn_executor
 
-    def submit(self, job):
-        ticket = real_submit(self, job)
-        events.append("submit")
-        return ticket
-
     def spawn(self):
-        executor = real_spawn(self)
-        events.append("spawn")
-        real_executor_submit = executor.submit
+        calls.append(self)
+        return real_spawn(self)
 
-        def executor_submit(*args, **kwargs):
-            events.append("chunk")
-            return real_executor_submit(*args, **kwargs)
-
-        executor.submit = executor_submit
-        return executor
-
-    monkeypatch.setattr(DriverSession, "submit", submit)
     monkeypatch.setattr(DriverSession, "_spawn_executor", spawn)
-    return events
+    return calls
 
 
 def _outputs(report):
     return [(r.name, _answer(r), r.dedupe_hit) for r in report.results]
 
 
+def _in_worker(parent):
+    """True in a forked pool worker of the process ``parent``."""
+    return os.getpid() != parent
+
+
 @pytest.mark.parallel
-def test_pool_is_fed_before_the_last_submit(pool_events, tmp_path):
+def test_pooled_cached_batch_compiles_nothing_in_the_parent(
+    compiles, spawns, tmp_path
+):
+    # Forked workers append to their own copies of ``compiles``, so
+    # only frontend runs in this process show up.
+    jobs = _twinned_corpus()
+    expected = {"cold": (COUNT, 0), "warm": (0, 2 * COUNT)}
+    for run, (dedupe_hits, cache_hits) in expected.items():
+        serial = optimize_functions(
+            jobs, workers=1, cache_dir=str(tmp_path / "serial")
+        )
+        compiles.clear()
+        spawns.clear()
+        pooled = optimize_functions(
+            jobs, workers=2, cache_dir=str(tmp_path / "pooled")
+        )
+        assert compiles == [], run
+        assert len(spawns) == 1, run
+        for stats in (serial.stats, pooled.stats):
+            assert (stats.dedupe_hits, stats.cache_hits) == (
+                dedupe_hits, cache_hits,
+            ), run
+        assert pooled.stats.pool_respawns == 0, run
+        assert _outputs(pooled) == _outputs(serial), run
+
+
+@pytest.mark.parallel
+def test_pool_fingerprint_stats_are_the_workers(monkeypatch, tmp_path):
+    """``hash`` books the seconds measured in the workers (here a fake
+    worker clock makes every fingerprint take exactly one second), and
+    a worker-side ``(None, None)`` counts as a hash fallback."""
+    jobs = _corpus()
+    parent = os.getpid()
+    real_fingerprint = core.fingerprint_job
+    real_clock = core.perf_counter
+    ticks = itertools.count()
+
+    def fingerprint(job):
+        if _in_worker(parent) and job.name == jobs[0].name:
+            return None, None
+        return real_fingerprint(job)
+
+    def clock():
+        return float(next(ticks)) if _in_worker(parent) else real_clock()
+
+    monkeypatch.setattr(core, "fingerprint_job", fingerprint)
+    monkeypatch.setattr(core, "perf_counter", clock)
+    report = optimize_functions(
+        jobs, workers=2, cache_dir=str(tmp_path), timed=True
+    )
+    assert report.stats.phase_seconds["hash"] == float(len(jobs))
+    assert report.stats.hash_fallbacks == 1
+    assert report.stats.cache_misses == len(jobs)
+    assert not any(r.failed for r in report.results)
+
+
+@pytest.mark.parallel
+def test_worker_death_while_fingerprinting(monkeypatch, tmp_path):
     jobs = _twinned_corpus()
     serial = optimize_functions(
         jobs, workers=1, cache_dir=str(tmp_path / "serial")
     )
-    pool_events.clear()
+    parent = os.getpid()
+    real_fingerprint = core.fingerprint_job
+
+    def dying(job):
+        if _in_worker(parent):
+            os._exit(3)
+        return real_fingerprint(job)
+
+    # Patched before the pool spawns, so every forked worker dies on
+    # its first fingerprint; the parent then fingerprints lazily.
+    monkeypatch.setattr(core, "fingerprint_job", dying)
     pooled = optimize_functions(
         jobs, workers=2, cache_dir=str(tmp_path / "pooled")
     )
-    last_submit = len(pool_events) - 1 - pool_events[::-1].index("submit")
-    assert pool_events.index("chunk") < last_submit
-    assert pool_events.count("spawn") == 1
+    assert pooled.stats.pool_respawns == 1
+    assert len(pooled.results) == len(jobs)
+    assert not any(r.failed for r in pooled.results)
     assert pooled.stats.dedupe_hits == serial.stats.dedupe_hits == COUNT
-    assert pooled.stats.cache_hits == serial.stats.cache_hits == 0
     assert _outputs(pooled) == _outputs(serial)
 
 
 @pytest.mark.parallel
-def test_one_job_batch_spawns_no_pool(pool_events):
+def test_hung_fingerprint_chunk_counts_one_pool_death(monkeypatch, tmp_path):
+    jobs = _corpus()[:3]
+    parent = os.getpid()
+    real_fingerprint = core.fingerprint_job
+
+    def hanging(job):
+        if _in_worker(parent):
+            time.sleep(60)
+        return real_fingerprint(job)
+
+    monkeypatch.setattr(core, "fingerprint_job", hanging)
+    start = time.perf_counter()
+    report = optimize_functions(
+        jobs, workers=2, cache_dir=str(tmp_path), deadline=2.0
+    )
+    assert time.perf_counter() - start < 30
+    assert report.stats.pool_respawns == 1
+    assert not any(r.failed for r in report.results)
+
+
+@pytest.mark.parallel
+def test_one_job_batch_spawns_no_pool(spawns):
     report = optimize_functions(_corpus()[:1], workers=2)
     assert not report.results[0].failed
-    assert "spawn" not in pool_events
+    assert spawns == []
