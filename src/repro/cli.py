@@ -1139,14 +1139,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     verify_module(module)
 
     if args.check_semantics:
-        import zlib
-
         from .difftest import check_module_semantics
+        from .validation import evidence_seed
 
         original = load_module(args.input[0], optimize=not args.no_opt)
-        seed = zlib.crc32(print_module(original).encode("utf-8")) & 0x7FFFFFFF
         ok, details = check_module_semantics(
-            original, module, seed=seed, evaluator=args.evaluator
+            original,
+            module,
+            seed=evidence_seed(print_module(original)),
+            evaluator=args.evaluator,
         )
         if ok:
             print("; semantics: ok (differential oracle)")

@@ -7,17 +7,17 @@ Every end-to-end divergence is bisected to the guilty pass and
 minimized; anything that diverges end-to-end but fails to re-bisect is
 reported as *unexplained* (the acceptance bar is zero of those).
 
-:func:`check_module_semantics` is the lightweight entry point the batch
-driver uses when ``check_semantics=True``: given the already-built
-original and transformed modules for one corpus function, it replays a
-few vectors and returns pass/fail plus human-readable details.
+:class:`Evidence` is one job's observations of its original module,
+captured once; the driver's oracle and both validation gates compare
+candidates against it (:func:`check_module_semantics` does both steps).
 """
 
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faultinject import DeadlineExceeded, deadline_scope
 from ..ir.module import Module
@@ -31,6 +31,8 @@ from .bisect import MismatchRecord, PipelineStage, bisect_pipeline, minimize_rec
 from .fuzzer import FunctionFuzzer, FuzzConfig
 from .oracle import (
     DEFAULT_STEP_LIMIT,
+    ArgumentVector,
+    Observation,
     compare_observations,
     make_argument_vectors,
     observe_call,
@@ -274,75 +276,178 @@ def _run_difftest_case(
         report.repro_paths.append(path)
 
 
+#: The oracle's draw per function: vectors, and steps per observation.
+ORACLE_VECTORS = 3
+ORACLE_STEP_LIMIT = 200_000
+
+
+def evidence_seed(text: str) -> int:
+    """The vector seed of one job's :class:`Evidence`, from its input
+    text: reruns of the same text draw the same vectors, so cache
+    entries and offline replays (``repro.validation.evidence_check``)
+    stay meaningful."""
+    return zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
+
+
+#: One function's evidence: (vector, observation) pairs.
+Reference = Tuple[Tuple[ArgumentVector, Observation], ...]
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """One job's observations of its original module, captured once.
+
+    ``observed`` maps each defined function to its pairs on the draw
+    ``make_argument_vectors(fn, seed, n)`` at ``step_limit``
+    (``None``: the signature defeats the vector generator).  ``errors``
+    says why the evaluator could not run a function (its pairs stop
+    before that vector), ``setup_error`` why it could not load the
+    module.  The gate reads a prefix (:meth:`reference`), the oracle
+    all of it (:meth:`check`).
+    """
+
+    step_limit: int
+    evaluator: str
+    observed: Dict[str, Optional[Reference]]
+    errors: Dict[str, str]
+    setup_error: Optional[str] = None
+
+    @classmethod
+    def capture(
+        cls, module: Module, *, seed: int, vectors: int, step_limit: int,
+        evaluator: str,
+    ) -> "Evidence":
+        """Observe every defined function of ``module`` on its draw."""
+        observed: Dict[str, Optional[Reference]] = {}
+        errors: Dict[str, str] = {}
+        program, error = load_program(module, evaluator)
+        if error is not None:
+            return cls(step_limit, evaluator, observed, errors,
+                       f"evaluator setup failed: {error}")
+        for fn in module.functions:
+            if fn.is_declaration:
+                continue
+            try:
+                draw = make_argument_vectors(fn, seed, vectors)
+            except ValueError:
+                observed[fn.name] = None
+                continue
+            pairs = []
+            for vector in draw:
+                try:
+                    pairs.append((vector, observe_call(
+                        module, fn.name, vector, step_limit=step_limit,
+                        evaluator=evaluator, program=program,
+                    )))
+                except DeadlineExceeded:
+                    raise
+                except Exception as error:
+                    errors[fn.name] = (
+                        f"{vector.describe()}: evaluator error: "
+                        f"{type(error).__name__}: {error}"
+                    )
+                    break
+            observed[fn.name] = tuple(pairs)
+        return cls(step_limit, evaluator, observed, errors)
+
+    def reference(
+        self, fn_name: str, count: int, step_limit: int
+    ) -> Optional[Reference]:
+        """The first ``count`` pairs of ``@fn_name`` as a run capped at
+        ``step_limit`` steps observes them, or ``None`` without that
+        much evidence.  The evaluators stop at step ``step_limit + 1``,
+        and a run within the budget is identical under a larger one."""
+        pairs = self.observed.get(fn_name)
+        if pairs is None or len(pairs) < count:
+            return None
+        return tuple(
+            (vector, observation if observation.steps <= step_limit
+             else Observation(status="timeout", steps=step_limit + 1))
+            for vector, observation in pairs[:count]
+        )
+
+    def check(
+        self, transformed: Module, *, skip_unevaluable: bool
+    ) -> Tuple[bool, List[str]]:
+        """Hold ``transformed`` to every pair; ``(ok, details)``, one
+        detail per failing function.  A function the evaluator could not
+        run on the original is an ``evaluator error`` detail, or skipped
+        with ``skip_unevaluable`` (the gate only verified it)."""
+        if self.setup_error is not None:
+            return False, [self.setup_error]
+        program, error = load_program(transformed, self.evaluator)
+        if error is not None:
+            return False, [f"evaluator setup failed: {error}"]
+        details: List[str] = []
+        for name, pairs in self.observed.items():
+            if transformed.get_function(name) is None:
+                details.append(f"@{name}: missing from transformed module")
+            elif name in self.errors:
+                if not skip_unevaluable:
+                    details.append(f"@{name} {self.errors[name]}")
+            elif pairs:
+                mismatch = first_mismatch(
+                    transformed, name, pairs, step_limit=self.step_limit,
+                    evaluator=self.evaluator, program=program,
+                )
+                if mismatch is not None:
+                    details.append(f"@{name} {mismatch[0]}")
+        return not details, details
+
+
+def load_program(module: Module, evaluator: str):
+    """``(program, None)``, or ``(None, "Type: message")`` when the
+    evaluator cannot load ``module``; deadline signals pass through."""
+    try:
+        return program_for(module, evaluator), None
+    except DeadlineExceeded:
+        raise
+    except Exception as error:
+        return None, f"{type(error).__name__}: {error}"
+
+
+def first_mismatch(
+    module: Module, fn_name: str, reference: Reference, *, step_limit: int,
+    evaluator: str, program,
+) -> Optional[tuple]:
+    """``(detail, vector, expected, actual)`` for the first pair
+    ``@fn_name`` in ``module`` (loaded as ``program``) fails, or
+    ``None``.  ``actual`` is ``None`` when the evaluator raised."""
+    for vector, expected in reference:
+        try:
+            actual = observe_call(
+                module, fn_name, vector, step_limit=step_limit,
+                evaluator=evaluator, program=program,
+            )
+        except DeadlineExceeded:
+            raise
+        except Exception as error:
+            return (
+                f"{vector.describe()}: evaluator error on candidate: "
+                f"{type(error).__name__}: {error}",
+                vector, expected, None,
+            )
+        detail = compare_observations(expected, actual)
+        if detail is not None:
+            return (f"{vector.describe()}: {detail}", vector, expected, actual)
+    return None
+
+
 def check_module_semantics(
     original: Module,
     transformed: Module,
     *,
     seed: int,
-    vectors_per_fn: int = 3,
-    step_limit: int = 200_000,
+    vectors_per_fn: int = ORACLE_VECTORS,
+    step_limit: int = ORACLE_STEP_LIMIT,
     evaluator: str = "interp",
 ) -> Tuple[bool, List[str]]:
-    """Replay a few vectors on both modules; (ok, mismatch details).
-
-    Functions whose signatures the vector generator cannot synthesize
-    (exotic parameter types) are skipped -- the check is best-effort
-    evidence, not a proof.
-
-    An evaluator that raises (a backend bug, or an injected fault)
-    yields a structured ``evaluator error`` detail for that function
-    rather than a traceback; cooperative deadline signals pass through
-    so the driver can classify the job as a timeout.
-    """
-    details: List[str] = []
-    try:
-        original_program = program_for(original, evaluator)
-        transformed_program = program_for(transformed, evaluator)
-    except DeadlineExceeded:
-        raise
-    except Exception as error:
-        return (
-            False,
-            [f"evaluator setup failed: {type(error).__name__}: {error}"],
-        )
-    for fn in original.functions:
-        if fn.is_declaration:
-            continue
-        if transformed.get_function(fn.name) is None:
-            details.append(f"@{fn.name}: missing from transformed module")
-            continue
-        try:
-            vectors = make_argument_vectors(fn, seed, vectors_per_fn)
-        except ValueError:
-            continue
-        for vector in vectors:
-            try:
-                reference = observe_call(
-                    original,
-                    fn.name,
-                    vector,
-                    step_limit=step_limit,
-                    evaluator=evaluator,
-                    program=original_program,
-                )
-                candidate = observe_call(
-                    transformed,
-                    fn.name,
-                    vector,
-                    step_limit=step_limit,
-                    evaluator=evaluator,
-                    program=transformed_program,
-                )
-            except DeadlineExceeded:
-                raise
-            except Exception as error:
-                details.append(
-                    f"@{fn.name} {vector.describe()}: evaluator error: "
-                    f"{type(error).__name__}: {error}"
-                )
-                break
-            detail = compare_observations(reference, candidate)
-            if detail is not None:
-                details.append(f"@{fn.name} {vector.describe()}: {detail}")
-                break
-    return (not details, details)
+    """Capture ``original``'s :class:`Evidence` and hold ``transformed``
+    to it; ``(ok, mismatch details)``.  Best-effort evidence, not a
+    proof: exotic signatures are skipped, a raising evaluator is an
+    ``evaluator error`` detail, and deadline signals pass through."""
+    evidence = Evidence.capture(
+        original, seed=seed, vectors=vectors_per_fn, step_limit=step_limit,
+        evaluator=evaluator,
+    )
+    return evidence.check(transformed, skip_unevaluable=False)

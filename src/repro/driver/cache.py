@@ -66,8 +66,10 @@ log = logging.getLogger(__name__)
 #: 7: keys went structural (alpha-invariant fingerprint + canonical
 #: target instead of raw text), and the envelope gained the producing
 #: job's renaming witness.  8: derived names became ``prefix.N``, drawn
-#: from the live IR instead of carried counters.
-SCHEMA_VERSION = 8
+#: from the live IR instead of carried counters.  9: the gate's
+#: vectors became a prefix of the job's one evidence draw (raw seed,
+#: no function-name mixing), so stored verdicts rest on other vectors.
+SCHEMA_VERSION = 9
 
 #: ``job_key``/``quarantine_key`` sentinel: "compute the summary here".
 _AUTO = object()

@@ -67,7 +67,9 @@ from time import perf_counter, sleep
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.costmodel import CodeSizeCostModel
-from ..difftest.runner import check_module_semantics
+from ..difftest.runner import (
+    ORACLE_STEP_LIMIT, ORACLE_VECTORS, Evidence, evidence_seed,
+)
 from ..faultinject import (
     DeadlineExceeded,
     FaultPlan,
@@ -89,6 +91,7 @@ from ..ir.module import Module
 from ..ir.structhash import StructuralSummary, compose_witness_renames
 from ..rolag import RolagConfig, RolagStats, roll_loops_in_module
 from ..transforms.reroll import reroll_loops
+from ..transforms.txn import TransactionalPassManager
 from .cache import ResultCache, fingerprint_job, job_key, materialize
 from .quarantine import QuarantineList, quarantine_key
 from .types import DriverReport, DriverStats, FunctionJob, FunctionResult
@@ -127,18 +130,24 @@ def optimize_one(
 ) -> FunctionResult:
     """The per-function pipeline one worker runs for one job.
 
-    Every stage -- reroll baseline, RoLAG, and the oracle's original --
-    parses and verifies its own fresh copy of one IR text: the job's
-    own, ``shipped_ir`` (the printed module the session fingerprinted
-    a mini-C job from), or, without either, the print of one frontend
-    run here.
+    Both stages -- reroll baseline and RoLAG -- parse and verify their
+    own fresh copy of one IR text: the job's own, ``shipped_ir`` (the
+    printed module the session fingerprinted a mini-C job from), or,
+    without either, the print of one frontend run here.
+
+    When a semantic gate (``safe``/``strict``) or the oracle
+    (``check_semantics``) runs, the job's one
+    :class:`~repro.difftest.runner.Evidence` is captured from the first
+    copy before any pass touches it, with the oracle's ``evaluator``
+    when the oracle runs and the gate's otherwise.  Both gates and the
+    oracle compare candidates against it.
 
     With ``check_semantics`` set, both transformed modules are
-    differentially tested against a fresh copy of the input via the
-    :mod:`repro.difftest` oracle (executed by ``evaluator``); the
-    verdict and any mismatch details travel back (and into the cache)
-    on the result.  Oracle time lands in the stats' ``eval`` phase so
-    timed runs show evaluation next to the rolling phases.
+    differentially tested against the evidence; the verdict and any
+    mismatch details travel back (and into the cache) on the result.
+    Oracle time, including the capture, lands in the stats' ``eval``
+    phase so timed runs show evaluation next to the rolling phases; a
+    capture only the gates use books under no phase.
 
     With ``config.validate`` on, both the reroll baseline and every
     RoLAG rolling decision run transactionally through the online
@@ -171,28 +180,43 @@ def optimize_one(
         return loaded
 
     validate = config.validate
-    # Vector seed derives from the input text, so reruns replay the
-    # same vectors (for both the oracle and the online validation gate)
-    # and the cache entry stays meaningful.  Only those two consume it,
-    # so a run with neither never imports ``repro.validation`` (lazily
-    # imported, see ``_make_validator``).
-    vector_seed = 0
-    if validate != "off" or check_semantics:
-        from ..validation import evidence_seed
-
-        vector_seed = evidence_seed(job.text)
+    gate_observes = validate in ("safe", "strict")
     guard_reports: List[Dict[str, object]] = []
+    llvm_module = load()
+    checkpoint("load")
+
+    # The job's one evidence set, taken before any pass and sized to
+    # the larger of its consumers.
+    evidence: Optional[Evidence] = None
+    capture_seconds = 0.0
+    if gate_observes or check_semantics:
+        capture_start = perf_counter()
+        sizes = [(ORACLE_VECTORS, ORACLE_STEP_LIMIT)] if check_semantics else []
+        if gate_observes:
+            sizes.append((config.validate_vectors, config.validate_step_limit))
+        vectors, step_limit = (max(column) for column in zip(*sizes))
+        evidence = Evidence.capture(
+            llvm_module,
+            seed=evidence_seed(job.text),
+            vectors=vectors,
+            step_limit=step_limit,
+            evaluator=evaluator if check_semantics else config.validate_evaluator,
+        )
+        capture_seconds = perf_counter() - capture_start
+        checkpoint("evidence")
 
     # Baseline: LLVM-style rerolling on its own fresh copy.  With
     # validation on, reroll runs as a transaction through the gate;
     # with it off, the historical direct path is kept bit-for-bit
     # (including fault-site hit counts).
-    llvm_module = load()
-    checkpoint("load")
+    rolag_validator = None
     if validate != "off":
-        from ..transforms.txn import TransactionalPassManager
+        # Both copies' gates share the evidence.  Imported lazily, so a
+        # run that validates nothing never loads the gate.
+        from ..validation import Validator
 
-        llvm_validator = _make_validator(config, vector_seed)
+        llvm_validator = Validator.from_config(config, evidence=evidence)
+        rolag_validator = Validator.from_config(config, evidence=evidence)
         reroll_pm = TransactionalPassManager(
             verify=False, validator=llvm_validator
         )
@@ -216,9 +240,6 @@ def optimize_one(
     size_before = _measure(module, job.name, measure_model)
     stats = RolagStats(timed=timed)
     fire("driver.worker.roll")
-    rolag_validator = (
-        _make_validator(config, vector_seed) if validate != "off" else None
-    )
     rolag_rolled = roll_loops_in_module(
         module, config=config, stats=stats, validator=rolag_validator
     )
@@ -230,12 +251,9 @@ def optimize_one(
     semantics_ok: Optional[bool] = None
     semantics_mismatches: List[str] = []
     if check_semantics:
-        original = load()
         eval_start = perf_counter()
         for label, candidate in (("reroll", llvm_module), ("rolag", module)):
-            ok, details = check_module_semantics(
-                original, candidate, seed=vector_seed, evaluator=evaluator
-            )
+            ok, details = evidence.check(candidate, skip_unevaluable=False)
             if not ok:
                 semantics_mismatches.extend(
                     f"{label}: {detail}" for detail in details
@@ -243,7 +261,9 @@ def optimize_one(
             checkpoint("eval")
         semantics_ok = not semantics_mismatches
         if timed:
-            stats.add_phase_time("eval", perf_counter() - eval_start)
+            stats.add_phase_time(
+                "eval", capture_seconds + perf_counter() - eval_start
+            )
 
     if timed:
         stats.add_phase_time("parse", parse_seconds)
@@ -268,24 +288,6 @@ def optimize_one(
         guard_reports=guard_reports,
         phase_seconds=dict(stats.phase_seconds),
         wall_seconds=perf_counter() - start,
-    )
-
-
-def _make_validator(config: RolagConfig, seed: int):
-    """The per-module-copy validation gate described by ``config``.
-
-    Imported lazily: ``repro.validation`` transitively pulls in the
-    difftest runner, which imports this package back.
-    """
-    from ..validation import Validator
-
-    return Validator(
-        config.validate,
-        vectors=config.validate_vectors,
-        step_limit=config.validate_step_limit,
-        guard_dir=config.guard_dir,
-        evaluator=config.validate_evaluator,
-        seed=seed,
     )
 
 

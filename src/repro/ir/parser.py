@@ -14,8 +14,8 @@ Two structural decisions keep it fast:
   :class:`ParseError` is actually raised.  Token arrays are memoized in
   a small keyed-by-source cache: the driver's per-function pipeline
   parses a fresh copy of one job's text for each stage (reroll
-  baseline, RoLAG, the oracle's original), and every copy after the
-  first skips the lexer.
+  baseline and RoLAG), and every copy after the first skips the
+  lexer.
 
 * **Interning.**  Token texts are interned process-wide; types are
   interned by the type system itself; integer/float constants and the

@@ -59,7 +59,11 @@ def roll_loops_in_function(
         for phase in PHASE_NAMES:
             stats.phase_seconds.setdefault(phase, 0.0)
     if validator is None and config.validate != "off":
-        validator = _validator_for(config)
+        # Imported lazily: the validation package pulls in the difftest
+        # oracle, which must not become an import-time dependency here.
+        from ..validation import Validator
+
+        validator = Validator.from_config(config)
     guard = validator if validator is not None and validator.level != "off" else None
     guard_start = len(guard.reports) if guard is not None else 0
 
@@ -115,21 +119,6 @@ def roll_loops_in_function(
             report.to_json_dict() for report in guard.reports[guard_start:]
         )
     return rolled
-
-
-def _validator_for(config: RolagConfig):
-    """Build the gate described by ``config`` (imported lazily: the
-    validation package pulls in the difftest oracle, which must not
-    become an import-time dependency of the rolling pipeline)."""
-    from ..validation import Validator
-
-    return Validator(
-        config.validate,
-        vectors=config.validate_vectors,
-        step_limit=config.validate_step_limit,
-        guard_dir=config.guard_dir,
-        evaluator=config.validate_evaluator,
-    )
 
 
 def _replay_for(config: RolagConfig, cost_model: CodeSizeCostModel):
@@ -350,7 +339,9 @@ def roll_loops_in_module(
     """Run RoLAG over every function in ``module``."""
     config = config or RolagConfig()
     if validator is None and config.validate != "off":
-        validator = _validator_for(config)
+        from ..validation import Validator  # lazily, as above
+
+        validator = Validator.from_config(config)
     total = 0
     for fn in module.functions:
         total += roll_loops_in_function(

@@ -12,17 +12,17 @@ The :class:`Validator` gates every transaction the transactional pass
 manager (``repro.transforms.txn``) and the RoLAG worklist open; see
 ``docs/robustness.md`` for the ladder and the rollback contract.
 
-Import note: this package pulls in ``repro.difftest.oracle`` and
-``repro.difftest.bisect`` directly (not the ``repro.difftest`` package,
-whose ``__init__`` imports the runner and with it the RoLAG pipeline).
-Callers inside ``repro.rolag`` must import this package lazily.
+Import note: this package imports ``repro.difftest`` (the runner holds
+:class:`~repro.difftest.runner.Evidence`), and with it the RoLAG
+pipeline.  Callers inside ``repro.rolag`` must import this package
+lazily.
 """
 
+from ..difftest.runner import evidence_seed
 from .gate import (
     VALIDATION_LEVELS,
     Validator,
     evidence_check,
-    evidence_seed,
     function_stage,
 )
 from .report import (

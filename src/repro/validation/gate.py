@@ -12,9 +12,10 @@ or rolls back, at one of four levels:
 ``safe``
     full verification plus an Observation-equality check: the edited
     function is executed on a small deterministic input-vector set and
-    compared against reference observations captured from the
-    best-known-good IR before the first transaction -- the online
-    analogue of the offline difftest oracle.
+    compared against the job's one
+    :class:`~repro.difftest.runner.Evidence`, the original module's
+    observations captured before any pass ran -- the same value the
+    driver's difftest oracle checks its candidates against.
 ``strict``
     ``safe`` plus cross-backend parity: the candidate must behave
     identically (including step counts) under the interpreter and the
@@ -24,13 +25,16 @@ On a gate failure the validator restores the snapshot, records a
 :class:`~repro.validation.report.GuardReport` with a unified IR diff,
 and (when ``guard_dir`` is set) writes a repro bundle, minimized with
 the difftest minimizer whenever the failure replays deterministically.
-Reference observations stay valid across commits because every
-committed transaction was itself validated observation-equal.
+The reference stays valid across commits because every committed
+transaction was itself validated observation-equal.
+
+The gate reads the first ``vectors`` pairs of the evidence at its own
+``step_limit``, so one capture sized for the oracle serves it, and
+:func:`evidence_check` replays exactly those vectors offline.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..difftest.bisect import MismatchRecord, minimize_record
@@ -38,10 +42,9 @@ from ..difftest.oracle import (
     ArgumentVector,
     Observation,
     compare_observations,
-    make_argument_vectors,
     observe_call,
-    program_for,
 )
+from ..difftest.runner import Evidence, Reference, first_mismatch, load_program
 from ..faultinject import DeadlineExceeded, active_plan
 from ..ir.module import Function, Module
 from ..ir.printer import print_function, print_module
@@ -51,11 +54,6 @@ from .report import GuardReport, unified_ir_diff, write_guard_bundle
 
 #: The validation ladder, weakest to strongest.
 VALIDATION_LEVELS = ("off", "fast", "safe", "strict")
-
-#: Reference observations for one function: (vector, observation)
-#: pairs, or ``None`` when the signature defeats the vector generator
-#: (the gate then degrades to verification only for that function).
-_Reference = Optional[List[Tuple[ArgumentVector, Observation]]]
 
 #: A gate verdict: (failure kind, detail, vector, expected, actual).
 #: The last three are ``None`` unless an oracle comparison failed.
@@ -91,96 +89,29 @@ def evidence_check(
 ) -> Tuple[bool, List[str]]:
     """Offline replay of the gate's exact evidence; ``(ok, details)``.
 
-    The ladder's semantic levels are *evidence-based*: a commit attests
-    observation-equality on a small deterministic vector set, not a
-    proof of equivalence.  This helper re-derives precisely the vectors
-    a :class:`Validator` with the same ``seed``/``vectors`` would have
-    used (same per-function seed mixing) and checks that the final
-    ``transformed`` module still satisfies them against ``original`` --
-    the invariant a chaos storm can hold a validated run to.  Functions
-    the gate would have degraded on (exotic signatures, evaluator
-    failures on the original) are skipped here too.
+    The semantic levels attest observation-equality on a small vector
+    set, not equivalence.  This captures the :class:`Evidence` a
+    :class:`Validator` with the same ``seed``/``vectors``/``step_limit``
+    checked and holds the final ``transformed`` module to it -- the
+    invariant a chaos storm holds a validated run to.  Functions the
+    gate only verified (exotic signatures, evaluator failures on the
+    original) are skipped here too.
     """
-    details: List[str] = []
-    try:
-        original_program = program_for(original, evaluator)
-        transformed_program = program_for(transformed, evaluator)
-    except DeadlineExceeded:
-        raise
-    except Exception as error:
-        return (
-            False,
-            [f"evaluator setup failed: {type(error).__name__}: {error}"],
-        )
-    for fn in original.functions:
-        if fn.is_declaration:
-            continue
-        if transformed.get_function(fn.name) is None:
-            details.append(f"@{fn.name}: missing from transformed module")
-            continue
-        fn_seed = (
-            seed * 1_000_003 + zlib.crc32(fn.name.encode("utf-8"))
-        ) & 0x7FFFFFFF
-        try:
-            fn_vectors = make_argument_vectors(fn, fn_seed, max(1, vectors))
-        except ValueError:
-            continue  # the gate degraded to verify-only here; so do we
-        for vector in fn_vectors:
-            try:
-                expected = observe_call(
-                    original,
-                    fn.name,
-                    vector,
-                    step_limit=step_limit,
-                    evaluator=evaluator,
-                    program=original_program,
-                )
-            except DeadlineExceeded:
-                raise
-            except Exception:
-                break  # no reference evidence for this function
-            try:
-                actual = observe_call(
-                    transformed,
-                    fn.name,
-                    vector,
-                    step_limit=step_limit,
-                    evaluator=evaluator,
-                    program=transformed_program,
-                )
-            except DeadlineExceeded:
-                raise
-            except Exception as error:
-                details.append(
-                    f"@{fn.name} ({vector.describe()}): evaluator error "
-                    f"on transformed IR: {type(error).__name__}: {error}"
-                )
-                continue
-            detail = compare_observations(expected, actual)
-            if detail is not None:
-                details.append(
-                    f"@{fn.name} ({vector.describe()}): {detail}"
-                )
-    return (not details, details)
-
-
-def evidence_seed(text: str) -> int:
-    """The gate's vector seed for one job, derived from its input text.
-
-    The driver seeds each job's :class:`Validator` with it, and offline
-    replays pass it to :func:`evidence_check`: reruns of the same text
-    replay the same vectors, so cache entries and chaos verdicts stay
-    meaningful.
-    """
-    return zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
+    evidence = Evidence.capture(
+        original,
+        seed=seed,
+        vectors=max(1, vectors),
+        step_limit=step_limit,
+        evaluator=evaluator,
+    )
+    return evidence.check(transformed, skip_unevaluable=True)
 
 
 class Validator:
     """Gates transactions for one module's pipeline run.
 
-    One validator may be shared across every function of a module (the
-    per-function reference cache is keyed by name); use a fresh
-    validator per independently-transformed module copy.
+    One validator may be shared across every function of a module (its
+    evidence is keyed by function name).
     """
 
     def __init__(
@@ -205,22 +136,46 @@ class Validator:
         self.evaluator = evaluator
         self.seed = seed
         self.reports: List[GuardReport] = []
-        self._reference: Dict[str, _Reference] = {}
+        self._evidence: Optional[Evidence] = None
+
+    @classmethod
+    def from_config(
+        cls, config, evidence: Optional[Evidence] = None
+    ) -> "Validator":
+        """The gate a :class:`~repro.rolag.RolagConfig` describes,
+        checking against ``evidence`` (sized to cover its vectors and
+        step limit) or, without it, capturing its own."""
+        validator = cls(
+            config.validate,
+            vectors=config.validate_vectors,
+            step_limit=config.validate_step_limit,
+            guard_dir=config.guard_dir,
+            evaluator=config.validate_evaluator,
+        )
+        validator._evidence = evidence
+        return validator
 
     # -- transaction protocol ----------------------------------------------
 
     def begin(self, fn: Function) -> FunctionSnapshot:
         """Open a transaction: snapshot ``fn`` as best-known-good.
 
-        For the semantic levels the first transaction per function also
-        captures the reference observations, *before* any pass has had
-        a chance to mutate the IR.
+        At the semantic levels, a validator without :class:`Evidence`
+        captures it from ``fn``'s module on its first transaction,
+        *before* any pass has had a chance to mutate the IR.
         """
         if (
             self.level in ("safe", "strict")
-            and fn.name not in self._reference
+            and self._evidence is None
+            and fn.module is not None
         ):
-            self._reference[fn.name] = self._capture_reference(fn)
+            self._evidence = Evidence.capture(
+                fn.module,
+                seed=self.seed,
+                vectors=self.vectors,
+                step_limit=self.step_limit,
+                evaluator=self.evaluator,
+            )
         return FunctionSnapshot(fn)
 
     def commit_or_rollback(
@@ -294,66 +249,36 @@ class Validator:
                 return failure
         return None
 
+    def _reference(self, fn: Function) -> Optional[Reference]:
+        """``fn``'s pairs at this gate's size, or ``None`` (verify only)."""
+        if self._evidence is None:
+            return None
+        return self._evidence.reference(fn.name, self.vectors, self.step_limit)
+
     def _check_semantics(self, fn: Function) -> Optional[_Failure]:
-        reference = self._reference.get(fn.name)
+        reference = self._reference(fn)
         module = fn.module
         if not reference or module is None:
             return None
-        try:
-            program = program_for(module, self.evaluator)
-        except DeadlineExceeded:
-            raise
-        except Exception as error:
-            return (
-                "semantics",
-                "evaluator setup failed on candidate: "
-                f"{type(error).__name__}: {error}",
-                None, None, None,
-            )
-        for vector, expected in reference:
-            try:
-                actual = observe_call(
-                    module,
-                    fn.name,
-                    vector,
-                    step_limit=self.step_limit,
-                    evaluator=self.evaluator,
-                    program=program,
-                )
-            except DeadlineExceeded:
-                raise
-            except Exception as error:
-                return (
-                    "semantics",
-                    f"evaluator error on candidate ({vector.describe()}): "
-                    f"{type(error).__name__}: {error}",
-                    vector, expected, None,
-                )
-            detail = compare_observations(expected, actual)
-            if detail is not None:
-                return (
-                    "semantics",
-                    f"{vector.describe()}: {detail}",
-                    vector, expected, actual,
-                )
-        return None
+        program, error = load_program(module, self.evaluator)
+        if error is not None:
+            return ("semantics", f"evaluator setup failed on candidate: "
+                    f"{error}", None, None, None)
+        mismatch = first_mismatch(
+            module, fn.name, reference, step_limit=self.step_limit,
+            evaluator=self.evaluator, program=program,
+        )
+        return None if mismatch is None else ("semantics",) + mismatch
 
     def _check_parity(self, fn: Function) -> Optional[_Failure]:
-        reference = self._reference.get(fn.name)
+        reference = self._reference(fn)
         module = fn.module
         if not reference or module is None:
             return None
-        try:
-            compiled_program = program_for(module, "compiled")
-        except DeadlineExceeded:
-            raise
-        except Exception as error:
-            return (
-                "parity",
-                "compiling evaluator rejected candidate: "
-                f"{type(error).__name__}: {error}",
-                None, None, None,
-            )
+        compiled_program, error = load_program(module, "compiled")
+        if error is not None:
+            return ("parity", f"compiling evaluator rejected candidate: "
+                    f"{error}", None, None, None)
         for vector, _ in reference:
             observed: Dict[str, Observation] = {}
             for backend, program in (
@@ -464,7 +389,7 @@ class Validator:
             )
         except Exception:
             return  # restored IR unprintable: nothing useful to persist
-        reference = self._reference.get(fn.name) or []
+        reference = self._reference(fn) or ()
         if vector is None:
             vector = reference[0][0] if reference else ArgumentVector(())
         if expected is None:
@@ -513,43 +438,3 @@ class Validator:
                 else "not minimized: no deterministic replay available"
             )
         write_guard_bundle(report, minimized.to_text(), self.guard_dir)
-
-    # -- reference capture -------------------------------------------------
-
-    def _capture_reference(self, fn: Function) -> _Reference:
-        module = fn.module
-        if module is None or fn.is_declaration:
-            return None
-        try:
-            vectors = make_argument_vectors(
-                fn, self._vector_seed(fn.name), self.vectors
-            )
-        except ValueError:
-            return None  # exotic signature: degrade to verification only
-        try:
-            program = program_for(module, self.evaluator)
-        except DeadlineExceeded:
-            raise
-        except Exception:
-            return None
-        reference: List[Tuple[ArgumentVector, Observation]] = []
-        for vector in vectors:
-            try:
-                observation = observe_call(
-                    module,
-                    fn.name,
-                    vector,
-                    step_limit=self.step_limit,
-                    evaluator=self.evaluator,
-                    program=program,
-                )
-            except DeadlineExceeded:
-                raise
-            except Exception:
-                return None
-            reference.append((vector, observation))
-        return reference
-
-    def _vector_seed(self, fn_name: str) -> int:
-        material = fn_name.encode("utf-8")
-        return (self.seed * 1_000_003 + zlib.crc32(material)) & 0x7FFFFFFF

@@ -1,7 +1,7 @@
 """Each job runs the mini-C frontend once, and outputs do not change.
 
-A mini-C job's pipeline consumes three copies of its module (reroll
-baseline, RoLAG, the oracle's original).  They are parsed from one
+A mini-C job's pipeline consumes two copies of its module (reroll
+baseline and RoLAG).  They are parsed from one
 printed IR text: the one the session printed when it fingerprinted the
 job, or one the worker printed after compiling once.  The tests here
 count ``compile_c`` calls, pin every output against an independently

@@ -141,18 +141,16 @@ class TestInProcessDaemon:
             client.close()
 
     def test_evaluator_reaches_the_validation_gate(self, monkeypatch):
-        import repro.driver.core as driver_core
+        from repro.validation import Validator
 
         gate_evaluators = []
-        make_validator = driver_core._make_validator
+        from_config = Validator.from_config
 
-        def recording_make_validator(config, seed):
+        def recording_from_config(config, *args, **kwargs):
             gate_evaluators.append(config.validate_evaluator)
-            return make_validator(config, seed)
+            return from_config(config, *args, **kwargs)
 
-        monkeypatch.setattr(
-            driver_core, "_make_validator", recording_make_validator
-        )
+        monkeypatch.setattr(Validator, "from_config", recording_from_config)
         service = unthreaded_service(validate="safe", evaluator="compiled")
         client = LoopbackClient(service)
         try:
