@@ -144,17 +144,28 @@ class Lowerer:
         if isinstance(expr, ast.Binary):
             a = self._const_eval(expr.lhs)
             b = self._const_eval(expr.rhs)
-            ops = {
-                "+": lambda: a + b,
-                "-": lambda: a - b,
-                "*": lambda: a * b,
-                "/": lambda: a // b if isinstance(a, int) else a / b,
-                "%": lambda: a % b,
-                "<<": lambda: a << b,
-                ">>": lambda: a >> b,
-            }
-            if expr.op in ops:
-                return ops[expr.op]()
+            op = expr.op
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if op == "<<":
+                return a << b
+            if op == ">>":
+                return a >> b
+            if op in ("/", "%"):
+                if b == 0:
+                    raise LowerError("division by zero in a global initializer")
+                if isinstance(a, int) and isinstance(b, int):
+                    # C truncates the quotient toward zero, as ``sdiv`` does.
+                    quotient = abs(a) // abs(b)
+                    if (a < 0) != (b < 0):
+                        quotient = -quotient
+                    return quotient if op == "/" else a - b * quotient
+                if op == "/":
+                    return a / b
         raise LowerError("global initializer is not a constant expression")
 
     def _declare_function(self, item: ast.FunctionDef) -> None:

@@ -40,6 +40,12 @@ _BINARY_PRECEDENCE = [
     ("*", "/", "%"),
 ]
 
+#: Binding level of every binary operator: its index in
+#: ``_BINARY_PRECEDENCE`` (higher binds tighter).
+_BINARY_LEVEL = {
+    op: level for level, ops in enumerate(_BINARY_PRECEDENCE) for op in ops
+}
+
 
 class CParser:
     """Parses a translation unit.  Use :func:`parse` instead."""
@@ -179,12 +185,25 @@ class CParser:
         """``T name[A][B]`` is an A-array of B-arrays of T."""
         counts: List[int] = []
         while self.accept("op", "["):
-            counts.append(int(self.expect("int").text.rstrip("uUlL"), 0))
+            counts.append(self._int_value(self.expect("int")))
             self.expect("op", "]")
         ctype = base
         for count in reversed(counts):
             ctype = CArray(ctype, count)
         return ctype
+
+    @staticmethod
+    def _int_value(token: Token) -> int:
+        """The value of an integer literal: hex after ``0x``, octal
+        after any other leading zero, as in C."""
+        digits = token.text.rstrip("uUlL")
+        octal = len(digits) > 1 and digits[0] == "0" and digits[1] not in "xX"
+        try:
+            return int(digits, 8 if octal else 0)
+        except ValueError:
+            raise CParseError(
+                f"invalid integer literal {token.text!r}", token.line
+            ) from None
 
     def _parse_struct_def(self) -> ast.StructDef:
         self.expect("keyword", "struct")
@@ -409,16 +428,18 @@ class CParser:
             return ast.Conditional(cond, if_true, if_false)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_PRECEDENCE):
-            return self._parse_unary()
-        ops = _BINARY_PRECEDENCE[level]
-        lhs = self._parse_binary(level + 1)
-        while self.tok.kind == "op" and self.tok.text in ops:
-            op = self.advance().text
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: a unary operand, then every operator
+        binding at ``min_level`` or tighter, grouped to the left."""
+        lhs = self._parse_unary()
+        while True:
+            token = self.tok
+            level = _BINARY_LEVEL.get(token.text) if token.kind == "op" else None
+            if level is None or level < min_level:
+                return lhs
+            self.pos += 1
             rhs = self._parse_binary(level + 1)
-            lhs = ast.Binary(op, lhs, rhs)
-        return lhs
+            lhs = ast.Binary(token.text, lhs, rhs)
 
     def _parse_unary(self) -> ast.Expr:
         token = self.tok
@@ -472,8 +493,7 @@ class CParser:
             text = token.text
             unsigned = "u" in text.lower()
             is_long = "l" in text.lower()
-            value = int(text.rstrip("uUlL"), 0)
-            return ast.IntLit(value, unsigned, is_long)
+            return ast.IntLit(self._int_value(token), unsigned, is_long)
         if token.kind == "float":
             self.advance()
             text = token.text

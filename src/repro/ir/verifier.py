@@ -13,6 +13,16 @@ Two entry granularities:
   Function-global invariants (every block has a parent, return types
   everywhere) are left to the full check.
 
+Cost per operand slot, with ``d`` the dominator-tree depth:
+
+* use-def: O(uses) scanning a use list of at most
+  ``_SCANNED_USE_LIST`` entries; O(1) against a memoized set for a
+  longer one (interned constants), whose set is built once, O(uses);
+* dominance: O(1) for a non-phi use of an instruction earlier in the
+  same block; O(d) for a cross-block use, and O(incoming * d) for a
+  phi use;
+* types: O(1).
+
 The verifier is the first line of defence against *corrupted* IR, so
 it must never crash on the garbage it exists to diagnose: a dominance
 query over an instruction whose parent pointers lie is reported as an
@@ -21,7 +31,7 @@ error, not raised as an ``IndexError``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Set
 
 from .instructions import (
     BinaryOp,
@@ -56,6 +66,11 @@ _FLOAT_ONLY_OPCODES = frozenset({"fadd", "fsub", "fmul", "fdiv", "frem"})
 #: therefore accepts constant out-of-range shift amounts deliberately;
 #: the difftest fuzzer generates them to pin the modulo behaviour down.
 _SHIFT_OPCODES = frozenset({"shl", "lshr", "ashr"})
+
+
+#: Use lists up to this long are scanned per operand; longer ones are
+#: folded into a memoized set.
+_SCANNED_USE_LIST = 16
 
 
 class VerificationError(Exception):
@@ -126,21 +141,31 @@ def _check_blocks(
             if inst.is_terminator and inst is not block.instructions[-1]:
                 errors.append(f"terminator mid-block in %{block.name}")
 
-    # Use-def chain consistency.  Each distinct operand value's use
-    # list is folded into a set once and memoized: interned constants
-    # are shared module-wide, so scanning their (long) use lists per
-    # referencing operand would be quadratic.
+    # Use-def chain consistency: operand ``index`` of ``inst`` needs a
+    # ``Use`` naming ``(inst, index)`` in the operand's use list.  A
+    # short list is scanned in place.  A long one -- an interned
+    # constant's, shared module-wide -- is folded into a set once and
+    # memoized, so scanning it per referencing operand is not quadratic.
     use_sets: Dict[int, set] = {}
     for block in blocks:
         for inst in block.instructions:
-            inst_id = id(inst)
             for index, op in enumerate(inst.operands):
+                uses = op.uses
+                if len(uses) <= _SCANNED_USE_LIST:
+                    for use in uses:
+                        if use.user is inst and use.index == index:
+                            break
+                    else:
+                        errors.append(
+                            f"operand {index} of {inst!r} missing from use list"
+                        )
+                    continue
                 key = id(op)
                 pairs = use_sets.get(key)
                 if pairs is None:
-                    pairs = {(id(u.user), u.index) for u in op.uses}
+                    pairs = {(id(u.user), u.index) for u in uses}
                     use_sets[key] = pairs
-                if (inst_id, index) not in pairs:
+                if (id(inst), index) not in pairs:
                     errors.append(
                         f"operand {index} of {inst!r} missing from use list"
                     )
@@ -179,11 +204,22 @@ def _check_blocks(
 
     # SSA dominance: every non-phi instruction operand must be defined
     # in a dominating position (phi uses are checked at the end of the
-    # corresponding incoming block by ``dominates``).
+    # corresponding incoming block by ``dominates``).  ``seen`` holds
+    # the instructions already walked in this block: a non-phi use of
+    # one of them is dominated, the answer ``dominates`` would give.
+    # Every other use -- cross-block, phi, or one that may be invalid --
+    # asks the tree.
     for block in blocks:
         if not domtree.is_reachable(block):
             continue
+        seen: Set[int] = set()
         for inst in block.instructions:
+            inst_id = id(inst)
+            in_order = (
+                inst.parent is block
+                and inst_id not in seen
+                and not isinstance(inst, Phi)
+            )
             for op in inst.operands:
                 if not isinstance(op, Instruction):
                     continue
@@ -191,6 +227,8 @@ def _check_blocks(
                     errors.append(
                         f"{inst!r} uses detached instruction {op!r}"
                     )
+                    continue
+                if in_order and op.parent is block and id(op) in seen:
                     continue
                 try:
                     dominated = domtree.dominates(op, inst)
@@ -208,6 +246,7 @@ def _check_blocks(
                         f"{op.short_name()} does not dominate its use in "
                         f"{inst!r} (block %{block.name})"
                     )
+            seen.add(inst_id)
 
     # Basic type sanity.
     for block in blocks:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from ..analysis.domtree import DominatorTree
-from ..ir.instructions import Alloca, Load, Phi, Store
+from ..ir.instructions import Alloca, Instruction, Load, Phi, Store
 from ..ir.module import BasicBlock, Function
 from ..ir.values import UndefValue, Value
 
@@ -85,24 +85,32 @@ def promote_memory_to_registers(fn: Function) -> int:
             return stack[-1]
         return UndefValue(alloca.allocated_type)
 
+    def erase(inst: Instruction) -> None:
+        # ``erase_from_parent`` minus the ``list.remove``: the caller
+        # rebuilds the block's list once.
+        inst.parent = None
+        inst.drop_all_references()
+
     def rename(block: BasicBlock) -> None:
         pushed: List[Alloca] = []
-        for inst in list(block.instructions):
-            if isinstance(inst, Phi) and id(inst) in phi_homes:
-                home = phi_homes[id(inst)]
-                stacks[id(home)].append(inst)
-                pushed.append(home)
-                continue
+        kept: List[Instruction] = []
+        for inst in block.instructions:
             if isinstance(inst, Load) and id(inst.pointer) in alloca_ids:
                 inst.replace_all_uses_with(current(inst.pointer))
-                inst.erase_from_parent()
-                continue
-            if isinstance(inst, Store) and id(inst.pointer) in alloca_ids:
+                erase(inst)
+            elif isinstance(inst, Store) and id(inst.pointer) in alloca_ids:
                 home = inst.pointer
                 stacks[id(home)].append(inst.value)
                 pushed.append(home)
-                inst.erase_from_parent()
-                continue
+                erase(inst)
+            else:
+                if isinstance(inst, Phi) and id(inst) in phi_homes:
+                    home = phi_homes[id(inst)]
+                    stacks[id(home)].append(inst)
+                    pushed.append(home)
+                kept.append(inst)
+        if len(kept) != len(block.instructions):
+            block.instructions[:] = kept
         for succ in block.successors():
             for phi in succ.phis():
                 home = phi_homes.get(id(phi))

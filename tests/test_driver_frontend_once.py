@@ -123,6 +123,34 @@ def test_optimize_one_without_frozen_form_compiles_once(compiles):
     assert result.semantics_ok
 
 
+def test_shipped_text_is_verified_on_its_first_load_only(monkeypatch):
+    events = []
+    parse, verify = core.parse_module, core.verify_module
+
+    def parsing(text):
+        module = parse(text)
+        events.append(("parse", module))
+        return module
+
+    def verifying(module):
+        events.append(("verify", module))
+        verify(module)
+
+    monkeypatch.setattr(core, "parse_module", parsing)
+    monkeypatch.setattr(core, "verify_module", verifying)
+    result = optimize_one(_corpus()[0], RolagConfig(validate="off"))
+    assert not result.failed, result.error
+    first, second = [module for kind, module in events if kind == "parse"]
+    # The second copy parses the text the first verified; each copy is
+    # still verified after its stage's passes.
+    assert [kind for kind, module in events if module is first] == [
+        "parse", "verify", "verify"
+    ]
+    assert [kind for kind, module in events if module is second] == [
+        "parse", "verify"
+    ]
+
+
 def test_ir_jobs_never_reach_the_frontend(compiles, tmp_path):
     jobs = [
         FunctionJob(name=job.name, ir_text=print_module(compile_c(job.c_source)))

@@ -1,0 +1,67 @@
+"""Pinned frontend output: the printed IR of the benchmark corpora.
+
+The frontend's speed work (parser, verifier, mem2reg) must not change
+what it emits: every cache key, exhibit and benchmark digest rests on
+these bytes.  The digests below are sha256 over the concatenated
+``print_module`` output, in a fixed order, of
+
+* the first 40 Angha sources of the seed-2022 draw (the campaign
+  benchmark's corpus) compiled by :func:`compile_c`, and
+* every TSVC kernel compiled and unrolled by a factor.
+
+A change that moves one is a change to the frontend's output, not a
+refactor: find which input moved before re-pinning.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.bench import angha, tsvc
+from repro.frontend import compile_c
+from repro.ir import print_module
+
+
+def angha_digest(count):
+    digest = hashlib.sha256()
+    for source in angha.generate_sources(count=count, seed=2022):
+        digest.update(print_module(compile_c(source.source)).encode())
+    return digest.hexdigest()
+
+
+def tsvc_digest(factor):
+    digest = hashlib.sha256()
+    for name in tsvc.kernel_names():
+        digest.update(
+            print_module(tsvc.build_unrolled_kernel(name, factor)).encode()
+        )
+    return digest.hexdigest()
+
+
+ANGHA_40 = "aaba5e3b81239169a3c06a6d7508d4db3d4acd10734fda8f1c441f826c425e18"
+ANGHA_400 = "5d503ef4fb947ed13037e60bef7c809b43d8a2c2cd005cfc1fbaf054953cd20b"
+TSVC = {
+    1: "6ee3f045ce3152e0a6890ed2bf411710de34bdd0a318786d3f64b50123bb9db1",
+    4: "a04fb28671116afb89aa0e2e8a360713cea83b6c96843c713f2b1d93d8927f62",
+    8: "0bd0b293aa43fe2eeefd955d787ac499ce17231b00e5ccf904f7061351c9147b",
+    16: "9369af1e13639fd6a99422cf87f9a7a794896eab5a32d26895128abed43a3819",
+}
+
+
+def test_campaign_angha_draw_prints_pinned_ir():
+    assert angha_digest(40) == ANGHA_40
+
+
+def test_tsvc_kernels_unrolled_by_8_print_pinned_ir():
+    assert tsvc_digest(8) == TSVC[8]
+
+
+@pytest.mark.slow
+def test_wide_angha_draw_prints_pinned_ir():
+    assert angha_digest(400) == ANGHA_400
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("factor", [1, 4, 16])
+def test_tsvc_kernels_print_pinned_ir_at_every_factor(factor):
+    assert tsvc_digest(factor) == TSVC[factor]

@@ -63,6 +63,27 @@ out:
         blocks = {b.name: b for b in fn.blocks}
         assert len(blocks["loop"].phis()) == 2
 
+    def test_erased_loads_and_stores_are_detached(self):
+        module = parse_module(self.COUNT_UP)
+        fn = module.get_function("f")
+        erased = [
+            i for i in fn.instructions() if isinstance(i, (Alloca, Load, Store))
+        ]
+        survivors = {
+            b.name: [i for i in b.instructions if i not in erased]
+            for b in fn.blocks
+        }
+        promote_memory_to_registers(fn)
+        for inst in erased:
+            assert inst.parent is None
+            assert inst.operands == [] and inst.uses == []
+        # Every block keeps its other instructions, in order, after the
+        # new phis.
+        for block in fn.blocks:
+            rest = block.instructions[len(block.phis()):]
+            assert rest == survivors[block.name]
+        verify_module(module)
+
     def test_diamond_phi_placement(self):
         src = """
 define i32 @f(i1 %c) {

@@ -275,3 +275,116 @@ class TestUseListIntegrity:
         a.uses = []
         with pytest.raises(VerificationError, match="use list"):
             verify_function(fn)
+
+
+class TestUseListPaths:
+    """The use-def check scans a short use list in place and folds a
+    long one into a memoized set; both must catch the same corruption."""
+
+    def _chain(self, length):
+        """``length`` adds that all use one shared constant, then ret."""
+        from repro.ir import verifier
+
+        module, fn, block = make_fn(ret=I32, params=[I32])
+        shared = ConstantInt(I32, 7)
+        builder = IRBuilder(block)
+        value = fn.arguments[0]
+        for _ in range(length):
+            value = builder.add(value, shared)
+        builder.ret(value)
+        long_list = len(shared.uses) > verifier._SCANNED_USE_LIST
+        return fn, block, shared, long_list
+
+    @pytest.mark.parametrize("length,long_list", [(3, False), (40, True)])
+    def test_missing_use_record(self, length, long_list):
+        fn, block, shared, is_long = self._chain(length)
+        assert is_long is long_list
+        verify_function(fn)
+        victim = block.instructions[length // 2]
+        shared.uses = [u for u in shared.uses if u.user is not victim]
+        with pytest.raises(VerificationError, match="operand 1 .* use list"):
+            verify_function(fn)
+
+    @pytest.mark.parametrize("length,long_list", [(3, False), (40, True)])
+    def test_use_naming_right_user_with_wrong_index(self, length, long_list):
+        from repro.ir.values import Use
+
+        fn, block, shared, is_long = self._chain(length)
+        assert is_long is long_list
+        victim = block.instructions[length // 2]
+        shared.uses = [
+            Use(victim, 0) if u.user is victim else u for u in shared.uses
+        ]
+        with pytest.raises(VerificationError, match="operand 1 .* use list"):
+            verify_function(fn)
+
+
+class TestSameBlockDominance:
+    def _self_loop(self):
+        """entry -> loop (a self-loop) -> exit; returns the pieces."""
+        module, fn, entry = make_fn(ret=I32, params=[I32])
+        loop = fn.add_block("loop")
+        exit_block = fn.add_block("exit")
+        IRBuilder(entry).br(loop)
+        return fn, entry, loop, exit_block
+
+    def test_phi_using_a_later_instruction_of_its_own_block_is_valid(self):
+        fn, entry, loop, exit_block = self._self_loop()
+        phi = Phi(I32)
+        loop.append(phi)
+        builder = IRBuilder(loop)
+        step = builder.add(phi, builder.i32(1))
+        done = builder.icmp("sge", step, fn.arguments[0])
+        builder.cond_br(done, exit_block, loop)
+        phi.add_incoming(ConstantInt(I32, 0), entry)
+        phi.add_incoming(step, loop)
+        IRBuilder(exit_block).ret(step)
+        verify_function(fn)  # must not raise
+
+    def test_non_phi_use_of_a_later_instruction_of_its_block_is_invalid(self):
+        fn, entry, loop, exit_block = self._self_loop()
+        phi = Phi(I32)
+        loop.append(phi)
+        builder = IRBuilder(loop)
+        early = builder.add(phi, builder.i32(1))
+        late = builder.add(phi, builder.i32(2))
+        early.set_operand(0, late)  # the block dominates itself; order does not
+        done = builder.icmp("sge", early, fn.arguments[0])
+        builder.cond_br(done, exit_block, loop)
+        phi.add_incoming(ConstantInt(I32, 0), entry)
+        phi.add_incoming(early, loop)
+        IRBuilder(exit_block).ret(early)
+        with pytest.raises(VerificationError, match="does not dominate"):
+            verify_function(fn)
+
+    def test_phi_naming_an_earlier_phi_of_its_block_off_a_back_edge(self):
+        fn, entry, loop, exit_block = self._self_loop()
+        first = Phi(I32)
+        second = Phi(I32)
+        loop.append(first)
+        loop.append(second)
+        builder = IRBuilder(loop)
+        step = builder.add(second, builder.i32(1))
+        done = builder.icmp("sge", step, fn.arguments[0])
+        builder.cond_br(done, exit_block, loop)
+        first.add_incoming(ConstantInt(I32, 0), entry)
+        first.add_incoming(step, loop)
+        second.add_incoming(first, loop)  # valid: loop dominates itself
+        second.add_incoming(ConstantInt(I32, 0), entry)
+        IRBuilder(exit_block).ret(step)
+        verify_function(fn)
+        second.set_incoming_value(1, first)  # invalid: loop does not dominate entry
+        with pytest.raises(VerificationError, match="does not dominate"):
+            verify_function(fn)
+
+    def test_instruction_listed_twice_is_ordered_by_its_first_copy(self):
+        module, fn, block = make_fn(ret=I32, params=[I32])
+        a = BinaryOp("add", fn.arguments[0], ConstantInt(I32, 1))
+        b = BinaryOp("add", a, ConstantInt(I32, 2))
+        for inst in (b, a, b):  # corrupt: b appears before and after a
+            block.append(inst)
+        block.append(Ret(b))
+        with pytest.raises(VerificationError) as caught:
+            verify_function(fn)
+        # Both copies sit at b's first position, before a.
+        assert str(caught.value).count("does not dominate") == 2
