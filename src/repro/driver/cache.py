@@ -69,7 +69,10 @@ log = logging.getLogger(__name__)
 #: from the live IR instead of carried counters.  9: the gate's
 #: vectors became a prefix of the job's one evidence draw (raw seed,
 #: no function-name mixing), so stored verdicts rest on other vectors.
-SCHEMA_VERSION = 9
+#: 10: the gate observes candidates with the backend that captured its
+#: evidence (the oracle's, when the oracle runs), so stored gate
+#: verdicts rest on that backend.
+SCHEMA_VERSION = 10
 
 #: ``job_key``/``quarantine_key`` sentinel: "compute the summary here".
 _AUTO = object()

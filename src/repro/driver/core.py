@@ -140,8 +140,9 @@ def optimize_one(
     (``check_semantics``) runs, the job's one
     :class:`~repro.difftest.runner.Evidence` is captured from the first
     copy before any pass touches it, with the oracle's ``evaluator``
-    when the oracle runs and the gate's otherwise.  Both gates and the
-    oracle compare candidates against it.
+    when the oracle runs and ``config.validate_evaluator`` otherwise.
+    Both gates and the oracle compare candidates against it, and the
+    gates observe them with the backend that captured it.
 
     With ``check_semantics`` set, both transformed modules are
     differentially tested against the evidence; the verdict and any

@@ -321,7 +321,10 @@ def evidence_verdict(
     invariant "a validated run never emits IR that contradicts the
     evidence it committed on" is deterministic, unlike re-sampling
     fresh vectors would be.  ``config`` supplies the gate's vector
-    count, step limit and evaluator.
+    count, step limit and evaluator: ``validate_evaluator`` is the
+    gate's backend on a run without the driver's difftest oracle,
+    which is every storm here (with the oracle on, the gate observes
+    with the oracle's evaluator instead).
 
     ``verdict`` is ``"ok"``, ``"wrong"`` (semantics-changing output;
     ``detail`` is the first mismatch) or ``"error"`` (the oracle itself

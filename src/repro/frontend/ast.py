@@ -19,10 +19,12 @@ class Expr:
 
 @dataclass
 class IntLit(Expr):
-    """Integer literal (with u/l suffix flags)."""
+    """Integer literal (with u/l suffix flags; ``decimal`` is false for
+    a hex or octal spelling, which C types differently)."""
     value: int
     unsigned: bool = False
     long: bool = False
+    decimal: bool = True
 
 
 @dataclass

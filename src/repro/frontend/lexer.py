@@ -21,7 +21,7 @@ _TOKEN_RE = re.compile(
       (?P<ws>\s+)
     | (?P<comment>//[^\n]*|/\*.*?\*/)
     | (?P<float>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?[fF]?|\d+[eE][+-]?\d+[fF]?|\d+[fF])
-    | (?P<hex>0[xX][0-9a-fA-F]+)
+    | (?P<hex>0[xX][0-9a-fA-F]+[uUlL]*)
     | (?P<int>\d+[uUlL]*)
     | (?P<char>'(\\.|[^'\\])')
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)

@@ -9,12 +9,13 @@ the reroll baseline, and RoLAG's evaluation all expect.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.builder import IRBuilder
-from ..ir.instructions import Alloca
+from ..ir.instructions import Alloca, BinaryOp, Cast, Instruction
+from ..ir.interp import TrapError, eval_binop, eval_cast
 from ..ir.module import BasicBlock, Function, Module
-from ..ir.types import FunctionType, I32, IntType
+from ..ir.types import FloatType, FunctionType, I32, IntType
 from ..ir.values import (
     Constant,
     ConstantAggregate,
@@ -35,6 +36,8 @@ from .ctypes import (
     FLOAT,
     INT,
     LONG,
+    UINT,
+    ULONG,
     VOIDT,
     usual_arithmetic_conversion,
 )
@@ -43,6 +46,62 @@ from .parser import parse
 
 class LowerError(Exception):
     """Raised when the program cannot be lowered."""
+
+
+def _literal_ctype(lit: ast.IntLit) -> CInt:
+    """The C type of an integer literal (C11 6.4.4.1): the first of its
+    candidate types that holds the value.  Suffix ``u`` admits only the
+    unsigned types and ``l`` only the long ones; a decimal literal
+    without ``u`` takes a signed type, a hex or octal one either."""
+    if lit.unsigned:
+        candidates = (UINT, ULONG)
+    elif lit.decimal:
+        candidates = (INT, LONG)
+    else:
+        candidates = (INT, UINT, LONG, ULONG)
+    for ctype in candidates:
+        value_bits = ctype.bits - 1 if ctype.signed else ctype.bits
+        if (ctype.bits == 64 or not lit.long) and lit.value >> value_bits == 0:
+            return ctype
+    return ULONG  # past LONG_MAX: unsigned long, as C compilers do
+
+
+class _ConstantFolder(IRBuilder):
+    """The builder a global initializer lowers through.
+
+    Instead of appending an instruction it evaluates it with the
+    interpreter's :func:`~repro.ir.interp.eval_binop` or
+    :func:`~repro.ir.interp.eval_cast` and returns the result as a
+    constant, so an initializer gets the body lowering's literal types,
+    conversions and opcodes and stores what the same expression
+    computes in a body.  Any other instruction, or one on an operand
+    that is not a number, makes the initializer not constant.
+    """
+
+    def _insert(self, inst: Instruction, name: str = "") -> Value:
+        operands = inst.operands
+        inst.drop_all_references()
+        ty = inst.type
+        if not (
+            isinstance(inst, (BinaryOp, Cast))
+            and isinstance(ty, (IntType, FloatType))
+            and all(isinstance(v, (ConstantInt, ConstantFloat)) for v in operands)
+        ):
+            raise LowerError(f"cannot fold {inst.opcode}")
+        try:
+            if isinstance(inst, BinaryOp):
+                result = eval_binop(
+                    inst.opcode, ty, operands[0].value, operands[1].value
+                )
+            else:
+                result = eval_cast(
+                    inst.opcode, operands[0].value, operands[0].type, ty
+                )
+        except TrapError:
+            raise LowerError("division by zero") from None
+        if isinstance(ty, IntType):
+            return ConstantInt(ty, result)
+        return ConstantFloat(ty, result)
 
 
 TypedValue = Tuple[Value, CType]
@@ -121,52 +180,21 @@ class Lowerer:
             while len(elements) < ctype.count:
                 elements.append(zero_constant_for(ctype.element.to_ir()))
             return ConstantAggregate(ctype.to_ir(), elements)
-        value = self._const_eval(expr)
-        ir_type = ctype.to_ir()
-        if isinstance(ir_type, IntType):
-            return ConstantInt(ir_type, int(value))
-        from ..ir.types import FloatType
-
-        if isinstance(ir_type, FloatType):
-            return ConstantFloat(ir_type, float(value))
-        raise LowerError(f"cannot initialise global of type {ctype}")
-
-    def _const_eval(self, expr: ast.Expr) -> Union[int, float]:
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.FloatLit):
-            return expr.value
-        if isinstance(expr, ast.Unary) and expr.op == "-":
-            return -self._const_eval(expr.operand)
-        if isinstance(expr, ast.CastExpr):
-            inner = self._const_eval(expr.operand)
-            return int(inner) if expr.to.is_integer else float(inner)
-        if isinstance(expr, ast.Binary):
-            a = self._const_eval(expr.lhs)
-            b = self._const_eval(expr.rhs)
-            op = expr.op
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "<<":
-                return a << b
-            if op == ">>":
-                return a >> b
-            if op in ("/", "%"):
-                if b == 0:
-                    raise LowerError("division by zero in a global initializer")
-                if isinstance(a, int) and isinstance(b, int):
-                    # C truncates the quotient toward zero, as ``sdiv`` does.
-                    quotient = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        quotient = -quotient
-                    return quotient if op == "/" else a - b * quotient
-                if op == "/":
-                    return a / b
-        raise LowerError("global initializer is not a constant expression")
+        # Lower ``expr`` as a body would, converted to the global's type.
+        saved = self.builder, self.scope
+        self.builder, self.scope = _ConstantFolder(), _Scope()
+        try:
+            value, vt = self._rvalue(expr)
+            value = self._convert(value, vt, ctype)
+        except LowerError as error:
+            raise LowerError(
+                f"global initializer is not a constant expression: {error}"
+            ) from None
+        finally:
+            self.builder, self.scope = saved
+        if not isinstance(value, (ConstantInt, ConstantFloat)):
+            raise LowerError(f"cannot initialise global of type {ctype}")
+        return value
 
     def _declare_function(self, item: ast.FunctionDef) -> None:
         if item.name in self.functions:
@@ -230,6 +258,8 @@ class Lowerer:
         return alloca
 
     def _new_block(self, name: str) -> BasicBlock:
+        if self.function is None:
+            raise LowerError("control flow outside a function")
         return self.function.add_block(self.function.next_name(name))
 
     # ----- statements -----------------------------------------------------------
@@ -623,9 +653,8 @@ class Lowerer:
 
     def _rvalue(self, expr: ast.Expr) -> TypedValue:
         if isinstance(expr, ast.IntLit):
-            if expr.long:
-                return ConstantInt(IntType(64), expr.value), CInt(64, not expr.unsigned)
-            return ConstantInt(I32, expr.value), CInt(32, not expr.unsigned)
+            ctype = _literal_ctype(expr)
+            return ConstantInt(ctype.to_ir(), expr.value), ctype
         if isinstance(expr, ast.FloatLit):
             if expr.is_float32:
                 return ConstantFloat(FLOAT.to_ir(), expr.value), FLOAT

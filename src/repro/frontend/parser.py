@@ -493,7 +493,9 @@ class CParser:
             text = token.text
             unsigned = "u" in text.lower()
             is_long = "l" in text.lower()
-            return ast.IntLit(self._int_value(token), unsigned, is_long)
+            return ast.IntLit(
+                self._int_value(token), unsigned, is_long, text[0] != "0"
+            )
         if token.kind == "float":
             self.advance()
             text = token.text

@@ -73,7 +73,9 @@ from .interp import (
     StepLimitExceeded,
     TrapError,
     _as_unsigned,
+    _bits_of,
     _round_float,
+    _value_of,
     _wrap_signed,
     constant_value,
 )
@@ -679,7 +681,7 @@ class CompiledFunction:
         dst_ty = inst.type
         op = inst.opcode
         # One converter per cast kind, pre-bound to the involved widths;
-        # the shapes mirror Machine._cast exactly.
+        # the shapes mirror eval_cast exactly.
         if op == "trunc":
             bits = dst_ty.bits
             convert = lambda v, bits=bits: _wrap_signed(int(v), bits)
@@ -696,7 +698,7 @@ class CompiledFunction:
                 convert = lambda v: v
             else:
                 # Raw-bit reinterpretation is cold; route through the
-                # machine's helpers for exact parity.
+                # interpreter's helpers for exact parity.
                 def bitcast_step(
                     m: Machine, regs: list, _inst=inst, dst=dst, a=a,
                     src=src, dst_ty=dst_ty,
@@ -710,7 +712,7 @@ class CompiledFunction:
                     hook = m.instruction_hook
                     if hook is not None:
                         hook(_inst)
-                    regs[dst] = m._value_of(m._bits_of(regs[a], src), dst_ty)
+                    regs[dst] = _value_of(_bits_of(regs[a], src), dst_ty)
 
                 return bitcast_step
         elif op == "ptrtoint":

@@ -188,8 +188,8 @@ def _int_ashr(bits: int, a: int, b: int) -> int:
 
 #: One implementation per integer opcode, each ``impl(bits, a, b)``.
 #: Callers that execute the same instruction repeatedly (the compiling
-#: evaluator, :meth:`Machine._binop`) pre-bind the entry instead of
-#: re-dispatching on the opcode string every time.
+#: evaluator) pre-bind the entry instead of re-dispatching on the
+#: opcode string every time.
 INT_BINOP_IMPLS: Dict[str, Callable[[int, int, int], int]] = {
     "add": _int_add,
     "sub": _int_sub,
@@ -210,7 +210,7 @@ INT_BINOP_IMPLS: Dict[str, Callable[[int, int, int], int]] = {
 def eval_int_binop(opcode: str, bits: int, a: int, b: int) -> int:
     """Evaluate one integer binary op at ``bits`` width.
 
-    The shared evaluator behind :meth:`Machine._binop`, the compiling
+    The shared evaluator behind :func:`eval_binop`, the compiling
     evaluator and the constant folder, so folded constants agree with
     executed results bit for bit.  Operands may be in signed or
     unsigned form; the result is wrapped to signed form.  Raises
@@ -256,6 +256,87 @@ FLOAT_BINOP_IMPLS: Dict[str, Callable[[int, float, float], float]] = {
     "fdiv": _float_div,
     "frem": _float_rem,
 }
+
+
+def eval_binop(opcode: str, ty: Type, a: object, b: object) -> object:
+    """Evaluate one binary op of integer or float type ``ty``.
+
+    The shared evaluator behind :class:`Machine` and the frontend's
+    global-initializer fold, so a folded initializer agrees with
+    executed code.  Raises :class:`TrapError` for a bad opcode or a
+    division/remainder by zero.
+    """
+    if isinstance(ty, IntType):
+        return eval_int_binop(opcode, ty.bits, int(a), int(b))
+    if isinstance(ty, FloatType):
+        impl = FLOAT_BINOP_IMPLS.get(opcode)
+        if impl is None:
+            raise TrapError(f"bad float opcode {opcode}")
+        return impl(ty.bits, float(a), float(b))
+    raise TrapError(f"binary op on {ty}")
+
+
+def eval_cast(opcode: str, value: object, src: Type, dst: Type) -> object:
+    """Evaluate one cast of ``value`` from ``src`` to ``dst``.
+
+    Shared, like :func:`eval_binop`, by :class:`Machine` and the
+    frontend's global-initializer fold.  Raises :class:`TrapError`
+    for an unknown opcode.
+    """
+    if opcode == "trunc":
+        return _wrap_signed(int(value), dst.bits)
+    if opcode == "zext":
+        return _wrap_signed(_as_unsigned(int(value), src.bits), dst.bits)
+    if opcode == "sext":
+        return _wrap_signed(int(value), dst.bits)
+    if opcode == "bitcast":
+        if isinstance(src, PointerType) and isinstance(dst, PointerType):
+            return value
+        return _value_of(_bits_of(value, src), dst)
+    if opcode == "ptrtoint":
+        return _wrap_signed(int(value), dst.bits)
+    if opcode == "inttoptr":
+        return _as_unsigned(int(value), 64)
+    if opcode in ("sitofp", "uitofp"):
+        if opcode == "uitofp":
+            value = _as_unsigned(int(value), src.bits)
+        return _round_float(float(int(value)), dst.bits)
+    if opcode in ("fptosi", "fptoui"):
+        try:
+            result = int(float(value))
+        except (OverflowError, ValueError):
+            result = 0
+        return _wrap_signed(result, dst.bits)
+    if opcode == "fpext":
+        return float(value)
+    if opcode == "fptrunc":
+        return _round_float(float(value), dst.bits)
+    raise TrapError(f"bad cast {opcode}")
+
+
+def _bits_of(value: object, ty: Type) -> int:
+    """The raw bits of ``value`` read as ``ty``."""
+    if isinstance(ty, IntType):
+        return _as_unsigned(int(value), ty.bits)
+    if isinstance(ty, FloatType):
+        fmt = "<f" if ty.bits == 32 else "<d"
+        return int.from_bytes(struct.pack(fmt, float(value)), "little")
+    if isinstance(ty, PointerType):
+        return int(value)
+    raise TrapError(f"bitcast of {ty}")
+
+
+def _value_of(raw: int, ty: Type) -> object:
+    """The value of type ``ty`` whose raw bits are ``raw``."""
+    if isinstance(ty, IntType):
+        return _wrap_signed(raw, ty.bits)
+    if isinstance(ty, FloatType):
+        size = ty.bits // 8
+        fmt = "<f" if ty.bits == 32 else "<d"
+        return struct.unpack(fmt, raw.to_bytes(size, "little"))[0]
+    if isinstance(ty, PointerType):
+        return raw
+    raise TrapError(f"bitcast to {ty}")
 
 
 ExternHandler = Callable[["Machine", Sequence[object]], object]
@@ -397,39 +478,32 @@ class Machine:
 
     def _allocate_globals(self) -> None:
         # Initializers never change after construction (passes only
-        # *append* globals), so the packed bytes are cached on the
-        # module -- keyed by layout and the global-name list so an
-        # appended global recomputes -- and every later machine
-        # replays them with one write per global.
+        # *append* globals), so the initialized memory and its address
+        # map are cached on the module and every later machine starts
+        # from one copy of that image.  The key holds the layout and
+        # each global with its name: an appended global, or one a
+        # rollback removed and a retry re-added under the same name,
+        # rebuilds the image.
         cache_key = (
             id(self.layout),
-            tuple(gv.name for gv in self.module.globals),
+            tuple((gv, gv.name) for gv in self.module.globals),
         )
-        cached = getattr(self.module, "_interp_global_images", None)
-        images = cached[1] if cached is not None and cached[0] == cache_key else None
-        for gv in self.module.globals:
-            size = self.layout.size_of(gv.value_type)
-            addr = self.alloc(size, self.layout.align_of(gv.value_type))
-            self.global_addresses[gv.name] = addr
-            if gv.initializer is None:
-                continue
-            if images is not None:
-                image = images.get(gv.name)
-                if image is not None:
-                    self.write_bytes(addr, image)
-                continue
-            self._write_initializer(addr, gv.value_type, gv.initializer)
-        if images is None:
-            fresh: Dict[str, bytes] = {}
+        cached = getattr(self.module, "_interp_memory_image", None)
+        if cached is not None and cached[0] == cache_key:
+            self.memory = bytearray(cached[1])
+            self.global_addresses = dict(cached[2])
+        else:
             for gv in self.module.globals:
-                if gv.initializer is None:
-                    continue
-                addr = self.global_addresses[gv.name]
                 size = self.layout.size_of(gv.value_type)
-                raw = self.read_bytes(addr, size)
-                if any(raw):
-                    fresh[gv.name] = bytes(raw)
-            self.module._interp_global_images = (cache_key, fresh)
+                addr = self.alloc(size, self.layout.align_of(gv.value_type))
+                self.global_addresses[gv.name] = addr
+                if gv.initializer is not None:
+                    self._write_initializer(
+                        addr, gv.value_type, gv.initializer
+                    )
+            self.module._interp_memory_image = (
+                cache_key, bytes(self.memory), dict(self.global_addresses)
+            )
         next_fn_addr = 8
         for fn in self.module.functions:
             self._function_addresses[next_fn_addr] = fn
@@ -603,7 +677,7 @@ class Machine:
         if isinstance(inst, BinaryOp):
             a = self._eval(inst.operands[0], env)
             b = self._eval(inst.operands[1], env)
-            return self._binop(inst.opcode, inst.type, a, b)
+            return eval_binop(inst.opcode, inst.type, a, b)
         if isinstance(inst, ICmp):
             return self._icmp(inst, env)
         if isinstance(inst, FCmp):
@@ -612,7 +686,10 @@ class Machine:
             cond = self._eval(inst.operands[0], env)
             return self._eval(inst.operands[1 if cond else 2], env)
         if isinstance(inst, Cast):
-            return self._cast(inst, env)
+            operand = inst.operands[0]
+            return eval_cast(
+                inst.opcode, self._eval(operand, env), operand.type, inst.type
+            )
         if isinstance(inst, GetElementPtr):
             return self._gep(inst, env)
         if isinstance(inst, Load):
@@ -636,16 +713,6 @@ class Machine:
             args = [self._eval(a, env) for a in inst.args]
             return self.call(callee, args)
         raise TrapError(f"cannot execute {inst!r}")
-
-    def _binop(self, opcode: str, ty: Type, a: object, b: object) -> object:
-        if isinstance(ty, IntType):
-            return eval_int_binop(opcode, ty.bits, int(a), int(b))
-        if isinstance(ty, FloatType):
-            impl = FLOAT_BINOP_IMPLS.get(opcode)
-            if impl is None:
-                raise TrapError(f"bad float opcode {opcode}")
-            return impl(ty.bits, float(a), float(b))
-        raise TrapError(f"binary op on {ty}")
 
     def _icmp(self, inst: ICmp, env: Dict[int, object]) -> int:
         a = self._eval(inst.operands[0], env)
@@ -689,63 +756,6 @@ class Machine:
             "oge": a >= b,
         }
         return 1 if table[pred] else 0
-
-    def _cast(self, inst: Cast, env: Dict[int, object]) -> object:
-        value = self._eval(inst.operands[0], env)
-        src = inst.operands[0].type
-        dst = inst.type
-        op = inst.opcode
-        if op == "trunc":
-            return _wrap_signed(int(value), dst.bits)
-        if op == "zext":
-            return _wrap_signed(_as_unsigned(int(value), src.bits), dst.bits)
-        if op == "sext":
-            return _wrap_signed(int(value), dst.bits)
-        if op == "bitcast":
-            if isinstance(src, PointerType) and isinstance(dst, PointerType):
-                return value
-            raw = self._bits_of(value, src)
-            return self._value_of(raw, dst)
-        if op == "ptrtoint":
-            return _wrap_signed(int(value), dst.bits)
-        if op == "inttoptr":
-            return _as_unsigned(int(value), 64)
-        if op in ("sitofp", "uitofp"):
-            if op == "uitofp":
-                value = _as_unsigned(int(value), src.bits)
-            return _round_float(float(int(value)), dst.bits)
-        if op in ("fptosi", "fptoui"):
-            try:
-                result = int(float(value))
-            except (OverflowError, ValueError):
-                result = 0
-            return _wrap_signed(result, dst.bits)
-        if op == "fpext":
-            return float(value)
-        if op == "fptrunc":
-            return _round_float(float(value), dst.bits)
-        raise TrapError(f"bad cast {op}")
-
-    def _bits_of(self, value: object, ty: Type) -> int:
-        if isinstance(ty, IntType):
-            return _as_unsigned(int(value), ty.bits)
-        if isinstance(ty, FloatType):
-            fmt = "<f" if ty.bits == 32 else "<d"
-            return int.from_bytes(struct.pack(fmt, float(value)), "little")
-        if isinstance(ty, PointerType):
-            return int(value)
-        raise TrapError(f"bitcast of {ty}")
-
-    def _value_of(self, raw: int, ty: Type) -> object:
-        if isinstance(ty, IntType):
-            return _wrap_signed(raw, ty.bits)
-        if isinstance(ty, FloatType):
-            size = ty.bits // 8
-            fmt = "<f" if ty.bits == 32 else "<d"
-            return struct.unpack(fmt, raw.to_bytes(size, "little"))[0]
-        if isinstance(ty, PointerType):
-            return raw
-        raise TrapError(f"bitcast to {ty}")
 
     def _gep(self, inst: GetElementPtr, env: Dict[int, object]) -> int:
         addr = int(self._eval(inst.pointer, env))

@@ -87,7 +87,10 @@ class RolagConfig:
     #: Step budget per validation observation (small by design: the
     #: gate runs inline on every transaction).
     validate_step_limit: int = 50_000
-    #: Evaluator backend the semantic gate observes with.
+    #: Evaluator backend the semantic gate captures its evidence and
+    #: observes candidates with, when no difftest oracle runs.  With
+    #: the oracle on, the driver captures the job's one evidence set
+    #: with the oracle's evaluator and the gate observes with that.
     validate_evaluator: str = "interp"
     #: Directory for guard-failure repro bundles (``None`` = don't
     #: persist repros; reports are still collected in stats).

@@ -15,7 +15,8 @@ or rolls back, at one of four levels:
     compared against the job's one
     :class:`~repro.difftest.runner.Evidence`, the original module's
     observations captured before any pass ran -- the same value the
-    driver's difftest oracle checks its candidates against.
+    driver's difftest oracle checks its candidates against.  The gate
+    observes with the backend that captured its evidence.
 ``strict``
     ``safe`` plus cross-backend parity: the candidate must behave
     identically (including step counts) under the interpreter and the
@@ -111,7 +112,11 @@ class Validator:
     """Gates transactions for one module's pipeline run.
 
     One validator may be shared across every function of a module (its
-    evidence is keyed by function name).
+    evidence is keyed by function name).  ``evaluator`` is the backend
+    that captures the evidence and observes every candidate, in the
+    semantic check and in the guard-bundle minimizer; a validator
+    handed evidence (:meth:`from_config`) takes the backend that
+    captured it.
     """
 
     def __init__(
@@ -144,13 +149,22 @@ class Validator:
     ) -> "Validator":
         """The gate a :class:`~repro.rolag.RolagConfig` describes,
         checking against ``evidence`` (sized to cover its vectors and
-        step limit) or, without it, capturing its own."""
+        step limit) or, without it, capturing its own.
+
+        The gate observes candidates with the backend that captured its
+        evidence, so a candidate is held to observations of the same
+        evaluator; ``config.validate_evaluator`` picks the backend only
+        when the validator captures its own evidence."""
         validator = cls(
             config.validate,
             vectors=config.validate_vectors,
             step_limit=config.validate_step_limit,
             guard_dir=config.guard_dir,
-            evaluator=config.validate_evaluator,
+            evaluator=(
+                config.validate_evaluator
+                if evidence is None
+                else evidence.evaluator
+            ),
         )
         validator._evidence = evidence
         return validator

@@ -49,15 +49,16 @@ def _angha_job():
 
 @pytest.fixture
 def observations(monkeypatch):
-    """Every ``(printed module, fn, vector, step_limit)`` the evidence
-    path observes."""
+    """Every ``(printed module, fn, vector, step_limit, evaluator)``
+    the evidence path observes."""
     seen = []
     observe = runner.observe_call
 
     def recording(module, fn_name, vector, **kwargs):
-        seen.append(
-            (print_module(module), fn_name, vector, kwargs["step_limit"])
-        )
+        seen.append((
+            print_module(module), fn_name, vector, kwargs["step_limit"],
+            kwargs.get("evaluator", "interp"),
+        ))
         return observe(module, fn_name, vector, **kwargs)
 
     monkeypatch.setattr(runner, "observe_call", recording)
@@ -88,7 +89,7 @@ def test_optimize_one_parses_twice_and_observes_the_original_once(
     # original's text: once per vector of the draw.
     of_original = [
         (name, vector, limit)
-        for text, name, vector, limit in observations
+        for text, name, vector, limit, _ in observations
         if text == job.ir_text
     ]
     assert of_original == [
@@ -105,16 +106,77 @@ def test_gate_vectors_are_a_prefix_of_the_oracle_draw(observations):
     draw = make_argument_vectors(fn, evidence_seed(job.text), ORACLE_VECTORS)
     gate = {
         vector
-        for _, _, vector, limit in observations
+        for _, _, vector, limit, _ in observations
         if limit == config.validate_step_limit
     }
     oracle = {
         vector
-        for _, _, vector, limit in observations
+        for _, _, vector, limit, _ in observations
         if limit == ORACLE_STEP_LIMIT
     }
     assert gate == set(draw[: config.validate_vectors])
     assert oracle == set(draw)
+
+
+def test_a_safe_job_observes_only_with_the_oracles_backend(observations):
+    job = _tsvc_job()
+    config = RolagConfig(fast_math=True, validate="safe")
+    result = optimize_one(
+        job, config, check_semantics=True, evaluator="compiled"
+    )
+    assert result.semantics_ok and result.llvm_rolled and result.rolag_rolled
+    capture = [o for o in observations if o[0] == job.ir_text]
+    gate = [o for o in observations if o[3] == config.validate_step_limit]
+    oracle = [
+        o for o in observations
+        if o[0] != job.ir_text and o[3] == ORACLE_STEP_LIMIT
+    ]
+    assert capture and gate and oracle
+    assert {o[4] for o in observations} == {"compiled"}
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled"])
+def test_without_the_oracle_the_gate_keeps_validate_evaluator(
+    observations, backend
+):
+    job = _tsvc_job()
+    config = RolagConfig(
+        fast_math=True, validate="safe", validate_evaluator=backend
+    )
+    result = optimize_one(job, config, evaluator="compiled")
+    assert result.rolag_rolled and not result.guard_reports
+    assert any(o[0] != job.ir_text for o in observations)
+    assert {o[4] for o in observations} == {backend}
+
+
+def test_the_guard_minimizer_replays_on_the_evidence_backend(
+    monkeypatch, tmp_path
+):
+    import repro.validation.gate as gate
+
+    backends = []
+    minimize = gate.minimize_record
+
+    def recording(record, stages, **kwargs):
+        backends.append(kwargs["evaluator"])
+        return minimize(record, stages, **kwargs)
+
+    monkeypatch.setattr(gate, "minimize_record", recording)
+    module = parse_module(SRC)
+    evidence = Evidence.capture(
+        module, seed=7, vectors=2, step_limit=50_000, evaluator="compiled"
+    )
+    validator = Validator.from_config(
+        RolagConfig(validate="safe", guard_dir=str(tmp_path)),
+        evidence=evidence,
+    )
+    assert validator.evaluator == "compiled"
+    pm = TransactionalPassManager(verify=False, validator=validator)
+    pm.add("evil", bump_constant)
+    pm.run(module)
+    (report,) = validator.reports
+    assert report.failure_kind == "semantics"
+    assert backends == ["compiled"]
 
 
 def test_evidence_check_rederives_the_vector_a_guard_bundle_records(
@@ -159,7 +221,7 @@ def test_check_module_semantics_and_perfbench_share_the_draw(
     # Each vector of the draw, once on the original and once on the
     # candidate.
     assert sorted(
-        ((v, limit) for _, _, v, limit in observations), key=repr
+        ((v, limit) for _, _, v, limit, _ in observations), key=repr
     ) == sorted([(vector, ORACLE_STEP_LIMIT) for vector in draw] * 2, key=repr)
 
     stepped = []
@@ -173,7 +235,7 @@ def test_check_module_semantics_and_perfbench_share_the_draw(
     del observations[:]
     verdict = perfbench.check._check_one(job, optimized)
     assert verdict[0] and verdict[1] > 0
-    verdict_vectors = [v for _, _, v, _ in observations]
+    verdict_vectors = [v for _, _, v, _, _ in observations]
     assert sorted(verdict_vectors, key=repr) == sorted(draw * 2, key=repr)
     assert stepped == draw * 2
 
