@@ -149,10 +149,6 @@ class CodeSizeCostModel:
         """Summed instruction bytes of one block."""
         return sum(self.instruction_cost(inst) for inst in block.instructions)
 
-    def instructions_cost(self, instructions) -> int:
-        """Summed bytes of an arbitrary instruction collection."""
-        return sum(self.instruction_cost(inst) for inst in instructions)
-
     def function_cost(self, fn: Function) -> int:
         """Function bytes: prologue overhead plus every block."""
         if fn.is_declaration:

@@ -126,11 +126,6 @@ class DependenceGraph:
                     return False
         return True
 
-    def predecessors_of(self, inst: Instruction) -> List[Instruction]:
-        """Instructions with a direct edge into ``inst``."""
-        j = self.index[id(inst)]
-        return [self.instructions[i] for i in sorted(self.edges[j])]
-
     def transitive_predecessors(self, roots: List[Instruction]) -> Set[int]:
         """Indices of all instructions the roots transitively depend on."""
         result: Set[int] = set()

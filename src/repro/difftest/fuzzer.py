@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..ir.builder import IRBuilder
 from ..ir.module import Module
@@ -353,10 +353,3 @@ class _CaseBuilder:
         self.builder.ret(result)
         return self.module
 
-
-def fuzz_corpus(
-    seed: int, count: int, config: Optional[FuzzConfig] = None
-) -> Sequence[Tuple[Module, str]]:
-    """Materialize ``count`` cases (mostly for tests; the runner streams)."""
-    fuzzer = FunctionFuzzer(seed, config)
-    return [fuzzer.build(index) for index in range(count)]

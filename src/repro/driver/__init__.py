@@ -10,11 +10,12 @@ Public surface::
     )
 
 :class:`DriverSession` is the driver's one engine: incremental
-submit/collect over a persistent cache, dedupe table, quarantine list
-and worker pool.  The ``repro serve`` daemon drives one long-lived
-session; :func:`optimize_functions`, the batch entry point everything
-else uses, is a thin client that submits a whole batch, drains the
-session, and returns the results in job order.
+submission over a persistent cache, dedupe table, quarantine list and
+worker pool, where each job's result reaches the callback it was
+submitted with, exactly once.  The ``repro serve`` daemon drives one
+long-lived session; :func:`optimize_functions`, the batch entry point
+everything else uses, is a thin client that submits a whole batch,
+drains the session, and returns the results in job order.
 """
 
 from .cache import ResultCache, job_key, model_fingerprint

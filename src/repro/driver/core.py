@@ -16,8 +16,10 @@ fresh names derive from the live IR (see
 :meth:`repro.ir.Function.next_name`), so a parsed copy names what a
 pass derives exactly as the compiled module would.  The ``repro
 serve`` daemon drives one long-lived session; the batch entry point
-:func:`optimize_functions` is a thin client that submits every job,
-drains the session, and returns the results in job order.
+:func:`optimize_functions` is a thin client that submits every job
+with a callback that files its result by job index, then closes the
+session, which drains it.  A result leaves a session one way only:
+the callback its job was submitted with, called exactly once.
 
 Dispatch is chunked (one pickle round-trip per chunk, not per
 function) and falls back to a deterministic in-process loop for
@@ -39,7 +41,7 @@ the run.  The resilience contract (see ``docs/robustness.md``):
   failure, never a lost batch;
 * ``deadline`` bounds each function's wall clock; hangs that ignore
   the cooperative checkpoints are killed by the parent watchdog along
-  with their pool, which is respawned (``max_pool_respawns`` times);
+  with their pool, which is respawned (``MAX_POOL_RESPAWNS`` times);
 * failed jobs are retried (``retries`` times, exponential backoff) and
   functions that exhaust their retries are recorded in a persistent
   quarantine list so later runs skip them outright;
@@ -63,6 +65,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter, sleep
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -98,6 +101,10 @@ from .types import DriverReport, DriverStats, FunctionJob, FunctionResult
 
 #: Pool sizes beyond this stop paying off for per-function work.
 MAX_DEFAULT_WORKERS = 8
+
+#: Pool deaths a session absorbs by respawning; one more abandons the
+#: queued work (or runs it in-process, with ``serial_fallback``).
+MAX_POOL_RESPAWNS = 2
 
 
 def default_worker_count() -> int:
@@ -595,18 +602,17 @@ def optimize_functions(
     retries: int = 1,
     retry_backoff: float = 0.05,
     quarantine_file: Optional[str] = None,
-    quarantine_after: int = 2,
     fault_plan: Union[None, str, FaultPlan] = None,
     serial_fallback: bool = False,
-    max_pool_respawns: int = 2,
     dedupe: bool = True,
 ) -> DriverReport:
     """Optimize every job, in parallel, memoized, and fault-tolerant.
 
-    A thin client of :class:`DriverSession`: every job is submitted,
-    the session is drained, and the results come back in job order
-    regardless of completion order.  Every keyword means what it means
-    on the session.  ``workers`` defaults to
+    A thin client of :class:`DriverSession`: every job is submitted
+    with a callback that stores its result at the job's index, and
+    closing the session drains it, so the results come back in job
+    order regardless of completion order.  Every keyword means what it
+    means on the session.  ``workers`` defaults to
     :func:`default_worker_count`; ``workers=1`` runs serially
     in-process (bit-identical to the pool path: either way each stage
     works on a copy parsed from the same text).  With ``cache_dir`` set
@@ -630,13 +636,14 @@ def optimize_functions(
     ``docs/robustness.md``): ``deadline`` bounds each function's wall
     clock; failed jobs are retried ``retries`` times with exponential
     ``retry_backoff``; functions that exhaust their retries are
-    recorded in ``quarantine_file`` and skipped once they accumulate
-    ``quarantine_after`` failed attempts.  ``fault_plan`` (a
-    :class:`~repro.faultinject.FaultPlan`, a spec string, or ``None``
-    to consult ``config.fault_plan`` and then ``ROLAG_FAULT_PLAN``)
-    injects deterministic faults for testing.  Every job always yields
-    a result: on unrecoverable failure, a degraded one carrying the
-    original text and a structured ``error``.
+    recorded in ``quarantine_file`` and skipped once they have failed
+    twice (see :class:`~repro.driver.quarantine.QuarantineList`).
+    ``fault_plan`` (a :class:`~repro.faultinject.FaultPlan`, a spec
+    string, or ``None`` to consult ``config.fault_plan`` and then
+    ``ROLAG_FAULT_PLAN``) injects deterministic faults for testing.
+    Every job always yields a result: on unrecoverable failure, a
+    degraded one carrying the original text and a structured
+    ``error``.
     """
     with DriverSession(
         config,
@@ -652,19 +659,17 @@ def optimize_functions(
         retries=retries,
         retry_backoff=retry_backoff,
         quarantine_file=quarantine_file,
-        quarantine_after=quarantine_after,
         fault_plan=fault_plan,
         serial_fallback=serial_fallback,
-        max_pool_respawns=max_pool_respawns,
         dedupe=dedupe,
         _batch=len(jobs),
     ) as session:
-        tickets = session._submit_batch(jobs)
-        resolved = dict(session.drain())
-    return DriverReport(
-        results=[resolved[ticket] for ticket in tickets],
-        stats=session.stats,
-    )
+        results: List[FunctionResult] = [None] * len(jobs)
+        session._submit_batch(
+            [(job, partial(results.__setitem__, index))
+             for index, job in enumerate(jobs)]
+        )
+    return DriverReport(results=results, stats=session.stats)
 
 
 # --- the engine -------------------------------------------------------------
@@ -679,6 +684,8 @@ class _Ticket:
     """
 
     job: FunctionJob
+    #: Called once with the ticket's result, the moment it resolves.
+    on_done: Callable[[FunctionResult], None]
     #: Structural cache key (with a cache only).
     key: Optional[str] = None
     #: Lazily computed structural summary (``None`` when unbuildable).
@@ -698,15 +705,21 @@ class _Ticket:
 
 
 class DriverSession:
-    """The driver engine: incremental submit/collect over one pool.
+    """The driver engine: incremental submission over one pool.
 
-    Jobs arrive one at a time (:meth:`submit` returns a ticket
-    immediately), results are harvested as they complete
-    (:meth:`collect`), and the memo cache, quarantine list, dedupe
-    table, and worker pool persist across the session's lifetime.
-    This is the engine behind both ``repro serve`` (one long-lived
-    session) and :func:`optimize_functions` (submit a batch, then
-    :meth:`drain`).
+    Jobs arrive one at a time, each with the callback that receives
+    its result (:meth:`submit`), and the memo cache, quarantine list,
+    dedupe table, and worker pool persist across the session's
+    lifetime.  This is the engine behind both ``repro serve`` (one
+    long-lived session) and :func:`optimize_functions` (submit a
+    batch, then close).
+
+    The callback is the session's only way out: every submitted job's
+    ``on_done(result)`` fires exactly once -- inside :meth:`submit` for
+    a cache hit or a quarantine refusal, inside :meth:`pump` (or
+    :meth:`drain`) for an executed, deduplicated or degraded job, and
+    inside :meth:`close` for a job abandoned there.  A callback must
+    not raise: one that raises inside a pump counts as a pool death.
 
     * with a cache, every job is structurally fingerprinted and cache
       hits are served at submit time, rewritten into the submitting
@@ -724,11 +737,11 @@ class DriverSession:
     * quarantined jobs are refused with a structured error result;
     * the resilience contract holds: deadlines, retries with backoff,
       pool respawn after crashes/hangs, graceful degradation -- every
-      submitted ticket always resolves to exactly one result.
+      submitted job always resolves to exactly one result.
 
-    :meth:`submit` never executes or harvests anything: work runs at
-    the next :meth:`pump`/:meth:`collect`, so jobs submitted
-    back-to-back can still coalesce and a pool receives them together.
+    :meth:`submit` never executes anything: work runs at the next
+    :meth:`pump`, so jobs submitted back-to-back can still coalesce
+    and a pool receives them together.
     With ``workers == 1`` jobs execute in-process, in submission order
     (deterministic, pool-free -- the mode tests and single-core daemons
     run).  With more workers a persistent
@@ -736,15 +749,15 @@ class DriverSession:
     chunks of ``chunk_size`` jobs (by default about four chunks per
     worker over the current queue, and single jobs under a deadline or
     a fault plan).  A chunk running longer than ``deadline`` per job
-    is declared hung and its pool killed.  When the pool keeps dying,
-    the remaining jobs run in-process (``serial_fallback=True``, what
-    the daemon uses) or degrade to ``pool``-class error results (the
-    default: an ``abort`` fault retried in-process would exit the
-    caller).  A session is *not* thread-safe: one owner thread (the
-    serve scheduler) drives it.
+    is declared hung and its pool killed.  When the pool dies more than
+    :data:`MAX_POOL_RESPAWNS` times, the remaining jobs run in-process
+    (``serial_fallback=True``, what the daemon uses) or degrade to
+    ``pool``-class error results (the default: an ``abort`` fault
+    retried in-process would exit the caller).  A session is *not*
+    thread-safe: one owner thread (the serve scheduler) drives it.
 
     Always :meth:`close` a session (or use it as a context manager):
-    closing drains or degrades every outstanding ticket and tears the
+    closing drains or degrades every outstanding job and tears the
     pool down -- no orphaned workers, no leaked in-flight jobs, even
     when teardown itself hits an exception.
 
@@ -772,11 +785,9 @@ class DriverSession:
         retries: int = 1,
         retry_backoff: float = 0.05,
         quarantine_file: Optional[str] = None,
-        quarantine_after: int = 2,
         quarantine_fsync: bool = False,
         fault_plan: Union[None, str, FaultPlan] = None,
         serial_fallback: bool = False,
-        max_pool_respawns: int = 2,
         dedupe: bool = True,
         _batch: int = 0,
     ) -> None:
@@ -793,7 +804,6 @@ class DriverSession:
         self._retries = retries
         self._retry_backoff = retry_backoff
         self._serial_fallback = serial_fallback
-        self._max_pool_respawns = max_pool_respawns
         self._dedupe = dedupe
         self._batch = _batch
         self._poll = 0.005 if deadline is None else max(
@@ -809,8 +819,7 @@ class DriverSession:
             ResultCache(cache_dir) if (cache_dir and use_cache) else None
         )
         self._quarantine = QuarantineList(
-            quarantine_file, threshold=quarantine_after,
-            fsync=quarantine_fsync,
+            quarantine_file, fsync=quarantine_fsync
         )
         self._plan = resolve_plan(
             fault_plan if fault_plan is not None else self.config.fault_plan
@@ -824,11 +833,6 @@ class DriverSession:
         if self._plan is not None:
             install_plan(self._plan)
 
-        #: Called as ``on_result(ticket, result)`` the moment a ticket
-        #: resolves (from submit for cache hits / quarantine refusals,
-        #: from pump for everything else).  The serve scheduler hooks
-        #: this.
-        self.on_result: Optional[Callable[[int, FunctionResult], None]] = None
         #: Called as ``on_respawn(count)`` each time the worker pool is
         #: torn down and rebuilt after a death or hang -- the session
         #: restart hook a supervising service uses to log and count
@@ -838,7 +842,6 @@ class DriverSession:
         self._next_ticket = 0
         #: Unresolved tickets only; ``pending`` is its length.
         self._tickets: Dict[int, _Ticket] = {}
-        self._ready: deque = deque()  # (ticket, result) awaiting collect
         # In-flight dedupe: content key -> leader ticket, only while
         # the leader is unresolved.
         self._leader_by_key: Dict[object, int] = {}
@@ -902,7 +905,7 @@ class DriverSession:
             self.stats.cache_write_errors = self._cache.write_errors
 
     def _finish(self, ticket: int, result: FunctionResult) -> None:
-        """Resolve one ticket: drop its state, stats, ready queue, hook."""
+        """Resolve one ticket: drop its state, count it, call it back."""
         rec = self._tickets.pop(ticket)
         if rec.dkey is not None:
             self._leader_by_key.pop(rec.dkey, None)
@@ -911,9 +914,7 @@ class DriverSession:
             self.stats.phase_seconds[phase] = (
                 self.stats.phase_seconds.get(phase, 0.0) + seconds
             )
-        self._ready.append((ticket, result))
-        if self.on_result is not None:
-            self.on_result(ticket, result)
+        rec.on_done(result)
 
     def _settle(self, ticket: int, result: FunctionResult) -> None:
         """A leader computed (or degraded): cache, finish, fan out."""
@@ -963,16 +964,18 @@ class DriverSession:
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, job: FunctionJob) -> int:
-        """Admit one job; returns its ticket immediately.
+    def submit(
+        self, job: FunctionJob, on_done: Callable[[FunctionResult], None]
+    ) -> None:
+        """Admit one job; ``on_done(result)`` fires once when it resolves.
 
         Cache hits and quarantine refusals resolve before this
-        returns; everything else resolves during a later
-        :meth:`pump`/:meth:`collect`.
+        returns; everything else resolves during a later :meth:`pump`,
+        :meth:`drain` or :meth:`close`.
         """
-        return self._admit(_Ticket(job))
+        self._admit(_Ticket(job, on_done))
 
-    def _admit(self, rec: _Ticket) -> int:
+    def _admit(self, rec: _Ticket) -> None:
         """:meth:`submit` for a record that may already carry its
         fingerprint (see :meth:`_submit_batch`)."""
         if self._closed:
@@ -1003,7 +1006,7 @@ class DriverSession:
                 )
                 self.stats.cache_hits += 1
                 self._finish(ticket, hit)
-                return ticket
+                return
             self.stats.cache_misses += 1
 
         if len(self._quarantine) and self._quarantine.is_quarantined(
@@ -1018,7 +1021,7 @@ class DriverSession:
                     attempts=0,
                 ),
             )
-            return ticket
+            return
 
         if self._dedupe:
             dkey = _dedupe_key(
@@ -1030,15 +1033,18 @@ class DriverSession:
                 self._tickets[leader].followers.append(ticket)
                 self.stats.dedupe_hits += 1
                 rec.shipped_ir = None  # a follower never executes
-                return ticket
+                return
             self._leader_by_key[dkey] = ticket
             rec.dkey = dkey
 
         self._queue.append(ticket)
-        return ticket
 
-    def _submit_batch(self, jobs: Sequence[FunctionJob]) -> List[int]:
-        """Submit a whole batch, in order (:func:`optimize_functions`).
+    def _submit_batch(
+        self,
+        jobs: Sequence[Tuple[FunctionJob, Callable[[FunctionResult], None]]],
+    ) -> None:
+        """Submit a whole batch of ``(job, on_done)`` pairs, in order
+        (:func:`optimize_functions`).
 
         A cached batch bound for a pool is fingerprinted on that pool
         first, so every job enters :meth:`_admit` with its summary and
@@ -1047,10 +1053,11 @@ class DriverSession:
         unchanged, and nothing is dispatched before the last job is
         admitted.
         """
-        recs = [_Ticket(job) for job in jobs]
+        recs = [_Ticket(job, on_done) for job, on_done in jobs]
         if self._cache is not None and self.workers > 1 and len(recs) > 1:
             self._fingerprint_on_pool(recs)
-        return [self._admit(rec) for rec in recs]
+        for rec in recs:
+            self._admit(rec)
 
     def _fingerprint_on_pool(self, recs: List[_Ticket]) -> None:
         """Fingerprint ``recs`` on a fresh pool, in chunks.
@@ -1280,7 +1287,7 @@ class DriverSession:
         from concurrent.futures import FIRST_COMPLETED, wait
 
         if self._queue and self._executor is None:
-            if self._respawns > self._max_pool_respawns:
+            if self._respawns > MAX_POOL_RESPAWNS:
                 detail = f": {self._pool_error}" if self._pool_error else ""
                 self._degrade_remaining(
                     f"worker pool unhealthy after {self._respawns} "
@@ -1353,19 +1360,18 @@ class DriverSession:
             del self._inflight[future]
         self._pool_died()
 
-    def pump(self) -> int:
-        """Advance the engine without blocking; returns tickets resolved.
+    def _advance(self) -> None:
+        """One step of the engine, without blocking.
 
         With a pool: dispatches eligible queued tickets in chunks,
         harvests completions, requeues uncharged in-flight work when
         the pool dies (respawning it up to the budget), and kills
         non-cooperative hangs past their deadline budget.  A failure
-        in this process mid-pump counts as one pool death too, so it
+        in this process mid-step counts as one pool death too, so it
         never reaches the caller or strands in-flight work.  In-process
         (see :meth:`_runs_in_process`) it instead runs every queued
         ticket to completion, in submission order.
         """
-        before = len(self._ready)
         if self._queue and self._runs_in_process():
             while self._queue:
                 self._run_serially(self._queue.popleft())
@@ -1374,85 +1380,65 @@ class DriverSession:
                 self._pump_pool()
             except Exception as error:
                 self._pool_died(f"{type(error).__name__}: {error}")
-        return len(self._ready) - before
-
-    # -- harvesting ---------------------------------------------------------
 
     @property
     def pending(self) -> int:
         """Tickets submitted but not yet resolved."""
         return len(self._tickets)
 
-    @property
-    def unread(self) -> int:
-        """Resolved results not yet collected."""
-        return len(self._ready)
+    def pump(self, timeout: Optional[float] = 0.0) -> None:
+        """Advance the engine until a ticket resolves, nothing is
+        pending, or ``timeout`` passes.
 
-    def collect(
-        self, timeout: Optional[float] = 0.0
-    ) -> List[tuple]:
-        """Harvest resolved tickets as ``[(ticket, result), ...]``.
-
-        ``timeout=0`` polls once; a positive timeout waits up to that
-        long for at least one result; ``None`` blocks until a result
-        arrives or nothing is pending.  Results come back in
-        resolution order (not submission order -- this is a stream).
+        ``timeout=0`` advances once without blocking; ``None`` waits
+        as long as it takes.  Each resolved ticket's ``on_done`` fires
+        from inside this call.
         """
-        deadline_at = (
-            None if timeout is None else perf_counter() + (timeout or 0.0)
-        )
+        deadline_at = None if timeout is None else perf_counter() + timeout
+        pending = self.pending
         while True:
-            self.pump()
-            if self._ready or self.pending == 0:
-                break
+            self._advance()
+            if self.pending < pending or self.pending == 0:
+                return
             if deadline_at is not None and perf_counter() >= deadline_at:
-                break
+                return
             sleep(self._poll)
-        out = list(self._ready)
-        self._ready.clear()
-        return out
 
-    def drain(self, timeout: Optional[float] = None) -> List[tuple]:
-        """Collect until every submitted ticket has resolved."""
-        deadline_at = (
-            None if timeout is None else perf_counter() + timeout
-        )
-        out: List[tuple] = []
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Pump until every submitted ticket has resolved, or
+        ``timeout`` passes; True when nothing is pending."""
+        deadline_at = None if timeout is None else perf_counter() + timeout
         while True:
-            remaining = (
-                None
-                if deadline_at is None
+            self.pump(
+                None if deadline_at is None
                 else max(0.0, deadline_at - perf_counter())
             )
-            out.extend(self.collect(timeout=remaining))
             if self.pending == 0:
-                return out
+                return True
             if deadline_at is not None and perf_counter() >= deadline_at:
-                return out
+                return False
 
     # -- teardown -----------------------------------------------------------
 
     def close(
         self, drain: bool = True, drain_timeout: Optional[float] = None
-    ) -> List[tuple]:
+    ) -> None:
         """Tear the session down; every outstanding ticket resolves.
 
         With ``drain`` (the default) outstanding work is finished
         first (bounded by ``drain_timeout``); anything still pending
         after that -- or everything, with ``drain=False`` -- degrades
-        to structured ``pool``-class error results.  The worker pool
-        is always torn down, even if draining raises: no orphaned
-        workers survive a closed session.  Idempotent.  Returns any
-        results resolved during the close (uncollected ones remain
-        available via :meth:`collect` on the closed session's ready
-        queue -- but new submits are refused).
+        to structured ``pool``-class error results, delivered to each
+        job's ``on_done`` before this returns.  The worker pool is
+        always torn down, even if draining raises: no orphaned workers
+        survive a closed session.  Idempotent; new submits are refused
+        afterwards.
         """
         if self._closed:
-            return []
-        out: List[tuple] = []
+            return
         try:
             if drain and self.pending:
-                out.extend(self.drain(timeout=drain_timeout))
+                self.drain(timeout=drain_timeout)
         finally:
             self._closed = True
             message = "session closed with the job still outstanding"
@@ -1479,4 +1465,3 @@ class DriverSession:
                 self._sync_cache_counters()
                 self.stats.wall_seconds = perf_counter() - self._started
                 install_plan(self._prev_plan)
-        return out

@@ -700,7 +700,8 @@ class Lowerer:
         if expr.op == "-":
             value, ctype = self._rvalue(expr.operand)
             if ctype.is_float:
-                zero = ConstantFloat(ctype.to_ir(), 0.0)
+                # -0.0 - x is exact for every x; 0.0 - 0.0 would be +0.0.
+                zero = ConstantFloat(ctype.to_ir(), -0.0)
                 return self.builder.binop("fsub", zero, value), ctype
             common = usual_arithmetic_conversion(ctype, INT)
             value = self._convert(value, ctype, common)

@@ -44,12 +44,6 @@ class IRBuilder:
         self.block = block
         self.insert_index = None
 
-    def position_before(self, inst: Instruction) -> None:
-        """Insert subsequent instructions right before ``inst``."""
-        assert inst.parent is not None
-        self.block = inst.parent
-        self.insert_index = self.block.instructions.index(inst)
-
     @property
     def function(self) -> Function:
         """The function owning the current insertion block."""
@@ -90,10 +84,6 @@ class IRBuilder:
     def f32(self, value: float) -> ConstantFloat:
         """A ``float`` constant."""
         return ConstantFloat(FloatType(32), value)
-
-    def f64(self, value: float) -> ConstantFloat:
-        """A ``double`` constant."""
-        return ConstantFloat(FloatType(64), value)
 
     # ----- arithmetic ----------------------------------------------------------
 

@@ -113,15 +113,6 @@ class Instruction(User):
             return True
         return False
 
-    def is_trivially_dead(self) -> bool:
-        """Unused, side-effect free and trap free: safe for DCE."""
-        return (
-            not self.uses
-            and not self.has_side_effects()
-            and not self.may_trap()
-            and not isinstance(self, (Call, Alloca))
-        )
-
     # ----- block surgery ---------------------------------------------------
 
     def erase_from_parent(self) -> None:

@@ -236,8 +236,12 @@ def _float_mul(bits: int, a: float, b: float) -> float:
 
 def _float_div(bits: int, a: float, b: float) -> float:
     if b == 0.0:
+        # IEEE 754: a nonzero over a zero is an infinity signed by both
+        # operands (1.0 / -0.0 is -inf); 0/0 and NaN/0 are NaN.
         result = (
-            float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
+            math.copysign(math.inf, a) * math.copysign(1.0, b)
+            if a == a and a != 0.0
+            else math.nan
         )
     else:
         result = a / b

@@ -10,7 +10,8 @@ this value" in O(uses).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, TYPE_CHECKING
+import math
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from .types import (
     ArrayType,
@@ -119,10 +120,6 @@ class User(Value):
         self.operands = []
         self._use_links = []
 
-    def operand_iter(self) -> Iterator[Value]:
-        """Iterate operands."""
-        return iter(self.operands)
-
 
 class Constant(Value):
     """Base class of compile-time constants."""
@@ -168,18 +165,21 @@ class ConstantFloat(Constant):
         """The float literal text."""
         return repr(self.value)
 
+    @property
+    def key(self) -> tuple:
+        """What identifies the constant: its type and value, where
+        ``-0.0`` and ``0.0`` differ (``1.0 / x`` tells them apart) and
+        every NaN is the same constant."""
+        value = self.value
+        if value != value:
+            return (self.type, "nan")
+        return (self.type, value, math.copysign(1.0, value))
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ConstantFloat)
-            and other.type is self.type
-            and (
-                other.value == self.value
-                or (other.value != other.value and self.value != self.value)
-            )
-        )
+        return isinstance(other, ConstantFloat) and other.key == self.key
 
     def __hash__(self) -> int:
-        return hash((self.type, self.value))
+        return hash(self.key)
 
 
 class UndefValue(Constant):

@@ -19,7 +19,7 @@ Layers, bottom up:
   callers, plus the in-process :class:`LoopbackClient` tests use.
 """
 
-from .client import LoopbackClient, ServeClient, ServeError, loopback_pair
+from .client import LoopbackClient, ServeClient, ServeError
 from .journal import JobJournal, JournalRecord, decode_frame, encode_frame
 from .protocol import (
     ERROR_CODES,
@@ -58,7 +58,6 @@ __all__ = [
     "encode_frame",
     "encode_line",
     "error_response",
-    "loopback_pair",
     "ok_response",
     "parse_request",
     "read_pid_file",

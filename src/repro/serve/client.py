@@ -315,17 +315,6 @@ class ServeClient:
         self.close()
 
 
-def loopback_pair(service) -> "LoopbackClient":
-    """An in-process client wired straight to ``service.handle_line``.
-
-    No pipes, no subprocess: requests dispatch synchronously and
-    responses (including ones arriving later from the scheduler
-    thread) land in a shared buffer the client reads from.  The
-    cheapest way to exercise real protocol traffic in a unit test.
-    """
-    return LoopbackClient(service)
-
-
 class LoopbackClient(ServeClient):
     """A :class:`ServeClient` over an in-process response buffer."""
 

@@ -11,8 +11,9 @@ costs the caller one refused message, never unbounded buffering.
 
 :class:`Scheduler` is the *asynchronous* execution layer: a single
 thread that owns the :class:`~repro.driver.DriverSession`, moves
-admitted entries into it, pumps the pool, and fires each entry's
-completion callback as its result streams out.  Because the session is
+admitted entries into it, and pumps the pool.  Each entry is submitted
+with its own result callback, so the session hands every result
+straight to the entry it belongs to.  Because the session is
 single-owner, all the driver-side machinery (structural cache,
 in-flight dedupe, quarantine, retries, pool respawn) needs no extra
 locking -- admission counters are the only shared state.
@@ -48,10 +49,8 @@ class _Entry:
 
     job: FunctionJob
     tenant: str
-    on_complete: Callable[[FunctionResult, "_Entry"], None]
+    on_complete: Callable[[FunctionResult], None]
     admitted_at: float = field(default_factory=perf_counter)
-    ticket: Optional[int] = None
-    completed: bool = False
 
 
 class AdmissionController:
@@ -126,9 +125,15 @@ class Scheduler:
     """The daemon's event loop over one :class:`DriverSession`.
 
     ``offer`` (any thread) admits or refuses instantly; admitted
-    entries queue for the scheduler thread, which submits them to the
-    session, pumps, and invokes each entry's ``on_complete(result,
-    entry)`` from the scheduler thread as results stream back.
+    entries queue for the scheduler thread, which submits each to the
+    session together with the callback that completes it, and pumps.
+    The session calls that callback exactly once, on the scheduler
+    thread: from ``submit`` for a cache hit or quarantine refusal,
+    from a pump for everything else, from ``close`` for work the stop
+    abandons.  It accounts the result, releases the entry's admission
+    slots and calls the entry's ``on_complete(result)``; an exception
+    there is swallowed, because a callback that raises inside a pump
+    would count as a pool death.
     Per-tenant and latency accounting lands on the shared
     :class:`~repro.driver.ServiceStats` under the stats lock.
     """
@@ -157,18 +162,11 @@ class Scheduler:
         #: admitted into a dead inbox.
         self._offer_lock = threading.Lock()
         self._inbox: deque = deque()
-        self._by_ticket: Dict[int, _Entry] = {}
-        #: The entry whose session.submit() is currently executing:
-        #: cache hits and quarantine refusals resolve *inside* submit,
-        #: before the ticket mapping exists -- the hook finds the
-        #: entry here instead of dropping the result.
-        self._submitting: Optional[_Entry] = None
         self._wake = threading.Event()
         self._stop_requested = False
         self._thread: Optional[threading.Thread] = None
         self._closed = False
         self._started = perf_counter()
-        session.on_result = self._on_session_result
 
     # -- admission side (any thread) ----------------------------------------
 
@@ -176,7 +174,7 @@ class Scheduler:
         self,
         job: FunctionJob,
         tenant: str,
-        on_complete: Callable[[FunctionResult, _Entry], None],
+        on_complete: Callable[[FunctionResult], None],
         force: bool = False,
     ) -> Optional[str]:
         """Admit ``job`` for ``tenant`` or return the rejection kind.
@@ -223,14 +221,8 @@ class Scheduler:
 
     # -- execution side (scheduler thread) ----------------------------------
 
-    def _on_session_result(self, ticket: int, result: FunctionResult) -> None:
-        """Session completion hook: account, release, call back."""
-        entry = self._by_ticket.pop(ticket, None)
-        if entry is None:
-            entry = self._submitting  # resolved synchronously in submit
-        if entry is None:  # pragma: no cover - tickets map 1:1 to entries
-            return
-        entry.completed = True
+    def _complete(self, entry: _Entry, result: FunctionResult) -> None:
+        """An entry's session callback: account, release, call back."""
         with self._stats_lock:
             self.stats.completed += 1
             tenant = self.stats.tenant(entry.tenant)
@@ -247,48 +239,37 @@ class Scheduler:
             self.stats.record_latency(perf_counter() - entry.admitted_at)
         self.admission.release(entry.tenant)
         try:
-            entry.on_complete(result, entry)
+            entry.on_complete(result)
         except Exception:  # pragma: no cover - a broken responder must
             pass  # not take the scheduler loop down with it
 
     def _submit_entry(self, entry: _Entry) -> None:
-        """Move one admitted entry into the session (scheduler thread).
-
-        An entry that resolves inside ``submit`` (cache hit,
-        quarantine refusal) completes through the ``_submitting`` slot
-        and never enters the ticket map.
-        """
-        self._submitting = entry
-        try:
-            entry.ticket = self.session.submit(entry.job)
-        finally:
-            self._submitting = None
-        if not entry.completed:
-            self._by_ticket.setdefault(entry.ticket, entry)
+        """Move one admitted entry into the session (scheduler thread)."""
+        self.session.submit(entry.job, lambda r: self._complete(entry, r))
 
     def pump_once(self, wait: Optional[float] = 0.0) -> int:
         """One deterministic scheduling step (also the thread's body).
 
-        Submits every inboxed entry to the session, then pumps/collects
-        it once.  With a pool, each entry is dispatched as soon as it
-        is submitted: a daemon sends single jobs, and its pool spawns
-        on the first admitted job, sized to it.  (A serial session
-        runs nothing until the collect, so back-to-back identical
-        entries can still coalesce.)  ``wait`` is the collect timeout:
-        0 polls (the threaded loop's mode), ``None`` blocks until at
-        least one result resolves or nothing is pending -- what an
-        unthreaded driver over a process pool needs to make guaranteed
-        progress.  Completion callbacks fire from inside this call.
-        Returns the number of results that completed.
+        Submits every inboxed entry to the session, then pumps it.
+        With a pool, each entry is dispatched as soon as it is
+        submitted: a daemon sends single jobs, and its pool spawns on
+        the first admitted job, sized to it.  (A serial session runs
+        nothing until the final pump, so back-to-back identical entries
+        can still coalesce.)  ``wait`` is the final pump's timeout: 0
+        polls (the threaded loop's mode), ``None`` blocks until at
+        least one result completes in this step or nothing is pending
+        -- what an unthreaded driver over a process pool needs to make
+        guaranteed progress.  Completion callbacks fire from inside
+        this call.  Returns the number of results that completed.
         """
+        before = self.stats.completed
         while self._inbox:
             self._submit_entry(self._inbox.popleft())
             if self.session.workers > 1:
                 self.session.pump()
-        before = self.stats.completed
-        # collect() both pumps the pool and drains resolved tickets;
-        # results reach entries via the on_result hook.
-        self.session.collect(timeout=wait)
+        self.session.pump(
+            timeout=wait if self.stats.completed == before else 0.0
+        )
         return self.stats.completed - before
 
     def _run(self) -> None:

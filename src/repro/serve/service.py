@@ -39,7 +39,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bench.objsize import reduction_percent
 from ..driver import DriverSession, FunctionJob
@@ -362,15 +362,10 @@ class OptimizeService:
             )
         fire("serve.admitted")
 
-        def on_complete(result: FunctionResult, entry) -> None:
-            fire("serve.result")
-            respond(ok_response(req_id, result_payload(result, emit_ir)))
-            if idem_key is not None:
-                self._settle_idempotency(idem_key, result)
-            if seq is not None:
-                self._journal.record_done(seq)
-
-        rejection = self.scheduler.offer(job, tenant, on_complete)
+        rejection = self.scheduler.offer(
+            job, tenant,
+            self._completion(req_id, emit_ir, idem_key, seq, respond),
+        )
         if rejection is not None:
             messages = {
                 "busy": "service at its backpressure watermark; "
@@ -390,6 +385,41 @@ class OptimizeService:
                     data={"tenant": tenant},
                 )
             )
+
+    def _completion(
+        self,
+        req_id: object,
+        emit_ir: bool,
+        idem_key: Optional[str],
+        seq: Optional[int],
+        respond: Optional[Responder],
+        replayed: bool = False,
+    ) -> Callable[[FunctionResult], None]:
+        """The ``on_complete`` of one admitted job, live or replayed.
+
+        In one order: answer the request, settle its idempotency key,
+        then mark its journal record done -- so a crash in between
+        costs a harmless replay, never a lost answer.  A replayed job
+        (``replayed``) is answered with a ``"replayed": true`` marker
+        down ``respond`` (None discards the answer) and fires no
+        ``serve.result`` fault: replay must converge even under a kill
+        plan.
+        """
+
+        def on_complete(result: FunctionResult) -> None:
+            if not replayed:
+                fire("serve.result")
+            payload = result_payload(result, emit_ir)
+            if replayed:
+                payload["replayed"] = True
+            if respond is not None:
+                respond(ok_response(req_id, payload))
+            if idem_key is not None:
+                self._settle_idempotency(idem_key, result)
+            if seq is not None:
+                self._journal.record_done(seq)
+
+        return on_complete
 
     # -- idempotency ---------------------------------------------------------
 
@@ -437,6 +467,9 @@ class OptimizeService:
         """
         if self._journal is None:
             return 0
+        respond = None if write_line is None else (
+            lambda message: write_line(encode_line(message))
+        )
         replayed = 0
         for record in self._journal.replay_records():
             job = FunctionJob(
@@ -454,26 +487,13 @@ class OptimizeService:
                     ):
                         self._idem_inflight[key] = []
 
-            def on_complete(
-                result: FunctionResult,
-                entry,
-                _seq=record.seq,
-                _id=record.req_id,
-                _emit=record.emit_ir,
-                _key=key,
-            ) -> None:
-                # Deliberately no fire("serve.result") here: replay
-                # must converge even under a kill plan.
-                payload = result_payload(result, _emit)
-                payload["replayed"] = True
-                if write_line is not None:
-                    write_line(encode_line(ok_response(_id, payload)))
-                if _key is not None:
-                    self._settle_idempotency(_key, result)
-                self._journal.record_done(_seq)
-
             rejection = self.scheduler.offer(
-                job, record.tenant, on_complete, force=True
+                job, record.tenant,
+                self._completion(
+                    record.req_id, record.emit_ir, key, record.seq,
+                    respond, replayed=True,
+                ),
+                force=True,
             )
             if rejection is not None:
                 # Draining or closed: leave the record (and the rest)

@@ -35,7 +35,7 @@ def _operand_key(value: Value) -> object:
     if isinstance(value, ConstantInt):
         return ("ci", value.type, value.value)
     if isinstance(value, ConstantFloat):
-        return ("cf", value.type, value.value)
+        return ("cf",) + value.key
     return id(value)
 
 

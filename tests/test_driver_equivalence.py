@@ -14,6 +14,8 @@ alpha-renamed twin of each, so the cache and dedupe paths really
 rewrite names.  Pool paths are marked ``parallel``.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.bench import angha
@@ -70,11 +72,13 @@ def _session(jobs, cache_dir, workers):
     with DriverSession(
         CONFIG, workers=workers, cache_dir=cache_dir, retry_backoff=0.0
     ) as session:
-        tickets = [session.submit(job) for job in jobs[:half]]
-        resolved.update(session.collect(timeout=0.0))
-        tickets += [session.submit(job) for job in jobs[half:]]
-        resolved.update(session.drain())
-    return [resolved[ticket] for ticket in tickets]
+        for index in range(half):
+            session.submit(jobs[index], partial(resolved.__setitem__, index))
+        session.pump()
+        for index in range(half, len(jobs)):
+            session.submit(jobs[index], partial(resolved.__setitem__, index))
+        assert session.drain() is True
+    return [resolved[index] for index in range(len(jobs))]
 
 
 PATHS = {

@@ -218,7 +218,7 @@ class TestQuarantineKeyOfUnbuildableJobs:
 
     def test_charge_compiles_a_failing_job_once(self, compiles):
         with DriverSession(workers=1, retries=1) as session:
-            rec = _Ticket(self.JOB)
+            rec = _Ticket(self.JOB, lambda result: None)
             assert session._charge(rec, "crash", "boom")
             assert len(compiles) == 1
             assert not session._charge(rec, "crash", "boom")

@@ -9,6 +9,7 @@ rest of the pool suite.
 
 import json
 import os
+from functools import partial
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.driver import (
     quarantine_key,
     run_one_guarded,
 )
+from repro.driver import core
 from repro.driver.core import _Failure
 from repro.faultinject import FaultPlan, clear_plan
 from repro.transforms.pass_manager import PassError, PassManager
@@ -400,7 +402,8 @@ class TestAcceptanceBatch:
 
 @pytest.mark.parallel
 class TestPoolResilience:
-    def test_pool_respawn_after_worker_death(self, tmp_path):
+    def test_pool_respawn_after_worker_death(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "MAX_POOL_RESPAWNS", 5)
         jobs = _jobs(8)
         qfile = str(tmp_path / "quarantine.json")
         # Every worker hard-exits on its third job: the pool breaks,
@@ -412,7 +415,6 @@ class TestPoolResilience:
             retries=1,
             retry_backoff=0.0,
             quarantine_file=qfile,
-            max_pool_respawns=5,
             fault_plan="driver.worker.start:abort@3",
         )
         assert len(report.results) == 8
@@ -421,7 +423,8 @@ class TestPoolResilience:
         # Abrupt deaths are unattributable: nobody gets blamed.
         assert len(QuarantineList(qfile)) == 0
 
-    def test_poison_pool_drains_to_structured_errors(self):
+    def test_poison_pool_drains_to_structured_errors(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_POOL_RESPAWNS", 1)
         jobs = _jobs(4)
         # Every worker dies on its *first* job: no pool can make
         # progress, so after the respawn budget the driver abandons the
@@ -431,7 +434,6 @@ class TestPoolResilience:
             workers=2,
             retries=1,
             retry_backoff=0.0,
-            max_pool_respawns=1,
             fault_plan="driver.worker.start:abort@1",
         )
         assert len(report.results) == 4
@@ -442,7 +444,8 @@ class TestPoolResilience:
         assert report.stats.pool_respawns == 2
         assert report.stats.crashed == 4
 
-    def test_noncooperative_hang_killed_by_watchdog(self):
+    def test_noncooperative_hang_killed_by_watchdog(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_POOL_RESPAWNS", 3)
         jobs = _jobs(4)
         # Each worker's first job stalls in a real (non-cooperative)
         # sleep far past the deadline; the parent watchdog kills the
@@ -453,7 +456,6 @@ class TestPoolResilience:
             deadline=0.3,
             retries=0,
             retry_backoff=0.0,
-            max_pool_respawns=3,
             fault_plan="driver.worker.start:sleep~20",
         )
         assert len(report.results) == 4
@@ -528,16 +530,17 @@ class TestDriverSessionResilience:
 
         session = DriverSession(workers=1, use_cache=False)
         jobs = _jobs(2)
-        tickets = [session.submit(job) for job in jobs]
+        resolved = {}
+        for index, job in enumerate(jobs):
+            session.submit(job, partial(resolved.__setitem__, index))
         session.close(drain=False)
-        resolved = dict(session.collect(timeout=0.0))
-        assert sorted(resolved) == sorted(tickets)
-        for job, ticket in zip(jobs, tickets):
-            result = resolved[ticket]
+        assert sorted(resolved) == list(range(len(jobs)))
+        for index, job in enumerate(jobs):
+            result = resolved[index]
             assert result.failed and result.error_kind == "pool"
             assert result.optimized_ir == job.text
         with pytest.raises(RuntimeError):
-            session.submit(jobs[0])
+            session.submit(jobs[0], lambda result: None)
 
     def test_session_restores_ambient_fault_plan(self):
         from repro.driver import DriverSession
@@ -554,8 +557,8 @@ class TestDriverSessionResilience:
 
     def test_resolved_tickets_leave_no_state(self, tmp_path):
         # A long-lived daemon must not keep every job it ever saw: once
-        # 2,000 tickets (executed, deduped and cache hits) resolve and
-        # are collected, no per-ticket container holds anything.
+        # 2,000 tickets (executed, deduped and cache hits) resolve, no
+        # per-ticket container holds anything.
         from collections import deque
 
         from repro.driver import DriverSession
@@ -566,6 +569,7 @@ class TestDriverSessionResilience:
                 f"  %b = add i32 %a, {i}\n  ret i32 %b\n}}\n"
             ))
 
+        done = []
         with DriverSession(
             workers=1, cache_dir=str(tmp_path / "cache")
         ) as session:
@@ -574,11 +578,13 @@ class TestDriverSessionResilience:
                 # coalesces), then 50 cache hits on earlier jobs.
                 fresh = [job(batch * 50 + i) for i in range(50)]
                 for item in fresh + fresh:
-                    session.submit(item)
-                assert len(session.drain()) == 100
+                    session.submit(item, done.append)
+                assert session.drain() is True
+                assert len(done) == 100 * (batch + 1)
             for i in range(0, 1000, 20):
-                session.submit(job(i))
-            assert len(session.collect()) == 50
+                session.submit(job(i), done.append)
+            # Cache hits resolve inside submit.
+            assert len(done) == 2050
             assert session.pending == 0
             assert session.stats.jobs == 2050
             assert session.stats.cache_hits == 50
@@ -600,9 +606,11 @@ class TestDriverSessionResilience:
             workers=1, use_cache=False, retries=0,
             fault_plan="driver.worker.start:raise@2x1",
         ) as session:
-            tickets = [session.submit(job) for job in jobs]
-            resolved = dict(session.drain())
-        failed = [t for t in tickets if resolved[t].failed]
+            resolved = {}
+            for index, job in enumerate(jobs):
+                session.submit(job, partial(resolved.__setitem__, index))
+            assert session.drain() is True
+        failed = [i for i in range(len(jobs)) if resolved[i].failed]
         assert len(failed) == 1
         assert resolved[failed[0]].error_kind == "crash"
 
@@ -646,10 +654,11 @@ class TestPoolCollectExceptionSafety:
             raise RuntimeError("injected collect failure")
 
         monkeypatch.setattr(cf, "wait", always_exploding_wait)
+        monkeypatch.setattr(core, "MAX_POOL_RESPAWNS", 1)
         jobs = _jobs(3)
         report = optimize_functions(
             jobs, workers=2, retries=0, serial_fallback=False,
-            use_cache=False, max_pool_respawns=1,
+            use_cache=False,
         )
         assert len(report.results) == 3
         assert all(r.failed for r in report.results)

@@ -41,10 +41,10 @@ def tsvc_digest(factor):
 ANGHA_40 = "aaba5e3b81239169a3c06a6d7508d4db3d4acd10734fda8f1c441f826c425e18"
 ANGHA_400 = "5d503ef4fb947ed13037e60bef7c809b43d8a2c2cd005cfc1fbaf054953cd20b"
 TSVC = {
-    1: "6ee3f045ce3152e0a6890ed2bf411710de34bdd0a318786d3f64b50123bb9db1",
-    4: "a04fb28671116afb89aa0e2e8a360713cea83b6c96843c713f2b1d93d8927f62",
-    8: "0bd0b293aa43fe2eeefd955d787ac499ce17231b00e5ccf904f7061351c9147b",
-    16: "9369af1e13639fd6a99422cf87f9a7a794896eab5a32d26895128abed43a3819",
+    1: "7010cfd2de0bdb57d21337f08379b955ac49f368cacdff388f351ac54d938201",
+    4: "21d2447577bd6b56220efc12b88f7f7881a6743c51eb1285dba2e89b72fe7ff1",
+    8: "52e6b940581f2133e9448371737d7ecc6cce4dc739421c0e45a0f830a9eed67f",
+    16: "4090490ea961e36567d304c31d3d0729ebcba24815ae9fd4d717e8df22633667",
 }
 
 

@@ -182,6 +182,31 @@ class TestGlobalInitializerFolding:
             compile_c("int g = 1 / 0;")
 
 
+class TestNegatedZero:
+    """Float negation is exact: ``-0.0`` is negative zero, which
+    ``1.0 / x`` tells from ``0.0``, in a body and in a global alike."""
+
+    def test_a_returned_negative_zero(self):
+        module = compile_c(
+            "double neg(void) { return -0.0; }\n"
+            "double pos(void) { return 0.0; }\n"
+            "double inv_neg(void) { return 1.0 / neg(); }\n"
+            "double inv_pos(void) { return 1.0 / pos(); }\n"
+        )
+        assert run_function(module, "inv_neg", [])[0] == float("-inf")
+        assert run_function(module, "inv_pos", [])[0] == float("inf")
+
+    def test_a_stored_negative_zero(self):
+        module = compile_c(
+            "double g = -0.0;\n"
+            "double h = -(-0.0);\n"
+            "double inv_g(void) { return 1.0 / g; }\n"
+            "double inv_h(void) { return 1.0 / h; }\n"
+        )
+        assert run_function(module, "inv_g", [])[0] == float("-inf")
+        assert run_function(module, "inv_h", [])[0] == float("inf")
+
+
 #: ``(type, expression)``: signed, unsigned and mixed operands, every
 #: foldable operator, and casts between widths and signedness.
 CONVERSION_TABLE = [

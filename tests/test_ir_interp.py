@@ -126,6 +126,28 @@ entry:
         assert run_function(m, "s", [-1, 0])[0] == 1
         assert run_function(m, "u", [-1, 0])[0] == 0
 
+    @pytest.mark.parametrize("evaluator", ["interp", "compiled"])
+    def test_division_by_a_signed_zero(self, evaluator):
+        src = """
+define double @f(double %a, double %b) {
+entry:
+  %r = fdiv double %a, %b
+  ret double %r
+}
+"""
+        module = parse_module(src)
+
+        def div(a, b):
+            return run_function(module, "f", [a, b], evaluator=evaluator)[0]
+
+        inf = float("inf")
+        assert div(1.0, 0.0) == inf
+        assert div(1.0, -0.0) == -inf
+        assert div(-1.0, -0.0) == inf
+        assert div(-inf, 0.0) == -inf
+        for a in (0.0, -0.0, float("nan")):
+            assert div(a, -0.0) != div(a, -0.0)  # NaN
+
     def test_fcmp_unordered(self):
         src = """
 define i1 @f(double %a) {

@@ -58,6 +58,15 @@ class TestConstants:
     def test_nan_equality(self):
         nan = float("nan")
         assert ConstantFloat(F32, nan) == ConstantFloat(F32, nan)
+        # Two distinct NaN objects are still one constant.
+        a, b = ConstantFloat(F32, float("nan")), ConstantFloat(F32, -nan)
+        assert a == b and hash(a) == hash(b)
+
+    def test_signed_zeros_differ(self):
+        assert ConstantFloat(F32, -0.0) != ConstantFloat(F32, 0.0)
+        assert ConstantFloat(F32, -0.0) == ConstantFloat(F32, -0.0)
+        assert hash(ConstantFloat(F32, -0.0)) == hash(ConstantFloat(F32, -0.0))
+        assert len({ConstantFloat(F32, -0.0), ConstantFloat(F32, 0.0)}) == 2
 
     def test_neutral_elements(self):
         assert neutral_element("add", I32).value == 0

@@ -330,6 +330,26 @@ entry:
         )
         assert eliminated == 1
 
+    def test_signed_zeros_are_different_operands(self):
+        # x + 0.0 and x + -0.0 differ at x = -0.0 (0.0 against -0.0),
+        # which the reciprocals turn into inf against -inf.
+        src = """
+define double @f(double %x) {
+entry:
+  %a = fadd double %x, 0.0
+  %b = fadd double %x, -0.0
+  %c = fdiv double 1.0, %a
+  %d = fdiv double 1.0, %b
+  %e = fsub double %c, %d
+  ret double %e
+}
+"""
+        def transform(m):
+            return eliminate_common_subexpressions(m.get_function("f"))
+
+        eliminated, _ = assert_transform_preserves(src, transform, "f", [-0.0])
+        assert eliminated == 0
+
 
 class TestDCE:
     def test_removes_dead_chain(self):

@@ -5,8 +5,9 @@ At ``safe`` with the compiled oracle, the gate observes candidates with
 the backend that captured the job's evidence (the oracle's).  Which
 backend observes must not change what the pipeline emits: the digest
 below is sha256 over, per kernel in name order, the job's
-``optimized_ir`` and its ``guard_reports`` as sorted-key JSON, computed
-when the gate still observed with the interpreter.
+``optimized_ir`` and its ``guard_reports`` as sorted-key JSON; the same
+digest comes out when the oracle, and so the gate, run on the
+interpreter instead.
 
 ``strict`` adds cross-backend parity to the gate: every candidate must
 behave identically (step counts included) under the interpreter and
@@ -28,7 +29,7 @@ from repro.rolag import RolagConfig
 pytestmark = pytest.mark.guard
 
 #: ``tsvc_safe_digest(8)``: every kernel unrolled by 8.
-SAFE_DIGEST_8 = "07378e48d19ba23816d541f3f4551a8cc46d3c8fb709e2c2ce74f95f1ebe272c"
+SAFE_DIGEST_8 = "22126bc4eb42e6293bd85dcf47de0abaef345c3b38543eb0443c52f4b2f7e726"
 
 
 def tsvc_job(name, factor):
