@@ -3,10 +3,13 @@
 When the oracle finds a mismatch between an original function and its
 fully-transformed version, :func:`bisect_pipeline` replays the same
 pipeline one pass at a time from the original IR text, observing after
-every pass, and names the first pass whose output diverges from the
-original behaviour.  :func:`minimize_record` then shrinks the
-pre-guilty-pass IR by deleting use-free instructions while the
-mismatch persists, producing a small, parseable repro
+every pass with the campaign's own primitives
+(:func:`~repro.difftest.runner.capture_pairs`,
+:func:`~repro.difftest.runner.first_mismatch`), and names the first
+pass whose output diverges from the original behaviour.
+:func:`minimize_record` then shrinks the pre-guilty-pass IR by
+deleting use-free instructions while the mismatch persists, producing
+a small, parseable repro
 (:meth:`MismatchRecord.to_text`) suitable for checking into
 ``tests/repros/``.
 """
@@ -25,8 +28,6 @@ from .oracle import (
     ArgumentVector,
     DEFAULT_STEP_LIMIT,
     Observation,
-    compare_observations,
-    observe_call,
     program_for,
 )
 
@@ -78,30 +79,6 @@ class MismatchRecord:
         return "\n".join(lines)
 
 
-def _observe_all(
-    module: Module,
-    fn_name: str,
-    vectors: Sequence[ArgumentVector],
-    step_limit: int,
-    evaluator: str = "interp",
-) -> List[Observation]:
-    # One compiled program per snapshot of the module: the bisector
-    # mutates the module between observation rounds, so the cache must
-    # not outlive this call.
-    program = program_for(module, evaluator)
-    return [
-        observe_call(
-            module,
-            fn_name,
-            vector,
-            step_limit=step_limit,
-            evaluator=evaluator,
-            program=program,
-        )
-        for vector in vectors
-    ]
-
-
 def bisect_pipeline(
     ir_text: str,
     fn_name: str,
@@ -113,14 +90,25 @@ def bisect_pipeline(
 ) -> Optional[MismatchRecord]:
     """Replay ``stages`` over ``ir_text`` and name the first guilty pass.
 
-    Returns None when no stage diverges (the end-to-end mismatch did
-    not reproduce -- which itself indicates nondeterminism and is
-    reported by the caller).
+    The original is observed on ``vectors`` once
+    (:func:`~repro.difftest.runner.capture_pairs`) and every stage's
+    output is held to those pairs with
+    :func:`~repro.difftest.runner.first_mismatch`, the campaign's own
+    comparison.  Returns None when no stage diverges (the end-to-end
+    mismatch did not reproduce -- which itself indicates nondeterminism
+    and is reported by the caller).  An evaluator that raises, on the
+    original or on a stage's output, raises ``RuntimeError``: that is
+    no verdict on a pass.
     """
-    reference_module = parse_module(ir_text)
-    reference = _observe_all(
-        reference_module, fn_name, vectors, step_limit, evaluator
+    from .runner import capture_pairs, first_mismatch
+
+    original = parse_module(ir_text)
+    reference, error = capture_pairs(
+        original, fn_name, vectors, step_limit=step_limit,
+        evaluator=evaluator, program=program_for(original, evaluator),
     )
+    if error is not None:
+        raise RuntimeError(f"original @{fn_name} {error}")
 
     module = parse_module(ir_text)
     for stage_name, apply_stage in stages:
@@ -139,7 +127,7 @@ def bisect_pipeline(
                 detail=f"verifier: {error}",
                 ir_before=before_text,
                 ir_after=print_module(module),
-                expected=reference[0],
+                expected=reference[0][1],
                 actual=Observation(status="trap", trap_kind="invalid-ir"),
                 origin=origin,
             )
@@ -153,34 +141,30 @@ def bisect_pipeline(
                 detail=f"stage raised: {type(error).__name__}: {error}",
                 ir_before=before_text,
                 ir_after=print_module(module),
-                expected=reference[0],
+                expected=reference[0][1],
                 actual=Observation(status="trap", trap_kind="stage-error"),
                 origin=origin,
             )
         # Fresh program per stage: the stage just mutated the module.
-        stage_program = program_for(module, evaluator)
-        for vector, expected in zip(vectors, reference):
-            actual = observe_call(
-                module,
-                fn_name,
-                vector,
-                step_limit=step_limit,
-                evaluator=evaluator,
-                program=stage_program,
+        mismatch = first_mismatch(
+            module, fn_name, reference, step_limit=step_limit,
+            evaluator=evaluator, program=program_for(module, evaluator),
+        )
+        if mismatch is not None:
+            detail, vector, expected, actual = mismatch
+            if actual is None:
+                raise RuntimeError(f"@{fn_name} after {stage_name}: {detail}")
+            return MismatchRecord(
+                fn_name=fn_name,
+                stage=stage_name,
+                vector=vector,
+                detail=detail,
+                ir_before=before_text,
+                ir_after=print_module(module),
+                expected=expected,
+                actual=actual,
+                origin=origin,
             )
-            detail = compare_observations(expected, actual)
-            if detail is not None:
-                return MismatchRecord(
-                    fn_name=fn_name,
-                    stage=stage_name,
-                    vector=vector,
-                    detail=detail,
-                    ir_before=before_text,
-                    ir_after=print_module(module),
-                    expected=expected,
-                    actual=actual,
-                    origin=origin,
-                )
     return None
 
 

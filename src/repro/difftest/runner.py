@@ -10,14 +10,21 @@ reported as *unexplained* (the acceptance bar is zero of those).
 :class:`Evidence` is one job's observations of its original module,
 captured once; the driver's oracle and both validation gates compare
 candidates against it (:func:`check_module_semantics` does both steps).
+
+This module is the one place that observes and compares.  The
+campaign, the bisector, the gate, the oracle and the backend-parity
+sweep all go through three functions: :func:`capture_pairs` observes a
+reference on explicit vectors (:meth:`Evidence.capture` draws them),
+:func:`first_mismatch` holds a candidate to a reference, and
+:func:`first_backend_divergence` holds the two evaluators to each other.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faultinject import DeadlineExceeded, deadline_scope
 from ..ir.module import Module
@@ -181,6 +188,12 @@ def run_difftest(
     return report
 
 
+def case_seed(seed: int, index: int) -> int:
+    """The vector seed of campaign case ``index`` (shared by the backend
+    parity sweep, so both observe a fuzzed function on one draw)."""
+    return (seed * 1_000_003 + index) & 0x7FFFFFFF
+
+
 def _run_difftest_case(
     report: DifftestReport,
     stages: List[PipelineStage],
@@ -194,68 +207,61 @@ def _run_difftest_case(
     repro_dir: Optional[str],
     evaluator: str,
 ) -> None:
-    """One campaign case: observe, transform, compare, bisect."""
-    reference_module = parse_module(text)
-    fn = reference_module.get_function(fn_name)
-    vectors = make_argument_vectors(
-        fn, (seed * 1_000_003 + index) & 0x7FFFFFFF, vectors_per_case
+    """One campaign case: observe, transform, compare, bisect.
+
+    A fuzzed module defines exactly one function, so its
+    :class:`Evidence` on the case seed is that function's draw.  An
+    evaluator that raises, on either side, is a case error."""
+    module = parse_module(text)
+    evidence = Evidence.capture(
+        module, seed=case_seed(seed, index), vectors=vectors_per_case,
+        step_limit=step_limit, evaluator=evaluator,
     )
-    reference_program = program_for(reference_module, evaluator)
-    reference = [
-        observe_call(
-            reference_module,
-            fn_name,
-            v,
-            step_limit=step_limit,
-            evaluator=evaluator,
-            program=reference_program,
-        )
-        for v in vectors
-    ]
-    if any(obs.status == "trap" for obs in reference):
+    error = evidence.setup_error or evidence.errors.get(fn_name)
+    if error is not None:
+        report.errors.append(f"{origin}: {error}")
+        return
+    reference = evidence.observed[fn_name]
+    if any(obs.status == "trap" for _, obs in reference):
         report.trap_cases += 1
     report.timeout_cases += sum(
-        1 for obs in reference if obs.status == "timeout"
+        1 for _, obs in reference if obs.status == "timeout"
     )
 
-    # The reference module is only ever *read* above (observation runs
-    # in per-machine memory, and the bisector replays from ``text``),
-    # so the pipeline can consume it in place instead of paying a
-    # second parse of the identical source.
-    transformed = reference_module
-    detail: Optional[str] = None
+    # The capture only *reads* the module (every machine runs in its
+    # own memory, and the bisector replays from ``text``), so the
+    # pipeline can consume it in place instead of paying a second
+    # parse of the identical source.
     try:
         for stage_name, apply_stage in stages:
-            changed = apply_stage(transformed)
+            changed = apply_stage(module)
             if stage_name == "rolag":
                 report.rolled_loops += int(changed or 0)
-        verify_module(transformed)
+        verify_module(module)
     except VerificationError as error:
         detail = f"pipeline produced invalid IR: {error}"
-    if detail is None:
-        # The program compiles the *post-pipeline* IR: built only
-        # after every stage has run and the module is verified.
-        transformed_program = program_for(transformed, evaluator)
-        for vector, expected in zip(vectors, reference):
-            actual = observe_call(
-                transformed,
-                fn_name,
-                vector,
-                step_limit=step_limit,
-                evaluator=evaluator,
-                program=transformed_program,
-            )
-            detail = compare_observations(expected, actual)
-            if detail is not None:
-                break
-    if detail is None:
-        return
+    else:
+        # The program compiles the *post-pipeline* IR.
+        program, error = load_program(module, evaluator)
+        if error is not None:
+            report.errors.append(f"{origin}: {error}")
+            return
+        mismatch = first_mismatch(
+            module, fn_name, reference, step_limit=step_limit,
+            evaluator=evaluator, program=program,
+        )
+        if mismatch is None:
+            return
+        detail, _, _, actual = mismatch
+        if actual is None:
+            report.errors.append(f"{origin}: {detail}")
+            return
 
     record = bisect_pipeline(
         text,
         fn_name,
         stages,
-        vectors,
+        [vector for vector, _ in reference],
         step_limit,
         origin=origin,
         evaluator=evaluator,
@@ -332,22 +338,12 @@ class Evidence:
             except ValueError:
                 observed[fn.name] = None
                 continue
-            pairs = []
-            for vector in draw:
-                try:
-                    pairs.append((vector, observe_call(
-                        module, fn.name, vector, step_limit=step_limit,
-                        evaluator=evaluator, program=program,
-                    )))
-                except DeadlineExceeded:
-                    raise
-                except Exception as error:
-                    errors[fn.name] = (
-                        f"{vector.describe()}: evaluator error: "
-                        f"{type(error).__name__}: {error}"
-                    )
-                    break
-            observed[fn.name] = tuple(pairs)
+            observed[fn.name], error = capture_pairs(
+                module, fn.name, draw, step_limit=step_limit,
+                evaluator=evaluator, program=program,
+            )
+            if error is not None:
+                errors[fn.name] = error
         return cls(step_limit, evaluator, observed, errors)
 
     def reference(
@@ -406,6 +402,31 @@ def load_program(module: Module, evaluator: str):
         return None, f"{type(error).__name__}: {error}"
 
 
+def capture_pairs(
+    module: Module, fn_name: str, vectors: Sequence[ArgumentVector], *,
+    step_limit: int, evaluator: str, program,
+) -> Tuple[Reference, Optional[str]]:
+    """Observe ``@fn_name`` in ``module`` (loaded as ``program``) on each
+    of ``vectors``: ``(pairs, None)``, or the pairs before the vector
+    the evaluator raised on and an ``evaluator error`` detail for it.
+    Deadline signals pass through."""
+    pairs = []
+    for vector in vectors:
+        try:
+            pairs.append((vector, observe_call(
+                module, fn_name, vector, step_limit=step_limit,
+                evaluator=evaluator, program=program,
+            )))
+        except DeadlineExceeded:
+            raise
+        except Exception as error:
+            return tuple(pairs), (
+                f"{vector.describe()}: evaluator error: "
+                f"{type(error).__name__}: {error}"
+            )
+    return tuple(pairs), None
+
+
 def first_mismatch(
     module: Module, fn_name: str, reference: Reference, *, step_limit: int,
     evaluator: str, program,
@@ -430,6 +451,52 @@ def first_mismatch(
         detail = compare_observations(expected, actual)
         if detail is not None:
             return (f"{vector.describe()}: {detail}", vector, expected, actual)
+    return None
+
+
+def first_backend_divergence(
+    module: Module, fn_name: str, vectors: Sequence[ArgumentVector], *,
+    step_limit: int,
+) -> Optional[tuple]:
+    """``(detail, vector, interp, compiled)`` for the first vector on
+    which ``@fn_name`` behaves differently under the interpreter and
+    the compiling evaluator, or ``None``.
+
+    The backend-parity rule is full :class:`Observation` equality --
+    status, result, memory bytes, extern trace, trap kind and steps --
+    not :func:`compare_observations`: one backend stands in for the
+    other only if they agree exactly.  The compiled program is built
+    once.  A backend that cannot load the module or raises diverges
+    with no observations (``vector`` is ``None`` for a failed load).
+    """
+    program, error = load_program(module, "compiled")
+    if error is not None:
+        return (f"compiling evaluator rejected the module: {error}",
+                None, None, None)
+    interp, interp_error = capture_pairs(
+        module, fn_name, vectors, step_limit=step_limit,
+        evaluator="interp", program=None,
+    )
+    compiled, compiled_error = capture_pairs(
+        module, fn_name, vectors, step_limit=step_limit,
+        evaluator="compiled", program=program,
+    )
+    for (vector, a), (_, b) in zip(interp, compiled):
+        if a != b:
+            diff = "; ".join(
+                f"{name}: interp={getattr(a, name)!r} "
+                f"compiled={getattr(b, name)!r}"
+                for name in (f.name for f in fields(Observation))
+                if getattr(a, name) != getattr(b, name)
+            )
+            return (f"{vector.describe()}: interp vs compiled: {diff}",
+                    vector, a, b)
+    for backend, pairs, error in (
+        ("interp", interp, interp_error),
+        ("compiled", compiled, compiled_error),
+    ):
+        if error is not None:
+            return f"{backend} {error}", vectors[len(pairs)], None, None
     return None
 
 

@@ -45,7 +45,7 @@ import json
 import logging
 import os
 import tempfile
-from typing import Dict, Optional, Tuple
+from typing import IO, Callable, Dict, Optional, Tuple
 
 from ..analysis.costmodel import CodeSizeCostModel
 from ..faultinject import corrupt_bytes, fire
@@ -71,8 +71,10 @@ log = logging.getLogger(__name__)
 #: no function-name mixing), so stored verdicts rest on other vectors.
 #: 10: the gate observes candidates with the backend that captured its
 #: evidence (the oracle's, when the oracle runs), so stored gate
-#: verdicts rest on that backend.
-SCHEMA_VERSION = 10
+#: verdicts rest on that backend.  11: the ``strict`` gate's backend
+#: parity requires full Observation equality (trap kinds, timeouts),
+#: so stored ``strict`` verdicts rest on a weaker rule.
+SCHEMA_VERSION = 11
 
 #: ``job_key``/``quarantine_key`` sentinel: "compute the summary here".
 _AUTO = object()
@@ -192,6 +194,45 @@ def _payload_checksum(payload: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def atomic_write(
+    path: str, write: Callable[[IO[str]], None], *, fsync: bool = False
+) -> None:
+    """Replace ``path`` with what ``write(handle)`` writes, atomically.
+
+    The text goes to a temporary file in ``path``'s directory (created
+    if missing), which ``os.replace`` then moves over ``path``.  With
+    ``fsync`` the file is fsynced before the replace and, best-effort
+    (not every filesystem supports it), the directory after it, so the
+    replace itself is durable.  On any failure the temporary file is
+    removed and the error re-raised.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            write(handle)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+        if fsync:
+            try:
+                dir_fd = os.open(directory, os.O_RDONLY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
+            except OSError:  # pragma: no cover - fs-dependent
+                pass
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """A directory of memoized :class:`FunctionResult` JSON blobs."""
 
@@ -294,23 +335,11 @@ class ResultCache:
             "result": payload,
             "renames": renames,
         }
-        tmp = None
         try:
             fire("cache.write")
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as fh:
-                json.dump(envelope, fh)
-            os.replace(tmp, path)
+            atomic_write(path, lambda handle: json.dump(envelope, handle))
         except Exception as error:
             self.write_errors += 1
             log.warning("cache write failed for %s (%s)", path, error)
-            if tmp is not None and os.path.exists(tmp):
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
             return
         self.writes += 1

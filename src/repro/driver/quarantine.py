@@ -30,11 +30,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 from typing import Dict, Optional
 
-from .cache import _AUTO, _content_fingerprint, job_struct_summary
+from .cache import (
+    _AUTO,
+    _content_fingerprint,
+    atomic_write,
+    job_struct_summary,
+)
 from .types import FunctionJob
 
 log = logging.getLogger(__name__)
@@ -151,27 +154,9 @@ class QuarantineList:
         if self.path is None or not self._dirty:
             return
         payload = {"schema": SCHEMA_VERSION, "entries": self.entries}
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-                if self.fsync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-            if self.fsync:
-                try:
-                    dir_fd = os.open(directory, os.O_RDONLY)
-                    try:
-                        os.fsync(dir_fd)
-                    finally:
-                        os.close(dir_fd)
-                except OSError:  # pragma: no cover - fs-dependent
-                    pass
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(
+            self.path,
+            lambda handle: json.dump(payload, handle, indent=1, sort_keys=True),
+            fsync=self.fsync,
+        )
         self._dirty = False

@@ -74,7 +74,6 @@ from .interp import (
     TrapError,
     _as_unsigned,
     _bits_of,
-    _round_float,
     _value_of,
     _wrap_signed,
     constant_value,
@@ -88,6 +87,7 @@ from .types import (
     IntType,
     PointerType,
     StructType,
+    round_float,
 )
 from .values import Argument, ConstantInt, Value
 
@@ -722,10 +722,10 @@ class CompiledFunction:
             convert = lambda v: _as_unsigned(int(v), 64)
         elif op == "sitofp":
             bits = dst_ty.bits
-            convert = lambda v, bits=bits: _round_float(float(int(v)), bits)
+            convert = lambda v, bits=bits: round_float(float(int(v)), bits)
         elif op == "uitofp":
             sbits, dbits = src.bits, dst_ty.bits
-            convert = lambda v, s=sbits, d=dbits: _round_float(
+            convert = lambda v, s=sbits, d=dbits: round_float(
                 float(_as_unsigned(int(v), s)), d
             )
         elif op in ("fptosi", "fptoui"):
@@ -742,7 +742,7 @@ class CompiledFunction:
             convert = float
         elif op == "fptrunc":
             bits = dst_ty.bits
-            convert = lambda v, bits=bits: _round_float(float(v), bits)
+            convert = lambda v, bits=bits: round_float(float(v), bits)
         else:
             return self._raise_step(TrapError(f"bad cast {op}"), inst)
 

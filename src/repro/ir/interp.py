@@ -57,6 +57,7 @@ from .types import (
     PointerType,
     StructType,
     Type,
+    round_float,
 )
 from .values import (
     Argument,
@@ -99,15 +100,6 @@ def _wrap_signed(value: int, bits: int) -> int:
 
 def _as_unsigned(value: int, bits: int) -> int:
     return value & ((1 << bits) - 1)
-
-
-def _round_float(value: float, bits: int) -> float:
-    if bits == 32:
-        try:
-            return struct.unpack("<f", struct.pack("<f", value))[0]
-        except (OverflowError, ValueError):
-            return float("inf") if value > 0 else float("-inf")
-    return value
 
 
 def _int_add(bits: int, a: int, b: int) -> int:
@@ -223,15 +215,15 @@ def eval_int_binop(opcode: str, bits: int, a: int, b: int) -> int:
 
 
 def _float_add(bits: int, a: float, b: float) -> float:
-    return _round_float(a + b, bits)
+    return round_float(a + b, bits)
 
 
 def _float_sub(bits: int, a: float, b: float) -> float:
-    return _round_float(a - b, bits)
+    return round_float(a - b, bits)
 
 
 def _float_mul(bits: int, a: float, b: float) -> float:
-    return _round_float(a * b, bits)
+    return round_float(a * b, bits)
 
 
 def _float_div(bits: int, a: float, b: float) -> float:
@@ -245,11 +237,11 @@ def _float_div(bits: int, a: float, b: float) -> float:
         )
     else:
         result = a / b
-    return _round_float(result, bits)
+    return round_float(result, bits)
 
 
 def _float_rem(bits: int, a: float, b: float) -> float:
-    return _round_float(math.fmod(a, b) if b != 0.0 else float("nan"), bits)
+    return round_float(math.fmod(a, b) if b != 0.0 else float("nan"), bits)
 
 
 #: One implementation per float opcode, each ``impl(bits, a, b)``.
@@ -304,7 +296,7 @@ def eval_cast(opcode: str, value: object, src: Type, dst: Type) -> object:
     if opcode in ("sitofp", "uitofp"):
         if opcode == "uitofp":
             value = _as_unsigned(int(value), src.bits)
-        return _round_float(float(int(value)), dst.bits)
+        return round_float(float(int(value)), dst.bits)
     if opcode in ("fptosi", "fptoui"):
         try:
             result = int(float(value))
@@ -314,7 +306,7 @@ def eval_cast(opcode: str, value: object, src: Type, dst: Type) -> object:
     if opcode == "fpext":
         return float(value)
     if opcode == "fptrunc":
-        return _round_float(float(value), dst.bits)
+        return round_float(float(value), dst.bits)
     raise TrapError(f"bad cast {opcode}")
 
 
@@ -568,7 +560,7 @@ class Machine:
         if isinstance(ret, IntType):
             return _wrap_signed(seed, ret.bits)
         if isinstance(ret, FloatType):
-            return _round_float(float(seed % 1000), ret.bits)
+            return round_float(float(seed % 1000), ret.bits)
         if isinstance(ret, PointerType):
             return 0
         raise TrapError(f"extern {fn.name} returns unsupported type {ret}")

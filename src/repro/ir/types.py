@@ -9,6 +9,7 @@ type checks throughout the compiler cheap.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Optional, Sequence, Tuple
 
 
@@ -162,6 +163,18 @@ class FloatType(Type):
 
     def __str__(self) -> str:
         return "float" if self._bits == 32 else "double"
+
+
+def round_float(value: float, bits: int) -> float:
+    """``value`` as a float type of ``bits`` holds it: 32 bits rounds to
+    the nearest single (past its range, to a signed infinity), 64 bits
+    keeps the double.  Execution and every float constant round here."""
+    if bits == 32:
+        try:
+            return struct.unpack("<f", struct.pack("<f", value))[0]
+        except (OverflowError, ValueError):
+            return float("inf") if value > 0 else float("-inf")
+    return value
 
 
 class PointerType(Type):

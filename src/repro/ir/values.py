@@ -20,6 +20,7 @@ from .types import (
     PointerType,
     StructType,
     Type,
+    round_float,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -155,11 +156,13 @@ class ConstantInt(Constant):
 
 
 class ConstantFloat(Constant):
-    """A floating point constant."""
+    """A floating point constant, holding ``value`` rounded to its type
+    (a ``float`` constant is a single), so the frontend, the parser and
+    the constant folder all build the value execution computes."""
 
     def __init__(self, ty: FloatType, value: float) -> None:
         super().__init__(ty)
-        self.value = float(value)
+        self.value = round_float(float(value), ty.bits)
 
     def short_name(self) -> str:
         """The float literal text."""

@@ -51,11 +51,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Tuple
+
+from ..driver.cache import atomic_write
 
 #: Frame magic; bump when the record layout changes meaning.
 FRAME_MAGIC = "J1"
@@ -333,31 +334,17 @@ class JobJournal:
             except OSError:
                 pass
             self._handle = None
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for seq in sorted(self._live):
-                    handle.write(encode_frame(self._live[seq].to_json_dict()))
-                handle.flush()
-                if self.sync != "off":
-                    os.fsync(handle.fileno())
-                    self.fsyncs += 1
-            os.replace(tmp, self.path)
-            if self.sync != "off":
-                # Best-effort directory fsync so the replace itself is
-                # durable; not every filesystem supports it.
-                try:
-                    dir_fd = os.open(self.directory, os.O_RDONLY)
-                    try:
-                        os.fsync(dir_fd)
-                    finally:
-                        os.close(dir_fd)
-                except OSError:
-                    pass
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        durable = self.sync != "off"
+        atomic_write(
+            self.path,
+            lambda handle: handle.writelines(
+                encode_frame(self._live[seq].to_json_dict())
+                for seq in sorted(self._live)
+            ),
+            fsync=durable,
+        )
+        if durable:
+            self.fsyncs += 1
         self._done_since_compact = 0
         self._unsynced = 0
         self.compactions += 1

@@ -34,10 +34,11 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import IO, List, Optional, Sequence
+
+from ..driver.cache import atomic_write
 
 #: Child environment variable carrying the 1-based generation number.
 GENERATION_ENV = "REPRO_SERVE_GENERATION"
@@ -72,17 +73,12 @@ class SupervisorReport:
 
 def write_pid_file(path: str, pid: int, generation: int) -> None:
     """Atomically publish the current daemon generation's pid."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump({"pid": pid, "generation": generation}, handle)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(
+        path,
+        lambda handle: json.dump(
+            {"pid": pid, "generation": generation}, handle
+        ),
+    )
 
 
 def read_pid_file(path: str) -> Optional[dict]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.instructions import BinaryOp, Cast, ICmp, Instruction, Phi, Select
-from ..ir.interp import TrapError, eval_int_binop
+from ..ir.interp import TrapError, eval_binop, eval_int_binop
 from ..ir.module import Function
 from ..ir.types import IntType
 from ..ir.values import ConstantFloat, ConstantInt, Value
@@ -50,14 +50,14 @@ def _simplify(inst: Instruction) -> Optional[Value]:
             folded = fold_int_binop(inst.opcode, ty, lhs.value, rhs.value)
             if folded is not None:
                 return ConstantInt(ty, folded)
-        if isinstance(lhs, ConstantFloat) and isinstance(rhs, ConstantFloat):
-            table = {
-                "fadd": lhs.value + rhs.value,
-                "fsub": lhs.value - rhs.value,
-                "fmul": lhs.value * rhs.value,
-            }
-            if inst.opcode in table:
-                return ConstantFloat(ty, table[inst.opcode])
+        if (
+            isinstance(lhs, ConstantFloat)
+            and isinstance(rhs, ConstantFloat)
+            and inst.opcode in ("fadd", "fsub", "fmul")
+        ):
+            return ConstantFloat(
+                ty, eval_binop(inst.opcode, ty, lhs.value, rhs.value)
+            )
         if isinstance(ty, IntType):
             # Cheap inline tests (no throwaway ConstantInt per call):
             # a constant operand equals zero/one iff it is a

@@ -18,9 +18,12 @@ or rolls back, at one of four levels:
     driver's difftest oracle checks its candidates against.  The gate
     observes with the backend that captured its evidence.
 ``strict``
-    ``safe`` plus cross-backend parity: the candidate must behave
-    identically (including step counts) under the interpreter and the
-    compiling evaluator.
+    ``safe`` plus cross-backend parity: the candidate's full
+    observations under the interpreter and the compiling evaluator
+    must be equal -- status, result, memory, extern trace, trap kind
+    and step count -- on the gate's vectors.  The rule is
+    :func:`~repro.difftest.runner.first_backend_divergence`, the one
+    the backend-parity sweep applies.
 
 On a gate failure the validator restores the snapshot, records a
 :class:`~repro.validation.report.GuardReport` with a unified IR diff,
@@ -36,16 +39,17 @@ The gate reads the first ``vectors`` pairs of the evidence at its own
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..difftest.bisect import MismatchRecord, minimize_record
-from ..difftest.oracle import (
-    ArgumentVector,
-    Observation,
-    compare_observations,
-    observe_call,
+from ..difftest.oracle import ArgumentVector, Observation
+from ..difftest.runner import (
+    Evidence,
+    Reference,
+    first_backend_divergence,
+    first_mismatch,
+    load_program,
 )
-from ..difftest.runner import Evidence, Reference, first_mismatch, load_program
 from ..faultinject import DeadlineExceeded, active_plan
 from ..ir.module import Function, Module
 from ..ir.printer import print_function, print_module
@@ -116,7 +120,10 @@ class Validator:
     that captures the evidence and observes every candidate, in the
     semantic check and in the guard-bundle minimizer; a validator
     handed evidence (:meth:`from_config`) takes the backend that
-    captured it.
+    captured it.  Every check compares through
+    :mod:`repro.difftest.runner`: ``safe`` holds the candidate to its
+    evidence with ``first_mismatch``, ``strict`` then to itself across
+    backends with ``first_backend_divergence``.
     """
 
     def __init__(
@@ -253,24 +260,7 @@ class Validator:
                 f"verifier crashed: {type(error).__name__}: {error}",
                 None, None, None,
             )
-        if self.level in ("safe", "strict"):
-            failure = self._check_semantics(fn)
-            if failure is not None:
-                return failure
-        if self.level == "strict":
-            failure = self._check_parity(fn)
-            if failure is not None:
-                return failure
-        return None
-
-    def _reference(self, fn: Function) -> Optional[Reference]:
-        """``fn``'s pairs at this gate's size, or ``None`` (verify only)."""
-        if self._evidence is None:
-            return None
-        return self._evidence.reference(fn.name, self.vectors, self.step_limit)
-
-    def _check_semantics(self, fn: Function) -> Optional[_Failure]:
-        reference = self._reference(fn)
+        reference = self._reference(fn) if self.level != "fast" else None
         module = fn.module
         if not reference or module is None:
             return None
@@ -282,60 +272,22 @@ class Validator:
             module, fn.name, reference, step_limit=self.step_limit,
             evaluator=self.evaluator, program=program,
         )
-        return None if mismatch is None else ("semantics",) + mismatch
-
-    def _check_parity(self, fn: Function) -> Optional[_Failure]:
-        reference = self._reference(fn)
-        module = fn.module
-        if not reference or module is None:
-            return None
-        compiled_program, error = load_program(module, "compiled")
-        if error is not None:
-            return ("parity", f"compiling evaluator rejected candidate: "
-                    f"{error}", None, None, None)
-        for vector, _ in reference:
-            observed: Dict[str, Observation] = {}
-            for backend, program in (
-                ("interp", None), ("compiled", compiled_program)
-            ):
-                try:
-                    observed[backend] = observe_call(
-                        module,
-                        fn.name,
-                        vector,
-                        step_limit=self.step_limit,
-                        evaluator=backend,
-                        program=program,
-                    )
-                except DeadlineExceeded:
-                    raise
-                except Exception as error:
-                    return (
-                        "parity",
-                        f"{backend} evaluator error ({vector.describe()}): "
-                        f"{type(error).__name__}: {error}",
-                        vector, None, None,
-                    )
-            interp_obs = observed["interp"]
-            compiled_obs = observed["compiled"]
-            detail = compare_observations(interp_obs, compiled_obs)
-            if (
-                detail is None
-                and interp_obs.status == "ok"
-                and compiled_obs.status == "ok"
-                and interp_obs.steps != compiled_obs.steps
-            ):
-                detail = (
-                    f"step counts diverge: interp={interp_obs.steps} "
-                    f"compiled={compiled_obs.steps}"
-                )
-            if detail is not None:
-                return (
-                    "parity",
-                    f"interp vs compiled on {vector.describe()}: {detail}",
-                    vector, interp_obs, compiled_obs,
-                )
+        if mismatch is not None:
+            return ("semantics",) + mismatch
+        if self.level == "strict":
+            divergence = first_backend_divergence(
+                module, fn.name, [vector for vector, _ in reference],
+                step_limit=self.step_limit,
+            )
+            if divergence is not None:
+                return ("parity",) + divergence
         return None
+
+    def _reference(self, fn: Function) -> Optional[Reference]:
+        """``fn``'s pairs at this gate's size, or ``None`` (verify only)."""
+        if self._evidence is None:
+            return None
+        return self._evidence.reference(fn.name, self.vectors, self.step_limit)
 
     # -- rollback + reporting ----------------------------------------------
 

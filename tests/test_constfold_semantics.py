@@ -12,7 +12,17 @@ bits, and 2*bits.
 
 import pytest
 
-from repro.ir import BINARY_OPCODES, I8, I16, I32, I64, TrapError, parse_module
+from repro.frontend import compile_c
+from repro.ir import (
+    BINARY_OPCODES,
+    I8,
+    I16,
+    I32,
+    I64,
+    TrapError,
+    parse_module,
+    print_module,
+)
 from repro.ir.compile_eval import EVALUATOR_CHOICES
 from repro.ir.interp import (
     INT_MIN_DIV_WRAPS,
@@ -20,7 +30,7 @@ from repro.ir.interp import (
     eval_int_binop,
     run_function,
 )
-from repro.transforms.constfold import fold_int_binop
+from repro.transforms.constfold import fold_constants, fold_int_binop
 
 INT_OPCODES = sorted(
     op for op in BINARY_OPCODES if not op.startswith("f")
@@ -137,3 +147,38 @@ def test_shift_amounts_reduce_modulo_width():
     assert eval_int_binop("ashr", 16, -4, 17) == -2
     assert fold_int_binop("shl", I32, 5, 32) == 5
     assert fold_int_binop("shl", I16, 1, 100) == 16  # 100 % 16 == 4
+
+
+# ----- float constants -----------------------------------------------------
+#
+# A ``float`` constant holds a single, whoever builds it (the frontend,
+# the IR parser or the folder), so its printed text is the value
+# execution computes.
+
+
+def test_float_constant_fold_is_a_single():
+    text = print_module(compile_c("float g(void) { return 0.1f + 0.2f; }"))
+    assert "ret float 0.30000001192092896" in text
+    value, _ = run_function(parse_module(text), "g")
+    assert value == 0.30000001192092896
+
+
+def test_float_literal_prints_as_its_single():
+    text = print_module(compile_c("float f(float a) { return a + 0.2f; }"))
+    assert "fadd float %a, 0.20000000298023224" in text
+    assert print_module(parse_module(text)) == text
+
+
+@pytest.mark.parametrize("opcode", ["fadd", "fsub", "fmul"])
+def test_float_fold_matches_execution(opcode):
+    text = f"""
+define float @f() {{
+entry:
+  %r = {opcode} float 0.1, 0.2
+  ret float %r
+}}
+"""
+    executed, _ = run_function(parse_module(text), "f")
+    module = parse_module(text)
+    assert fold_constants(module.get_function("f")) == 1
+    assert f"ret float {executed!r}" in print_module(module)

@@ -10,10 +10,32 @@ import time
 
 import pytest
 
-from repro.difftest import run_difftest
+import repro.difftest.runner as runner
+from repro.difftest import FunctionFuzzer, make_argument_vectors, run_difftest
+from repro.ir import parse_module, print_module
+from repro.rolag import RolagConfig
 
 SMOKE_SEED = 0
 SMOKE_COUNT = 200
+
+#: ``run_difftest(seed=0, count=200).summary()``.
+SUMMARY_SEED0 = """\
+difftest: 200 cases, seed 0, 3 vectors/case
+  rolled loops: 171
+  cases observing a trap: 25
+  inconclusive (timeout) observations: 0
+  mismatches: 0 | unexplained: 0 | errors: 0
+  OK: no unexplained mismatches"""
+
+#: The seed-1 campaign with loop-aware rolling and fast math, observed
+#: on the compiled backend.
+SUMMARY_SEED1_COMPILED = """\
+difftest: 200 cases, seed 1, 3 vectors/case
+  rolled loops: 144
+  cases observing a trap: 31
+  inconclusive (timeout) observations: 0
+  mismatches: 0 | unexplained: 0 | errors: 0
+  OK: no unexplained mismatches"""
 
 
 @pytest.mark.difftest
@@ -23,6 +45,7 @@ def test_smoke_campaign_finds_no_mismatches():
     elapsed = time.monotonic() - start
 
     assert report.ok, report.summary()
+    assert report.summary() == SUMMARY_SEED0
     assert report.mismatches == []
     assert report.unexplained == []
     # The campaign genuinely exercises the transform under test ...
@@ -30,6 +53,44 @@ def test_smoke_campaign_finds_no_mismatches():
     # ... and the trap-preservation half of the oracle.
     assert report.trap_cases > 0
     assert elapsed < 10.0, f"smoke campaign took {elapsed:.1f}s"
+
+
+@pytest.mark.difftest
+def test_compiled_loop_aware_campaign_summary_is_pinned():
+    report = run_difftest(
+        seed=1,
+        count=200,
+        config=RolagConfig(loop_aware=True, fast_math=True),
+        evaluator="compiled",
+    )
+    assert report.summary() == SUMMARY_SEED1_COMPILED
+
+
+@pytest.mark.difftest
+def test_clean_case_observes_each_vector_once(monkeypatch):
+    seen = []
+    observe = runner.observe_call
+
+    def recording(module, fn_name, vector, **kwargs):
+        seen.append((print_module(module), vector))
+        return observe(module, fn_name, vector, **kwargs)
+
+    monkeypatch.setattr(runner, "observe_call", recording)
+    report = run_difftest(seed=0, count=3)
+    assert report.ok and report.rolled_loops
+    fuzzer = FunctionFuzzer(0)
+    for index in range(3):
+        module, fn_name = fuzzer.build(index)
+        draw = make_argument_vectors(
+            module.get_function(fn_name), runner.case_seed(0, index), 3
+        )
+        original = print_module(parse_module(print_module(module)))
+        case, seen = seen[:6], seen[6:]
+        (transformed,) = {text for text, _ in case[3:]}
+        assert case == [(original, v) for v in draw] + [
+            (transformed, v) for v in draw
+        ]
+    assert seen == []
 
 
 # --------------------------------------------------------------------------
@@ -42,7 +103,6 @@ from repro.difftest.oracle import ArgumentVector
 from repro.difftest.runner import check_module_semantics
 from repro.faultinject import FaultPlan, active_plan, clear_plan
 from repro.frontend import compile_c
-from repro.ir import print_module
 
 
 @pytest.fixture(autouse=True)

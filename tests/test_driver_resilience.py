@@ -288,6 +288,27 @@ class TestCacheSelfHealing:
         assert report.stats.cache_write_errors == 2
         assert report.stats.cache_writes == 0
 
+    @pytest.mark.parametrize("fsync", [False, True])
+    def test_atomic_write_replaces_or_leaves_the_old_file(
+        self, tmp_path, fsync
+    ):
+        from repro.driver.cache import atomic_write
+
+        path = str(tmp_path / "sub" / "state.json")
+        atomic_write(path, lambda handle: handle.write("old"), fsync=fsync)
+
+        def failing(handle):
+            handle.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, failing, fsync=fsync)
+        assert open(path).read() == "old"
+        assert os.listdir(tmp_path / "sub") == ["state.json"]
+        atomic_write(path, lambda handle: handle.write("new"), fsync=fsync)
+        assert open(path).read() == "new"
+        assert os.listdir(tmp_path / "sub") == ["state.json"]
+
 
 class TestPassErrorContext:
     def test_pass_error_names_pass_and_function(self):

@@ -41,10 +41,10 @@ def tsvc_digest(factor):
 ANGHA_40 = "aaba5e3b81239169a3c06a6d7508d4db3d4acd10734fda8f1c441f826c425e18"
 ANGHA_400 = "5d503ef4fb947ed13037e60bef7c809b43d8a2c2cd005cfc1fbaf054953cd20b"
 TSVC = {
-    1: "7010cfd2de0bdb57d21337f08379b955ac49f368cacdff388f351ac54d938201",
-    4: "21d2447577bd6b56220efc12b88f7f7881a6743c51eb1285dba2e89b72fe7ff1",
-    8: "52e6b940581f2133e9448371737d7ecc6cce4dc739421c0e45a0f830a9eed67f",
-    16: "4090490ea961e36567d304c31d3d0729ebcba24815ae9fd4d717e8df22633667",
+    1: "c8807a5b15496a207f033a97f8a21c7f5e38d373dc4a2503aae6f2239afc97fa",
+    4: "879bcfbfb0ffd0a691145c454b87deb248b1f981401edfd4dbbe3833c0fa32f5",
+    8: "4aacedfe9c6e4cbc8df11ed7610a6bd227b047de2fc7ed3f7ca5e81c052fe47e",
+    16: "8cee0d1a3bf388ff71b3bfe9c6675928590fd5f578c9f0d9aa0583c2bc02715e",
 }
 
 

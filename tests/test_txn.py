@@ -7,13 +7,17 @@ corpus run.  The storm tests replay the ISSUE acceptance scenario --
 the gate's contract with :func:`repro.validation.evidence_check`.
 """
 
+import dataclasses
 import json
 import os
 import zlib
 
 import pytest
 
+import repro.difftest.runner as runner
 from repro.bench import angha
+from repro.difftest.oracle import Observation
+from repro.difftest.parity import check_backend_parity
 from repro.driver import FunctionJob, optimize_functions
 from repro.faultinject import clear_plan
 from repro.frontend import compile_c
@@ -216,6 +220,104 @@ class TestTransactionalRollback:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown validation level"):
             Validator("paranoid")
+
+
+TRAPPING_SRC = """
+define i32 @f(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %d = sdiv i32 %a, 0
+  ret i32 %d
+}
+"""
+
+
+def commute(fn):
+    """Verifier-clean and semantics-preserving: swap the add's operands."""
+    inst = fn.blocks[0].instructions[0]
+    lhs, rhs = inst.operands
+    inst.set_operand(0, rhs)
+    inst.set_operand(1, lhs)
+    return 1
+
+
+def _fake_compiled(monkeypatch, rewrite):
+    """Every compiled-backend observation passes through ``rewrite``."""
+    observe = runner.observe_call
+
+    def faked(*args, **kwargs):
+        observation = observe(*args, **kwargs)
+        if kwargs.get("evaluator") == "compiled":
+            return rewrite(observation, kwargs["step_limit"])
+        return observation
+
+    monkeypatch.setattr(runner, "observe_call", faked)
+
+
+def _other_trap_kind(observation, step_limit):
+    if observation.status != "trap":
+        return observation
+    kind = "oob" if observation.trap_kind != "oob" else "unreachable"
+    return dataclasses.replace(observation, trap_kind=kind)
+
+
+def _timed_out(observation, step_limit):
+    if observation.status != "ok":
+        return observation
+    return Observation(status="timeout", steps=step_limit + 1)
+
+
+class TestStrictParity:
+    """``strict`` holds every candidate to full Observation equality
+    across backends: a trap-kind or timeout-only divergence, which the
+    semantic comparison calls equivalent, still rolls back."""
+
+    @pytest.mark.parametrize(
+        "src, rewrite, field",
+        [
+            (TRAPPING_SRC, _other_trap_kind, "trap_kind"),
+            (SRC, _timed_out, "status"),
+        ],
+        ids=["trap-kind", "timeout"],
+    )
+    def test_backend_divergence_rolls_back(
+        self, monkeypatch, src, rewrite, field
+    ):
+        module, fn = _fn(src)
+        before = print_function(fn)
+        validator = Validator("strict", seed=7)
+        _fake_compiled(monkeypatch, rewrite)
+        pm = TransactionalPassManager(verify=False, validator=validator)
+        pm.add("commute", commute)
+        assert pm.run(module) == 0
+        assert print_function(fn) == before
+        (report,) = validator.reports
+        assert report.failure_kind == "parity"
+        assert "interp vs compiled" in report.detail
+        assert f"{field}: interp=" in report.detail
+
+    def test_same_candidate_commits_without_the_fake(self):
+        module, fn = _fn(TRAPPING_SRC)
+        validator = Validator("strict", seed=7)
+        pm = TransactionalPassManager(verify=False, validator=validator)
+        pm.add("commute", commute)
+        assert pm.run(module) == 1
+        assert validator.reports == []
+
+    @pytest.mark.parametrize(
+        "rewrite, field",
+        [(_other_trap_kind, "trap_kind"), (_timed_out, "status")],
+        ids=["trap-kind", "timeout"],
+    )
+    def test_parity_sweep_reports_the_same_divergence(
+        self, monkeypatch, rewrite, field
+    ):
+        _fake_compiled(monkeypatch, rewrite)
+        mismatches = check_backend_parity(0, 12, run_pipeline=False)
+        assert mismatches
+        assert all(
+            f"interp vs compiled: {field}: interp=" in m for m in mismatches
+        )
 
 
 class TestGuardBundles:

@@ -29,7 +29,7 @@ from repro.rolag import RolagConfig
 pytestmark = pytest.mark.guard
 
 #: ``tsvc_safe_digest(8)``: every kernel unrolled by 8.
-SAFE_DIGEST_8 = "22126bc4eb42e6293bd85dcf47de0abaef345c3b38543eb0443c52f4b2f7e726"
+SAFE_DIGEST_8 = "9cf925715e1d94e52a52ace2d0dfbfa46ec22573c09c3757e0fbd4087fa058de"
 
 
 def tsvc_job(name, factor):
