@@ -238,6 +238,26 @@ def observe_call(
     )
 
 
+def _same_value(a: object, b: object) -> bool:
+    """``a == b``, except that two NaNs are the same value."""
+    return a == b or (a != a and b != b)
+
+
+def _same_trace(
+    reference: Tuple[Tuple[str, Tuple[object, ...]], ...],
+    candidate: Tuple[Tuple[str, Tuple[object, ...]], ...],
+) -> bool:
+    """Extern traces equal call for call, NaN arguments matching NaN."""
+    return len(reference) == len(candidate) and all(
+        ref_name == cand_name
+        and len(ref_args) == len(cand_args)
+        and all(map(_same_value, ref_args, cand_args))
+        for (ref_name, ref_args), (cand_name, cand_args) in zip(
+            reference, candidate
+        )
+    )
+
+
 def compare_observations(
     reference: Observation, candidate: Observation
 ) -> Optional[str]:
@@ -250,7 +270,7 @@ def compare_observations(
         )
     if reference.status == "trap":
         return None  # both trap: partial state is implementation-defined
-    if reference.result != candidate.result:
+    if not _same_value(reference.result, candidate.result):
         return f"result {reference.result!r} != {candidate.result!r}"
     if reference.globals_bytes != candidate.globals_bytes:
         ref = dict(reference.globals_bytes)
@@ -263,7 +283,7 @@ def compare_observations(
         return f"globals differ: {', '.join('@' + n for n in names)}"
     if reference.buffers != candidate.buffers:
         return "argument buffer contents differ"
-    if reference.extern_trace != candidate.extern_trace:
+    if not _same_trace(reference.extern_trace, candidate.extern_trace):
         return (
             f"extern trace {reference.extern_trace!r} != "
             f"{candidate.extern_trace!r}"

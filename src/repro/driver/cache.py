@@ -73,8 +73,10 @@ log = logging.getLogger(__name__)
 #: evidence (the oracle's, when the oracle runs), so stored gate
 #: verdicts rest on that backend.  11: the ``strict`` gate's backend
 #: parity requires full Observation equality (trap kinds, timeouts),
-#: so stored ``strict`` verdicts rest on a weaker rule.
-SCHEMA_VERSION = 11
+#: so stored ``strict`` verdicts rest on a weaker rule.  12: the oracle
+#: treats two NaN results (and NaN extern arguments) as equal, so a
+#: stored mismatch or rollback can now be a pass.
+SCHEMA_VERSION = 12
 
 #: ``job_key``/``quarantine_key`` sentinel: "compute the summary here".
 _AUTO = object()

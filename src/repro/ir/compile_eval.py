@@ -14,10 +14,12 @@ This module compiles a function *once* into a chain of closures:
   function address) is assigned a **register slot** in a flat list;
   operand lookups become ``regs[i]`` reads with zero name/identity
   resolution at run time;
-* every instruction becomes one specialized closure with its operand
-  slots, :data:`~repro.ir.interp.INT_BINOP_IMPLS` entry, compare
-  predicate, cast widths, memory sizes/formats and constant-folded GEP
-  offsets pre-bound as locals;
+* every instruction becomes one closure with its operand slots and its
+  entry of the interpreter's shared semantics tables
+  (:data:`~repro.ir.interp.INT_BINOP_IMPLS`,
+  :data:`~repro.ir.interp.ICMP_IMPLS`, :data:`~repro.ir.interp.CAST_IMPLS`,
+  :func:`~repro.ir.interp.value_codec`, ...) pre-bound as locals, plus
+  constant-folded GEP offsets;
 * block bodies are flattened into **edge records** -- one per CFG edge
   ``pred -> succ`` (plus the entry) -- whose phi moves are pre-resolved
   against that specific predecessor, so taking a branch is an integer
@@ -27,11 +29,17 @@ Constants that depend on machine state (global and function addresses)
 are bound once per machine into a register prototype; running a call
 copies the prototype and writes the arguments.
 
+The closures only compute.  Dynamic step accounting -- one step, the
+budget check, then the ``instruction_hook``, before each body
+instruction and terminator executes -- happens in one place, the loop
+of :meth:`CompiledFunction.run`; phi moves tick in their own
+read-then-tick order, as in the interpreter.
+
 The backend preserves the full interpreter contract byte for byte:
-wrap-to-width arithmetic through the same shared impls, identical trap
-messages raised at identical points in the instruction stream, extern
-calls through the inherited :meth:`Machine._call_extern` (same trace,
-same crc32 default handlers), the same memory/bounds behaviour via
+the same shared semantics tables, identical trap messages raised at
+identical points in the instruction stream, extern calls through the
+inherited :meth:`Machine._call_extern` (same trace, same crc32 default
+handlers), the same memory/bounds behaviour via
 :meth:`Machine.read_bytes`/:meth:`write_bytes`, and **dynamic step
 counts equal to the interpreter's** -- ``Observation`` equality
 (including ``steps``) across backends is pinned by the fuzzer parity
@@ -46,7 +54,6 @@ a fresh :class:`Machine`.
 
 from __future__ import annotations
 
-import struct
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .instructions import (
@@ -66,17 +73,15 @@ from .instructions import (
     Unreachable,
 )
 from .interp import (
-    ExternHandler,
+    CAST_IMPLS,
     FLOAT_BINOP_IMPLS,
     INT_BINOP_IMPLS,
     Machine,
     StepLimitExceeded,
     TrapError,
-    _as_unsigned,
-    _bits_of,
-    _value_of,
-    _wrap_signed,
+    compare_impl,
     constant_value,
+    value_codec,
 )
 from .module import BasicBlock, Function, Module
 from .types import (
@@ -85,44 +90,35 @@ from .types import (
     DEFAULT_LAYOUT,
     FloatType,
     IntType,
-    PointerType,
     StructType,
-    round_float,
 )
 from .values import Argument, ConstantInt, Value
 
 #: The evaluator backends an ``evaluator=`` knob accepts.
 EVALUATOR_CHOICES: Tuple[str, ...] = ("interp", "compiled")
 
-#: A compiled instruction: mutates machine/registers, returns nothing.
-StepFn = Callable[[Machine, list], None]
-#: A compiled terminator: returns the next edge id, or -1 to return.
-TermFn = Callable[[Machine, list], int]
+#: A compiled instruction: mutates machine/registers.  Body
+#: instructions return ``None``; terminators return the next edge id,
+#: or -1 to return from the function.
+StepFn = Callable[[Machine, list], Optional[int]]
 
-_ICMP_SIGNED = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
-}
 
-_ICMP_UNSIGNED = {
-    "ult": lambda a, b: a < b,
-    "ule": lambda a, b: a <= b,
-    "ugt": lambda a, b: a > b,
-    "uge": lambda a, b: a >= b,
-}
+def _trap(message: str) -> StepFn:
+    """An op that raises ``TrapError(message)``.
 
-_FCMP_ORDERED = {
-    "oeq": lambda a, b: a == b,
-    "one": lambda a, b: a != b,
-    "olt": lambda a, b: a < b,
-    "ole": lambda a, b: a <= b,
-    "ogt": lambda a, b: a > b,
-    "oge": lambda a, b: a >= b,
-}
+    Unsupported constructs stay runtime traps exactly as in the
+    interpreter: a function containing one still compiles, and only
+    executing the offending instruction (after its tick) faults.
+    """
+
+    def trap(m: Machine, regs: list) -> None:
+        raise TrapError(message)
+
+    return trap
+
+
+def _ret_void(m: Machine, regs: list) -> int:
+    return -1
 
 
 class CompiledProgram:
@@ -152,9 +148,10 @@ class CompiledFunction:
 
     Register layout: slot 0 holds the return value; arguments,
     instruction results and distinct constant operands each own one
-    slot.  ``edges[i]`` is ``(block_count_key, phi_run, ops, term)``;
-    execution starts at ``entry_edge`` and follows the edge ids the
-    terminators return.
+    slot.  ``edges[i]`` is ``(block_count_key, phi_run, ops)``, where
+    ``ops`` pairs each body instruction and the terminator with its
+    closure; execution starts at ``entry_edge`` and follows the edge
+    ids the terminators return.
     """
 
     def __init__(self, program: CompiledProgram, fn: Function) -> None:
@@ -226,15 +223,28 @@ class CompiledFunction:
 
         edges = self.edges
         counts = machine.block_counts
+        step_limit = machine.step_limit
         eid = self.entry_edge
         while eid >= 0:
-            key, phi_run, ops, term = edges[eid]
+            key, phi_run, ops = edges[eid]
             counts[key] = counts.get(key, 0) + 1
             if phi_run is not None:
                 phi_run(machine, regs)
-            for op in ops:
-                op(machine, regs)
-            eid = term(machine, regs)
+            eid = None
+            for inst, op in ops:
+                # The tick of every body instruction and terminator.
+                # ``steps`` lives on the machine: calls recurse into
+                # ``run`` with the same machine.
+                steps = machine.steps + 1
+                machine.steps = steps
+                if steps > step_limit:
+                    raise StepLimitExceeded(f"exceeded {step_limit} steps")
+                hook = machine.instruction_hook
+                if hook is not None:
+                    hook(inst)
+                eid = op(machine, regs)
+            if eid is None:
+                raise TrapError(f"block %{key[1]} fell through")
         return regs[0]
 
     # ----- compilation ------------------------------------------------------
@@ -256,17 +266,17 @@ class CompiledFunction:
             return eid
 
         self.entry_edge = edge_id(None, fn.entry)
-        body_cache: Dict[int, Tuple[tuple, TermFn]] = {}
+        body_cache: Dict[int, tuple] = {}
         while pending:
             pred, block = pending.pop()
             eid = edge_ids[(id(pred) if pred is not None else None, id(block))]
-            compiled = body_cache.get(id(block))
-            if compiled is None:
-                compiled = self._compile_block(block, edge_id)
-                body_cache[id(block)] = compiled
-            ops, term = compiled
+            ops = body_cache.get(id(block))
+            if ops is None:
+                ops = body_cache[id(block)] = self._compile_block(
+                    block, edge_id
+                )
             key = (fn_name, block.name)
-            self.edges[eid] = (key, self._compile_phis(block, pred), ops, term)
+            self.edges[eid] = (key, self._compile_phis(block, pred), ops)
 
     def _compile_phis(
         self, block: BasicBlock, pred: Optional[BasicBlock]
@@ -312,52 +322,28 @@ class CompiledFunction:
 
     def _compile_block(
         self, block: BasicBlock, edge_id: Callable
-    ) -> Tuple[tuple, TermFn]:
-        ops: List[StepFn] = []
-        term: Optional[TermFn] = None
+    ) -> Tuple[Tuple[Instruction, StepFn], ...]:
+        """``(inst, closure)`` for each body instruction, then for the
+        terminator; a block without one falls through in :meth:`run`."""
+        ops: List[Tuple[Instruction, StepFn]] = []
         for inst in block.instructions[block.first_non_phi_index():]:
             if inst.is_terminator:
-                term = self._compile_terminator(inst, block, edge_id)
+                ops.append(
+                    (inst, self._compile_terminator(inst, block, edge_id))
+                )
                 break
-            ops.append(self._compile_inst(inst))
-        if term is None:
-            block_name = block.name
-
-            def fell_through(m: Machine, regs: list) -> int:
-                raise TrapError(f"block %{block_name} fell through")
-
-            term = fell_through
-        return tuple(ops), term
+            ops.append((inst, self._compile_inst(inst)))
+        return tuple(ops)
 
     def _compile_terminator(
         self, inst: Instruction, block: BasicBlock, edge_id: Callable
-    ) -> TermFn:
+    ) -> StepFn:
         if isinstance(inst, Ret):
             if inst.return_value is None:
-
-                def ret_void(m: Machine, regs: list, _inst=inst) -> int:
-                    steps = m.steps + 1
-                    m.steps = steps
-                    if steps > m.step_limit:
-                        raise StepLimitExceeded(
-                            f"exceeded {m.step_limit} steps"
-                        )
-                    hook = m.instruction_hook
-                    if hook is not None:
-                        hook(_inst)
-                    return -1
-
-                return ret_void
+                return _ret_void
             src = self._operand_slot(inst.return_value)
 
-            def ret_value(m: Machine, regs: list, _inst=inst, src=src) -> int:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
+            def ret_value(m: Machine, regs: list, src=src) -> int:
                 regs[0] = regs[src]
                 return -1
 
@@ -372,73 +358,30 @@ class CompiledFunction:
                 def br_cond(
                     m: Machine,
                     regs: list,
-                    _inst=inst,
                     cond=cond,
                     true_eid=true_eid,
                     false_eid=false_eid,
                 ) -> int:
-                    steps = m.steps + 1
-                    m.steps = steps
-                    if steps > m.step_limit:
-                        raise StepLimitExceeded(
-                            f"exceeded {m.step_limit} steps"
-                        )
-                    hook = m.instruction_hook
-                    if hook is not None:
-                        hook(_inst)
                     return true_eid if regs[cond] else false_eid
 
                 return br_cond
             target_eid = edge_id(block, inst.successors()[0])
 
-            def br(m: Machine, regs: list, _inst=inst, eid=target_eid) -> int:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
+            def br(m: Machine, regs: list, eid=target_eid) -> int:
                 return eid
 
             return br
         if isinstance(inst, Unreachable):
-
-            def unreachable(m: Machine, regs: list, _inst=inst) -> int:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                raise TrapError("executed unreachable")
-
-            return unreachable
-        return self._raise_term(TrapError(f"cannot execute {inst!r}"), inst)
-
-    def _raise_term(self, error: Exception, inst: Instruction) -> TermFn:
-        def raise_it(m: Machine, regs: list, _inst=inst) -> int:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
-            raise error
-
-        return raise_it
+            return _trap("executed unreachable")
+        return _trap(f"cannot execute {inst!r}")
 
     # ----- per-instruction compilers ---------------------------------------
 
     def _compile_inst(self, inst: Instruction) -> StepFn:
         if isinstance(inst, BinaryOp):
             return self._compile_binop(inst)
-        if isinstance(inst, ICmp):
-            return self._compile_icmp(inst)
-        if isinstance(inst, FCmp):
-            return self._compile_fcmp(inst)
+        if isinstance(inst, (ICmp, FCmp)):
+            return self._compile_compare(inst)
         if isinstance(inst, Select):
             return self._compile_select(inst)
         if isinstance(inst, Cast):
@@ -453,27 +396,7 @@ class CompiledFunction:
             return self._compile_alloca(inst)
         if isinstance(inst, Call):
             return self._compile_call(inst)
-        return self._raise_step(TrapError(f"cannot execute {inst!r}"), inst)
-
-    def _raise_step(self, error: Exception, inst: Instruction) -> StepFn:
-        """A closure that ticks, then raises (deferred compile errors).
-
-        Unsupported constructs stay runtime traps exactly as in the
-        interpreter: a function containing one still compiles, and only
-        executing the offending instruction faults.
-        """
-
-        def raise_it(m: Machine, regs: list, _inst=inst) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
-            raise error
-
-        return raise_it
+        return _trap(f"cannot execute {inst!r}")
 
     def _compile_binop(self, inst: BinaryOp) -> StepFn:
         dst = self._slot_for(inst)
@@ -483,170 +406,42 @@ class CompiledFunction:
         if isinstance(ty, IntType):
             impl = INT_BINOP_IMPLS.get(inst.opcode)
             if impl is None:
-                return self._raise_step(
-                    TrapError(f"bad int opcode {inst.opcode}"), inst
-                )
+                return _trap(f"bad int opcode {inst.opcode}")
             bits = ty.bits
 
             def int_binop(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                dst=dst,
-                a=a,
-                b=b,
-                impl=impl,
-                bits=bits,
+                m: Machine, regs: list, dst=dst, a=a, b=b, impl=impl, bits=bits
             ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
                 regs[dst] = impl(bits, regs[a], regs[b])
 
             return int_binop
         if isinstance(ty, FloatType):
             fimpl = FLOAT_BINOP_IMPLS.get(inst.opcode)
             if fimpl is None:
-                return self._raise_step(
-                    TrapError(f"bad float opcode {inst.opcode}"), inst
-                )
+                return _trap(f"bad float opcode {inst.opcode}")
             bits = ty.bits
 
             def float_binop(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                dst=dst,
-                a=a,
-                b=b,
-                impl=fimpl,
+                m: Machine, regs: list, dst=dst, a=a, b=b, impl=fimpl,
                 bits=bits,
             ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
                 regs[dst] = impl(bits, float(regs[a]), float(regs[b]))
 
             return float_binop
-        return self._raise_step(TrapError(f"binary op on {ty}"), inst)
+        return _trap(f"binary op on {ty}")
 
-    def _compile_icmp(self, inst: ICmp) -> StepFn:
+    def _compile_compare(self, inst: Instruction) -> StepFn:
         dst = self._slot_for(inst)
         a = self._operand_slot(inst.operands[0])
         b = self._operand_slot(inst.operands[1])
-        ty = inst.operands[0].type
-        bits = ty.bits if isinstance(ty, IntType) else 64
-        pred = inst.predicate
-        signed_op = _ICMP_SIGNED.get(pred)
-        if signed_op is not None:
+        impl, bits = compare_impl(inst)
 
-            def icmp_signed(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                dst=dst,
-                a=a,
-                b=b,
-                op=signed_op,
-            ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                regs[dst] = 1 if op(regs[a], regs[b]) else 0
-
-            return icmp_signed
-        unsigned_op = _ICMP_UNSIGNED[pred]
-
-        def icmp_unsigned(
-            m: Machine,
-            regs: list,
-            _inst=inst,
-            dst=dst,
-            a=a,
-            b=b,
-            op=unsigned_op,
-            bits=bits,
+        def compare(
+            m: Machine, regs: list, dst=dst, a=a, b=b, impl=impl, bits=bits
         ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
-            mask = (1 << bits) - 1
-            regs[dst] = 1 if op(regs[a] & mask, regs[b] & mask) else 0
+            regs[dst] = impl(bits, regs[a], regs[b])
 
-        return icmp_unsigned
-
-    def _compile_fcmp(self, inst: FCmp) -> StepFn:
-        dst = self._slot_for(inst)
-        a = self._operand_slot(inst.operands[0])
-        b = self._operand_slot(inst.operands[1])
-        pred = inst.predicate
-        if pred in ("ord", "uno"):
-            when_unordered = 1 if pred == "uno" else 0
-
-            def fcmp_order(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                dst=dst,
-                a=a,
-                b=b,
-                when_unordered=when_unordered,
-            ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                x = float(regs[a])
-                y = float(regs[b])
-                unordered = x != x or y != y
-                regs[dst] = when_unordered if unordered else 1 - when_unordered
-
-            return fcmp_order
-        ordered_op = _FCMP_ORDERED[pred]
-
-        def fcmp(
-            m: Machine,
-            regs: list,
-            _inst=inst,
-            dst=dst,
-            a=a,
-            b=b,
-            op=ordered_op,
-        ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
-            x = float(regs[a])
-            y = float(regs[b])
-            if x != x or y != y:
-                regs[dst] = 0
-            else:
-                regs[dst] = 1 if op(x, y) else 0
-
-        return fcmp
+        return compare
 
     def _compile_select(self, inst: Select) -> StepFn:
         dst = self._slot_for(inst)
@@ -655,110 +450,31 @@ class CompiledFunction:
         b = self._operand_slot(inst.operands[2])
 
         def select(
-            m: Machine,
-            regs: list,
-            _inst=inst,
-            dst=dst,
-            cond=cond,
-            a=a,
-            b=b,
+            m: Machine, regs: list, dst=dst, cond=cond, a=a, b=b
         ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
             regs[dst] = regs[a] if regs[cond] else regs[b]
 
         return select
 
     def _compile_cast(self, inst: Cast) -> StepFn:
+        impl = CAST_IMPLS.get(inst.opcode)
+        if impl is None:
+            return _trap(f"bad cast {inst.opcode}")
         dst = self._slot_for(inst)
         a = self._operand_slot(inst.operands[0])
-        src = inst.operands[0].type
-        dst_ty = inst.type
-        op = inst.opcode
-        # One converter per cast kind, pre-bound to the involved widths;
-        # the shapes mirror eval_cast exactly.
-        if op == "trunc":
-            bits = dst_ty.bits
-            convert = lambda v, bits=bits: _wrap_signed(int(v), bits)
-        elif op == "zext":
-            sbits, dbits = src.bits, dst_ty.bits
-            convert = lambda v, s=sbits, d=dbits: _wrap_signed(
-                _as_unsigned(int(v), s), d
-            )
-        elif op == "sext":
-            bits = dst_ty.bits
-            convert = lambda v, bits=bits: _wrap_signed(int(v), bits)
-        elif op == "bitcast":
-            if isinstance(src, PointerType) and isinstance(dst_ty, PointerType):
-                convert = lambda v: v
-            else:
-                # Raw-bit reinterpretation is cold; route through the
-                # interpreter's helpers for exact parity.
-                def bitcast_step(
-                    m: Machine, regs: list, _inst=inst, dst=dst, a=a,
-                    src=src, dst_ty=dst_ty,
-                ) -> None:
-                    steps = m.steps + 1
-                    m.steps = steps
-                    if steps > m.step_limit:
-                        raise StepLimitExceeded(
-                            f"exceeded {m.step_limit} steps"
-                        )
-                    hook = m.instruction_hook
-                    if hook is not None:
-                        hook(_inst)
-                    regs[dst] = _value_of(_bits_of(regs[a], src), dst_ty)
 
-                return bitcast_step
-        elif op == "ptrtoint":
-            bits = dst_ty.bits
-            convert = lambda v, bits=bits: _wrap_signed(int(v), bits)
-        elif op == "inttoptr":
-            convert = lambda v: _as_unsigned(int(v), 64)
-        elif op == "sitofp":
-            bits = dst_ty.bits
-            convert = lambda v, bits=bits: round_float(float(int(v)), bits)
-        elif op == "uitofp":
-            sbits, dbits = src.bits, dst_ty.bits
-            convert = lambda v, s=sbits, d=dbits: round_float(
-                float(_as_unsigned(int(v), s)), d
-            )
-        elif op in ("fptosi", "fptoui"):
-            bits = dst_ty.bits
-
-            def convert(v, bits=bits):
-                try:
-                    result = int(float(v))
-                except (OverflowError, ValueError):
-                    result = 0
-                return _wrap_signed(result, bits)
-
-        elif op == "fpext":
-            convert = float
-        elif op == "fptrunc":
-            bits = dst_ty.bits
-            convert = lambda v, bits=bits: round_float(float(v), bits)
-        else:
-            return self._raise_step(TrapError(f"bad cast {op}"), inst)
-
-        def cast_step(
-            m: Machine, regs: list, _inst=inst, dst=dst, a=a, convert=convert
+        def cast(
+            m: Machine,
+            regs: list,
+            dst=dst,
+            a=a,
+            impl=impl,
+            src_ty=inst.operands[0].type,
+            dst_ty=inst.type,
         ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
-            regs[dst] = convert(regs[a])
+            regs[dst] = impl(src_ty, dst_ty, regs[a])
 
-        return cast_step
+        return cast
 
     def _compile_gep(self, inst: GetElementPtr) -> StepFn:
         layout = self.program.layout
@@ -791,25 +507,13 @@ class CompiledFunction:
                 static += layout.field_offset(ty, field)
                 ty = ty.fields[field]
             else:
-                return self._raise_step(TrapError(f"gep into {ty}"), inst)
+                return _trap(f"gep into {ty}")
 
         if not dynamic:
 
             def gep_const(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                dst=dst,
-                base=base,
-                static=static,
+                m: Machine, regs: list, dst=dst, base=base, static=static
             ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
                 regs[dst] = regs[base] + static
 
             return gep_const
@@ -819,20 +523,12 @@ class CompiledFunction:
             def gep_one(
                 m: Machine,
                 regs: list,
-                _inst=inst,
                 dst=dst,
                 base=base,
                 static=static,
                 slot=slot,
                 scale=scale,
             ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
                 regs[dst] = regs[base] + static + regs[slot] * scale
 
             return gep_one
@@ -841,19 +537,11 @@ class CompiledFunction:
         def gep_many(
             m: Machine,
             regs: list,
-            _inst=inst,
             dst=dst,
             base=base,
             static=static,
             dynamic=dynamic_t,
         ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
             addr = regs[base] + static
             for slot, scale in dynamic:
                 addr += regs[slot] * scale
@@ -870,19 +558,11 @@ class CompiledFunction:
         def gep_generic(
             m: Machine,
             regs: list,
-            _inst=inst,
             dst=dst,
             base=base,
             idx_slots=idx_slots,
             source_type=source_type,
         ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
             layout = m.layout
             addr = int(regs[base])
             addr += int(regs[idx_slots[0]]) * layout.size_of(source_type)
@@ -904,168 +584,26 @@ class CompiledFunction:
     def _compile_load(self, inst: Load) -> StepFn:
         dst = self._slot_for(inst)
         ptr = self._operand_slot(inst.pointer)
-        ty = inst.type
-        size = self.program.layout.size_of(ty)
-        if isinstance(ty, IntType):
-            bits = ty.bits
+        size, decode, _ = value_codec(inst.type, self.program.layout)
 
-            def load_int(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                dst=dst,
-                ptr=ptr,
-                size=size,
-                bits=bits,
-            ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                raw = m.read_bytes(regs[ptr], size)
-                regs[dst] = _wrap_signed(int.from_bytes(raw, "little"), bits)
-
-            return load_int
-        if isinstance(ty, FloatType):
-            unpack = struct.Struct("<f" if ty.bits == 32 else "<d").unpack
-
-            def load_float(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                dst=dst,
-                ptr=ptr,
-                size=size,
-                unpack=unpack,
-            ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                regs[dst] = unpack(m.read_bytes(regs[ptr], size))[0]
-
-            return load_float
-        if isinstance(ty, PointerType):
-
-            def load_ptr(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                dst=dst,
-                ptr=ptr,
-                size=size,
-            ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                regs[dst] = int.from_bytes(
-                    m.read_bytes(regs[ptr], size), "little"
-                )
-
-            return load_ptr
-        # read_value bounds-checks before rejecting the type: preserve
-        # that order (an out-of-bounds aggregate load traps as oob).
-        error = TrapError(f"cannot load type {ty}")
-
-        def load_bad(
-            m: Machine,
-            regs: list,
-            _inst=inst,
-            ptr=ptr,
-            size=size,
-            error=error,
+        def load(
+            m: Machine, regs: list, dst=dst, ptr=ptr, size=size, decode=decode
         ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
-            m.read_bytes(regs[ptr], size)
-            raise error
+            regs[dst] = decode(m.read_bytes(regs[ptr], size))
 
-        return load_bad
+        return load
 
     def _compile_store(self, inst: Store) -> StepFn:
         src = self._operand_slot(inst.value)
         ptr = self._operand_slot(inst.pointer)
-        ty = inst.value.type
-        size = self.program.layout.size_of(ty)
-        if isinstance(ty, IntType):
-            mask = (1 << (size * 8)) - 1
+        encode = value_codec(inst.value.type, self.program.layout).encode
 
-            def store_int(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                src=src,
-                ptr=ptr,
-                size=size,
-                mask=mask,
-            ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                m.write_bytes(
-                    regs[ptr],
-                    (int(regs[src]) & mask).to_bytes(size, "little"),
-                )
+        def store(
+            m: Machine, regs: list, src=src, ptr=ptr, encode=encode
+        ) -> None:
+            m.write_bytes(regs[ptr], encode(regs[src]))
 
-            return store_int
-        if isinstance(ty, FloatType):
-            pack = struct.Struct("<f" if ty.bits == 32 else "<d").pack
-
-            def store_float(
-                m: Machine,
-                regs: list,
-                _inst=inst,
-                src=src,
-                ptr=ptr,
-                pack=pack,
-            ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                m.write_bytes(regs[ptr], pack(regs[src]))
-
-            return store_float
-        if isinstance(ty, PointerType):
-
-            def store_ptr(
-                m: Machine, regs: list, _inst=inst, src=src, ptr=ptr
-            ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
-                m.write_bytes(
-                    regs[ptr], int(regs[src]).to_bytes(8, "little")
-                )
-
-            return store_ptr
-        return self._raise_step(TrapError(f"cannot store type {ty}"), inst)
+        return store
 
     def _compile_alloca(self, inst: Alloca) -> StepFn:
         dst = self._slot_for(inst)
@@ -1074,20 +612,8 @@ class CompiledFunction:
         align = layout.align_of(inst.allocated_type)
 
         def alloca(
-            m: Machine,
-            regs: list,
-            _inst=inst,
-            dst=dst,
-            size=size,
-            align=align,
+            m: Machine, regs: list, dst=dst, size=size, align=align
         ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
             regs[dst] = m.alloc(size, align)
 
         return alloca
@@ -1103,21 +629,11 @@ class CompiledFunction:
                 def call_extern(
                     m: Machine,
                     regs: list,
-                    _inst=inst,
                     callee=callee,
                     arg_slots=arg_slots,
                     void=void,
                     dst=dst,
                 ) -> None:
-                    steps = m.steps + 1
-                    m.steps = steps
-                    if steps > m.step_limit:
-                        raise StepLimitExceeded(
-                            f"exceeded {m.step_limit} steps"
-                        )
-                    hook = m.instruction_hook
-                    if hook is not None:
-                        hook(_inst)
                     result = m._call_extern(
                         callee, [regs[i] for i in arg_slots]
                     )
@@ -1127,12 +643,9 @@ class CompiledFunction:
                 return call_extern
             if len(inst.args) != len(callee.arguments):
                 # The interpreter's per-call arity check, decided once.
-                return self._raise_step(
-                    TrapError(
-                        f"@{callee.name} expects {len(callee.arguments)} "
-                        f"args, got {len(inst.args)}"
-                    ),
-                    inst,
+                return _trap(
+                    f"@{callee.name} expects {len(callee.arguments)} "
+                    f"args, got {len(inst.args)}"
                 )
             program = self.program
             cell: List[Optional[CompiledFunction]] = [None]
@@ -1140,7 +653,6 @@ class CompiledFunction:
             def call_direct(
                 m: Machine,
                 regs: list,
-                _inst=inst,
                 callee=callee,
                 arg_slots=arg_slots,
                 void=void,
@@ -1148,13 +660,6 @@ class CompiledFunction:
                 program=program,
                 cell=cell,
             ) -> None:
-                steps = m.steps + 1
-                m.steps = steps
-                if steps > m.step_limit:
-                    raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-                hook = m.instruction_hook
-                if hook is not None:
-                    hook(_inst)
                 cf = cell[0]
                 if cf is None:
                     # Resolved lazily so mutual/self recursion compiles.
@@ -1169,19 +674,11 @@ class CompiledFunction:
         def call_indirect(
             m: Machine,
             regs: list,
-            _inst=inst,
             callee_slot=callee_slot,
             arg_slots=arg_slots,
             void=void,
             dst=dst,
         ) -> None:
-            steps = m.steps + 1
-            m.steps = steps
-            if steps > m.step_limit:
-                raise StepLimitExceeded(f"exceeded {m.step_limit} steps")
-            hook = m.instruction_hook
-            if hook is not None:
-                hook(_inst)
             addr = regs[callee_slot]
             target = m._function_addresses.get(addr)
             if target is None:
@@ -1258,22 +755,3 @@ def make_machine(
     raise ValueError(
         f"unknown evaluator {evaluator!r} (choose from {EVALUATOR_CHOICES})"
     )
-
-
-def run_function(
-    module: Module,
-    name: str,
-    args: Sequence[object] = (),
-    externs: Optional[Dict[str, ExternHandler]] = None,
-    step_limit: int = 5_000_000,
-    program: Optional[CompiledProgram] = None,
-) -> Tuple[object, Machine]:
-    """Compiled counterpart of :func:`repro.ir.interp.run_function`."""
-    machine = CompiledMachine(module, step_limit=step_limit, program=program)
-    for extern_name, handler in (externs or {}).items():
-        machine.register_extern(extern_name, handler)
-    fn = module.get_function(name)
-    if fn is None:
-        raise KeyError(f"no function @{name}")
-    result = machine.call(fn, args)
-    return result, machine

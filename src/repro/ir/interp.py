@@ -12,8 +12,17 @@ function on identical inputs and comparing
 It also counts dynamically executed instructions, which serves as the
 performance proxy for the Section V-D experiment.
 
-Integer semantics (the contract every transform must preserve, and the
-single source of truth :mod:`repro.transforms.constfold` folds with):
+Evaluation semantics are defined once, here, as tables of plain
+functions keyed by opcode or predicate: :data:`INT_BINOP_IMPLS`,
+:data:`FLOAT_BINOP_IMPLS`, :data:`ICMP_IMPLS`, :data:`FCMP_IMPLS`,
+:data:`CAST_IMPLS`, and the per-type load/store codec
+:func:`value_codec`.  :class:`Machine` dispatches through them, the
+compiling evaluator (:mod:`repro.ir.compile_eval`) binds one entry per
+instruction, :mod:`repro.transforms.constfold` folds with them, and the
+frontend folds global initializers with :func:`eval_binop` and
+:func:`eval_cast`, so all four agree bit for bit.
+
+Integer semantics (the contract every transform must preserve):
 
 * All integer values are stored in signed two's-complement form of the
   operation's bit width; add/sub/mul/shl wrap silently.
@@ -32,7 +41,8 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .instructions import (
     Alloca,
@@ -272,6 +282,191 @@ def eval_binop(opcode: str, ty: Type, a: object, b: object) -> object:
     raise TrapError(f"binary op on {ty}")
 
 
+def _icmp_eq(bits: int, a: int, b: int) -> int:
+    return 1 if a == b else 0
+
+
+def _icmp_ne(bits: int, a: int, b: int) -> int:
+    return 1 if a != b else 0
+
+
+def _icmp_slt(bits: int, a: int, b: int) -> int:
+    return 1 if a < b else 0
+
+
+def _icmp_sle(bits: int, a: int, b: int) -> int:
+    return 1 if a <= b else 0
+
+
+def _icmp_sgt(bits: int, a: int, b: int) -> int:
+    return 1 if a > b else 0
+
+
+def _icmp_sge(bits: int, a: int, b: int) -> int:
+    return 1 if a >= b else 0
+
+
+def _icmp_ult(bits: int, a: int, b: int) -> int:
+    mask = (1 << bits) - 1
+    return 1 if a & mask < b & mask else 0
+
+
+def _icmp_ule(bits: int, a: int, b: int) -> int:
+    mask = (1 << bits) - 1
+    return 1 if a & mask <= b & mask else 0
+
+
+def _icmp_ugt(bits: int, a: int, b: int) -> int:
+    mask = (1 << bits) - 1
+    return 1 if a & mask > b & mask else 0
+
+
+def _icmp_uge(bits: int, a: int, b: int) -> int:
+    mask = (1 << bits) - 1
+    return 1 if a & mask >= b & mask else 0
+
+
+#: One implementation per icmp predicate, each ``impl(bits, a, b)``
+#: returning 0 or 1.  Operands are in signed form (every producer
+#: wraps), so the signed predicates compare them directly and the
+#: unsigned ones compare the low ``bits`` bits.
+ICMP_IMPLS: Dict[str, Callable[[int, int, int], int]] = {
+    "eq": _icmp_eq,
+    "ne": _icmp_ne,
+    "slt": _icmp_slt,
+    "sle": _icmp_sle,
+    "sgt": _icmp_sgt,
+    "sge": _icmp_sge,
+    "ult": _icmp_ult,
+    "ule": _icmp_ule,
+    "ugt": _icmp_ugt,
+    "uge": _icmp_uge,
+}
+
+
+def _fcmp_oeq(bits: int, a: float, b: float) -> int:
+    return 1 if float(a) == float(b) else 0
+
+
+def _fcmp_one(bits: int, a: float, b: float) -> int:
+    a, b = float(a), float(b)
+    return 1 if a == a and b == b and a != b else 0
+
+
+def _fcmp_olt(bits: int, a: float, b: float) -> int:
+    return 1 if float(a) < float(b) else 0
+
+
+def _fcmp_ole(bits: int, a: float, b: float) -> int:
+    return 1 if float(a) <= float(b) else 0
+
+
+def _fcmp_ogt(bits: int, a: float, b: float) -> int:
+    return 1 if float(a) > float(b) else 0
+
+
+def _fcmp_oge(bits: int, a: float, b: float) -> int:
+    return 1 if float(a) >= float(b) else 0
+
+
+def _fcmp_ord(bits: int, a: float, b: float) -> int:
+    a, b = float(a), float(b)
+    return 1 if a == a and b == b else 0
+
+
+def _fcmp_uno(bits: int, a: float, b: float) -> int:
+    a, b = float(a), float(b)
+    return 1 if a != a or b != b else 0
+
+
+#: One implementation per fcmp predicate, each ``impl(bits, a, b)``
+#: returning 0 or 1.  Every ``o*`` predicate is false when either
+#: operand is NaN (Python's ``<``/``==`` already are; ``one`` tests it).
+FCMP_IMPLS: Dict[str, Callable[[int, float, float], int]] = {
+    "oeq": _fcmp_oeq,
+    "one": _fcmp_one,
+    "olt": _fcmp_olt,
+    "ole": _fcmp_ole,
+    "ogt": _fcmp_ogt,
+    "oge": _fcmp_oge,
+    "ord": _fcmp_ord,
+    "uno": _fcmp_uno,
+}
+
+
+def compare_impl(
+    inst: Instruction,
+) -> Tuple[Callable[[int, object, object], int], int]:
+    """The table entry an ``icmp``/``fcmp`` executes, and its ``bits``.
+
+    Pointer operands compare as 64-bit integers.
+    """
+    ty = inst.operands[0].type
+    bits = ty.bits if isinstance(ty, (IntType, FloatType)) else 64
+    table = ICMP_IMPLS if isinstance(inst, ICmp) else FCMP_IMPLS
+    return table[inst.predicate], bits
+
+
+def _cast_wrap(src: Type, dst: Type, value: object) -> int:
+    return _wrap_signed(int(value), dst.bits)
+
+
+def _cast_zext(src: Type, dst: Type, value: object) -> int:
+    return _wrap_signed(_as_unsigned(int(value), src.bits), dst.bits)
+
+
+def _cast_bitcast(src: Type, dst: Type, value: object) -> object:
+    if isinstance(src, PointerType) and isinstance(dst, PointerType):
+        return value
+    return _value_of(_bits_of(value, src), dst)
+
+
+def _cast_inttoptr(src: Type, dst: Type, value: object) -> int:
+    return _as_unsigned(int(value), 64)
+
+
+def _cast_sitofp(src: Type, dst: Type, value: object) -> float:
+    return round_float(float(int(value)), dst.bits)
+
+
+def _cast_uitofp(src: Type, dst: Type, value: object) -> float:
+    return round_float(float(_as_unsigned(int(value), src.bits)), dst.bits)
+
+
+def _cast_fptoi(src: Type, dst: Type, value: object) -> int:
+    try:
+        result = int(float(value))
+    except (OverflowError, ValueError):
+        result = 0  # NaN and infinities
+    return _wrap_signed(result, dst.bits)
+
+
+def _cast_fpext(src: Type, dst: Type, value: object) -> float:
+    return float(value)
+
+
+def _cast_fptrunc(src: Type, dst: Type, value: object) -> float:
+    return round_float(float(value), dst.bits)
+
+
+#: One implementation per cast opcode, each ``impl(src, dst, value)``
+#: over the operand's and the result's types.
+CAST_IMPLS: Dict[str, Callable[[Type, Type, object], object]] = {
+    "trunc": _cast_wrap,
+    "zext": _cast_zext,
+    "sext": _cast_wrap,
+    "bitcast": _cast_bitcast,
+    "ptrtoint": _cast_wrap,
+    "inttoptr": _cast_inttoptr,
+    "sitofp": _cast_sitofp,
+    "uitofp": _cast_uitofp,
+    "fptosi": _cast_fptoi,
+    "fptoui": _cast_fptoi,
+    "fpext": _cast_fpext,
+    "fptrunc": _cast_fptrunc,
+}
+
+
 def eval_cast(opcode: str, value: object, src: Type, dst: Type) -> object:
     """Evaluate one cast of ``value`` from ``src`` to ``dst``.
 
@@ -279,35 +474,10 @@ def eval_cast(opcode: str, value: object, src: Type, dst: Type) -> object:
     frontend's global-initializer fold.  Raises :class:`TrapError`
     for an unknown opcode.
     """
-    if opcode == "trunc":
-        return _wrap_signed(int(value), dst.bits)
-    if opcode == "zext":
-        return _wrap_signed(_as_unsigned(int(value), src.bits), dst.bits)
-    if opcode == "sext":
-        return _wrap_signed(int(value), dst.bits)
-    if opcode == "bitcast":
-        if isinstance(src, PointerType) and isinstance(dst, PointerType):
-            return value
-        return _value_of(_bits_of(value, src), dst)
-    if opcode == "ptrtoint":
-        return _wrap_signed(int(value), dst.bits)
-    if opcode == "inttoptr":
-        return _as_unsigned(int(value), 64)
-    if opcode in ("sitofp", "uitofp"):
-        if opcode == "uitofp":
-            value = _as_unsigned(int(value), src.bits)
-        return round_float(float(int(value)), dst.bits)
-    if opcode in ("fptosi", "fptoui"):
-        try:
-            result = int(float(value))
-        except (OverflowError, ValueError):
-            result = 0
-        return _wrap_signed(result, dst.bits)
-    if opcode == "fpext":
-        return float(value)
-    if opcode == "fptrunc":
-        return round_float(float(value), dst.bits)
-    raise TrapError(f"bad cast {opcode}")
+    impl = CAST_IMPLS.get(opcode)
+    if impl is None:
+        raise TrapError(f"bad cast {opcode}")
+    return impl(src, dst, value)
 
 
 def _bits_of(value: object, ty: Type) -> int:
@@ -333,6 +503,68 @@ def _value_of(raw: int, ty: Type) -> object:
     if isinstance(ty, PointerType):
         return raw
     raise TrapError(f"bitcast to {ty}")
+
+
+class ValueCodec(NamedTuple):
+    """How one type's values sit in memory: ``size`` little-endian
+    bytes, ``decode(raw)`` to read them and ``encode(value)`` to write.
+
+    A type with no scalar encoding gets a codec that raises
+    :class:`TrapError` (a load after its bounds check, a store before).
+    """
+
+    size: int
+    decode: Callable[[bytes], object]
+    encode: Callable[[object], bytes]
+
+
+_CODECS: Dict[Tuple[Type, int], ValueCodec] = {}
+
+
+def value_codec(ty: Type, layout: DataLayout) -> ValueCodec:
+    """The load/store codec of ``ty`` under ``layout`` (memoized)."""
+    size = layout.size_of(ty)
+    codec = _CODECS.get((ty, size))
+    if codec is None:
+        codec = _CODECS[(ty, size)] = _build_codec(ty, size)
+    return codec
+
+
+def _build_codec(ty: Type, size: int) -> ValueCodec:
+    if isinstance(ty, IntType):
+        bits = ty.bits
+        mask = (1 << (size * 8)) - 1
+
+        if size * 8 == bits:
+            # A type that fills its bytes: the signed read, in C.
+            decode = partial(int.from_bytes, byteorder="little", signed=True)
+        else:
+
+            def decode(raw: bytes) -> int:
+                return _wrap_signed(int.from_bytes(raw, "little"), bits)
+
+        def encode(value: object) -> bytes:
+            return (int(value) & mask).to_bytes(size, "little")
+
+        return ValueCodec(size, decode, encode)
+    if isinstance(ty, FloatType):
+        packer = struct.Struct("<f" if ty.bits == 32 else "<d")
+        unpack = packer.unpack
+        return ValueCodec(size, lambda raw: unpack(raw)[0], packer.pack)
+    if isinstance(ty, PointerType):
+        return ValueCodec(
+            size,
+            partial(int.from_bytes, byteorder="little"),
+            lambda value: int(value).to_bytes(size, "little"),
+        )
+
+    def cannot_load(raw: bytes) -> object:
+        raise TrapError(f"cannot load type {ty}")
+
+    def cannot_store(value: object) -> bytes:
+        raise TrapError(f"cannot store type {ty}")
+
+    return ValueCodec(size, cannot_load, cannot_store)
 
 
 ExternHandler = Callable[["Machine", Sequence[object]], object]
@@ -443,32 +675,12 @@ class Machine:
 
     def read_value(self, addr: int, ty: Type) -> object:
         """Read one typed value from memory."""
-        size = self.layout.size_of(ty)
-        raw = self.read_bytes(addr, size)
-        if isinstance(ty, IntType):
-            return _wrap_signed(int.from_bytes(raw, "little"), ty.bits)
-        if isinstance(ty, FloatType):
-            fmt = "<f" if ty.bits == 32 else "<d"
-            return struct.unpack(fmt, raw)[0]
-        if isinstance(ty, PointerType):
-            return int.from_bytes(raw, "little")
-        raise TrapError(f"cannot load type {ty}")
+        size, decode, _ = value_codec(ty, self.layout)
+        return decode(self.read_bytes(addr, size))
 
     def write_value(self, addr: int, ty: Type, value: object) -> None:
         """Write one typed value to memory."""
-        size = self.layout.size_of(ty)
-        if isinstance(ty, IntType):
-            raw = _as_unsigned(int(value), size * 8).to_bytes(size, "little")
-            self.write_bytes(addr, raw)
-            return
-        if isinstance(ty, FloatType):
-            fmt = "<f" if ty.bits == 32 else "<d"
-            self.write_bytes(addr, struct.pack(fmt, value))
-            return
-        if isinstance(ty, PointerType):
-            self.write_bytes(addr, int(value).to_bytes(8, "little"))
-            return
-        raise TrapError(f"cannot store type {ty}")
+        self.write_bytes(addr, value_codec(ty, self.layout).encode(value))
 
     # ----- globals ----------------------------------------------------------
 
@@ -674,10 +886,10 @@ class Machine:
             a = self._eval(inst.operands[0], env)
             b = self._eval(inst.operands[1], env)
             return eval_binop(inst.opcode, inst.type, a, b)
-        if isinstance(inst, ICmp):
-            return self._icmp(inst, env)
-        if isinstance(inst, FCmp):
-            return self._fcmp(inst, env)
+        if isinstance(inst, (ICmp, FCmp)):
+            impl, bits = compare_impl(inst)
+            a = self._eval(inst.operands[0], env)
+            return impl(bits, a, self._eval(inst.operands[1], env))
         if isinstance(inst, Select):
             cond = self._eval(inst.operands[0], env)
             return self._eval(inst.operands[1 if cond else 2], env)
@@ -709,49 +921,6 @@ class Machine:
             args = [self._eval(a, env) for a in inst.args]
             return self.call(callee, args)
         raise TrapError(f"cannot execute {inst!r}")
-
-    def _icmp(self, inst: ICmp, env: Dict[int, object]) -> int:
-        a = self._eval(inst.operands[0], env)
-        b = self._eval(inst.operands[1], env)
-        ty = inst.operands[0].type
-        bits = ty.bits if isinstance(ty, IntType) else 64
-        sa, sb = int(a), int(b)
-        ua, ub = _as_unsigned(sa, bits), _as_unsigned(sb, bits)
-        pred = inst.predicate
-        table = {
-            "eq": sa == sb,
-            "ne": sa != sb,
-            "slt": sa < sb,
-            "sle": sa <= sb,
-            "sgt": sa > sb,
-            "sge": sa >= sb,
-            "ult": ua < ub,
-            "ule": ua <= ub,
-            "ugt": ua > ub,
-            "uge": ua >= ub,
-        }
-        return 1 if table[pred] else 0
-
-    def _fcmp(self, inst: FCmp, env: Dict[int, object]) -> int:
-        a = float(self._eval(inst.operands[0], env))
-        b = float(self._eval(inst.operands[1], env))
-        unordered = a != a or b != b
-        pred = inst.predicate
-        if pred == "ord":
-            return 0 if unordered else 1
-        if pred == "uno":
-            return 1 if unordered else 0
-        if unordered:
-            return 0
-        table = {
-            "oeq": a == b,
-            "one": a != b,
-            "olt": a < b,
-            "ole": a <= b,
-            "ogt": a > b,
-            "oge": a >= b,
-        }
-        return 1 if table[pred] else 0
 
     def _gep(self, inst: GetElementPtr, env: Dict[int, object]) -> int:
         addr = int(self._eval(inst.pointer, env))
@@ -787,12 +956,9 @@ def run_function(
     (:mod:`repro.ir.compile_eval`'s closure-compiling machine).  Both
     satisfy the same semantics contract (``docs/architecture.md``).
     """
-    if evaluator == "interp":
-        machine = Machine(module, step_limit=step_limit)
-    else:
-        from .compile_eval import make_machine
+    from .compile_eval import make_machine  # compile_eval imports this module
 
-        machine = make_machine(module, evaluator, step_limit=step_limit)
+    machine = make_machine(module, evaluator, step_limit=step_limit)
     for extern_name, handler in (externs or {}).items():
         machine.register_extern(extern_name, handler)
     fn = module.get_function(name)

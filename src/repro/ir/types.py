@@ -101,7 +101,11 @@ class LabelType(Type):
 
 
 class IntType(Type):
-    """An integer type of a fixed bit width (``i1``, ``i8``, ... )."""
+    """An integer type of a fixed bit width (``i1``, ``i8``, ... ).
+
+    ``bits`` is a plain attribute rather than a property: the
+    evaluators read it on every executed cast and compare.
+    """
 
     _cache: Dict[int, "IntType"] = {}
 
@@ -112,36 +116,34 @@ class IntType(Type):
         if bits < 1 or bits > 128:
             raise ValueError(f"unsupported integer width: {bits}")
         obj = super().__new__(cls)
-        obj._bits = bits
+        obj.bits = bits
         cls._cache[bits] = obj
         return obj
 
-    @property
-    def bits(self) -> int:
-        """Bit width of the integer."""
-        return self._bits
-
     def __str__(self) -> str:
-        return f"i{self._bits}"
+        return f"i{self.bits}"
 
     @property
     def mask(self) -> int:
         """Bit mask covering the full width (e.g. 0xff for i8)."""
-        return (1 << self._bits) - 1
+        return (1 << self.bits) - 1
 
     @property
     def signed_min(self) -> int:
         """Smallest representable signed value."""
-        return -(1 << (self._bits - 1))
+        return -(1 << (self.bits - 1))
 
     @property
     def signed_max(self) -> int:
         """Largest representable signed value."""
-        return (1 << (self._bits - 1)) - 1
+        return (1 << (self.bits - 1)) - 1
 
 
 class FloatType(Type):
-    """An IEEE floating point type: ``float`` (32) or ``double`` (64)."""
+    """An IEEE floating point type: ``float`` (32) or ``double`` (64).
+
+    ``bits`` is a plain attribute, as on :class:`IntType`.
+    """
 
     _cache: Dict[int, "FloatType"] = {}
 
@@ -152,17 +154,12 @@ class FloatType(Type):
         if bits not in (32, 64):
             raise ValueError(f"unsupported float width: {bits}")
         obj = super().__new__(cls)
-        obj._bits = bits
+        obj.bits = bits
         cls._cache[bits] = obj
         return obj
 
-    @property
-    def bits(self) -> int:
-        """Bit width (32 or 64)."""
-        return self._bits
-
     def __str__(self) -> str:
-        return "float" if self._bits == 32 else "double"
+        return "float" if self.bits == 32 else "double"
 
 
 def round_float(value: float, bits: int) -> float:

@@ -11,7 +11,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.instructions import BinaryOp, Cast, ICmp, Instruction, Phi, Select
-from ..ir.interp import TrapError, eval_binop, eval_int_binop
+from ..ir.interp import (
+    CAST_IMPLS,
+    ICMP_IMPLS,
+    TrapError,
+    eval_binop,
+    eval_int_binop,
+)
 from ..ir.module import Function
 from ..ir.types import IntType
 from ..ir.values import ConstantFloat, ConstantInt, Value
@@ -31,10 +37,6 @@ def fold_int_binop(opcode: str, ty: IntType, a: int, b: int) -> Optional[int]:
         return eval_int_binop(opcode, ty.bits, a, b)
     except TrapError:
         return None
-
-
-#: Backwards-compatible alias of the pre-oracle internal name.
-_fold_int_binop = fold_int_binop
 
 
 def _simplify(inst: Instruction) -> Optional[Value]:
@@ -95,16 +97,10 @@ def _simplify(inst: Instruction) -> Optional[Value]:
     if isinstance(inst, ICmp):
         lhs, rhs = inst.operands
         if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-            a, b = lhs.value, rhs.value
-            bits = lhs.type.bits
-            mask = (1 << bits) - 1
-            ua, ub = a & mask, b & mask
-            table = {
-                "eq": a == b, "ne": a != b,
-                "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
-                "ult": ua < ub, "ule": ua <= ub, "ugt": ua > ub, "uge": ua >= ub,
-            }
-            return ConstantInt(IntType(1), 1 if table[inst.predicate] else 0)
+            impl = ICMP_IMPLS[inst.predicate]
+            return ConstantInt(
+                IntType(1), impl(lhs.type.bits, lhs.value, rhs.value)
+            )
         return None
     if isinstance(inst, Select):
         cond = inst.operands[0]
@@ -115,11 +111,15 @@ def _simplify(inst: Instruction) -> Optional[Value]:
         return None
     if isinstance(inst, Cast):
         value = inst.operands[0]
-        if isinstance(value, ConstantInt) and isinstance(inst.type, IntType):
-            if inst.opcode in ("trunc", "sext"):
-                return ConstantInt(inst.type, value.value)
-            if inst.opcode == "zext":
-                return ConstantInt(inst.type, value.value & value.type.mask)
+        if (
+            isinstance(value, ConstantInt)
+            and isinstance(inst.type, IntType)
+            and inst.opcode in ("trunc", "zext", "sext")
+        ):
+            impl = CAST_IMPLS[inst.opcode]
+            return ConstantInt(
+                inst.type, impl(value.type, inst.type, value.value)
+            )
         return None
     if isinstance(inst, Phi):
         candidates = [v for v, _ in inst.incoming if v is not inst]

@@ -17,6 +17,7 @@ from repro.difftest import (
     minimize_record,
     observe_call,
 )
+from repro.frontend import compile_c
 from repro.ir import parse_module, print_module, verify_module
 
 
@@ -95,6 +96,21 @@ entry:
         # Timeouts are inconclusive, never mismatches.
         assert compare_observations(ok1, timeout) is None
         assert compare_observations(timeout, trap_a) is None
+
+    def test_nan_matches_nan(self):
+        nan = Observation(status="ok", result=float("nan"))
+        assert compare_observations(nan, Observation(
+            status="ok", result=float("nan"))) is None
+        assert compare_observations(nan, Observation(
+            status="ok", result=1.0)) is not None
+        traced = Observation(status="ok", extern_trace=(
+            ("sink", (1, float("nan"))),))
+        assert compare_observations(traced, Observation(
+            status="ok", extern_trace=(("sink", (1, float("nan"))),))) is None
+        assert compare_observations(traced, Observation(
+            status="ok", extern_trace=(("sink", (1, 0.0)),))) is not None
+        assert compare_observations(traced, Observation(
+            status="ok", extern_trace=(("sink", (float("nan"),)),))) is not None
 
     def test_vectors_match_signature_and_are_deterministic(self):
         module = parse_module(self.TEXT)
@@ -196,6 +212,12 @@ class TestCheckModuleSemantics:
         ok, details = check_module_semantics(original, broken, seed=3)
         assert not ok
         assert details and "@f" in details[0]
+
+    def test_nan_result_matches_itself(self):
+        # 0/0 is NaN, and NaN != NaN: the oracle used to flag a
+        # function against itself.
+        module = compile_c("double f(double x) { return (x - x) / (x - x); }")
+        assert check_module_semantics(module, module, seed=1) == (True, [])
 
     def test_missing_function_is_reported(self):
         original = parse_module(TestBisect.TEXT)
