@@ -20,7 +20,11 @@ Four experiments:
 ``oracle_observations``
     The evaluation-dominated slice of the same campaign: repeated
     observations of already-built fuzzer modules (no transforms, one
-    parse per case), where backend choice is the whole story.
+    parse per case), where backend choice is the whole story.  The
+    timed region is short, so the backends alternate over
+    :data:`ORACLE_PAIRS` rounds and the row records the median of the
+    per-round ratios: load on a shared host slows both halves of a
+    round alike.
 ``tsvc_dynamic``
     Repeated execution of unrolled TSVC kernels -- the fig18/Sec. V-D
     dynamic-step workload in its repeated-measurement shape.  Step
@@ -36,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from statistics import median
 from typing import Dict, List, Optional
 
 from ..difftest.fuzzer import FunctionFuzzer
@@ -76,17 +81,13 @@ def _time_difftest(
     }
 
 
-def _time_oracle_only(
-    seed: int, count: int, evaluator: str, vectors_per_case: int = 3,
-    repeats: int = 3,
-) -> float:
-    """Seconds to observe ``count`` fuzzed cases, ``repeats`` sweeps each.
+#: Interpreter/compiled rounds of the oracle row (see the module
+#: docstring); odd, so the median is one round's ratio.
+ORACLE_PAIRS = 7
 
-    Modules are fuzzed and parsed *outside* the timed region: this
-    isolates evaluation the way the difftest campaign cannot, and the
-    repeated sweeps model the bisector/minimizer re-observing one
-    module many times.
-    """
+
+def _oracle_cases(seed: int, count: int, vectors_per_case: int = 3) -> list:
+    """``(module, fn_name, vectors)`` for ``count`` fuzzed cases."""
     fuzzer = FunctionFuzzer(seed)
     cases = []
     for index in range(count):
@@ -95,6 +96,17 @@ def _time_oracle_only(
         fn = module.get_function(fn_name)
         vectors = make_argument_vectors(fn, seed + index, vectors_per_case)
         cases.append((module, fn_name, vectors))
+    return cases
+
+
+def _time_oracle_only(cases: list, evaluator: str, repeats: int = 3) -> float:
+    """Seconds to observe every case, ``repeats`` sweeps each.
+
+    The cases are fuzzed and parsed *outside* the timed region: this
+    isolates evaluation the way the difftest campaign cannot, and the
+    repeated sweeps model the bisector/minimizer re-observing one
+    module many times.
+    """
     start = time.perf_counter()
     for module, fn_name, vectors in cases:
         program = program_for(module, evaluator)
@@ -184,20 +196,19 @@ def run_perf_suite(
         campaign["interp"]["seconds"], campaign["compiled"]["seconds"]
     )
 
-    # Short timed regions are noisy: best-of-two keeps each row stable.
-    oracle_seconds = {
-        backend: min(
-            _time_oracle_only(seed, oracle_count, backend) for _ in range(2)
-        )
-        for backend in BACKENDS
-    }
+    cases = _oracle_cases(seed, oracle_count)
+    rounds = [
+        {backend: _time_oracle_only(cases, backend) for backend in BACKENDS}
+        for _ in range(ORACLE_PAIRS)
+    ]
     oracle = {
         "seed": seed,
         "count": oracle_count,
-        "interp_seconds": oracle_seconds["interp"],
-        "compiled_seconds": oracle_seconds["compiled"],
-        "speedup": _speedup(
-            oracle_seconds["interp"], oracle_seconds["compiled"]
+        "pairs": ORACLE_PAIRS,
+        "interp_seconds": median(r["interp"] for r in rounds),
+        "compiled_seconds": median(r["compiled"] for r in rounds),
+        "speedup": median(
+            _speedup(r["interp"], r["compiled"]) for r in rounds
         ),
     }
 

@@ -9,7 +9,8 @@ is held to the backend-parity rule,
 campaign draw: the full :class:`~repro.difftest.oracle.Observation`
 under both evaluators must compare **equal** -- results, final
 global/buffer bytes, extern traces, trap statuses *and kinds*, and the
-dynamic step count, which the cost model's profile guidance relies on.
+dynamic step count, which the cost model's profile guidance relies on
+(a NaN result or extern argument matches a NaN).
 The ``strict`` validation gate applies the same rule to every
 candidate.
 

@@ -21,6 +21,7 @@ reference on explicit vectors (:meth:`Evidence.capture` draws them),
 
 from __future__ import annotations
 
+import operator
 import os
 import zlib
 from dataclasses import dataclass, field, fields
@@ -40,6 +41,8 @@ from .oracle import (
     DEFAULT_STEP_LIMIT,
     ArgumentVector,
     Observation,
+    _same_trace,
+    _same_value,
     compare_observations,
     make_argument_vectors,
     observe_call,
@@ -454,6 +457,16 @@ def first_mismatch(
     return None
 
 
+#: The backend-parity rule, field by field: ``(name, same)``.  Every
+#: :class:`Observation` field compares exactly, except that a NaN
+#: result or extern argument matches a NaN (a NaN built by arithmetic
+#: is a fresh object on each backend, and NaN != NaN).
+_NAN_AWARE = {"result": _same_value, "extern_trace": _same_trace}
+_PARITY_FIELDS = tuple(
+    (f.name, _NAN_AWARE.get(f.name, operator.eq)) for f in fields(Observation)
+)
+
+
 def first_backend_divergence(
     module: Module, fn_name: str, vectors: Sequence[ArgumentVector], *,
     step_limit: int,
@@ -462,12 +475,14 @@ def first_backend_divergence(
     which ``@fn_name`` behaves differently under the interpreter and
     the compiling evaluator, or ``None``.
 
-    The backend-parity rule is full :class:`Observation` equality --
-    status, result, memory bytes, extern trace, trap kind and steps --
-    not :func:`compare_observations`: one backend stands in for the
-    other only if they agree exactly.  The compiled program is built
-    once.  A backend that cannot load the module or raises diverges
-    with no observations (``vector`` is ``None`` for a failed load).
+    The backend-parity rule is field-by-field :class:`Observation`
+    equality -- status, result, memory bytes, extern trace, trap kind
+    and steps -- not :func:`compare_observations`: one backend stands
+    in for the other only if they agree exactly, except that a NaN
+    result or extern argument matches a NaN, as in the oracle.  The
+    compiled program is built once.  A backend that cannot load the
+    module or raises diverges with no observations (``vector`` is
+    ``None`` for a failed load).
     """
     program, error = load_program(module, "compiled")
     if error is not None:
@@ -482,13 +497,13 @@ def first_backend_divergence(
         evaluator="compiled", program=program,
     )
     for (vector, a), (_, b) in zip(interp, compiled):
-        if a != b:
-            diff = "; ".join(
-                f"{name}: interp={getattr(a, name)!r} "
-                f"compiled={getattr(b, name)!r}"
-                for name in (f.name for f in fields(Observation))
-                if getattr(a, name) != getattr(b, name)
-            )
+        diff = "; ".join(
+            f"{name}: interp={getattr(a, name)!r} "
+            f"compiled={getattr(b, name)!r}"
+            for name, same in _PARITY_FIELDS
+            if not same(getattr(a, name), getattr(b, name))
+        )
+        if diff:
             return (f"{vector.describe()}: interp vs compiled: {diff}",
                     vector, a, b)
     for backend, pairs, error in (

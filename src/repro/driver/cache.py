@@ -75,8 +75,10 @@ log = logging.getLogger(__name__)
 #: parity requires full Observation equality (trap kinds, timeouts),
 #: so stored ``strict`` verdicts rest on a weaker rule.  12: the oracle
 #: treats two NaN results (and NaN extern arguments) as equal, so a
-#: stored mismatch or rollback can now be a pass.
-SCHEMA_VERSION = 12
+#: stored mismatch or rollback can now be a pass.  13: the backend-
+#: parity rule (the ``strict`` gate) matches a NaN result or extern
+#: argument to a NaN, so a stored ``strict`` rollback can now commit.
+SCHEMA_VERSION = 13
 
 #: ``job_key``/``quarantine_key`` sentinel: "compute the summary here".
 _AUTO = object()
@@ -95,7 +97,7 @@ def materialize(job: FunctionJob) -> Module:
     """Build the job's module in this process.
 
     The driver's one frontend entry: IR jobs are parsed (not verified;
-    the worker verifies every copy it consumes), mini-C jobs are
+    the worker verifies the module it parses), mini-C jobs are
     compiled.  Fingerprinting and the worker pipeline both come here,
     so a key and the module it was taken from always agree.
     """
@@ -113,8 +115,8 @@ def fingerprint_job(
     not build.
 
     A mini-C job also returns the printed IR of the module it was
-    fingerprinted from, so the pipeline can parse copies of it instead
-    of running the frontend again.  (An IR job's text already is that
+    fingerprinted from, so the pipeline can parse its module from it
+    instead of running the frontend again.  (An IR job's text already is that
     form.)  Any exception means "no structural identity": the caller
     falls back to keying by raw text, and the job still flows -- its
     worker will report the real error.

@@ -4,16 +4,16 @@ One engine, :class:`DriverSession`, fans per-function RoLAG work out
 over a process pool.  Each worker receives a picklable
 :class:`FunctionJob` (IR or mini-C text), runs the standard
 measurement pipeline -- size before, LLVM-style reroll baseline,
-RoLAG, verify, size after -- on fresh copies of the job's module, and
+RoLAG, verify, size after -- on one module parsed from the job, and
 sends back a plain :class:`FunctionResult`.  Every job runs the
 mini-C frontend at most once: when a C job has already been compiled
 to fingerprint it (by a pool worker for a cached batch, else by the
 session), the job travels with that module's printed IR and the
-worker parses its copies from it; otherwise the worker compiles once
-and parses its copies from its own print.  An IR job's
-text already is that form.  The printed text is all a copy needs:
+worker parses its module from it; otherwise the worker compiles once
+and parses its module from its own print.  An IR job's
+text already is that form.  The printed text is all the module needs:
 fresh names derive from the live IR (see
-:meth:`repro.ir.Function.next_name`), so a parsed copy names what a
+:meth:`repro.ir.Function.next_name`), so a parsed module names what a
 pass derives exactly as the compiled module would.  The ``repro
 serve`` daemon drives one long-lived session; the batch entry point
 :func:`optimize_functions` is a thin client that submits every job
@@ -83,6 +83,7 @@ from ..faultinject import (
     resolve_plan,
 )
 from ..ir import (
+    FunctionSnapshot,
     ParseError,
     parse_module,
     print_module,
@@ -126,6 +127,18 @@ def _measure(
     return function_size(module.get_function(name), model)
 
 
+def _oracle_check(
+    evidence: Evidence, label: str, candidate: Module, mismatches: List[str]
+) -> float:
+    """Hold ``candidate`` to the job's evidence, filing each mismatch
+    under ``label``; the seconds it took."""
+    eval_start = perf_counter()
+    _, details = evidence.check(candidate, skip_unevaluable=False)
+    mismatches.extend(f"{label}: {detail}" for detail in details)
+    checkpoint("eval")
+    return perf_counter() - eval_start
+
+
 def optimize_one(
     job: FunctionJob,
     config: Optional[RolagConfig] = None,
@@ -137,31 +150,33 @@ def optimize_one(
 ) -> FunctionResult:
     """The per-function pipeline one worker runs for one job.
 
-    Both stages -- reroll baseline and RoLAG -- parse their own fresh
-    copy of one IR text: the job's own, ``shipped_ir`` (the printed
-    module the session fingerprinted a mini-C job from), or, without
-    either, the print of one frontend run here.  The first copy is
-    verified; the second, parsed from the same text, is the same IR.
+    Both stages -- reroll baseline and RoLAG -- work on one module,
+    parsed and verified once from one IR text: the job's own,
+    ``shipped_ir`` (the printed module the session fingerprinted a
+    mini-C job from), or, without either, the print of one frontend run
+    here.  The baseline is measured, then every function it changed is
+    restored from its snapshot, which is the parsed IR again (fresh
+    names derive from the live IR), and RoLAG runs.
 
     When a semantic gate (``safe``/``strict``) or the oracle
     (``check_semantics``) runs, the job's one
-    :class:`~repro.difftest.runner.Evidence` is captured from the first
-    copy before any pass touches it, with the oracle's ``evaluator``
+    :class:`~repro.difftest.runner.Evidence` is captured from the
+    module before any pass touches it, with the oracle's ``evaluator``
     when the oracle runs and ``config.validate_evaluator`` otherwise.
-    Both gates and the oracle compare candidates against it, and the
-    gates observe them with the backend that captured it.
+    The gate and the oracle compare candidates against it, and the gate
+    observes them with the backend that captured it.
 
-    With ``check_semantics`` set, both transformed modules are
-    differentially tested against the evidence; the verdict and any
-    mismatch details travel back (and into the cache) on the result.
-    Oracle time, including the capture, lands in the stats' ``eval``
-    phase so timed runs show evaluation next to the rolling phases; a
-    capture only the gates use books under no phase.
+    With ``check_semantics`` set, both candidates (the baseline before
+    its rollback) are differentially tested against the evidence; the
+    verdict and any mismatch details travel back (and into the cache)
+    on the result.  Oracle time, including the capture, lands in the
+    stats' ``eval`` phase so timed runs show evaluation next to the
+    rolling phases; a capture only the gate uses books under no phase.
 
     With ``config.validate`` on, both the reroll baseline and every
-    RoLAG rolling decision run transactionally through the online
-    validation gate (see ``repro.validation``): rejected edits are
-    rolled back to best-known-good IR and recorded on the result's
+    RoLAG rolling decision run transactionally through the job's one
+    online validation gate (see ``repro.validation``): rejected edits
+    are rolled back to best-known-good IR and recorded on the result's
     ``guard_reports``.
 
     The pipeline checkpoints the ambient deadline between stages, so a
@@ -170,39 +185,27 @@ def optimize_one(
     """
     config = config or RolagConfig()
     start = perf_counter()
-    parse_seconds = 0.0
-
-    verified = False
-
-    def load() -> Module:
-        # Parse/verify wall time books under the stats' ``parse`` phase
-        # so timed runs attribute the Amdahl floor directly.
-        nonlocal parse_seconds, shipped_ir, verified
-        parse_start = perf_counter()
-        if shipped_ir is None:
-            shipped_ir = (
-                job.ir_text
-                if job.ir_text is not None
-                else print_module(materialize(job))
-            )
-        loaded = parse_module(shipped_ir)
-        if not verified:
-            # A later load parses the same text into the same IR.
-            verify_module(loaded)
-            verified = True
-        parse_seconds += perf_counter() - parse_start
-        return loaded
-
     validate = config.validate
     gate_observes = validate in ("safe", "strict")
-    guard_reports: List[Dict[str, object]] = []
-    llvm_module = load()
+
+    # Parse/verify wall time (a C job's frontend run too) books under
+    # the stats' ``parse`` phase so timed runs attribute the Amdahl
+    # floor directly.
+    if shipped_ir is None:
+        shipped_ir = (
+            job.ir_text
+            if job.ir_text is not None
+            else print_module(materialize(job))
+        )
+    module = parse_module(shipped_ir)
+    verify_module(module)
+    parse_seconds = perf_counter() - start
     checkpoint("load")
 
     # The job's one evidence set, taken before any pass and sized to
     # the larger of its consumers.
     evidence: Optional[Evidence] = None
-    capture_seconds = 0.0
+    eval_seconds = 0.0
     if gate_observes or check_semantics:
         capture_start = perf_counter()
         sizes = [(ORACLE_VECTORS, ORACLE_STEP_LIMIT)] if check_semantics else []
@@ -210,77 +213,69 @@ def optimize_one(
             sizes.append((config.validate_vectors, config.validate_step_limit))
         vectors, step_limit = (max(column) for column in zip(*sizes))
         evidence = Evidence.capture(
-            llvm_module,
+            module,
             seed=evidence_seed(job.text),
             vectors=vectors,
             step_limit=step_limit,
             evaluator=evaluator if check_semantics else config.validate_evaluator,
         )
-        capture_seconds = perf_counter() - capture_start
+        eval_seconds = perf_counter() - capture_start
         checkpoint("evidence")
+    size_before = _measure(module, job.name, measure_model)
 
-    # Baseline: LLVM-style rerolling on its own fresh copy.  With
-    # validation on, reroll runs as a transaction through the gate;
+    # Baseline: LLVM-style rerolling, measured and then rolled back.
+    # With validation on, reroll runs as a transaction through the gate;
     # with it off, the historical direct path is kept bit-for-bit
     # (including fault-site hit counts).
-    rolag_validator = None
+    functions = [f for f in module.functions if not f.is_declaration]
+    snapshots = [FunctionSnapshot(f) for f in functions]
+    validator = None
     if validate != "off":
-        # Both copies' gates share the evidence.  Imported lazily, so a
-        # run that validates nothing never loads the gate.
+        # Imported lazily, so a run that validates nothing never loads
+        # the gate.
         from ..validation import Validator
 
-        llvm_validator = Validator.from_config(config, evidence=evidence)
-        rolag_validator = Validator.from_config(config, evidence=evidence)
-        reroll_pm = TransactionalPassManager(
-            verify=False, validator=llvm_validator
-        )
+        validator = Validator.from_config(config, evidence=evidence)
+        reroll_pm = TransactionalPassManager(verify=False, validator=validator)
         reroll_pm.add("reroll", reroll_loops)
-        llvm_rolled = reroll_pm.run(llvm_module)
-        guard_reports.extend(
-            report.to_json_dict() for report in llvm_validator.reports
-        )
+        llvm_rolled = reroll_pm.run(module)
     else:
-        llvm_rolled = sum(
-            reroll_loops(f)
-            for f in llvm_module.functions
-            if not f.is_declaration
-        )
-    verify_module(llvm_module)
-    llvm_size = _measure(llvm_module, job.name, measure_model)
+        llvm_rolled = sum(reroll_loops(f) for f in functions)
+    verify_module(module)
+    llvm_size = _measure(module, job.name, measure_model)
     checkpoint("reroll")
+    semantics_mismatches: List[str] = []
+    if check_semantics:
+        eval_seconds += _oracle_check(
+            evidence, "reroll", module, semantics_mismatches
+        )
+    for snapshot in snapshots:
+        if snapshot.changed():
+            snapshot.restore()
 
-    # RoLAG on another fresh copy, measured before and after.
-    module = load()
-    size_before = _measure(module, job.name, measure_model)
+    # RoLAG on the restored module, through the same gate.
     stats = RolagStats(timed=timed)
     fire("driver.worker.roll")
     rolag_rolled = roll_loops_in_module(
-        module, config=config, stats=stats, validator=rolag_validator
+        module, config=config, stats=stats, validator=validator
     )
-    guard_reports.extend(stats.guard_reports)
     verify_module(module)
     rolag_size = _measure(module, job.name, measure_model)
     checkpoint("rolag")
 
     semantics_ok: Optional[bool] = None
-    semantics_mismatches: List[str] = []
     if check_semantics:
-        eval_start = perf_counter()
-        for label, candidate in (("reroll", llvm_module), ("rolag", module)):
-            ok, details = evidence.check(candidate, skip_unevaluable=False)
-            if not ok:
-                semantics_mismatches.extend(
-                    f"{label}: {detail}" for detail in details
-                )
-            checkpoint("eval")
+        eval_seconds += _oracle_check(
+            evidence, "rolag", module, semantics_mismatches
+        )
         semantics_ok = not semantics_mismatches
         if timed:
-            stats.add_phase_time(
-                "eval", capture_seconds + perf_counter() - eval_start
-            )
+            stats.add_phase_time("eval", eval_seconds)
 
     if timed:
         stats.add_phase_time("parse", parse_seconds)
+    # The job's one gate filed the baseline's reports, then RoLAG's.
+    reports = validator.reports if validator is not None else []
 
     return FunctionResult(
         name=job.name,
@@ -299,7 +294,7 @@ def optimize_one(
         semantics_checked=check_semantics,
         semantics_ok=semantics_ok,
         semantics_mismatches=semantics_mismatches,
-        guard_reports=guard_reports,
+        guard_reports=[report.to_json_dict() for report in reports],
         phase_seconds=dict(stats.phase_seconds),
         wall_seconds=perf_counter() - start,
     )
@@ -614,8 +609,8 @@ def optimize_functions(
     order regardless of completion order.  Every keyword means what it
     means on the session.  ``workers`` defaults to
     :func:`default_worker_count`; ``workers=1`` runs serially
-    in-process (bit-identical to the pool path: either way each stage
-    works on a copy parsed from the same text).  With ``cache_dir`` set
+    in-process (bit-identical to the pool path: either way a job's
+    module is parsed from the same text).  With ``cache_dir`` set
     (and ``use_cache`` true), cache hits resolve at submit time, and
     newly computed results are written back; a cached batch bound for a
     pool is fingerprinted on that pool before its first submit, so this

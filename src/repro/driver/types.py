@@ -131,8 +131,9 @@ class FunctionResult:
     """Per-function outcome of the driver's standard pipeline.
 
     The pipeline measures the input, runs the LLVM-style reroll
-    baseline and RoLAG on independent fresh copies, verifies both, and
-    measures again -- the shape every corpus experiment consumes.
+    baseline, measures and rolls it back, runs RoLAG on the same
+    module, verifies both, and measures again -- the shape every
+    corpus experiment consumes.
     """
 
     name: Optional[str]

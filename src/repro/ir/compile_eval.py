@@ -73,12 +73,12 @@ from .instructions import (
     Unreachable,
 )
 from .interp import (
-    CAST_IMPLS,
     FLOAT_BINOP_IMPLS,
     INT_BINOP_IMPLS,
     Machine,
     StepLimitExceeded,
     TrapError,
+    cast_impl,
     compare_impl,
     constant_value,
     value_codec,
@@ -457,7 +457,7 @@ class CompiledFunction:
         return select
 
     def _compile_cast(self, inst: Cast) -> StepFn:
-        impl = CAST_IMPLS.get(inst.opcode)
+        impl = cast_impl(inst.opcode, inst.operands[0].type)
         if impl is None:
             return _trap(f"bad cast {inst.opcode}")
         dst = self._slot_for(inst)

@@ -25,7 +25,11 @@ frontend folds global initializers with :func:`eval_binop` and
 Integer semantics (the contract every transform must preserve):
 
 * All integer values are stored in signed two's-complement form of the
-  operation's bit width; add/sub/mul/shl wrap silently.
+  operation's bit width; add/sub/mul/shl wrap silently.  The one
+  exception is ``i1``, held as 0/1: its signed readers (``sext``,
+  ``sitofp`` and the signed ``icmp`` predicates) read ``true`` as -1,
+  through the ``i1`` entries :func:`compare_impl` and :func:`cast_impl`
+  select, so no table entry branches on the width.
 * ``sdiv``/``srem`` truncate toward zero.  The INT_MIN // -1 overflow
   case *wraps* (result INT_MIN, remainder 0) rather than trapping,
   matching the wrap-everything policy above.
@@ -394,17 +398,30 @@ FCMP_IMPLS: Dict[str, Callable[[int, float, float], int]] = {
 }
 
 
+#: :data:`ICMP_IMPLS` for ``i1`` operands, held as 0/1 but read as
+#: 0/-1 by the signed predicates: each of those is its mirror image.
+I1_ICMP_IMPLS: Dict[str, Callable[[int, int, int], int]] = {
+    **ICMP_IMPLS,
+    "slt": _icmp_sgt,
+    "sle": _icmp_sge,
+    "sgt": _icmp_slt,
+    "sge": _icmp_sle,
+}
+
+
 def compare_impl(
     inst: Instruction,
 ) -> Tuple[Callable[[int, object, object], int], int]:
     """The table entry an ``icmp``/``fcmp`` executes, and its ``bits``.
 
-    Pointer operands compare as 64-bit integers.
+    Pointer operands compare as 64-bit integers; ``i1`` operands use
+    :data:`I1_ICMP_IMPLS`.
     """
     ty = inst.operands[0].type
     bits = ty.bits if isinstance(ty, (IntType, FloatType)) else 64
-    table = ICMP_IMPLS if isinstance(inst, ICmp) else FCMP_IMPLS
-    return table[inst.predicate], bits
+    if not isinstance(inst, ICmp):
+        return FCMP_IMPLS[inst.predicate], bits
+    return (I1_ICMP_IMPLS if bits == 1 else ICMP_IMPLS)[inst.predicate], bits
 
 
 def _cast_wrap(src: Type, dst: Type, value: object) -> int:
@@ -467,6 +484,32 @@ CAST_IMPLS: Dict[str, Callable[[Type, Type, object], object]] = {
 }
 
 
+def _cast_sext_i1(src: Type, dst: Type, value: object) -> int:
+    return _wrap_signed(-int(value), dst.bits)
+
+
+def _cast_sitofp_i1(src: Type, dst: Type, value: object) -> float:
+    return float(-int(value))
+
+
+#: :data:`CAST_IMPLS` for an ``i1`` source, held as 0/1 but read as
+#: 0/-1 by the signed casts.
+I1_CAST_IMPLS: Dict[str, Callable[[Type, Type, object], object]] = {
+    **CAST_IMPLS,
+    "sext": _cast_sext_i1,
+    "sitofp": _cast_sitofp_i1,
+}
+
+
+def cast_impl(
+    opcode: str, src: Type
+) -> Optional[Callable[[Type, Type, object], object]]:
+    """The table entry a cast from ``src`` executes (``None`` for an
+    unknown opcode); an ``i1`` source uses :data:`I1_CAST_IMPLS`."""
+    i1 = isinstance(src, IntType) and src.bits == 1
+    return (I1_CAST_IMPLS if i1 else CAST_IMPLS).get(opcode)
+
+
 def eval_cast(opcode: str, value: object, src: Type, dst: Type) -> object:
     """Evaluate one cast of ``value`` from ``src`` to ``dst``.
 
@@ -474,7 +517,7 @@ def eval_cast(opcode: str, value: object, src: Type, dst: Type) -> object:
     frontend's global-initializer fold.  Raises :class:`TrapError`
     for an unknown opcode.
     """
-    impl = CAST_IMPLS.get(opcode)
+    impl = cast_impl(opcode, src)
     if impl is None:
         raise TrapError(f"bad cast {opcode}")
     return impl(src, dst, value)

@@ -12,10 +12,13 @@ Two structural decisions keep it fast:
   and never tracks line numbers on the hot path -- ``line:column``
   positions are recovered lazily from the token offset only when a
   :class:`ParseError` is actually raised.  Token arrays are memoized in
-  a small keyed-by-source cache: the driver's per-function pipeline
-  parses a fresh copy of one job's text for each stage (reroll
-  baseline and RoLAG), and every copy after the first skips the
-  lexer.
+  a small keyed-by-source cache, because some texts are parsed more
+  than once in one process: a serve parent re-fingerprints an exact
+  repeat of a job, a serial session parses a job once to fingerprint
+  it and once to optimize it, and the bisector and minimizer re-parse
+  one text per stage.  Lexing is about 40% of parsing (0.2-0.26 s of
+  the 0.6 s it takes to parse the 128 ``serve-mixed`` benchmark texts
+  on one core), so each repeat the cache serves skips that share.
 
 * **Interning.**  Token texts are interned process-wide; types are
   interned by the type system itself; integer/float constants and the
@@ -168,10 +171,9 @@ _KIND_BY_CHAR.update({c: _K_PUNCT for c in "()[]{}<>,=:*"})
 _TEXT_INTERN: Dict[str, str] = {}
 _TEXT_INTERN_CAP = 1 << 16
 
-#: Token-array memo keyed by source text: the driver parses one job's
-#: text once per pipeline stage, and the bisector re-parses one text
-#: per stage; sharing the token arrays lexes each text once.  Entries
-#: are immutable.
+#: Token-array memo keyed by source text (see the module docstring for
+#: who parses one text twice); sharing the token arrays lexes each text
+#: once.  Entries are immutable.
 _TOKEN_CACHE: Dict[str, Tuple[List[int], List[str], List[int]]] = {}
 _TOKEN_CACHE_MAX = 32
 

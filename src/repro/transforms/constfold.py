@@ -12,9 +12,9 @@ from typing import Optional
 
 from ..ir.instructions import BinaryOp, Cast, ICmp, Instruction, Phi, Select
 from ..ir.interp import (
-    CAST_IMPLS,
-    ICMP_IMPLS,
     TrapError,
+    cast_impl,
+    compare_impl,
     eval_binop,
     eval_int_binop,
 )
@@ -97,10 +97,8 @@ def _simplify(inst: Instruction) -> Optional[Value]:
     if isinstance(inst, ICmp):
         lhs, rhs = inst.operands
         if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-            impl = ICMP_IMPLS[inst.predicate]
-            return ConstantInt(
-                IntType(1), impl(lhs.type.bits, lhs.value, rhs.value)
-            )
+            impl, bits = compare_impl(inst)
+            return ConstantInt(IntType(1), impl(bits, lhs.value, rhs.value))
         return None
     if isinstance(inst, Select):
         cond = inst.operands[0]
@@ -116,7 +114,7 @@ def _simplify(inst: Instruction) -> Optional[Value]:
             and isinstance(inst.type, IntType)
             and inst.opcode in ("trunc", "zext", "sext")
         ):
-            impl = CAST_IMPLS[inst.opcode]
+            impl = cast_impl(inst.opcode, value.type)
             return ConstantInt(
                 inst.type, impl(value.type, inst.type, value.value)
             )

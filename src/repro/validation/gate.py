@@ -21,7 +21,7 @@ or rolls back, at one of four levels:
     ``safe`` plus cross-backend parity: the candidate's full
     observations under the interpreter and the compiling evaluator
     must be equal -- status, result, memory, extern trace, trap kind
-    and step count -- on the gate's vectors.  The rule is
+    and step count, with a NaN matching a NaN -- on the gate's vectors.  The rule is
     :func:`~repro.difftest.runner.first_backend_divergence`, the one
     the backend-parity sweep applies.
 

@@ -1,14 +1,16 @@
 """Each job runs the mini-C frontend once, and outputs do not change.
 
-A mini-C job's pipeline consumes two copies of its module (reroll
-baseline and RoLAG).  They are parsed from one
-printed IR text: the one the session printed when it fingerprinted the
-job, or one the worker printed after compiling once.  The tests here
-count ``compile_c`` calls, pin every output against an independently
-compiled reference, check that a C job, its printed-IR job and a
-pipeline compiling each stage afresh answer byte-identically, and
-check that a pooled, cached batch fingerprints on its pool, so the
-parent runs no frontend (pool tests are marked ``parallel``).
+A job's pipeline runs both stages (reroll baseline and RoLAG) on one
+module, parsed once from one printed IR text: the one the session
+printed when it fingerprinted the job, or one the worker printed after
+compiling once.  The baseline is rolled back before RoLAG runs.  The
+tests here count ``compile_c`` calls and parses, pin every output
+against an independently compiled reference, check that a C job, its
+printed-IR job and a pipeline compiling each stage afresh answer
+byte-identically (validated TSVC jobs too, against a pipeline that
+parses a copy and builds a gate per stage), and check that a pooled,
+cached batch fingerprints on its pool, so the parent runs no frontend
+(pool tests are marked ``parallel``).
 """
 
 import itertools
@@ -18,8 +20,9 @@ import time
 import pytest
 
 import repro.frontend
-from repro.bench import angha
+from repro.bench import angha, tsvc
 from repro.bench.objsize import function_size
+from repro.difftest.runner import check_module_semantics, evidence_seed
 from repro.driver import (
     DriverSession,
     FunctionJob,
@@ -31,9 +34,11 @@ from repro.driver import core
 from repro.driver.core import _Ticket
 from repro.driver.quarantine import quarantine_key
 from repro.frontend import compile_c
-from repro.ir import print_module
-from repro.rolag import RolagConfig, roll_loops_in_module
+from repro.ir import parse_module, print_module
+from repro.rolag import RolagConfig, RolagStats, roll_loops_in_module
 from repro.transforms.reroll import reroll_loops
+from repro.transforms.txn import TransactionalPassManager
+from repro.validation import Validator
 
 SEED = 2022
 COUNT = 6
@@ -123,7 +128,10 @@ def test_optimize_one_without_frozen_form_compiles_once(compiles):
     assert result.semantics_ok
 
 
-def test_shipped_text_is_verified_on_its_first_load_only(monkeypatch):
+@pytest.mark.parametrize("validate", ["off", "safe"])
+def test_one_module_is_parsed_once_and_verified_after_each_stage(
+    monkeypatch, validate
+):
     events = []
     parse, verify = core.parse_module, core.verify_module
 
@@ -138,17 +146,15 @@ def test_shipped_text_is_verified_on_its_first_load_only(monkeypatch):
 
     monkeypatch.setattr(core, "parse_module", parsing)
     monkeypatch.setattr(core, "verify_module", verifying)
-    result = optimize_one(_corpus()[0], RolagConfig(validate="off"))
+    result = optimize_one(_corpus()[0], RolagConfig(validate=validate))
     assert not result.failed, result.error
-    first, second = [module for kind, module in events if kind == "parse"]
-    # The second copy parses the text the first verified; each copy is
-    # still verified after its stage's passes.
-    assert [kind for kind, module in events if module is first] == [
-        "parse", "verify", "verify"
+    assert result.rolag_rolled
+    # Parse, verify the text, then verify after reroll and after RoLAG:
+    # both stages run on the one parsed module.
+    assert [kind for kind, _ in events] == [
+        "parse", "verify", "verify", "verify"
     ]
-    assert [kind for kind, module in events if module is second] == [
-        "parse", "verify"
-    ]
+    assert len({id(module) for _, module in events}) == 1
 
 
 def test_ir_jobs_never_reach_the_frontend(compiles, tmp_path):
@@ -206,6 +212,92 @@ class TestShippedText:
             from_ir.kind, from_ir.message,
         )
         assert shipped.message.startswith("VerificationError")
+
+
+def _validated_fresh_per_stage(job, config, evaluator):
+    """The validated pipeline as ``perfbench/trace.py`` replays it:
+    each stage parses its own copy and gates it with its own
+    validator, and the oracle captures the original afresh."""
+    seed = evidence_seed(job.text)
+
+    def gate():
+        return Validator(
+            config.validate, vectors=config.validate_vectors,
+            step_limit=config.validate_step_limit, evaluator=evaluator,
+            seed=seed,
+        )
+
+    llvm_module, module = (parse_module(job.ir_text) for _ in range(2))
+    llvm_gate, rolag_gate = gate(), gate()
+    reroll_pm = TransactionalPassManager(verify=False, validator=llvm_gate)
+    reroll_pm.add("reroll", reroll_loops)
+    llvm_rolled = reroll_pm.run(llvm_module)
+    size_before = function_size(module.get_function(job.name), None)
+    stats = RolagStats()
+    rolag_rolled = roll_loops_in_module(
+        module, config=config, stats=stats, validator=rolag_gate
+    )
+    mismatches = []
+    for label, candidate in (("reroll", llvm_module), ("rolag", module)):
+        _, details = check_module_semantics(
+            parse_module(job.ir_text), candidate, seed=seed,
+            evaluator=evaluator,
+        )
+        mismatches.extend(f"{label}: {detail}" for detail in details)
+    return {
+        "size_before": size_before,
+        "llvm_size": function_size(llvm_module.get_function(job.name), None),
+        "rolag_size": function_size(module.get_function(job.name), None),
+        "llvm_rolled": llvm_rolled,
+        "rolag_rolled": rolag_rolled,
+        "savings": stats.savings,
+        "optimized_ir": print_module(module),
+        "guard_reports": [
+            report.to_json_dict()
+            for report in llvm_gate.reports + rolag_gate.reports
+        ],
+        "semantics_ok": not mismatches,
+        "semantics_mismatches": mismatches,
+        "error_kind": None,
+    }
+
+
+#: Factor-8 TSVC kernels the reroll baseline rolls, so the one-module
+#: pipeline really restores the baseline before RoLAG runs.
+REROLLED_BY_8 = ["s000", "s1112", "s176", "s222", "s4115", "vdotr", "vsumr"]
+
+
+def _assert_one_module_matches_fresh_copies(names, factor):
+    config = RolagConfig(fast_math=True, validate="safe")
+    rerolled = 0
+    for name in names:
+        job = FunctionJob(
+            name=name,
+            ir_text=print_module(tsvc.build_unrolled_kernel(name, factor)),
+        )
+        result = optimize_one(
+            job, config, check_semantics=True, evaluator="compiled"
+        )
+        expected = _validated_fresh_per_stage(job, config, "compiled")
+        assert _answer(result) == expected, (name, factor)
+        rerolled += bool(result.llvm_rolled)
+    return rerolled
+
+
+class TestOneModuleAgainstFreshCopies:
+    """A validated TSVC job answers exactly as a pipeline that parses
+    one copy per stage and gives each its own gate."""
+
+    def test_rerolled_kernels_unrolled_by_8(self):
+        rerolled = _assert_one_module_matches_fresh_copies(REROLLED_BY_8, 8)
+        assert rerolled == len(REROLLED_BY_8)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("factor", [4, 8, 16])
+    def test_every_kernel(self, factor):
+        assert _assert_one_module_matches_fresh_copies(
+            tsvc.kernel_names(), factor
+        ) > 0
 
 
 class TestQuarantineKeyOfUnbuildableJobs:

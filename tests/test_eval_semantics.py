@@ -1,9 +1,11 @@
 """Every client of the shared evaluation semantics agrees with it.
 
 ``repro.ir.interp`` defines compare and cast semantics once, as the
-tables :data:`ICMP_IMPLS`, :data:`FCMP_IMPLS` and :data:`CAST_IMPLS`.
-This file holds each table to an independent reference or to pinned
-values, then runs every case on every backend in
+tables :data:`ICMP_IMPLS`, :data:`FCMP_IMPLS` and :data:`CAST_IMPLS`
+(with :data:`I1_ICMP_IMPLS` and :data:`I1_CAST_IMPLS` for ``i1``
+operands, held as 0/1 and read as 0/-1 where a reader is signed, as in
+LLVM).  This file holds the entry each case binds to an independent
+reference or to pinned values, then runs every case on every backend in
 :data:`EVALUATOR_CHOICES`, and folds icmp and integer casts through
 :func:`fold_constants`, requiring bit-identical results.
 
@@ -30,7 +32,13 @@ from repro.ir import (
 )
 from repro.ir.compile_eval import EVALUATOR_CHOICES, make_machine
 from repro.ir.instructions import FCMP_PREDICATES, ICMP_PREDICATES
-from repro.ir.interp import CAST_IMPLS, FCMP_IMPLS, ICMP_IMPLS
+from repro.ir.interp import (
+    CAST_IMPLS,
+    FCMP_IMPLS,
+    I1_ICMP_IMPLS,
+    ICMP_IMPLS,
+    cast_impl,
+)
 from repro.transforms.constfold import fold_constants
 
 INF = float("inf")
@@ -99,9 +107,16 @@ def same(x, y):
     return x == y
 
 
+def signed(bits, value):
+    """``value``'s two's-complement reading at ``bits`` (``i1`` true is
+    -1)."""
+    value %= 1 << bits
+    return value - (1 << bits) if value >> (bits - 1) else value
+
+
 def reference_icmp(pred, bits, a, b):
     if pred in _SIGNED:
-        return int(_SIGNED[pred](a, b))
+        return int(_SIGNED[pred](signed(bits, a), signed(bits, b)))
     return int(_UNSIGNED[pred](a % (1 << bits), b % (1 << bits)))
 
 
@@ -154,9 +169,10 @@ def test_icmp(pred, bits):
         f"define i1 @f({ty} %a, {ty} %b) {{\nentry:\n"
         f"  %r = icmp {pred} {ty} %a, %b\n  ret i1 %r\n}}\n"
     )
+    table = I1_ICMP_IMPLS if bits == 1 else ICMP_IMPLS
     for a in int_edges(bits):
         for b in int_edges(bits):
-            expected = ICMP_IMPLS[pred](bits, a, b)
+            expected = table[pred](bits, a, b)
             assert expected == reference_icmp(pred, bits, a, b), (pred, a, b)
             what = f"icmp {pred} {ty}"
             assert_backends(machines, fn, (a, b), expected, what)
@@ -193,7 +209,7 @@ CASTS = (
     ("fptosi", "double", "i64"),
     ("fptoui", "double", "i32"), ("fptoui", "float", "i8"),
     ("sitofp", "i32", "double"), ("sitofp", "i64", "float"),
-    ("sitofp", "i8", "float"),
+    ("sitofp", "i8", "float"), ("sitofp", "i1", "double"),
     ("uitofp", "i32", "double"), ("uitofp", "i64", "float"),
     ("uitofp", "i1", "double"),
     ("ptrtoint", "i8*", "i64"), ("ptrtoint", "i32*", "i32"),
@@ -209,6 +225,9 @@ PINNED = (
     ("trunc", "i64", "i32", -(2**63), 0),
     ("zext", "i8", "i32", -1, 255),
     ("sext", "i8", "i32", -1, -1),
+    ("sext", "i1", "i32", 1, -1),
+    ("sext", "i1", "i64", 0, 0),
+    ("zext", "i1", "i32", 1, 1),
     ("zext", "i32", "i64", -(2**31), 2**31),
     ("fptosi", "double", "i32", NAN, 0),
     ("fptosi", "double", "i32", INF, 0),
@@ -216,6 +235,9 @@ PINNED = (
     ("fptosi", "double", "i64", 2.0**63, -(2**63)),
     ("uitofp", "i32", "double", -1, 4294967295.0),
     ("sitofp", "i32", "double", -1, -1.0),
+    ("sitofp", "i1", "double", 1, -1.0),
+    ("sitofp", "i1", "float", 0, 0.0),
+    ("uitofp", "i1", "double", 1, 1.0),
     ("sitofp", "i64", "float", 2**63 - 1, 9.223372036854775808e18),
     ("fptrunc", "double", "float", 1e300, INF),
     ("fptrunc", "double", "float", -1e300, -INF),
@@ -242,7 +264,7 @@ def test_cast(opcode, src_text, dst_text):
     )
     int_cast = opcode in ("trunc", "zext", "sext")
     for value in edges_of(src_text):
-        expected = CAST_IMPLS[opcode](src, dst, value)
+        expected = cast_impl(opcode, src)(src, dst, value)
         what = f"{opcode} {src_text} to {dst_text}"
         assert_backends(machines, fn, (value,), expected, what)
         if int_cast:
@@ -257,10 +279,36 @@ def test_cast(opcode, src_text, dst_text):
 @pytest.mark.parametrize("opcode,src_text,dst_text,value,want", PINNED)
 def test_pinned_cast(opcode, src_text, dst_text, value, want):
     src, dst = TYPES[src_text], TYPES[dst_text]
-    assert same(CAST_IMPLS[opcode](src, dst, value), want)
+    assert same(cast_impl(opcode, src)(src, dst, value), want)
     machines, fn = backends_of(
         f"define {dst_text} @f({src_text} %a) {{\nentry:\n"
         f"  %r = {opcode} {src_text} %a to {dst_text}\n"
         f"  ret {dst_text} %r\n}}\n"
     )
     assert_backends(machines, fn, (value,), want, opcode)
+
+
+#: LLVM's answers where a signed reader meets ``i1`` true (held as 1,
+#: read as -1): ``(instruction, result type, args, want)``.
+SIGNED_I1 = (
+    ("sext i1 {a} to i32", "i32", (1,), -1),
+    ("sitofp i1 {a} to double", "double", (1,), -1.0),
+    ("icmp slt i1 {a}, {b}", "i1", (1, 0), 1),
+    ("icmp sle i1 {a}, {b}", "i1", (0, 1), 0),
+    ("icmp sgt i1 {a}, {b}", "i1", (0, 1), 1),
+    ("icmp sge i1 {a}, {b}", "i1", (1, 0), 0),
+)
+
+
+@pytest.mark.parametrize("body,ty,args,want", SIGNED_I1)
+def test_signed_reads_of_i1_follow_llvm(body, ty, args, want):
+    names = "ab"[: len(args)]
+    machines, fn = backends_of(
+        f"define {ty} @f({', '.join(f'i1 %{n}' for n in names)}) {{\n"
+        f"entry:\n  %r = {body.format(a='%a', b='%b')}\n"
+        f"  ret {ty} %r\n}}\n"
+    )
+    assert_backends(machines, fn, args, want, body)
+    if not body.startswith("sitofp"):  # constfold folds int casts only
+        constants = {n: literal("i1", v) for n, v in zip(names, args)}
+        assert folded(body.format(**constants), ty) == want, body

@@ -1,8 +1,9 @@
 """One evidence set per job: the original is observed once.
 
-``optimize_one`` captures the original module's observations once,
-before any pass, and both validation gates and the final oracle check
-their candidates against that one :class:`repro.difftest.runner.Evidence`.
+``optimize_one`` parses the job once and captures the original
+module's observations once, before any pass; the job's one validation
+gate (over both stages) and the oracle check their candidates against
+that one :class:`repro.difftest.runner.Evidence`.
 The gate reads the first ``validate_vectors`` of the draw; the oracle
 reads all of it.  These tests count parses and observations, pin the
 draw every consumer reads, and hold the offline replays
@@ -65,7 +66,7 @@ def observations(monkeypatch):
     return seen
 
 
-def test_optimize_one_parses_twice_and_observes_the_original_once(
+def test_optimize_one_parses_once_and_observes_the_original_once(
     monkeypatch, observations
 ):
     job = _tsvc_job()
@@ -82,11 +83,13 @@ def test_optimize_one_parses_twice_and_observes_the_original_once(
         check_semantics=True, evaluator="compiled",
     )
     assert result.semantics_ok and result.llvm_rolled and result.rolag_rolled
-    assert len(parses) == 2
+    assert parses == [job.ir_text]
     fn = parse_module(job.ir_text).get_function(job.name)
     draw = make_argument_vectors(fn, evidence_seed(job.text), ORACLE_VECTORS)
     # Both candidates changed, so only the capture observes the
-    # original's text: once per vector of the draw.
+    # original's text -- not the oracle, and not RoLAG's gate on the
+    # module the baseline was rolled back from: once per vector of the
+    # draw.
     of_original = [
         (name, vector, limit)
         for text, name, vector, limit, _ in observations

@@ -16,8 +16,9 @@ import pytest
 
 import repro.difftest.runner as runner
 from repro.bench import angha
-from repro.difftest.oracle import Observation
+from repro.difftest.oracle import ArgumentVector, Observation
 from repro.difftest.parity import check_backend_parity
+from repro.difftest.runner import first_backend_divergence
 from repro.driver import FunctionJob, optimize_functions
 from repro.faultinject import clear_plan
 from repro.frontend import compile_c
@@ -318,6 +319,34 @@ class TestStrictParity:
         assert all(
             f"interp vs compiled: {field}: interp=" in m for m in mismatches
         )
+
+
+    #: Infinity minus infinity: a NaN built by arithmetic, so each
+    #: backend returns its own NaN object.
+    NAN_SRC = """
+define double @f(double %x) {
+entry:
+  %a = fmul double %x, 1.0e+308
+  %b = fmul double %a, 1.0e+308
+  %c = fsub double %b, %b
+  ret double %c
+}
+"""
+
+    def test_nan_result_is_not_a_divergence(self):
+        module, _ = _fn(self.NAN_SRC)
+        assert first_backend_divergence(
+            module, "f", [ArgumentVector((1.0,))], step_limit=1000
+        ) is None
+
+    def test_changed_candidate_returning_nan_commits(self):
+        module, fn = _fn(self.NAN_SRC)
+        validator = Validator("strict", seed=7)
+        pm = TransactionalPassManager(verify=False, validator=validator)
+        pm.add("commute", commute)
+        assert pm.run(module) == 1
+        assert validator.reports == []
+        assert fn.blocks[0].instructions[0].operands[1].name == "x"
 
 
 class TestGuardBundles:
