@@ -15,7 +15,7 @@ from .ctypes import (
     FLOAT,
     VOIDT,
 )
-from .lexer import Token, tokenize
+from .lexer import lex
 
 
 class CParseError(Exception):
@@ -48,60 +48,61 @@ _BINARY_LEVEL = {
 
 
 class CParser:
-    """Parses a translation unit.  Use :func:`parse` instead."""
+    """Parses a translation unit.  Use :func:`parse` instead.
+
+    The tokens are the lexer's parallel arrays (``kinds``, ``texts``,
+    ``lines``), read by index; ``pos`` is the current token.
+    """
 
     def __init__(self, source: str) -> None:
-        self.tokens = tokenize(source)
+        self.kinds, self.texts, self.lines = lex(source)
         self.pos = 0
         self.structs: Dict[str, CStruct] = {}
 
     # ----- token plumbing ----------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        """The current token."""
-        return self.tokens[self.pos]
+    def peek_text(self, offset: int = 1) -> str:
+        """The text ``offset`` tokens ahead, without consuming."""
+        return self.texts[min(self.pos + offset, len(self.texts) - 1)]
 
-    def peek(self, offset: int = 1) -> Token:
-        """Look ahead without consuming."""
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def advance(self) -> str:
+        """Consume the current token and return its text."""
+        pos = self.pos
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def advance(self) -> Token:
-        """Consume and return the current token."""
-        token = self.tok
-        self.pos += 1
-        return token
+    def accept(self, kind: str, text: Optional[str] = None) -> bool:
+        """Consume the token if it matches; report whether it did."""
+        pos = self.pos
+        if self.kinds[pos] == kind and (text is None or self.texts[pos] == text):
+            self.pos = pos + 1
+            return True
+        return False
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        """Consume the token if it matches; else None."""
-        token = self.tok
-        if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        """Consume a required token or raise CParseError."""
-        token = self.accept(kind, text)
-        if token is None:
-            want = text or kind
-            raise CParseError(
-                f"expected {want!r}, got {self.tok.text!r}", self.tok.line
-            )
-        return token
+    def expect(self, kind: str, text: Optional[str] = None) -> str:
+        """Consume a required token and return its text, or raise
+        CParseError."""
+        pos = self.pos
+        if self.kinds[pos] == kind and (text is None or self.texts[pos] == text):
+            self.pos = pos + 1
+            return self.texts[pos]
+        raise CParseError(
+            f"expected {text or kind!r}, got {self.texts[pos]!r}",
+            self.lines[pos],
+        )
 
     def error(self, message: str) -> CParseError:
         """A CParseError at the current position."""
-        return CParseError(message, self.tok.line)
+        return CParseError(message, self.lines[self.pos])
 
     # ----- types ----------------------------------------------------------------
 
     def at_type(self) -> bool:
         """Whether the current token starts a type."""
-        token = self.tok
-        if token.kind != "keyword":
+        pos = self.pos
+        if self.kinds[pos] != "keyword":
             return False
-        return token.text in (
+        return self.texts[pos] in (
             "int", "unsigned", "signed", "char", "short", "long",
             "float", "double", "void", "struct", "const",
         )
@@ -118,35 +119,35 @@ class CParser:
         return base
 
     def _parse_base_type(self) -> CType:
-        token = self.tok
-        if token.kind != "keyword":
-            raise self.error(f"expected type, got {token.text!r}")
-        text = token.text
+        kinds, texts = self.kinds, self.texts
+        text = texts[self.pos]
+        if kinds[self.pos] != "keyword":
+            raise self.error(f"expected type, got {text!r}")
         if text == "struct":
-            self.advance()
-            name = self.expect("ident").text
+            self.pos += 1
+            name = self.expect("ident")
             struct = self.structs.get(name)
             if struct is None:
                 struct = CStruct(name)
                 self.structs[name] = struct
             return struct
         if text == "void":
-            self.advance()
+            self.pos += 1
             return VOIDT
         if text == "float":
-            self.advance()
+            self.pos += 1
             return FLOAT
         if text == "double":
-            self.advance()
+            self.pos += 1
             return DOUBLE
 
         signed = True
         bits = 32
         saw_any = False
-        while self.tok.kind == "keyword" and self.tok.text in (
+        while kinds[self.pos] == "keyword" and texts[self.pos] in (
             "unsigned", "signed", "int", "char", "short", "long"
         ):
-            word = self.advance().text
+            word = self.advance()
             saw_any = True
             if word == "unsigned":
                 signed = False
@@ -168,13 +169,15 @@ class CParser:
 
     def parse_translation_unit(self) -> ast.TranslationUnit:
         """Parse the whole file."""
+        kinds, texts = self.kinds, self.texts
         unit = ast.TranslationUnit()
-        while self.tok.kind != "eof":
+        while kinds[self.pos] != "eof":
+            pos = self.pos
             if (
-                self.tok.kind == "keyword"
-                and self.tok.text == "struct"
-                and self.peek().kind == "ident"
-                and self.peek(2).text == "{"
+                kinds[pos] == "keyword"
+                and texts[pos] == "struct"
+                and kinds[pos + 1] == "ident"
+                and self.peek_text(2) == "{"
             ):
                 unit.items.append(self._parse_struct_def())
                 continue
@@ -185,7 +188,8 @@ class CParser:
         """``T name[A][B]`` is an A-array of B-arrays of T."""
         counts: List[int] = []
         while self.accept("op", "["):
-            counts.append(self._int_value(self.expect("int")))
+            line = self.lines[self.pos]
+            counts.append(self._int_value(self.expect("int"), line))
             self.expect("op", "]")
         ctype = base
         for count in reversed(counts):
@@ -193,27 +197,27 @@ class CParser:
         return ctype
 
     @staticmethod
-    def _int_value(token: Token) -> int:
+    def _int_value(text: str, line: int) -> int:
         """The value of an integer literal: hex after ``0x``, octal
         after any other leading zero, as in C."""
-        digits = token.text.rstrip("uUlL")
+        digits = text.rstrip("uUlL")
         octal = len(digits) > 1 and digits[0] == "0" and digits[1] not in "xX"
         try:
             return int(digits, 8 if octal else 0)
         except ValueError:
             raise CParseError(
-                f"invalid integer literal {token.text!r}", token.line
+                f"invalid integer literal {text!r}", line
             ) from None
 
     def _parse_struct_def(self) -> ast.StructDef:
         self.expect("keyword", "struct")
-        name = self.expect("ident").text
+        name = self.expect("ident")
         self.expect("op", "{")
         fields: List[Tuple[str, CType]] = []
         while not self.accept("op", "}"):
             base = self.parse_type()
             while True:
-                field_name = self.expect("ident").text
+                field_name = self.expect("ident")
                 ctype = self._parse_array_suffix(base)
                 fields.append((field_name, ctype))
                 if not self.accept("op", ","):
@@ -228,36 +232,37 @@ class CParser:
         return ast.StructDef(name, fields)
 
     def _parse_declaration(self) -> Union[ast.FunctionDef, ast.GlobalDef]:
+        kinds, texts = self.kinds, self.texts
         is_extern = False
         is_const = False
         attributes: List[str] = []
-        while self.tok.kind == "keyword" and self.tok.text in (
+        while kinds[self.pos] == "keyword" and texts[self.pos] in (
             "extern", "static", "const"
         ):
-            word = self.advance().text
+            word = self.advance()
             if word == "extern":
                 is_extern = True
             elif word == "const":
                 is_const = True
         ctype = self.parse_type()
-        name = self.expect("ident").text
+        name = self.expect("ident")
 
         if self.accept("op", "("):
             params: List[ast.Param] = []
             if not self.accept("op", ")"):
-                if self.tok.kind == "keyword" and self.tok.text == "void" \
-                        and self.peek().text == ")":
-                    self.advance()
+                if kinds[self.pos] == "keyword" and texts[self.pos] == "void" \
+                        and self.peek_text() == ")":
+                    self.pos += 1
                 else:
                     while True:
                         param_type = self.parse_type()
                         param_name = ""
-                        if self.tok.kind == "ident":
-                            param_name = self.advance().text
+                        if kinds[self.pos] == "ident":
+                            param_name = self.advance()
                         while self.accept("op", "["):
                             # Array parameters decay to pointers.
-                            if self.tok.kind == "int":
-                                self.advance()
+                            if kinds[self.pos] == "int":
+                                self.pos += 1
                             self.expect("op", "]")
                             param_type = CPtr(param_type)
                         params.append(ast.Param(param_type, param_name))
@@ -299,11 +304,11 @@ class CParser:
 
     def parse_statement(self) -> ast.Stmt:
         """Parse one statement."""
-        token = self.tok
-        if token.kind == "op" and token.text == "{":
+        kind = self.kinds[self.pos]
+        text = self.texts[self.pos]
+        if kind == "op" and text == "{":
             return self._parse_block()
-        if token.kind == "keyword":
-            text = token.text
+        if kind == "keyword":
             if text == "if":
                 return self._parse_if()
             if text == "while":
@@ -313,18 +318,20 @@ class CParser:
             if text == "for":
                 return self._parse_for()
             if text == "return":
-                self.advance()
+                self.pos += 1
                 value = None
-                if not (self.tok.kind == "op" and self.tok.text == ";"):
+                if not (
+                    self.kinds[self.pos] == "op" and self.texts[self.pos] == ";"
+                ):
                     value = self.parse_expression()
                 self.expect("op", ";")
                 return ast.Return(value)
             if text == "break":
-                self.advance()
+                self.pos += 1
                 self.expect("op", ";")
                 return ast.Break()
             if text == "continue":
-                self.advance()
+                self.pos += 1
                 self.expect("op", ";")
                 return ast.Continue()
             if self.at_type():
@@ -337,7 +344,7 @@ class CParser:
         ctype = self.parse_type()
         decls: List[ast.Stmt] = []
         while True:
-            name = self.expect("ident").text
+            name = self.expect("ident")
             this_type = self._parse_array_suffix(ctype)
             init = None
             if self.accept("op", "="):
@@ -413,8 +420,9 @@ class CParser:
     def parse_assignment(self) -> ast.Expr:
         """Parse an assignment-level expression."""
         lhs = self._parse_conditional()
-        if self.tok.kind == "op" and self.tok.text in _ASSIGN_OPS:
-            op = self.advance().text
+        pos = self.pos
+        if self.kinds[pos] == "op" and self.texts[pos] in _ASSIGN_OPS:
+            op = self.advance()
             rhs = self.parse_assignment()
             return ast.Assign(op, lhs, rhs)
         return lhs
@@ -431,87 +439,94 @@ class CParser:
     def _parse_binary(self, min_level: int) -> ast.Expr:
         """Precedence climbing: a unary operand, then every operator
         binding at ``min_level`` or tighter, grouped to the left."""
+        kinds, texts = self.kinds, self.texts
         lhs = self._parse_unary()
         while True:
-            token = self.tok
-            level = _BINARY_LEVEL.get(token.text) if token.kind == "op" else None
+            pos = self.pos
+            op = texts[pos]
+            level = _BINARY_LEVEL.get(op) if kinds[pos] == "op" else None
             if level is None or level < min_level:
                 return lhs
-            self.pos += 1
+            self.pos = pos + 1
             rhs = self._parse_binary(level + 1)
-            lhs = ast.Binary(token.text, lhs, rhs)
+            lhs = ast.Binary(op, lhs, rhs)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.tok
-        if token.kind == "op":
-            if token.text in ("-", "!", "~", "&", "*", "+"):
-                self.advance()
+        pos = self.pos
+        if self.kinds[pos] == "op":
+            text = self.texts[pos]
+            if text in ("-", "!", "~", "&", "*", "+"):
+                self.pos = pos + 1
                 operand = self._parse_unary()
-                if token.text == "+":
+                if text == "+":
                     return operand
-                return ast.Unary(token.text, operand)
-            if token.text in ("++", "--"):
-                self.advance()
+                return ast.Unary(text, operand)
+            if text in ("++", "--"):
+                self.pos = pos + 1
                 target = self._parse_unary()
-                return ast.PreIncDec(token.text, target)
-            if token.text == "(":
+                return ast.PreIncDec(text, target)
+            if text == "(":
                 # Either a cast or a parenthesised expression.
-                saved = self.pos
-                self.advance()
+                self.pos = pos + 1
                 if self.at_type():
                     ctype = self.parse_type()
-                    if self.tok.text == ")":
-                        self.advance()
+                    if self.texts[self.pos] == ")":
+                        self.pos += 1
                         operand = self._parse_unary()
                         return ast.CastExpr(ctype, operand)
-                self.pos = saved
+                self.pos = pos
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
+        kinds, texts = self.kinds, self.texts
         expr = self._parse_primary()
         while True:
-            if self.accept("op", "["):
+            pos = self.pos
+            if kinds[pos] != "op":
+                return expr
+            text = texts[pos]
+            if text == "[":
+                self.pos = pos + 1
                 index = self.parse_expression()
                 self.expect("op", "]")
                 expr = ast.Index(expr, index)
-            elif self.accept("op", "."):
-                name = self.expect("ident").text
-                expr = ast.Member(expr, name, False)
-            elif self.accept("op", "->"):
-                name = self.expect("ident").text
-                expr = ast.Member(expr, name, True)
-            elif self.tok.kind == "op" and self.tok.text in ("++", "--"):
-                op = self.advance().text
-                expr = ast.PostIncDec(op, expr)
+            elif text == ".":
+                self.pos = pos + 1
+                expr = ast.Member(expr, self.expect("ident"), False)
+            elif text == "->":
+                self.pos = pos + 1
+                expr = ast.Member(expr, self.expect("ident"), True)
+            elif text == "++" or text == "--":
+                self.pos = pos + 1
+                expr = ast.PostIncDec(text, expr)
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        token = self.tok
-        if token.kind == "int":
-            self.advance()
-            text = token.text
-            unsigned = "u" in text.lower()
-            is_long = "l" in text.lower()
+        pos = self.pos
+        kind = self.kinds[pos]
+        text = self.texts[pos]
+        if kind == "int":
+            self.pos = pos + 1
+            lower = text.lower()
             return ast.IntLit(
-                self._int_value(token), unsigned, is_long, text[0] != "0"
+                self._int_value(text, self.lines[pos]),
+                "u" in lower, "l" in lower, text[0] != "0",
             )
-        if token.kind == "float":
-            self.advance()
-            text = token.text
-            is_f32 = text[-1] in "fF"
-            return ast.FloatLit(float(text.rstrip("fF")), is_f32)
-        if token.kind == "char":
-            self.advance()
-            body = token.text[1:-1]
+        if kind == "float":
+            self.pos = pos + 1
+            return ast.FloatLit(float(text.rstrip("fF")), text[-1] in "fF")
+        if kind == "char":
+            self.pos = pos + 1
+            body = text[1:-1]
             if body.startswith("\\"):
                 table = {"\\n": 10, "\\t": 9, "\\0": 0, "\\r": 13, "\\\\": 92, "\\'": 39}
                 value = table.get(body, ord(body[1]))
             else:
                 value = ord(body)
             return ast.IntLit(value)
-        if token.kind == "ident":
-            name = self.advance().text
+        if kind == "ident":
+            self.pos = pos + 1
             if self.accept("op", "("):
                 args: List[ast.Expr] = []
                 if not self.accept("op", ")"):
@@ -520,14 +535,14 @@ class CParser:
                         if not self.accept("op", ","):
                             break
                     self.expect("op", ")")
-                return ast.CallExpr(name, args)
-            return ast.NameRef(name)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
+                return ast.CallExpr(text, args)
+            return ast.NameRef(text)
+        if kind == "op" and text == "(":
+            self.pos = pos + 1
             expr = self.parse_expression()
             self.expect("op", ")")
             return expr
-        raise self.error(f"unexpected token {token.text!r}")
+        raise self.error(f"unexpected token {text!r}")
 
 
 def parse(source: str) -> ast.TranslationUnit:

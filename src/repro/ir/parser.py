@@ -132,14 +132,17 @@ _KIND_NAMES = {
 # hands back ``[gap, token, gap, token, ..., gap]`` at C speed, with
 # no per-token Match object.  The token's *kind* is recovered from its
 # first character (see ``_KIND_BY_CHAR``); only numeric tokens need a
-# second look (``.`` distinguishes float from int).
+# second look (all digits is an int, anything else a float).  Float
+# literals take every spelling the printer's ``repr`` gives: ``1.5``,
+# ``1e+20``, ``5e-324``, ``-inf``; ``inf`` and ``nan`` lex as
+# identifiers and become constants in ``parse_constant``.
 _TOKEN_RE = re.compile(
     r"""(
       ;[^\n]*
     | %[A-Za-z0-9._$-]+
     | @[A-Za-z0-9._$-]+
-    | -?\d+\.\d+(?:e[+-]?\d+)?
-    | -?\d+
+    | -?\d+(?:\.\d+)?(?:e[+-]?\d+)?
+    | -inf
     | [A-Za-z_][A-Za-z0-9._]*
     | \.\.\.
     | [()\[\]{}<>,=:*]
@@ -148,7 +151,7 @@ _TOKEN_RE = re.compile(
 )
 
 #: First token character -> kind.  ``-1`` flags numeric tokens, whose
-#: kind depends on whether the literal contains a ``.``.
+#: kind depends on whether the literal is all digits.
 _KIND_BY_CHAR: Dict[str, int] = {
     ";": _K_COMMENT,
     "%": _K_LOCAL,
@@ -214,7 +217,7 @@ def _lex(source: str) -> _Tokens:
         pos += len(text)
         kind = kind_by_char[text[0]]
         if kind < 0:
-            kind = _K_FLOAT if "." in text else _K_INT
+            kind = _K_INT if text.lstrip("-").isdigit() else _K_FLOAT
         elif kind == _K_COMMENT:
             continue
         shared = intern_get(text)
@@ -541,6 +544,9 @@ class Parser:
             if text == "zeroinitializer":
                 self.pos = pos + 1
                 return self.interns.singleton(ConstantZero, ty)
+            if (text == "inf" or text == "nan") and isinstance(ty, FloatType):
+                self.pos = pos + 1
+                return self.interns.float_constant(ty, text)
         if kind == _K_PUNCT and (text == "[" or text == "{"):
             close = "]" if text == "[" else "}"
             self.pos = pos + 1

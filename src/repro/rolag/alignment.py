@@ -49,6 +49,7 @@ from ..ir.module import BasicBlock
 from ..ir.types import DataLayout, DEFAULT_LAYOUT, IntType, PointerType, Type
 from ..ir.values import Constant, ConstantFloat, ConstantInt, Value, neutral_element
 from .config import RolagConfig
+from .seeds import block_position_index
 
 
 class AlignNode:
@@ -285,10 +286,16 @@ class AlignmentGraph:
         block: BasicBlock,
         config: Optional[RolagConfig] = None,
         layout: DataLayout = DEFAULT_LAYOUT,
+        index: Optional[Dict[int, int]] = None,
     ) -> None:
         self.block = block
         self.config = config or RolagConfig()
         self.layout = layout
+        #: ``id(instruction) -> block position`` of the block as it is
+        #: while the graph is built and consumed (the pipeline hands in
+        #: ``DependenceGraph.index``); claimed instructions are looked
+        #: up and ordered through it, never by rescanning the block.
+        self.index = index if index is not None else block_position_index(block)
         #: instruction id -> (node, lane) for every claimed instruction.
         self.claimed: Dict[int, Tuple[AlignNode, int]] = {}
         self.roots: List[AlignNode] = []
@@ -788,21 +795,22 @@ class AlignmentGraph:
     ) -> Optional[Instruction]:
         if isinstance(node, MatchNode):
             inst = node.lanes[lane]
-            return inst if id(inst) == inst_id else self._find(inst_id)
-        return self._find(inst_id)
-
-    def _find(self, inst_id: int) -> Optional[Instruction]:
-        for inst in self.block.instructions:
             if id(inst) == inst_id:
                 return inst
-        return None
+        position = self.index.get(inst_id)
+        return None if position is None else self.block.instructions[position]
 
     # ----- queries used by scheduling / codegen --------------------------------
 
     def claimed_instructions(self) -> List[Instruction]:
         """Claimed instructions, in block order."""
+        index = self.index
+        insts = self.block.instructions
         return [
-            inst for inst in self.block.instructions if id(inst) in self.claimed
+            insts[position]
+            for position in sorted(
+                index[inst_id] for inst_id in self.claimed if inst_id in index
+            )
         ]
 
     def node_histogram(self) -> Dict[str, int]:

@@ -145,9 +145,7 @@ class LoopCodeGenerator:
         # Rebuild the original block and the exit block.
         old_terminator = block.terminator
         assert old_terminator is not None
-        claimed_in_order = [
-            inst for inst in block.instructions if id(inst) in self.ag.claimed
-        ]
+        claimed_in_order = self.ag.claimed_instructions()
 
         for inst in self.schedule.after:
             inst.parent = exit_block
@@ -203,9 +201,7 @@ class LoopCodeGenerator:
 
     def _emission_order(self) -> List[AlignNode]:
         """Instruction-replacing nodes by earliest claimed position."""
-        position = {
-            id(inst): p for p, inst in enumerate(self.block.instructions)
-        }
+        position = self.ag.index
         node_position: Dict[int, int] = {}
         node_by_id: Dict[int, AlignNode] = {}
         for inst_id, (node, _lane) in self.ag.claimed.items():
@@ -446,11 +442,8 @@ class LoopCodeGenerator:
 
         # Collect per-node external uses: node -> {lane: [Use, ...]}
         per_node: Dict[int, Tuple[AlignNode, Dict[int, List]]] = {}
-        for inst in self.block.instructions:
-            info = claimed.get(id(inst))
-            if info is None:
-                continue
-            node, lane = info
+        for inst in self.ag.claimed_instructions():
+            node, lane = claimed[id(inst)]
             if isinstance(node, (ReductionNode, MinMaxReductionNode)):
                 continue  # root handled during lowering; internals private
             for use in list(inst.uses):

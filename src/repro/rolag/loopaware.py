@@ -225,7 +225,7 @@ def try_loop_aware_reroll(ag: AlignmentGraph) -> Optional[int]:
         else:
             ordered = sorted(
                 node.internal,
-                key=lambda i: block.instructions.index(i),
+                key=lambda i: ag.index[id(i)],
             )
             first = ordered[0]
             doomed_links = list(reversed(ordered[1:]))

@@ -247,7 +247,7 @@ def _attempt(
 ) -> Optional[RolledLoop]:
     timed = stats.timed
     start = perf_counter() if timed else 0.0
-    ag = AlignmentGraph(block, config)
+    ag = AlignmentGraph(block, config, index=deps.index)
     if kind == "joint":
         root = ag.build_joint([g.instructions for g in payload])
     elif kind == "reduction":

@@ -66,6 +66,20 @@ class TestSerialDriver:
         result = optimize_one(job)
         parse_module(result.optimized_ir)
 
+    @pytest.mark.parametrize("literal,spelling", [
+        ("1e20", "1e+20"), ("1e-5", "1e-05"), ("4.9e-324", "5e-324"),
+    ])
+    def test_c_job_with_an_exponent_float_literal(self, literal, spelling):
+        # The printer spells these doubles without a ``.``; the job's
+        # printed IR must parse back in the worker.
+        from repro.driver import FunctionResult
+        from repro.driver.core import run_one_guarded
+
+        source = f"double f(double x) {{ return x * {literal}; }}"
+        outcome = run_one_guarded(FunctionJob(name="f", c_source=source))
+        assert isinstance(outcome, FunctionResult), outcome
+        assert f"fmul double %x, {spelling}\n" in outcome.optimized_ir
+
 
 class TestResultCache:
     def test_warm_run_is_byte_identical(self, tmp_path):

@@ -398,3 +398,91 @@ class TestPrinterDetails:
         text = print_function(fn)
         m2 = parse_module(text)
         verify_module(m2)
+
+
+def _bits(value):
+    import struct
+
+    return struct.pack("<d", value)
+
+
+# Doubles whose printed spelling must parse back to the same bits: the
+# printer writes ``repr(value)``, which drops the ``.`` for exponents
+# (``1e+20``, ``1e-05``) and spells the specials ``inf``/``-inf``/``nan``.
+DOUBLE_SPELLINGS = [
+    (0.0, "0.0"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),                      # smallest subnormal
+    (-2.225073858507201e-308, "-2.225073858507201e-308"),  # largest subnormal
+    (2.2250738585072014e-308, "2.2250738585072014e-308"),  # smallest normal
+    (1e20, "1e+20"),
+    (1e-05, "1e-05"),
+    (-1.5e300, "-1.5e+300"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    (0.1, "0.1"),
+]
+
+# Float (f32) constants hold values rounded to single precision; their
+# printed doubles must come back as the same single.
+FLOAT_SPELLINGS = [
+    (0.1, "0.10000000149011612"),
+    (1e20, "1.0000000200408773e+20"),
+    (1e-05, "9.999999747378752e-06"),
+    (1e-45, "1.401298464324817e-45"),        # smallest f32 subnormal
+    (3.4028234663852886e38, "3.4028234663852886e+38"),
+    (float("-inf"), "-inf"),
+    (-0.0, "-0.0"),
+]
+
+
+class TestFloatConstantRoundTrip:
+    @staticmethod
+    def _module(ty, value):
+        from repro.ir import ConstantFloat, FunctionType, IRBuilder, Module
+        from repro.ir import F32, F64
+
+        fty = {"double": F64, "float": F32}[ty]
+        m = Module()
+        fn = m.add_function("f", FunctionType(fty, [fty]))
+        b = IRBuilder(fn.add_block("entry"))
+        b.ret(b.fmul(fn.arguments[0], ConstantFloat(fty, value)))
+        return m
+
+    @staticmethod
+    def _constant(module):
+        return module.get_function("f").blocks[0].instructions[0].operands[1]
+
+    @pytest.mark.parametrize("value,spelling", DOUBLE_SPELLINGS)
+    def test_double_prints_and_parses_back_bit_for_bit(self, value, spelling):
+        text = print_module(self._module("double", value))
+        assert f", {spelling}\n" in text
+        parsed = self._constant(parse_module(text))
+        assert _bits(parsed.value) == _bits(value)
+        assert print_module(parse_module(text)) == text
+
+    @pytest.mark.parametrize("value,spelling", FLOAT_SPELLINGS)
+    def test_float_prints_and_parses_back_bit_for_bit(self, value, spelling):
+        module = self._module("float", value)
+        rounded = self._constant(module).value
+        text = print_module(module)
+        assert f", {spelling}\n" in text
+        parsed = self._constant(parse_module(text))
+        assert _bits(parsed.value) == _bits(rounded)
+        assert print_module(parse_module(text)) == text
+
+    @pytest.mark.parametrize("ty", ["double", "float"])
+    def test_nan_parses_back_as_nan(self, ty):
+        text = print_module(self._module(ty, float("nan")))
+        assert ", nan\n" in text
+        parsed = self._constant(parse_module(text))
+        assert parsed.value != parsed.value
+        assert print_module(parse_module(text)) == text
+
+    @pytest.mark.parametrize("spelling", ["inf", "nan", "1e+20", "-inf"])
+    def test_float_spelling_for_an_integer_type_is_rejected(self, spelling):
+        with pytest.raises(ParseError):
+            parse_module(
+                f"define i32 @f() {{\nentry:\n  ret i32 {spelling}\n}}\n"
+            )
