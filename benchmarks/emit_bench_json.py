@@ -96,13 +96,14 @@ def main(argv=None) -> int:
             storm["ok"]
             and results["clean"]["ok"]
             and results["journaled"]["ok"]
+            and results["journal_pairs_ok"]
             and recovery["ok"]
             and recovery["duplicate_executions"] == 0
             and recovery["supervisor_exit"] == 0
             and storm["success_rate"] >= MIN_SUCCESS_RATE
             and storm["wrong_outputs"] == 0
             and storm["coalesced"] == storm["duplicates"]
-            # Overhead is a full-run bar: one quick run is too noisy.
+            # Overhead is a full-run bar: one quick pair is too noisy.
             and (
                 args.quick
                 or results["journal_overhead_percent"]

@@ -63,6 +63,7 @@ through the deterministic fault-injection sites in
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -749,7 +750,9 @@ class DriverSession:
     (``serial_fallback=True``, what the daemon uses) or degrade to
     ``pool``-class error results (the default: an ``abort`` fault
     retried in-process would exit the caller).  A session is *not*
-    thread-safe: one owner thread (the serve scheduler) drives it.
+    thread-safe: one owner thread (the serve scheduler) drives it, and
+    only :meth:`wake` may be called from others.  Nothing polls (see
+    :meth:`_block`).
 
     Always :meth:`close` a session (or use it as a context manager):
     closing drains or degrades every outstanding job and tears the
@@ -801,9 +804,9 @@ class DriverSession:
         self._serial_fallback = serial_fallback
         self._dedupe = dedupe
         self._batch = _batch
-        self._poll = 0.005 if deadline is None else max(
-            0.002, min(0.05, deadline / 4.0)
-        )
+        #: Hang-watchdog slack (see :meth:`_overdue`).
+        self._slack = max(0.05, min(0.2, deadline or 0.0))
+        self._wake = threading.Event()  # the one wake-up; see wake()
 
         self.stats = DriverStats(jobs=0, workers=self.workers)
         if timed:
@@ -1064,8 +1067,6 @@ class DriverSession:
         the records it leaves unfingerprinted are fingerprinted lazily
         in this process, like a serve session's.
         """
-        from concurrent.futures import FIRST_EXCEPTION, wait
-
         size = self._chunk_size_for(len(recs))
         chunks: Dict[object, dict] = {}
         try:
@@ -1075,30 +1076,17 @@ class DriverSession:
                 future = self._executor.submit(
                     _fingerprint_chunk, [rec.job for rec in chunk]
                 )
-                chunks[future] = {"tickets": chunk, "first_running": None}
-            pending = set(chunks)
-            while pending:
-                done, pending = wait(
-                    pending,
-                    timeout=None if self._deadline is None else self._poll,
-                    return_when=FIRST_EXCEPTION,
-                )
-                broken = None
-                for future in done:
-                    try:
-                        found = future.result()
-                    except Exception as error:
-                        broken = error
-                        continue
+                chunks[future] = self._watch(future, chunk)
+            while chunks:
+                self._block(chunks)
+                for future in [f for f in chunks if f.done()]:
+                    found = future.result()  # raises if the pool broke
                     for rec, fingerprint in zip(
-                        chunks[future]["tickets"], found
+                        chunks.pop(future)["tickets"], found
                     ):
                         self._fingerprinted(rec, *fingerprint)
-                if broken is not None:
-                    raise broken
                 if self._deadline is not None and self._overdue(
-                    {future: chunks[future] for future in pending},
-                    perf_counter(),
+                    chunks, perf_counter()
                 ):
                     raise TimeoutError(
                         "fingerprinting exceeded the "
@@ -1269,18 +1257,12 @@ class DriverSession:
                         for t in chunk
                     ],
                 )
-                self._inflight[future] = {
-                    "tickets": chunk,
-                    "first_running": None,
-                    "submitted": perf_counter(),
-                }
+                self._inflight[future] = self._watch(future, chunk)
                 start += size
         finally:
             self._queue.extend(eligible[start:])
 
     def _pump_pool(self) -> None:
-        from concurrent.futures import FIRST_COMPLETED, wait
-
         if self._queue and self._executor is None:
             if self._respawns > MAX_POOL_RESPAWNS:
                 detail = f": {self._pool_error}" if self._pool_error else ""
@@ -1291,17 +1273,10 @@ class DriverSession:
                 )
                 return
             self._executor = self._spawn_executor()
-        if self._queue:
-            self._dispatch()
-        if not self._inflight:
-            return
-
-        done, _ = wait(
-            set(self._inflight), timeout=0, return_when=FIRST_COMPLETED
-        )
+        self._dispatch()
         now = perf_counter()
         broken = False
-        for future in done:
+        for future in [f for f in self._inflight if f.done()]:
             try:
                 outcomes = future.result()
             except Exception:
@@ -1323,19 +1298,35 @@ class DriverSession:
         elif self._deadline is not None:
             self._kill_hangs(now)
 
+    def _watch(self, future, tickets: list) -> dict:
+        """Track a chunk just sent to the pool; its future wakes the
+        session when done, and ``due`` is its watchdog timer."""
+        future.add_done_callback(lambda _: self.wake())
+        now = perf_counter()
+        return {
+            "tickets": tickets,
+            "submitted": now,
+            "started": None,
+            "due": now + self._slack,
+        }
+
     def _overdue(self, chunks: Dict[object, dict], now: float) -> List[object]:
         """The futures in ``chunks`` that have run longer than
-        ``deadline`` per job plus slack: non-cooperative stalls."""
-        slack = max(4 * self._poll, 0.05)
+        ``deadline`` per job plus slack: non-cooperative stalls.  A
+        chunk first seen running is due at the end of that budget; one
+        not yet running is looked at again one slack from now."""
         hung = []
         for future, info in chunks.items():
-            if info["first_running"] is None and future.running():
-                info["first_running"] = now
-            if info["first_running"] is None:
-                continue
-            budget = self._deadline * len(info["tickets"]) + slack
-            if now - info["first_running"] > budget:
-                hung.append(future)
+            if info["started"] is not None:
+                if now > info["due"]:
+                    hung.append(future)
+            elif future.running():
+                info["started"] = now
+                info["due"] = (
+                    now + self._deadline * len(info["tickets"]) + self._slack
+                )
+            else:
+                info["due"] = now + self._slack
         return hung
 
     def _kill_hangs(self, now: float) -> None:
@@ -1381,6 +1372,31 @@ class DriverSession:
         """Tickets submitted but not yet resolved."""
         return len(self._tickets)
 
+    def wake(self) -> None:
+        """Wake whatever blocks on the session; safe from any thread.
+        Every pool future calls it when done."""
+        self._wake.set()
+
+    def _block(
+        self, chunks: Dict[object, dict], until: Optional[float] = None
+    ) -> None:
+        """Block until a wake, ``until``, or the next timer: a queued
+        ticket's retry backoff or, under a deadline, a chunk's ``due``.
+        Clears the wake on the way out: the caller re-examines
+        everything after each return, so no later wake is lost."""
+        timers = [self._tickets[t].not_before for t in self._queue]
+        if self._deadline is not None:
+            timers.extend(info["due"] for info in chunks.values())
+        if until is not None:
+            timers.append(until)
+        due = min(timers, default=None)
+        self._wake.wait(None if due is None else due - perf_counter())
+        self._wake.clear()
+
+    def wait(self) -> None:
+        """Block until there is something to pump (see :meth:`_block`)."""
+        self._block(self._inflight)
+
     def pump(self, timeout: Optional[float] = 0.0) -> None:
         """Advance the engine until a ticket resolves, nothing is
         pending, or ``timeout`` passes.
@@ -1389,29 +1405,25 @@ class DriverSession:
         as long as it takes.  Each resolved ticket's ``on_done`` fires
         from inside this call.
         """
-        deadline_at = None if timeout is None else perf_counter() + timeout
-        pending = self.pending
-        while True:
-            self._advance()
-            if self.pending < pending or self.pending == 0:
-                return
-            if deadline_at is not None and perf_counter() >= deadline_at:
-                return
-            sleep(self._poll)
+        self._pump_while(max(1, self.pending), timeout)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Pump until every submitted ticket has resolved, or
         ``timeout`` passes; True when nothing is pending."""
-        deadline_at = None if timeout is None else perf_counter() + timeout
-        while True:
-            self.pump(
-                None if deadline_at is None
-                else max(0.0, deadline_at - perf_counter())
-            )
-            if self.pending == 0:
-                return True
-            if deadline_at is not None and perf_counter() >= deadline_at:
-                return False
+        self._pump_while(1, timeout)
+        return self.pending == 0
+
+    def _pump_while(self, pending: int, timeout: Optional[float]) -> None:
+        """Advance at least once, and again after each wake-up while
+        ``pending`` tickets or more remain and ``timeout`` has not
+        passed."""
+        until = None if timeout is None else perf_counter() + timeout
+        self._advance()
+        while self.pending >= pending and (
+            until is None or perf_counter() < until
+        ):
+            self._block(self._inflight, until)
+            self._advance()
 
     # -- teardown -----------------------------------------------------------
 

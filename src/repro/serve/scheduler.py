@@ -127,6 +127,9 @@ class Scheduler:
     ``offer`` (any thread) admits or refuses instantly; admitted
     entries queue for the scheduler thread, which submits each to the
     session together with the callback that completes it, and pumps.
+    Between steps the thread blocks on the session's one wake-up,
+    which offers, pool completions and :meth:`stop` set: nothing
+    polls.
     The session calls that callback exactly once, on the scheduler
     thread: from ``submit`` for a cache hit or quarantine refusal,
     from a pump for everything else, from ``close`` for work the stop
@@ -137,12 +140,6 @@ class Scheduler:
     Per-tenant and latency accounting lands on the shared
     :class:`~repro.driver.ServiceStats` under the stats lock.
     """
-
-    #: Idle poll interval: how long the loop sleeps on its wake event
-    #: when nothing is pending.
-    IDLE_WAIT = 0.05
-    #: Poll granularity while pool work is in flight.
-    BUSY_WAIT = 0.005
 
     def __init__(
         self,
@@ -162,7 +159,6 @@ class Scheduler:
         #: admitted into a dead inbox.
         self._offer_lock = threading.Lock()
         self._inbox: deque = deque()
-        self._wake = threading.Event()
         self._stop_requested = False
         self._thread: Optional[threading.Thread] = None
         self._closed = False
@@ -206,7 +202,7 @@ class Scheduler:
         with self._stats_lock:
             self.stats.accepted += 1
             self.stats.tenant(tenant).accepted += 1
-        self._wake.set()
+        self.session.wake()
         return None
 
     def record_invalid(self) -> None:
@@ -256,11 +252,11 @@ class Scheduler:
         the first admitted job, sized to it.  (A serial session runs
         nothing until the final pump, so back-to-back identical entries
         can still coalesce.)  ``wait`` is the final pump's timeout: 0
-        polls (the threaded loop's mode), ``None`` blocks until at
-        least one result completes in this step or nothing is pending
-        -- what an unthreaded driver over a process pool needs to make
-        guaranteed progress.  Completion callbacks fire from inside
-        this call.  Returns the number of results that completed.
+        never blocks (the threaded loop blocks in the session's
+        :meth:`~DriverSession.wait` instead), ``None`` blocks until a
+        result completes in this step or nothing is pending.
+        Completion callbacks fire from inside this call.  Returns the
+        number of results that completed.
         """
         before = self.stats.completed
         while self._inbox:
@@ -273,20 +269,14 @@ class Scheduler:
         return self.stats.completed - before
 
     def _run(self) -> None:
-        while True:
+        """Step, then block on the session's wake-up; return on a stop,
+        or once a drain leaves nothing outstanding (a draining daemon
+        admits nothing more)."""
+        while not self._stop_requested:
             self.pump_once()
-            idle = not self._inbox and self.session.pending == 0
-            if self._stop_requested and idle:
+            if self.admission.draining and self.admission.outstanding == 0:
                 return
-            if idle:
-                self._wake.wait(timeout=self.IDLE_WAIT)
-                self._wake.clear()
-            else:
-                # Pool work in flight: poll briskly.  (Serial sessions
-                # resolve everything inside pump_once, so reaching
-                # here means a real pool is computing.)
-                self._wake.wait(timeout=self.BUSY_WAIT)
-                self._wake.clear()
+            self.session.wait()
 
     def start(self, threaded: bool = True) -> None:
         """Begin scheduling; ``threaded=False`` leaves stepping to tests."""
@@ -304,25 +294,16 @@ class Scheduler:
         Returns True when all admitted work completed within
         ``timeout`` (None = wait indefinitely).  The daemon is still
         alive afterwards -- ``stats``/``ping`` keep answering; only
-        ``optimize`` is refused.
+        ``optimize`` is refused.  Threaded, the loop returns once
+        nothing admitted is outstanding, and this joins it.
         """
         self.admission.start_draining()
-        deadline_at = None if timeout is None else perf_counter() + timeout
-        if self._thread is None:
-            while self._inbox or self.session.pending:
-                if deadline_at is None:
-                    self.pump_once(wait=None)
-                    continue
-                remaining = deadline_at - perf_counter()
-                if remaining <= 0:
-                    break  # timeout=0 means "do not wait at all"
-                self.pump_once(wait=remaining)
-        else:
-            self._wake.set()
-            while self._inbox or self.session.pending:
-                if deadline_at is not None and perf_counter() > deadline_at:
-                    break
-                threading.Event().wait(0.005)
+        if self._thread is not None:
+            self.session.wake()
+            self._thread.join(timeout)
+        elif timeout is None or timeout > 0:  # 0: do not wait at all
+            self.pump_once()  # moves the inbox into the session
+            self.session.drain(timeout)
         return self.admission.outstanding == 0
 
     def stop(self, drain_timeout: Optional[float] = None) -> None:
@@ -336,7 +317,7 @@ class Scheduler:
             return
         self.drain(timeout=drain_timeout)
         self._stop_requested = True
-        self._wake.set()
+        self.session.wake()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

@@ -10,11 +10,13 @@ rest of the pool suite.
 import json
 import os
 from functools import partial
+from time import perf_counter
 
 import pytest
 
 from repro.bench import angha
 from repro.driver import (
+    DriverSession,
     FunctionJob,
     QuarantineList,
     optimize_functions,
@@ -23,6 +25,7 @@ from repro.driver import (
 )
 from repro.driver import core
 from repro.driver.core import _Failure
+from repro.driver.types import DriverStats
 from repro.faultinject import FaultPlan, clear_plan
 from repro.transforms.pass_manager import PassError, PassManager
 
@@ -642,20 +645,19 @@ class TestPoolCollectExceptionSafety:
         # A bug (or signal) inside the collect loop must tear the pool
         # down, requeue the in-flight work, and degrade it through the
         # serial fallback -- never leak workers or lose the batch.
-        # ``wait`` is imported at call time, so the stdlib attribute
-        # is the seam.
-        import concurrent.futures as cf
-
-        real_wait = cf.wait
+        # Collecting a pooled result records its latency before it
+        # settles the ticket, so ``DriverStats.record_latency`` is the
+        # seam.
+        real_record = DriverStats.record_latency
         calls = {"n": 0}
 
-        def exploding_wait(fs, timeout=None, return_when=None):
+        def exploding_record(stats, seconds):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("injected collect failure")
-            return real_wait(fs, timeout=timeout, return_when=return_when)
+            return real_record(stats, seconds)
 
-        monkeypatch.setattr(cf, "wait", exploding_wait)
+        monkeypatch.setattr(DriverStats, "record_latency", exploding_record)
         jobs = _jobs(4)
         report = optimize_functions(
             jobs, workers=2, retries=0, serial_fallback=True,
@@ -669,12 +671,12 @@ class TestPoolCollectExceptionSafety:
     def test_exception_mid_collect_without_fallback_is_structured(
         self, monkeypatch
     ):
-        import concurrent.futures as cf
-
-        def always_exploding_wait(fs, timeout=None, return_when=None):
+        def always_exploding_record(stats, seconds):
             raise RuntimeError("injected collect failure")
 
-        monkeypatch.setattr(cf, "wait", always_exploding_wait)
+        monkeypatch.setattr(
+            DriverStats, "record_latency", always_exploding_record
+        )
         monkeypatch.setattr(core, "MAX_POOL_RESPAWNS", 1)
         jobs = _jobs(3)
         report = optimize_functions(
@@ -689,6 +691,66 @@ class TestPoolCollectExceptionSafety:
             "injected collect failure" in (r.error or "")
             for r in report.results
         )
+
+
+@pytest.mark.parallel
+class TestWakeUps:
+    """The session blocks on its one wake-up: pool completions and
+    :meth:`DriverSession.wake` set it, and timers bound the wait."""
+
+    def test_pool_batch_never_sleeps(self, monkeypatch):
+        # Only the in-process retry backoff may sleep in the session;
+        # a pooled batch with nothing failing must never call it.
+        # Forked workers inherit the patch, so it raises only here.
+        parent, real_sleep = os.getpid(), core.sleep
+
+        def no_sleep(seconds):
+            if os.getpid() == parent:
+                raise AssertionError(f"session slept {seconds}s")
+            real_sleep(seconds)
+
+        monkeypatch.setattr(core, "sleep", no_sleep)
+        jobs = _jobs(4)
+        report = optimize_functions(jobs, workers=2, use_cache=False)
+        assert not any(r.failed for r in report.results)
+        with DriverSession(workers=2, use_cache=False) as session:
+            resolved = {}
+            for index, job in enumerate(jobs):
+                session.submit(job, partial(resolved.__setitem__, index))
+            assert session.drain() is True
+        assert [resolved[i].stable_dict() for i in range(len(jobs))] == [
+            r.stable_dict() for r in report.results
+        ]
+
+    def test_pool_retry_backoff_fires_without_a_completion(self):
+        # The retried ticket waits out its backoff in the queue with no
+        # future in flight to wake the session: its timer must.  Hit
+        # counters are per worker, so each of the two workers raises
+        # once, on its first job: two retries cover a job whose retry
+        # lands on the other worker.
+        jobs = _jobs(2)
+        resolved = {}
+        start = perf_counter()
+
+        def done(index, result):
+            resolved[index] = (result, perf_counter() - start)
+
+        with DriverSession(
+            workers=2, use_cache=False, retries=2, retry_backoff=0.2,
+            fault_plan="driver.worker.start:raise@1",
+        ) as session:
+            for index, job in enumerate(jobs):
+                session.submit(job, partial(done, index))
+            assert session.drain(timeout=10) is True
+        assert not any(result.failed for result, _ in resolved.values())
+        retried = [
+            after for result, after in resolved.values()
+            if result.attempts > 1
+        ]
+        assert retried and session.stats.retried == sum(
+            result.attempts - 1 for result, _ in resolved.values()
+        )
+        assert all(after >= 0.2 for after in retried)
 
 
 class TestTerminatePoolWorkers:

@@ -15,9 +15,11 @@ The chaos acceptance storm rides the shared fault-injection plans
 
 import json
 import threading
+import time
 
 import pytest
 
+from repro.driver import DriverSession, FunctionJob
 from repro.faultinject import clear_plan
 from repro.serve import (
     LoopbackClient,
@@ -32,6 +34,7 @@ from repro.serve import (
     parse_request,
     response_error_kind,
 )
+from repro.serve.scheduler import Scheduler
 
 pytestmark = pytest.mark.serve
 
@@ -504,6 +507,39 @@ class TestPoolServe:
         session = service.scheduler.session
         assert session._executor is None, "pool outlived the daemon"
         assert not service.alive
+
+
+@pytest.mark.parallel
+class TestEventDrivenScheduler:
+    """The threaded loop blocks on the session's wake-up: no steps
+    while idle, and an offer wakes it."""
+
+    def test_idle_scheduler_takes_no_steps(self):
+        scheduler = Scheduler(DriverSession(workers=2, use_cache=False))
+        steps = []
+        real_pump_once = scheduler.pump_once
+
+        def counted(wait=0.0):
+            steps.append(wait)
+            return real_pump_once(wait)
+
+        scheduler.pump_once = counted
+        scheduler.start()
+        try:
+            time.sleep(0.5)
+            assert len(steps) <= 1, f"{len(steps)} steps while idle"
+            results, done = [], threading.Event()
+
+            def complete(result):
+                results.append(result)
+                done.set()
+
+            job = FunctionJob(name="f", ir_text=IR)
+            assert scheduler.offer(job, "t", complete) is None
+            assert done.wait(5.0), "the offer did not wake the loop"
+            assert not results[0].failed
+        finally:
+            scheduler.stop()
 
 
 class TestHttpTransport:
