@@ -30,7 +30,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faultinject import fire
 from ..ir.compile_eval import CompiledProgram, make_machine
-from ..ir.interp import Machine, StepLimitExceeded, TrapError
+from ..ir.interp import (
+    Machine,
+    MemoryLimitExceeded,
+    StepLimitExceeded,
+    TrapError,
+)
 from ..ir.module import Function, Module
 from ..ir.types import FloatType, IntType, PointerType
 from ..ir.values import GlobalVariable
@@ -93,6 +98,8 @@ class ArgumentVector:
 
 
 def _trap_kind(error: TrapError) -> str:
+    if isinstance(error, MemoryLimitExceeded):
+        return "memory-limit"
     message = str(error)
     if "by zero" in message:
         return "div-by-zero"
@@ -178,9 +185,14 @@ def observe_call(
     observations of the same module.
     """
     fire("difftest.observe")
-    machine = make_machine(
-        module, evaluator, step_limit=step_limit, program=program
-    )
+    try:
+        machine = make_machine(
+            module, evaluator, step_limit=step_limit, program=program
+        )
+    except MemoryLimitExceeded as error:
+        # The module's globals alone do not fit: every call traps
+        # before its first step.
+        return Observation(status="trap", trap_kind=_trap_kind(error))
     for name, handler in oracle_externs(module).items():
         machine.register_extern(name, handler)
     fn = module.get_function(fn_name)
@@ -213,17 +225,15 @@ def observe_call(
 
     if isinstance(fn.return_type, PointerType):
         result = "<ptr>"
-    globals_bytes = tuple(
-        sorted(
-            (name, content)
-            for name, content in machine.global_contents().items()
-            if not name.startswith(_ARTIFACT_PREFIXES)
-        )
-    )
-    buffers = tuple(
-        bytes(machine.read_bytes(address, size))
+    memory = machine.memory
+    globals_bytes = tuple([
+        (name, bytes(memory[address : address + size]))
+        for name, address, size in _program_globals(module, machine)
+    ])
+    buffers = tuple([
+        bytes(memory[address : address + size])
         for address, size in buffer_slots
-    )
+    ])
     trace = tuple(
         (name, _normalize_trace_args(call_args))
         for name, call_args in machine.extern_trace
@@ -236,6 +246,22 @@ def observe_call(
         extern_trace=trace,
         steps=machine.steps,
     )
+
+
+def _program_globals(
+    module: Module, machine: Machine
+) -> Tuple[Tuple[str, int, int], ...]:
+    """``machine.global_spans`` of the program's own globals (not the
+    compiler's artifacts), sorted by name: computed once per memory
+    image, which every machine of one module state shares."""
+    spans = machine.global_spans
+    cached = getattr(module, "_oracle_globals", None)
+    if cached is None or cached[0] is not spans:
+        cached = module._oracle_globals = (spans, tuple(sorted(
+            span for span in spans
+            if not span[0].startswith(_ARTIFACT_PREFIXES)
+        )))
+    return cached[1]
 
 
 def _same_value(a: object, b: object) -> bool:

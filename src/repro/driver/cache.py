@@ -78,7 +78,10 @@ log = logging.getLogger(__name__)
 #: stored mismatch or rollback can now be a pass.  13: the backend-
 #: parity rule (the ``strict`` gate) matches a NaN result or extern
 #: argument to a NaN, so a stored ``strict`` rollback can now commit.
-SCHEMA_VERSION = 13
+#: 14: the evaluators cap machine memory (``MEMORY_LIMIT``), so an
+#: input that allocated past it now traps where a stored verdict saw it
+#: complete.
+SCHEMA_VERSION = 14
 
 #: ``job_key``/``quarantine_key`` sentinel: "compute the summary here".
 _AUTO = object()

@@ -36,7 +36,9 @@ from .instructions import (
     COMMUTATIVE_OPCODES,
 )
 from .interp import (
+    MEMORY_LIMIT,
     Machine,
+    MemoryLimitExceeded,
     SHIFT_AMOUNT_MODULO_BITS,
     StepLimitExceeded,
     TrapError,
@@ -118,7 +120,8 @@ __all__ = [
     "FunctionSnapshot",
     "FunctionType", "GetElementPtr", "GlobalVariable", "I1", "I16", "I32",
     "I64", "I8", "ICmp", "IRBuilder", "Instruction", "IntType", "LABEL",
-    "Load", "Machine", "Module", "ParseError", "Phi", "PointerType", "Ret",
+    "Load", "MEMORY_LIMIT", "Machine", "MemoryLimitExceeded", "Module",
+    "ParseError", "Phi", "PointerType", "Ret",
     "Select", "StepLimitExceeded", "Store", "StructType",
     "StructuralSummary", "TrapError",
     "Type", "UndefValue", "Unreachable", "VOID", "Value",

@@ -18,8 +18,10 @@ functions keyed by opcode or predicate: :data:`INT_BINOP_IMPLS`,
 :data:`CAST_IMPLS`, and the per-type load/store codec
 :func:`value_codec`.  :class:`Machine` dispatches through them, the
 compiling evaluator (:mod:`repro.ir.compile_eval`) binds one entry per
-instruction, :mod:`repro.transforms.constfold` folds with them, and the
-frontend folds global initializers with :func:`eval_binop` and
+instruction (through :func:`int_binop_impl`, :func:`float_binop_impl`
+and :func:`cast_impl_at`, the same entries with the width bound),
+:mod:`repro.transforms.constfold` folds with them, and the frontend
+folds global initializers with :func:`eval_binop` and
 :func:`eval_cast`, so all four agree bit for bit.
 
 Integer semantics (the contract every transform must preserve):
@@ -43,9 +45,10 @@ Integer semantics (the contract every transform must preserve):
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import zlib
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .instructions import (
@@ -71,6 +74,8 @@ from .types import (
     PointerType,
     StructType,
     Type,
+    _F32_PACK,
+    _F32_UNPACK,
     round_float,
 )
 from .values import (
@@ -94,6 +99,10 @@ class StepLimitExceeded(TrapError):
     """The configured dynamic instruction budget was exhausted."""
 
 
+class MemoryLimitExceeded(TrapError):
+    """An allocation would grow memory past :data:`MEMORY_LIMIT`."""
+
+
 #: ShiftSemantics: ``shl``/``lshr``/``ashr`` amounts are reduced modulo
 #: the operand bit width.  An out-of-range constant amount is therefore
 #: verifier-legal; both the interpreter and the constant folder apply
@@ -104,11 +113,20 @@ SHIFT_AMOUNT_MODULO_BITS = True
 #: trapping; only division by zero traps.
 INT_MIN_DIV_WRAPS = True
 
+#: The most bytes one machine's memory may hold: globals, allocas and
+#: caller buffers together.  An allocation past it raises
+#: :class:`MemoryLimitExceeded` on every backend, so no single IR input
+#: can make an evaluating process allocate without bound.
+MEMORY_LIMIT = 64 << 20
+
 
 def _wrap_signed(value: int, bits: int) -> int:
-    value &= (1 << bits) - 1
-    if bits > 1 and value >= (1 << (bits - 1)):
-        value -= 1 << bits
+    half = 1 << (bits - 1)
+    if bits > 1 and -half <= value < half:
+        return value  # already in range: the common case, no masking
+    value &= (half << 1) - 1
+    if bits > 1 and value >= half:
+        value -= half << 1
     return value
 
 
@@ -116,16 +134,25 @@ def _as_unsigned(value: int, bits: int) -> int:
     return value & ((1 << bits) - 1)
 
 
-def _int_add(bits: int, a: int, b: int) -> int:
-    return _wrap_signed(a + b, bits)
+#: The integer opcodes whose result is Python's own operation on the
+#: operands, wrapped to the width.
+_WRAPPING_INT_OPS: Dict[str, Callable[[int, int], int]] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+}
 
 
-def _int_sub(bits: int, a: int, b: int) -> int:
-    return _wrap_signed(a - b, bits)
+def _wrapping(
+    raw: Callable[[int, int], int]
+) -> Callable[[int, int, int], int]:
+    def impl(bits: int, a: int, b: int) -> int:
+        return _wrap_signed(raw(a, b), bits)
 
-
-def _int_mul(bits: int, a: int, b: int) -> int:
-    return _wrap_signed(a * b, bits)
+    return impl
 
 
 def _int_sdiv(bits: int, a: int, b: int) -> int:
@@ -162,18 +189,6 @@ def _int_urem(bits: int, a: int, b: int) -> int:
     return _wrap_signed(_as_unsigned(a, bits) % ub, bits)
 
 
-def _int_and(bits: int, a: int, b: int) -> int:
-    return _wrap_signed(a & b, bits)
-
-
-def _int_or(bits: int, a: int, b: int) -> int:
-    return _wrap_signed(a | b, bits)
-
-
-def _int_xor(bits: int, a: int, b: int) -> int:
-    return _wrap_signed(a ^ b, bits)
-
-
 def _int_shl(bits: int, a: int, b: int) -> int:
     # The amount reduces from the *unsigned* form: widths need not be
     # powers of two, so ``b % bits`` alone would disagree for negatives.
@@ -197,20 +212,56 @@ def _int_ashr(bits: int, a: int, b: int) -> int:
 #: evaluator) pre-bind the entry instead of re-dispatching on the
 #: opcode string every time.
 INT_BINOP_IMPLS: Dict[str, Callable[[int, int, int], int]] = {
-    "add": _int_add,
-    "sub": _int_sub,
-    "mul": _int_mul,
+    **{opcode: _wrapping(raw) for opcode, raw in _WRAPPING_INT_OPS.items()},
     "sdiv": _int_sdiv,
     "udiv": _int_udiv,
     "srem": _int_srem,
     "urem": _int_urem,
-    "and": _int_and,
-    "or": _int_or,
-    "xor": _int_xor,
     "shl": _int_shl,
     "lshr": _int_lshr,
     "ashr": _int_ashr,
 }
+
+
+def _wrapping_at(raw: Callable, bits: int) -> Callable:
+    """``lambda *args: _wrap_signed(raw(*args), bits)`` for one or two
+    arguments, with :func:`_wrap_signed`'s in-range case inlined."""
+    half = 1 << (bits - 1)
+    low = -half if bits > 1 else half  # i1 always masks
+    if raw is int:
+
+        def wrap_one(value: object) -> int:
+            value = int(value)
+            if low <= value < half:
+                return value
+            return _wrap_signed(value, bits)
+
+        return wrap_one
+
+    def wrap_two(a: int, b: int) -> int:
+        value = raw(a, b)
+        if low <= value < half:
+            return value
+        return _wrap_signed(value, bits)
+
+    return wrap_two
+
+
+@cache
+def int_binop_impl(
+    opcode: str, bits: int
+) -> Optional[Callable[[int, int], int]]:
+    """``INT_BINOP_IMPLS[opcode]`` with ``bits`` bound, as ``impl(a,
+    b)`` (``None`` for an unknown opcode).
+
+    For callers that execute one instruction many times (the compiling
+    evaluator): a wrapping opcode becomes one call that wraps inline.
+    """
+    raw = _WRAPPING_INT_OPS.get(opcode)
+    if raw is not None:
+        return _wrapping_at(raw, bits)
+    impl = INT_BINOP_IMPLS.get(opcode)
+    return None if impl is None else partial(impl, bits)
 
 
 def eval_int_binop(opcode: str, bits: int, a: int, b: int) -> int:
@@ -228,16 +279,22 @@ def eval_int_binop(opcode: str, bits: int, a: int, b: int) -> int:
     return impl(bits, int(a), int(b))
 
 
-def _float_add(bits: int, a: float, b: float) -> float:
-    return round_float(a + b, bits)
+#: The float opcodes whose result is Python's own operation on the
+#: operands, rounded to the width.
+_ROUNDING_FLOAT_OPS: Dict[str, Callable[[float, float], float]] = {
+    "fadd": operator.add,
+    "fsub": operator.sub,
+    "fmul": operator.mul,
+}
 
 
-def _float_sub(bits: int, a: float, b: float) -> float:
-    return round_float(a - b, bits)
+def _rounding(
+    raw: Callable[[float, float], float]
+) -> Callable[[int, float, float], float]:
+    def impl(bits: int, a: float, b: float) -> float:
+        return round_float(raw(a, b), bits)
 
-
-def _float_mul(bits: int, a: float, b: float) -> float:
-    return round_float(a * b, bits)
+    return impl
 
 
 def _float_div(bits: int, a: float, b: float) -> float:
@@ -260,12 +317,37 @@ def _float_rem(bits: int, a: float, b: float) -> float:
 
 #: One implementation per float opcode, each ``impl(bits, a, b)``.
 FLOAT_BINOP_IMPLS: Dict[str, Callable[[int, float, float], float]] = {
-    "fadd": _float_add,
-    "fsub": _float_sub,
-    "fmul": _float_mul,
+    **{opcode: _rounding(raw) for opcode, raw in _ROUNDING_FLOAT_OPS.items()},
     "fdiv": _float_div,
     "frem": _float_rem,
 }
+
+
+@cache
+def float_binop_impl(
+    opcode: str, bits: int
+) -> Optional[Callable[[float, float], float]]:
+    """``FLOAT_BINOP_IMPLS[opcode]`` with ``bits`` bound, as ``impl(a,
+    b)`` (``None`` for an unknown opcode); see :func:`int_binop_impl`.
+
+    A double keeps Python's result (:func:`round_float` at 64 bits is
+    the identity), so its rounding opcodes are the bare operation.
+    """
+    raw = _ROUNDING_FLOAT_OPS.get(opcode)
+    if raw is None:
+        impl = FLOAT_BINOP_IMPLS.get(opcode)
+        return None if impl is None else partial(impl, bits)
+    if bits == 64:
+        return raw
+
+    def rounded(a: float, b: float) -> float:
+        value = raw(a, b)
+        try:
+            return _F32_UNPACK(_F32_PACK(value))[0]  # round_float at 32
+        except (OverflowError, ValueError):
+            return round_float(value, 32)
+
+    return rounded
 
 
 def eval_binop(opcode: str, ty: Type, a: object, b: object) -> object:
@@ -510,6 +592,18 @@ def cast_impl(
     return (I1_CAST_IMPLS if i1 else CAST_IMPLS).get(opcode)
 
 
+@cache
+def cast_impl_at(
+    opcode: str, src: Type, dst: Type
+) -> Optional[Callable[[object], object]]:
+    """:func:`cast_impl` with both types bound, as ``impl(value)``
+    (``None`` for an unknown opcode); see :func:`int_binop_impl`."""
+    impl = cast_impl(opcode, src)
+    if impl is _cast_wrap:
+        return _wrapping_at(int, dst.bits)
+    return None if impl is None else partial(impl, src, dst)
+
+
 def eval_cast(opcode: str, value: object, src: Type, dst: Type) -> object:
     """Evaluate one cast of ``value`` from ``src`` to ``dst``.
 
@@ -550,18 +644,26 @@ def _value_of(raw: int, ty: Type) -> object:
 
 class ValueCodec(NamedTuple):
     """How one type's values sit in memory: ``size`` little-endian
-    bytes, ``decode(raw)`` to read them and ``encode(value)`` to write.
+    bytes, read by ``load(memory, addr)`` and written by
+    ``store(memory, addr, value)``.
 
-    A type with no scalar encoding gets a codec that raises
+    Both accessors check bounds themselves and raise the one
+    out-of-bounds :class:`TrapError` text :meth:`Machine.read_bytes`
+    raises, so an access is one call into ``struct``'s
+    ``unpack_from``/``pack_into`` with no intermediate ``bytes``.  A
+    type with no scalar encoding gets a codec that raises
     :class:`TrapError` (a load after its bounds check, a store before).
     """
 
     size: int
-    decode: Callable[[bytes], object]
-    encode: Callable[[object], bytes]
+    load: Callable[[bytearray, int], object]
+    store: Callable[[bytearray, int, object], None]
 
 
 _CODECS: Dict[Tuple[Type, int], ValueCodec] = {}
+
+#: ``struct`` format letters of the integer sizes it packs directly.
+_INT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def value_codec(ty: Type, layout: DataLayout) -> ValueCodec:
@@ -573,41 +675,125 @@ def value_codec(ty: Type, layout: DataLayout) -> ValueCodec:
     return codec
 
 
+def _out_of_bounds(addr: int, size: int) -> TrapError:
+    return TrapError(f"out-of-bounds access at {addr} size {size}")
+
+
 def _build_codec(ty: Type, size: int) -> ValueCodec:
-    if isinstance(ty, IntType):
-        bits = ty.bits
-        mask = (1 << (size * 8)) - 1
-
-        if size * 8 == bits:
-            # A type that fills its bytes: the signed read, in C.
-            decode = partial(int.from_bytes, byteorder="little", signed=True)
-        else:
-
-            def decode(raw: bytes) -> int:
-                return _wrap_signed(int.from_bytes(raw, "little"), bits)
-
-        def encode(value: object) -> bytes:
-            return (int(value) & mask).to_bytes(size, "little")
-
-        return ValueCodec(size, decode, encode)
+    letter = _INT_FORMATS.get(size)
     if isinstance(ty, FloatType):
-        packer = struct.Struct("<f" if ty.bits == 32 else "<d")
-        unpack = packer.unpack
-        return ValueCodec(size, lambda raw: unpack(raw)[0], packer.pack)
-    if isinstance(ty, PointerType):
+        fmt = struct.Struct("<f" if ty.bits == 32 else "<d")
         return ValueCodec(
             size,
-            partial(int.from_bytes, byteorder="little"),
-            lambda value: int(value).to_bytes(size, "little"),
+            _loader(size, fmt.unpack_from),
+            _storer(size, fmt.pack_into),
         )
+    if isinstance(ty, IntType):
+        mask = (1 << (size * 8)) - 1
+        if letter is None:  # a size ``struct`` has no letter for (i24, ...)
+            return ValueCodec(
+                size,
+                _bytes_loader(size, ty.bits),
+                _bytes_storer(size, mask),
+            )
+        full = ty.bits == size * 8
+        # A type that fills its bytes reads signed, in C; a narrower
+        # one (``i1``) reads unsigned and wraps.  Stores mask to the
+        # unsigned form.
+        unpack_from = struct.Struct(
+            "<" + (letter if full else letter.upper())
+        ).unpack_from
+        return ValueCodec(
+            size,
+            _loader(size, unpack_from, None if full else ty.bits),
+            _storer(size, struct.Struct("<" + letter.upper()).pack_into, mask),
+        )
+    if isinstance(ty, PointerType):
+        load = (
+            _bytes_loader(size, None)
+            if letter is None
+            else _loader(size, struct.Struct("<" + letter.upper()).unpack_from)
+        )
+        return ValueCodec(size, load, _bytes_storer(size, None))
 
-    def cannot_load(raw: bytes) -> object:
+    def cannot_load(memory: bytearray, addr: int) -> object:
+        if addr < 64 or addr + size > len(memory):
+            raise _out_of_bounds(addr, size)
         raise TrapError(f"cannot load type {ty}")
 
-    def cannot_store(value: object) -> bytes:
+    def cannot_store(memory: bytearray, addr: int, value: object) -> None:
         raise TrapError(f"cannot store type {ty}")
 
     return ValueCodec(size, cannot_load, cannot_store)
+
+
+# The accessors below share one bounds rule: addresses 0..63 form the
+# trap page (null and near-null), and nothing may run past the end of
+# memory.  The lower bound also keeps a negative address from indexing
+# ``struct`` from the buffer's end; ``struct`` itself enforces the upper
+# one (``struct.error`` past the end, ``IndexError``/``OverflowError``
+# for an address past ``sys.maxsize``), and only a failed access pays
+# for telling which bound it broke.
+
+
+def _loader(size: int, unpack_from, wrap_bits: Optional[int] = None):
+    def load(memory: bytearray, addr: int) -> object:
+        if addr < 64:
+            raise _out_of_bounds(addr, size)
+        try:
+            return unpack_from(memory, addr)[0]
+        except (struct.error, IndexError, OverflowError):
+            if addr + size > len(memory):
+                raise _out_of_bounds(addr, size) from None
+            raise
+
+    if wrap_bits is None:
+        return load
+
+    def load_wrapped(memory: bytearray, addr: int) -> object:
+        return _wrap_signed(load(memory, addr), wrap_bits)
+
+    return load_wrapped
+
+
+def _storer(size: int, pack_into, mask: Optional[int] = None):
+    def store(memory: bytearray, addr: int, value: object) -> None:
+        if addr < 64:
+            raise _out_of_bounds(addr, size)
+        try:
+            pack_into(
+                memory, addr, value if mask is None else int(value) & mask
+            )
+        except (struct.error, IndexError, OverflowError):
+            if addr + size > len(memory):
+                raise _out_of_bounds(addr, size) from None
+            raise
+
+    return store
+
+
+def _bytes_loader(size: int, wrap_bits: Optional[int]):
+    def load(memory: bytearray, addr: int) -> object:
+        if addr < 64 or addr + size > len(memory):
+            raise _out_of_bounds(addr, size)
+        raw = int.from_bytes(memory[addr : addr + size], "little")
+        return raw if wrap_bits is None else _wrap_signed(raw, wrap_bits)
+
+    return load
+
+
+def _bytes_storer(size: int, mask: Optional[int]):
+    """A store through ``int.to_bytes``; unmasked (pointers), a value
+    outside ``[0, 2**(8*size))`` raises ``OverflowError``."""
+
+    def store(memory: bytearray, addr: int, value: object) -> None:
+        raw = int(value) if mask is None else int(value) & mask
+        data = raw.to_bytes(size, "little")
+        if addr < 64 or addr + size > len(memory):
+            raise _out_of_bounds(addr, size)
+        memory[addr : addr + size] = data
+
+    return store
 
 
 ExternHandler = Callable[["Machine", Sequence[object]], object]
@@ -696,9 +882,20 @@ class Machine:
     # ----- memory ----------------------------------------------------------
 
     def alloc(self, size: int, align: int = 16) -> int:
-        """Bump-allocate ``size`` bytes, returning the address."""
-        addr = (len(self.memory) + align - 1) // align * align
-        self.memory.extend(b"\0" * (addr + max(size, 1) - len(self.memory)))
+        """Bump-allocate ``size`` bytes, returning the address.
+
+        Raises :class:`MemoryLimitExceeded` (and allocates nothing)
+        when memory would grow past :data:`MEMORY_LIMIT`.
+        """
+        memory = self.memory
+        addr = (len(memory) + align - 1) // align * align
+        end = addr + max(size, 1)
+        if end > MEMORY_LIMIT:
+            raise MemoryLimitExceeded(
+                f"memory limit exceeded: {size} bytes at {addr}, "
+                f"limit {MEMORY_LIMIT}"
+            )
+        memory.extend(bytes(end - len(memory)))
         return addr
 
     def _check_range(self, addr: int, size: int) -> None:
@@ -717,13 +914,12 @@ class Machine:
         self.memory[addr : addr + len(data)] = data
 
     def read_value(self, addr: int, ty: Type) -> object:
-        """Read one typed value from memory."""
-        size, decode, _ = value_codec(ty, self.layout)
-        return decode(self.read_bytes(addr, size))
+        """Read one typed value from memory (bounds-checked)."""
+        return value_codec(ty, self.layout).load(self.memory, addr)
 
     def write_value(self, addr: int, ty: Type, value: object) -> None:
-        """Write one typed value to memory."""
-        self.write_bytes(addr, value_codec(ty, self.layout).encode(value))
+        """Write one typed value to memory (bounds-checked)."""
+        value_codec(ty, self.layout).store(self.memory, addr, value)
 
     # ----- globals ----------------------------------------------------------
 
@@ -735,26 +931,35 @@ class Machine:
         # each global with its name: an appended global, or one a
         # rollback removed and a retry re-added under the same name,
         # rebuilds the image.
+        globals_ = self.module.globals
         cache_key = (
             id(self.layout),
-            tuple((gv, gv.name) for gv in self.module.globals),
+            tuple(globals_),
+            tuple([gv.name for gv in globals_]),
         )
         cached = getattr(self.module, "_interp_memory_image", None)
         if cached is not None and cached[0] == cache_key:
             self.memory = bytearray(cached[1])
             self.global_addresses = dict(cached[2])
         else:
+            spans = []
             for gv in self.module.globals:
                 size = self.layout.size_of(gv.value_type)
                 addr = self.alloc(size, self.layout.align_of(gv.value_type))
                 self.global_addresses[gv.name] = addr
+                spans.append((gv.name, addr, size))
                 if gv.initializer is not None:
                     self._write_initializer(
                         addr, gv.value_type, gv.initializer
                     )
-            self.module._interp_memory_image = (
-                cache_key, bytes(self.memory), dict(self.global_addresses)
+            cached = self.module._interp_memory_image = (
+                cache_key, bytes(self.memory), dict(self.global_addresses),
+                tuple(spans),
             )
+        #: ``(name, address, size)`` of every global, shared by every
+        #: machine built from one memory image (so callers may key
+        #: per-image work on its identity).
+        self.global_spans: Tuple[Tuple[str, int, int], ...] = cached[3]
         next_fn_addr = 8
         for fn in self.module.functions:
             self._function_addresses[next_fn_addr] = fn
@@ -787,12 +992,11 @@ class Machine:
 
     def global_contents(self) -> Dict[str, bytes]:
         """Snapshot of every global's bytes (for differential tests)."""
-        result = {}
-        for gv in self.module.globals:
-            addr = self.global_addresses[gv.name]
-            size = self.layout.size_of(gv.value_type)
-            result[gv.name] = self.read_bytes(addr, size)
-        return result
+        memory = self.memory
+        return {
+            name: bytes(memory[addr : addr + size])
+            for name, addr, size in self.global_spans
+        }
 
     # ----- externs -----------------------------------------------------------
 

@@ -162,13 +162,18 @@ class FloatType(Type):
         return "float" if self.bits == 32 else "double"
 
 
+_F32 = struct.Struct("<f")
+_F32_PACK = _F32.pack
+_F32_UNPACK = _F32.unpack
+
+
 def round_float(value: float, bits: int) -> float:
     """``value`` as a float type of ``bits`` holds it: 32 bits rounds to
     the nearest single (past its range, to a signed infinity), 64 bits
     keeps the double.  Execution and every float constant round here."""
     if bits == 32:
         try:
-            return struct.unpack("<f", struct.pack("<f", value))[0]
+            return _F32_UNPACK(_F32_PACK(value))[0]
         except (OverflowError, ValueError):
             return float("inf") if value > 0 else float("-inf")
     return value

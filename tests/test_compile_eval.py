@@ -272,6 +272,32 @@ entry:
         # fptosi of NaN is pinned to 0 in both backends.
         assert run_both(src, "h", [float("nan")])[0] == 0
 
+    def test_sext_of_computed_values(self):
+        # A sign extension of an arithmetic result or a load compiles
+        # to a register copy; the wrapped source must read the same.
+        src = """
+@b = global [2 x i8] zeroinitializer
+
+define i64 @f(i32 %a, i32 %c, i8 %v) {
+entry:
+  %x = add i32 %a, %c
+  %s = sext i32 %x to i64
+  %p = getelementptr [2 x i8], [2 x i8]* @b, i64 0, i64 1
+  store i8 %v, i8* %p
+  %l = load i8, i8* %p
+  %t = sext i8 %l to i64
+  %r = add i64 %s, %t
+  ret i64 %r
+}
+"""
+        cases = (
+            ((2**31 - 1, 1, -128), -(2**31) - 128),
+            ((-(2**31), -1, 127), 2**31 - 1 + 127),
+            ((5, 7, -1), 11),
+        )
+        for args, want in cases:
+            assert run_both(src, "f", list(args))[0] == want, args
+
     def test_extern_trace_and_defaults(self):
         src = """
 declare i32 @ext(i32)
