@@ -13,6 +13,7 @@ Usage::
     python -m repro bench --quick
     python -m repro chaos --seed 0 --rounds 4
     python -m repro serve --workers 2 --cache-dir .rolag-cache
+    python -m repro serve --fast-math --validate safe
     python -m repro client a.ll b.c -- --workers 2
 
 Input ending in ``.ll`` is parsed as IR text; anything else goes
@@ -38,6 +39,11 @@ workloads and writes
 stdio (or localhost HTTP with ``--http``); ``repro client`` submits
 files to a freshly spawned daemon and prints the familiar batch table
 (see ``docs/serve.md``).
+
+Batch, serve and difftest share the RoLAG option group
+(:func:`add_rolag_options`); batch and serve share the driver option
+group (:func:`add_driver_options`).  :func:`rolag_config_from_args`
+builds the one :class:`RolagConfig` all three run.
 """
 
 from __future__ import annotations
@@ -63,6 +69,139 @@ from .ir import (
 )
 from .rolag import RolagConfig, RolagStats, roll_loops_in_module
 from .transforms import reroll_loops, unroll_loops
+from .validation import VALIDATION_LEVELS
+
+
+def add_rolag_options(parser: argparse.ArgumentParser) -> None:
+    """The RoLAG option group: batch, serve and difftest.
+
+    :func:`rolag_config_from_args` turns it into a :class:`RolagConfig`.
+    """
+    group = parser.add_argument_group("RoLAG options")
+    group.add_argument(
+        "--loop-aware",
+        action="store_true",
+        help="re-roll enclosing loops in place",
+    )
+    group.add_argument(
+        "--fast-math",
+        action="store_true",
+        help="allow re-association of float reductions",
+    )
+    group.add_argument(
+        "--no-special-nodes",
+        action="store_true",
+        help="disable every special alignment-node kind",
+    )
+    group.add_argument(
+        "--evaluator",
+        choices=EVALUATOR_CHOICES,
+        default="interp",
+        help="execution backend of the semantics oracle, the validation "
+        "gate and a single input's --run (default: interp; 'compiled' "
+        "lowers functions to closures once and runs them without "
+        "per-instruction dispatch)",
+    )
+
+
+def add_driver_options(parser: argparse.ArgumentParser) -> None:
+    """The driver option group: batch and serve."""
+    group = parser.add_argument_group("driver options")
+    group.add_argument(
+        "--validate",
+        choices=VALIDATION_LEVELS,
+        default="off",
+        help="run every pass and rolling decision transactionally "
+        "through the online validation gate: 'fast' re-verifies touched "
+        "blocks, 'safe' adds an observation-equality check, 'strict' "
+        "adds cross-backend parity; rejected edits roll back to the "
+        "best-known-good IR (default: off)",
+    )
+    group.add_argument(
+        "--guard-dir",
+        metavar="DIR",
+        help="with --validate: write minimized guard-failure repro "
+        "bundles under DIR (default: write none)",
+    )
+    group.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help="memoize per-function optimization results under DIR",
+    )
+    group.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable result memoization: neither read nor write "
+        "memoized results",
+    )
+    group.add_argument(
+        "--no-dedupe",
+        action="store_true",
+        help="run every job even when it is alpha-equivalent to "
+        "another job in the batch or in flight",
+    )
+    group.add_argument(
+        "--check-semantics",
+        action="store_true",
+        help="differentially test every transformed module against its "
+        "input with the difftest oracle",
+    )
+    group.add_argument(
+        "--deadline",
+        type=float,
+        metavar="SECONDS",
+        help="wall-clock budget per function; overruns become "
+        "structured timeout results instead of stalling the run",
+    )
+    group.add_argument(
+        "--retries",
+        type=int,
+        default=1,
+        metavar="N",
+        help="extra attempts for a crashed/timed-out function before it "
+        "degrades to an error result (default %(default)s)",
+    )
+    group.add_argument(
+        "--retry-backoff",
+        type=float,
+        default=0.05,
+        metavar="SECONDS",
+        help="base delay between retry attempts, doubled per attempt "
+        "(default %(default)s)",
+    )
+    group.add_argument(
+        "--quarantine-file",
+        metavar="PATH",
+        help="persist failure counts to PATH and skip functions that "
+        "repeatedly crashed or hung in earlier runs",
+    )
+    group.add_argument(
+        "--fault-plan",
+        metavar="SPEC",
+        help="inject deterministic faults, e.g. "
+        "'driver.worker.start:raise@3;cache.read:corrupt' or "
+        "'@plan.json' (testing aid; see docs/robustness.md)",
+    )
+
+
+def rolag_config_from_args(args: argparse.Namespace) -> RolagConfig:
+    """The one :class:`RolagConfig` batch, serve and difftest run.
+
+    Reads the RoLAG group and, where the parser has the driver group,
+    ``--validate`` and ``--guard-dir``.  ``--evaluator`` picks the
+    validation gate's backend as well as the oracle's.  Guard-failure
+    bundles are written only where ``--guard-dir`` names a directory.
+    """
+    config = RolagConfig(
+        fast_math=args.fast_math,
+        loop_aware=args.loop_aware,
+        validate=getattr(args, "validate", "off"),
+        validate_evaluator=args.evaluator,
+        guard_dir=getattr(args, "guard_dir", None),
+    )
+    if args.no_special_nodes:
+        config = config.all_special_disabled()
+    return config
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -91,22 +230,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "(default: min(cpu count, 8); 1 forces the serial path)",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="memoize per-module optimization results under DIR",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir: neither read nor write memoized results",
-    )
-    parser.add_argument(
-        "--no-dedupe",
-        action="store_true",
-        help="disable in-batch structural dedupe: run every job even "
-        "when it is alpha-equivalent to another job in the batch",
-    )
-    parser.add_argument(
         "--unroll",
         type=int,
         metavar="N",
@@ -121,21 +244,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--roll",
         action="store_true",
         help="run RoLAG loop rolling",
-    )
-    parser.add_argument(
-        "--loop-aware",
-        action="store_true",
-        help="with --roll: re-roll enclosing loops in place",
-    )
-    parser.add_argument(
-        "--fast-math",
-        action="store_true",
-        help="with --roll: allow re-association of float reductions",
-    )
-    parser.add_argument(
-        "--no-special-nodes",
-        action="store_true",
-        help="with --roll: disable every special alignment-node kind",
     )
     parser.add_argument(
         "--emit-ir",
@@ -159,77 +267,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="interpret FUNCTION with integer/float arguments",
     )
     parser.add_argument(
-        "--check-semantics",
-        action="store_true",
-        help="batch mode: differentially test every transformed module "
-        "against its input with the difftest oracle",
-    )
-    parser.add_argument(
-        "--evaluator",
-        choices=EVALUATOR_CHOICES,
-        default="interp",
-        help="execution backend for --run and the semantics oracle "
-        "(default: interp; 'compiled' lowers functions to closures once "
-        "and runs them without per-instruction dispatch)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help="batch mode: wall-clock budget per function; overruns "
-        "become structured timeout results instead of stalling the run",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="batch mode: extra attempts for a crashed/timed-out "
-        "function before it degrades to an error result (default 1)",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="batch mode: base delay between retry attempts, doubled "
-        "per attempt (default 0.05)",
-    )
-    parser.add_argument(
-        "--quarantine-file",
-        metavar="PATH",
-        help="batch mode: persist failure counts to PATH and skip "
-        "functions that repeatedly crashed or hung in earlier runs",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        metavar="SPEC",
-        help="inject deterministic faults, e.g. "
-        "'driver.worker.start:raise@3;cache.read:corrupt' or "
-        "'@plan.json' (testing aid; see docs/robustness.md)",
-    )
-    parser.add_argument(
         "--serial-fallback",
         action="store_true",
         help="batch mode: if the worker pool keeps dying, finish the "
         "remaining functions in-process instead of abandoning them",
     )
-    parser.add_argument(
-        "--validate",
-        choices=("off", "fast", "safe", "strict"),
-        default="off",
-        help="run every pass and rolling decision transactionally "
-        "through the online validation gate: 'fast' re-verifies touched "
-        "blocks, 'safe' adds an observation-equality check, 'strict' "
-        "adds cross-backend parity; rejected edits roll back to the "
-        "best-known-good IR (default: off)",
-    )
-    parser.add_argument(
-        "--guard-dir",
-        metavar="DIR",
-        help="with --validate: write minimized guard-failure repro "
-        "bundles under DIR (default: results/guard_reports)",
-    )
+    add_rolag_options(parser)
+    add_driver_options(parser)
     return parser
 
 
@@ -263,30 +307,9 @@ def build_difftest_parser() -> argparse.ArgumentParser:
         help="interpreter step budget per observation",
     )
     parser.add_argument(
-        "--loop-aware",
-        action="store_true",
-        help="roll with the loop-aware in-place strategy",
-    )
-    parser.add_argument(
-        "--fast-math",
-        action="store_true",
-        help="allow re-association of float reductions",
-    )
-    parser.add_argument(
-        "--no-special-nodes",
-        action="store_true",
-        help="disable every special alignment-node kind",
-    )
-    parser.add_argument(
         "--repro-dir",
         metavar="DIR",
         help="write minimized mismatch repros (.ll) into DIR",
-    )
-    parser.add_argument(
-        "--evaluator",
-        choices=EVALUATOR_CHOICES,
-        default="interp",
-        help="execution backend for every observation (default: interp)",
     )
     parser.add_argument(
         "--quiet",
@@ -300,6 +323,7 @@ def build_difftest_parser() -> argparse.ArgumentParser:
         help="wall-clock budget per case; overruns are recorded as "
         "structured errors instead of stalling the campaign",
     )
+    add_rolag_options(parser)
     return parser
 
 
@@ -346,7 +370,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--validate",
-        choices=("off", "fast", "safe", "strict"),
+        choices=VALIDATION_LEVELS,
         default=None,
         help="run the storm with the online validation gate at this "
         "level; the campaign then asserts no round emits "
@@ -446,71 +470,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="driver worker processes (default 1: in-process serial)",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="persist the structural result cache under DIR",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable result memoization (in-flight dedupe stays on)",
-    )
-    parser.add_argument(
-        "--no-dedupe",
-        action="store_true",
-        help="disable in-flight coalescing of structurally identical jobs",
-    )
-    parser.add_argument(
-        "--check-semantics",
-        action="store_true",
-        help="interpret every function before/after and compare",
-    )
-    parser.add_argument(
-        "--evaluator",
-        choices=EVALUATOR_CHOICES,
-        default="interp",
-        help="evaluator backing semantic checks (default interp)",
-    )
-    parser.add_argument(
-        "--validate",
-        choices=("off", "fast", "safe", "strict"),
-        default="off",
-        help="online translation-validation level (default off)",
-    )
-    parser.add_argument(
-        "--guard-dir",
-        metavar="DIR",
-        help="write validation-guard rollback evidence under DIR",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        help="per-job wall-clock budget in seconds",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="extra attempts after a failed one (default 1)",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.0,
-        help="base seconds between retry attempts (default 0)",
-    )
-    parser.add_argument(
-        "--quarantine-file",
-        metavar="FILE",
-        help="persist repeat-offender quarantine state in FILE",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        metavar="PLAN",
-        help="fault-injection plan for resilience testing "
-        "(SITE:ACTION[@N][xM][%%P][~S], comma-separated)",
-    )
-    parser.add_argument(
         "--max-queue",
         type=int,
         default=64,
@@ -581,6 +540,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="publish the live daemon generation's pid (JSON) to FILE "
         "-- under --supervise this tracks each restarted generation",
     )
+    add_rolag_options(parser)
+    add_driver_options(parser)
+    parser.set_defaults(retry_backoff=0.0)
     return parser
 
 
@@ -611,7 +573,8 @@ def _child_serve_args(argv: List[str]) -> List[str]:
     return child
 
 
-def _serve_config_from_args(args: argparse.Namespace):
+def serve_config_from_args(args: argparse.Namespace):
+    """The :class:`~repro.serve.ServeConfig` a parsed serve argv boots."""
     from .serve import ServeConfig
 
     return ServeConfig(
@@ -621,8 +584,7 @@ def _serve_config_from_args(args: argparse.Namespace):
         dedupe=not args.no_dedupe,
         check_semantics=args.check_semantics,
         evaluator=args.evaluator,
-        validate=args.validate,
-        guard_dir=args.guard_dir,
+        rolag=rolag_config_from_args(args),
         deadline=args.deadline,
         retries=args.retries,
         retry_backoff=args.retry_backoff,
@@ -654,7 +616,7 @@ def run_serve_command(argv: List[str]) -> int:
         from .serve.supervisor import write_pid_file
 
         write_pid_file(args.pid_file, os.getpid(), 1)
-    service = OptimizeService(_serve_config_from_args(args)).start()
+    service = OptimizeService(serve_config_from_args(args)).start()
     if args.http is not None:
         import threading
 
@@ -738,7 +700,6 @@ def run_client_command(argv: List[str]) -> int:
             response = client.wait(ticket)
             kind = response_error_kind(response)
             if kind is not None:
-                error = response.get("error") or {}
                 rows.append((path, f"refused:{kind}", "-", "-", "-"))
                 failures += 1
                 continue
@@ -849,11 +810,6 @@ def run_difftest_command(argv: List[str]) -> int:
     from .difftest.oracle import DEFAULT_STEP_LIMIT
 
     args = build_difftest_parser().parse_args(argv)
-    config = RolagConfig(
-        fast_math=args.fast_math, loop_aware=args.loop_aware
-    )
-    if args.no_special_nodes:
-        config = config.all_special_disabled()
 
     def progress(done: int, total: int) -> None:
         if args.quiet or total == 0:
@@ -864,7 +820,7 @@ def run_difftest_command(argv: List[str]) -> int:
     report = run_difftest(
         seed=args.seed,
         count=args.count,
-        config=config,
+        config=rolag_config_from_args(args),
         vectors_per_case=args.vectors,
         step_limit=args.step_limit or DEFAULT_STEP_LIMIT,
         repro_dir=args.repro_dir,
@@ -895,27 +851,6 @@ def _parse_run_args(raw: List[str]) -> List[object]:
         except ValueError:
             values.append(float(text))
     return values
-
-
-#: Where guard-failure repro bundles land unless --guard-dir says
-#: otherwise (mirrors the difftest repro convention under results/).
-DEFAULT_GUARD_DIR = "results/guard_reports"
-
-
-def _build_config(args: argparse.Namespace) -> RolagConfig:
-    guard_dir = None
-    if args.validate != "off":
-        guard_dir = args.guard_dir or DEFAULT_GUARD_DIR
-    config = RolagConfig(
-        fast_math=args.fast_math,
-        loop_aware=args.loop_aware,
-        validate=args.validate,
-        validate_evaluator=args.evaluator,
-        guard_dir=guard_dir,
-    )
-    if args.no_special_nodes:
-        config = config.all_special_disabled()
-    return config
 
 
 def run_batch(args: argparse.Namespace) -> int:
@@ -966,7 +901,7 @@ def run_batch(args: argparse.Namespace) -> int:
 
     report = optimize_functions(
         jobs,
-        config=_build_config(args),
+        config=rolag_config_from_args(args),
         workers=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
@@ -1115,7 +1050,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"; rerolled {rerolled} loop(s) (LLVM-style baseline)")
 
     if args.roll:
-        config = _build_config(args)
+        config = rolag_config_from_args(args)
         stats = RolagStats()
         rolled = roll_loops_in_module(module, config=config, stats=stats)
         print(f"; RoLAG rolled {rolled} loop(s)")

@@ -516,6 +516,7 @@ def run_serve_chaos(
     (batch sync).  The service's stats are snapshotted before the
     oracle runs, so its cost stays out of the measures.
     """
+    from ..rolag.config import RolagConfig
     from ..serve import LoopbackClient, OptimizeService, ServeConfig
     from ..serve.protocol import response_error_kind
 
@@ -538,8 +539,9 @@ def run_serve_chaos(
             ServeConfig(
                 workers=workers,
                 cache_dir=os.path.join(root, "cache"),
-                validate=validate,
-                guard_dir=os.path.join(root, "guards"),
+                rolag=RolagConfig(
+                    validate=validate, guard_dir=os.path.join(root, "guards")
+                ),
                 deadline=deadline,
                 retries=retries,
                 quarantine_file=os.path.join(root, "quarantine.json"),
@@ -624,7 +626,7 @@ def run_serve_chaos(
             jobs_per_second=snapshot["jobs_per_second"],
         )
 
-        config = service.config.rolag_config()
+        config = service.config.rolag
         for rid, (name, text, dup) in outstanding.items():
             response = client.poll(rid)
             if response is None:

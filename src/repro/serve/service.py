@@ -38,7 +38,7 @@ import os
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bench.objsize import reduction_percent
@@ -79,9 +79,11 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     use_cache: bool = True
     check_semantics: bool = False
+    #: The difftest oracle's backend (``check_semantics``); the
+    #: validation gate's is ``rolag.validate_evaluator``.
     evaluator: str = "interp"
-    validate: str = "off"
-    guard_dir: Optional[str] = None
+    #: The RoLAG config every job runs, validation level included.
+    rolag: RolagConfig = field(default_factory=RolagConfig)
     deadline: Optional[float] = None
     retries: int = 1
     retry_backoff: float = 0.0
@@ -94,13 +96,6 @@ class ServeConfig:
     journal_dir: Optional[str] = None
     #: ``always`` | ``batch`` | ``off`` -- see :mod:`repro.serve.journal`.
     journal_sync: str = "batch"
-
-    def rolag_config(self) -> RolagConfig:
-        return RolagConfig(
-            validate=self.validate,
-            validate_evaluator=self.evaluator,
-            guard_dir=self.guard_dir,
-        )
 
 
 def result_payload(
@@ -159,7 +154,7 @@ class OptimizeService:
             self._journal is not None and self.config.journal_sync == "always"
         )
         session = DriverSession(
-            self.config.rolag_config(),
+            self.config.rolag,
             workers=self.config.workers,
             cache_dir=self.config.cache_dir,
             use_cache=self.config.use_cache,

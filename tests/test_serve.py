@@ -21,6 +21,7 @@ import pytest
 
 from repro.driver import DriverSession, FunctionJob
 from repro.faultinject import clear_plan
+from repro.rolag import RolagConfig
 from repro.serve import (
     LoopbackClient,
     OptimizeService,
@@ -154,7 +155,10 @@ class TestInProcessDaemon:
             return from_config(config, *args, **kwargs)
 
         monkeypatch.setattr(Validator, "from_config", recording_from_config)
-        service = unthreaded_service(validate="safe", evaluator="compiled")
+        service = unthreaded_service(
+            rolag=RolagConfig(validate="safe", validate_evaluator="compiled"),
+            evaluator="compiled",
+        )
         client = LoopbackClient(service)
         try:
             ticket = client.submit_optimize(IR, name="f")
