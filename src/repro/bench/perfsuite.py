@@ -14,9 +14,12 @@ Four experiments:
     mismatch count (which must be zero).  The campaign also parses,
     prints, rolls and bisects, so by Amdahl's law its speedup is
     bounded by the share of time spent evaluating -- the honest
-    whole-campaign number.  Each backend's campaign is timed
-    ``campaign_repeats`` times and the best run is recorded (the
-    standard defence against scheduler noise on short regions).
+    whole-campaign number.  A campaign runs for seconds, long enough
+    for host speed to drift between two of them, so the backends run
+    in :data:`CAMPAIGN_ROUNDS` interleaved rounds, alternating which
+    goes first, and the row records the median of the per-round ratios
+    (each backend's ``seconds`` is its median run) and every round's
+    times.
 ``oracle_observations``
     The evaluation-dominated slice of the same campaign: repeated
     observations of already-built fuzzer modules (no transforms, one
@@ -59,26 +62,47 @@ from . import tsvc
 BACKENDS = tuple(EVALUATOR_CHOICES)
 
 
-def _time_difftest(
-    seed: int, count: int, evaluator: str, repeats: int = 2
-) -> Dict[str, object]:
-    """Best-of-``repeats`` campaign wall time for one backend."""
-    best = None
-    report = None
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        report = run_difftest(seed=seed, count=count, evaluator=evaluator)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return {
-        "evaluator": evaluator,
-        "seconds": best,
-        "runs": max(repeats, 1),
-        "mismatches": len(report.mismatches),
-        "unexplained": len(report.unexplained),
-        "rolled_loops": report.rolled_loops,
+#: Interpreter/compiled rounds of the campaign row; odd, so the median
+#: is one round's ratio.
+CAMPAIGN_ROUNDS = 3
+
+
+def _time_difftest(seed: int, count: int) -> Dict[str, object]:
+    """The ``difftest_campaign`` row: :data:`CAMPAIGN_ROUNDS`
+    interleaved rounds, the interpreter first in even rounds and last
+    in odd ones."""
+    round_seconds: Dict[str, List[float]] = {b: [] for b in BACKENDS}
+    reports = {}
+    for index in range(CAMPAIGN_ROUNDS):
+        for backend in BACKENDS if index % 2 == 0 else BACKENDS[::-1]:
+            start = time.perf_counter()
+            reports[backend] = run_difftest(
+                seed=seed, count=count, evaluator=backend
+            )
+            round_seconds[backend].append(time.perf_counter() - start)
+    speedups = [
+        _speedup(interp, compiled)
+        for interp, compiled in zip(
+            round_seconds["interp"], round_seconds["compiled"]
+        )
+    ]
+    campaign: Dict[str, object] = {
+        "seed": seed,
+        "count": count,
+        "rounds": len(speedups),
+        "round_speedups": speedups,
+        "speedup": median(speedups),
     }
+    for backend, report in reports.items():
+        campaign[backend] = {
+            "evaluator": backend,
+            "seconds": median(round_seconds[backend]),
+            "round_seconds": round_seconds[backend],
+            "mismatches": len(report.mismatches),
+            "unexplained": len(report.unexplained),
+            "rolled_loops": report.rolled_loops,
+        }
+    return campaign
 
 
 #: Interpreter/compiled rounds of the oracle row (see the module
@@ -171,7 +195,6 @@ def run_perf_suite(
     tsvc_kernels: Optional[List[str]] = None,
     tsvc_calls: int = 100,
     quick: bool = False,
-    campaign_repeats: int = 2,
 ) -> Dict[str, object]:
     """Measure both evaluator tiers on each workload.
 
@@ -187,14 +210,7 @@ def run_perf_suite(
 
     kernels = tsvc_kernels or tsvc.kernel_names()[:12]
 
-    campaign: Dict[str, object] = {"seed": seed, "count": difftest_count}
-    for backend in BACKENDS:
-        campaign[backend] = _time_difftest(
-            seed, difftest_count, backend, repeats=campaign_repeats
-        )
-    campaign["speedup"] = _speedup(
-        campaign["interp"]["seconds"], campaign["compiled"]["seconds"]
-    )
+    campaign = _time_difftest(seed, difftest_count)
 
     cases = _oracle_cases(seed, oracle_count)
     rounds = [

@@ -339,7 +339,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="campaign seed (default 0)"
     )
     parser.add_argument(
-        "--jobs",
+        "--count",
         type=int,
         default=12,
         help="synthetic corpus size per round (default 12)",
@@ -421,7 +421,7 @@ def run_chaos_command(argv: List[str]) -> int:
     if args.serve and args.kill_daemon:
         report = run_serve_kill_chaos(
             seed=args.seed,
-            job_count=args.jobs,
+            job_count=args.count,
             workers=args.workers,
             deadline=args.deadline,
             validate=args.validate if args.validate is not None else "safe",
@@ -433,7 +433,7 @@ def run_chaos_command(argv: List[str]) -> int:
     if args.serve:
         report = run_serve_chaos(
             seed=args.seed,
-            job_count=args.jobs,
+            job_count=args.count,
             workers=args.workers,
             deadline=args.deadline,
             validate=args.validate if args.validate is not None else "safe",
@@ -443,7 +443,7 @@ def run_chaos_command(argv: List[str]) -> int:
         return 0 if report.ok else 1
     report = run_chaos(
         seed=args.seed,
-        job_count=args.jobs,
+        job_count=args.count,
         rounds=args.rounds,
         workers=args.workers,
         deadline=args.deadline,

@@ -182,7 +182,10 @@ def observe_call(
     ``repro.ir.compile_eval``); observations are backend-independent
     and compare equal across evaluators, including ``steps``.
     ``program`` optionally shares one compiled form across many
-    observations of the same module.
+    observations of the same module.  Every call is one evaluator run
+    and fires the ``difftest.observe`` site; a job's
+    :class:`~repro.difftest.runner.ObservationMemo` calls this once per
+    distinct (state, function, vector, backend), not once per request.
     """
     fire("difftest.observe")
     try:
@@ -356,6 +359,10 @@ def make_argument_vectors(
     Integer arguments are biased toward small values (many corpus
     functions use them as trip counts) plus occasional width edges;
     pointer arguments become patterned buffers of ``buffer_bytes``.
+    A function without parameters (every TSVC kernel) draws ``count``
+    identical empty vectors; observed through a job's
+    :class:`~repro.difftest.runner.ObservationMemo`, each module state
+    runs them once.
     """
     rng = random.Random((seed * 7_368_787 + len(fn.arguments)) & 0xFFFFFFFF)
     vectors: List[ArgumentVector] = []

@@ -302,6 +302,81 @@ def evidence_seed(text: str) -> int:
 Reference = Tuple[Tuple[ArgumentVector, Observation], ...]
 
 
+class ObservationMemo:
+    """One job's observations, each made once per module state.
+
+    An entry is keyed by the module's mutation stamps
+    (:meth:`~repro.ir.module.Module.state_key`), the function, the
+    argument vector and the backend, so it is found again exactly when
+    the same call is asked of the same IR state -- a candidate the gate
+    checked and the oracle then checks, or a state a rollback restored.
+    The budget rule is :meth:`Evidence.reference`'s: an entry answers a
+    run capped at ``step_limit`` only if it completed within that many
+    steps; a timeout answers nothing, and a larger budget re-runs.  A
+    hit runs no evaluator and so compiles nothing.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[tuple, Observation] = {}
+
+    @staticmethod
+    def key(
+        module: Module, fn_name: str, vector: ArgumentVector, evaluator: str
+    ) -> tuple:
+        """The entry of one call on ``module``'s current state (floats
+        by their bits, so ``-0.0`` and NaN vectors key exactly)."""
+        return (
+            module.state_key(), fn_name, evaluator,
+            tuple(v.hex() if isinstance(v, float) else v
+                  for v in vector.values),
+        )
+
+    def answer(self, key: tuple, step_limit: int) -> Optional[Observation]:
+        """The entry's observation if it stands for a run capped at
+        ``step_limit``, else ``None``."""
+        observation = self._entries.get(key)
+        if (
+            observation is None
+            or observation.status == "timeout"
+            or observation.steps > step_limit
+        ):
+            return None
+        return observation
+
+    def observe(
+        self, module: Module, fn_name: str, vector: ArgumentVector, *,
+        step_limit: int, evaluator: str, program,
+    ) -> Observation:
+        """:func:`~repro.difftest.oracle.observe_call`, once per entry."""
+        key = self.key(module, fn_name, vector, evaluator)
+        observation = self.answer(key, step_limit)
+        if observation is None:
+            observation = observe_call(
+                module, fn_name, vector, step_limit=step_limit,
+                evaluator=evaluator, program=program,
+            )
+            old = self._entries.get(key)
+            if old is None or old.status == "timeout":
+                self._entries[key] = observation
+        return observation
+
+
+def _observe(
+    memo: Optional[ObservationMemo], module: Module, fn_name: str,
+    vector: ArgumentVector, *, step_limit: int, evaluator: str, program,
+) -> Observation:
+    """One observation, through ``memo`` when there is one."""
+    if memo is None:
+        return observe_call(
+            module, fn_name, vector, step_limit=step_limit,
+            evaluator=evaluator, program=program,
+        )
+    return memo.observe(
+        module, fn_name, vector, step_limit=step_limit,
+        evaluator=evaluator, program=program,
+    )
+
+
 @dataclass(frozen=True)
 class Evidence:
     """One job's observations of its original module, captured once.
@@ -313,6 +388,12 @@ class Evidence:
     before that vector), ``setup_error`` why it could not load the
     module.  The gate reads a prefix (:meth:`reference`), the oracle
     all of it (:meth:`check`).
+
+    ``memo`` is the job's :class:`ObservationMemo`: the capture, the
+    gate's and the oracle's checks all observe through it, so one call
+    on one module state runs once per job.  A function without
+    parameters draws ``n`` identical (empty) vectors; the capture runs
+    it once and each later state once, not ``n`` times.
     """
 
     step_limit: int
@@ -320,6 +401,9 @@ class Evidence:
     observed: Dict[str, Optional[Reference]]
     errors: Dict[str, str]
     setup_error: Optional[str] = None
+    memo: ObservationMemo = field(
+        default_factory=ObservationMemo, compare=False, repr=False
+    )
 
     @classmethod
     def capture(
@@ -329,6 +413,7 @@ class Evidence:
         """Observe every defined function of ``module`` on its draw."""
         observed: Dict[str, Optional[Reference]] = {}
         errors: Dict[str, str] = {}
+        memo = ObservationMemo()
         program, error = load_program(module, evaluator)
         if error is not None:
             return cls(step_limit, evaluator, observed, errors,
@@ -343,11 +428,11 @@ class Evidence:
                 continue
             observed[fn.name], error = capture_pairs(
                 module, fn.name, draw, step_limit=step_limit,
-                evaluator=evaluator, program=program,
+                evaluator=evaluator, program=program, memo=memo,
             )
             if error is not None:
                 errors[fn.name] = error
-        return cls(step_limit, evaluator, observed, errors)
+        return cls(step_limit, evaluator, observed, errors, memo=memo)
 
     def reference(
         self, fn_name: str, count: int, step_limit: int
@@ -388,6 +473,7 @@ class Evidence:
                 mismatch = first_mismatch(
                     transformed, name, pairs, step_limit=self.step_limit,
                     evaluator=self.evaluator, program=program,
+                    memo=self.memo,
                 )
                 if mismatch is not None:
                     details.append(f"@{name} {mismatch[0]}")
@@ -408,16 +494,17 @@ def load_program(module: Module, evaluator: str):
 def capture_pairs(
     module: Module, fn_name: str, vectors: Sequence[ArgumentVector], *,
     step_limit: int, evaluator: str, program,
+    memo: Optional[ObservationMemo] = None,
 ) -> Tuple[Reference, Optional[str]]:
     """Observe ``@fn_name`` in ``module`` (loaded as ``program``) on each
-    of ``vectors``: ``(pairs, None)``, or the pairs before the vector
-    the evaluator raised on and an ``evaluator error`` detail for it.
-    Deadline signals pass through."""
+    of ``vectors``, through ``memo`` when given: ``(pairs, None)``, or
+    the pairs before the vector the evaluator raised on and an
+    ``evaluator error`` detail for it.  Deadline signals pass through."""
     pairs = []
     for vector in vectors:
         try:
-            pairs.append((vector, observe_call(
-                module, fn_name, vector, step_limit=step_limit,
+            pairs.append((vector, _observe(
+                memo, module, fn_name, vector, step_limit=step_limit,
                 evaluator=evaluator, program=program,
             )))
         except DeadlineExceeded:
@@ -432,15 +519,16 @@ def capture_pairs(
 
 def first_mismatch(
     module: Module, fn_name: str, reference: Reference, *, step_limit: int,
-    evaluator: str, program,
+    evaluator: str, program, memo: Optional[ObservationMemo] = None,
 ) -> Optional[tuple]:
     """``(detail, vector, expected, actual)`` for the first pair
-    ``@fn_name`` in ``module`` (loaded as ``program``) fails, or
-    ``None``.  ``actual`` is ``None`` when the evaluator raised."""
+    ``@fn_name`` in ``module`` (loaded as ``program``) fails, observed
+    through ``memo`` when given, or ``None``.  ``actual`` is ``None``
+    when the evaluator raised."""
     for vector, expected in reference:
         try:
-            actual = observe_call(
-                module, fn_name, vector, step_limit=step_limit,
+            actual = _observe(
+                memo, module, fn_name, vector, step_limit=step_limit,
                 evaluator=evaluator, program=program,
             )
         except DeadlineExceeded:

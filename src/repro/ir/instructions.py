@@ -18,7 +18,7 @@ from .types import (
     VOID,
     I1,
 )
-from .values import User, Value
+from .values import User, Value, fresh_stamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .module import BasicBlock, Function
@@ -64,6 +64,11 @@ class Instruction(User):
         super().__init__(ty, name)
         self.parent: Optional["BasicBlock"] = None
 
+    def _touch(self) -> None:
+        block = self.parent
+        if block is not None and block.parent is not None:
+            block.parent.stamp = fresh_stamp()
+
     # ----- classification -------------------------------------------------
 
     #: Whether this instruction ends a basic block.  A plain class
@@ -107,7 +112,7 @@ class Instruction(User):
         if isinstance(self, BinaryOp) and self.opcode in (
             "sdiv", "udiv", "srem", "urem",
         ):
-            rhs = self.operands[1]
+            rhs = self._operands[1]
             return not (isinstance(rhs, ConstantInt) and rhs.value != 0)
         if isinstance(self, (Load, Store)):
             return True
@@ -118,8 +123,7 @@ class Instruction(User):
     def erase_from_parent(self) -> None:
         """Remove from the containing block and drop operand references."""
         if self.parent is not None:
-            self.parent.instructions.remove(self)
-            self.parent = None
+            self.parent.remove(self)
         self.drop_all_references()
 
     def move_before(self, other: "Instruction") -> None:
@@ -127,15 +131,13 @@ class Instruction(User):
         block = other.parent
         assert block is not None
         if self.parent is not None:
-            self.parent.instructions.remove(self)
-        index = block.instructions.index(other)
-        block.instructions.insert(index, self)
-        self.parent = block
+            self.parent.remove(self)
+        block.insert(block.instructions.index(other), self)
 
     def clone(self) -> "Instruction":
         """Shallow clone: same operands, no parent, no name."""
         new = self._clone_impl()
-        for op in self.operands:
+        for op in self._operands:
             new.add_operand(op)
         return new
 
@@ -294,12 +296,12 @@ class GetElementPtr(Instruction):
     @property
     def pointer(self) -> Value:
         """The base pointer operand."""
-        return self.operands[0]
+        return self._operands[0]
 
     @property
     def indices(self) -> List[Value]:
         """The index operands (after the pointer)."""
-        return self.operands[1:]
+        return self._operands[1:]
 
     def _clone_impl(self) -> "GetElementPtr":
         new = GetElementPtr.__new__(GetElementPtr)
@@ -320,7 +322,7 @@ class Load(Instruction):
     @property
     def pointer(self) -> Value:
         """The address being read."""
-        return self.operands[0]
+        return self._operands[0]
 
     def _clone_impl(self) -> "Load":
         new = Load.__new__(Load)
@@ -341,12 +343,12 @@ class Store(Instruction):
     @property
     def value(self) -> Value:
         """The value being written."""
-        return self.operands[0]
+        return self._operands[0]
 
     @property
     def pointer(self) -> Value:
         """The address being written."""
-        return self.operands[1]
+        return self._operands[1]
 
     def _clone_impl(self) -> "Store":
         new = Store.__new__(Store)
@@ -374,12 +376,12 @@ class Call(Instruction):
     @property
     def callee(self) -> Value:
         """The called function (operand 0)."""
-        return self.operands[0]
+        return self._operands[0]
 
     @property
     def args(self) -> List[Value]:
         """The call arguments (operands after the callee)."""
-        return self.operands[1:]
+        return self._operands[1:]
 
     def is_readnone(self) -> bool:
         """Whether the callee is declared side-effect free."""
@@ -419,8 +421,8 @@ class Phi(Instruction):
     def incoming(self) -> List[Tuple[Value, "BasicBlock"]]:
         """All (value, predecessor block) pairs."""
         pairs = []
-        for i in range(0, len(self.operands), 2):
-            pairs.append((self.operands[i], self.operands[i + 1]))
+        for i in range(0, len(self._operands), 2):
+            pairs.append((self._operands[i], self._operands[i + 1]))
         return pairs
 
     def incoming_for(self, block: "BasicBlock") -> Optional[Value]:
@@ -471,19 +473,19 @@ class Br(Instruction):
     @property
     def is_conditional(self) -> bool:
         """Whether this branch tests a condition."""
-        return len(self.operands) == 3
+        return len(self._operands) == 3
 
     @property
     def condition(self) -> Value:
         """The i1 condition of a conditional branch."""
         assert self.is_conditional
-        return self.operands[0]
+        return self._operands[0]
 
     def successors(self) -> List["BasicBlock"]:
         """Branch targets in (true, false) order."""
         if self.is_conditional:
-            return [self.operands[1], self.operands[2]]
-        return [self.operands[0]]
+            return [self._operands[1], self._operands[2]]
+        return [self._operands[0]]
 
     def _clone_impl(self) -> "Br":
         new = Br.__new__(Br)
@@ -505,7 +507,7 @@ class Ret(Instruction):
     @property
     def return_value(self) -> Optional[Value]:
         """The returned value, or None for ``ret void``."""
-        return self.operands[0] if self.operands else None
+        return self._operands[0] if self._operands else None
 
     def successors(self) -> List["BasicBlock"]:
         """Always empty: returns leave the function."""

@@ -499,7 +499,7 @@ def compare_impl(
     Pointer operands compare as 64-bit integers; ``i1`` operands use
     :data:`I1_ICMP_IMPLS`.
     """
-    ty = inst.operands[0].type
+    ty = inst._operands[0].type
     bits = ty.bits if isinstance(ty, (IntType, FloatType)) else 64
     if not isinstance(inst, ICmp):
         return FCMP_IMPLS[inst.predicate], bits
@@ -1130,18 +1130,18 @@ class Machine:
 
     def _execute(self, inst: Instruction, env: Dict[int, object]) -> object:
         if isinstance(inst, BinaryOp):
-            a = self._eval(inst.operands[0], env)
-            b = self._eval(inst.operands[1], env)
+            a = self._eval(inst._operands[0], env)
+            b = self._eval(inst._operands[1], env)
             return eval_binop(inst.opcode, inst.type, a, b)
         if isinstance(inst, (ICmp, FCmp)):
             impl, bits = compare_impl(inst)
-            a = self._eval(inst.operands[0], env)
-            return impl(bits, a, self._eval(inst.operands[1], env))
+            a = self._eval(inst._operands[0], env)
+            return impl(bits, a, self._eval(inst._operands[1], env))
         if isinstance(inst, Select):
-            cond = self._eval(inst.operands[0], env)
-            return self._eval(inst.operands[1 if cond else 2], env)
+            cond = self._eval(inst._operands[0], env)
+            return self._eval(inst._operands[1 if cond else 2], env)
         if isinstance(inst, Cast):
-            operand = inst.operands[0]
+            operand = inst._operands[0]
             return eval_cast(
                 inst.opcode, self._eval(operand, env), operand.type, inst.type
             )

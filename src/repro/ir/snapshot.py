@@ -24,6 +24,20 @@ emits ``__rolag*`` mismatch tables); restore removes globals that did
 not exist at capture.  Fresh names need no rewinding: they derive from
 the live IR (see :meth:`Function.next_name`), and restore makes the
 function forget the names the rolled-back pass drew.
+
+Mutation stamps make the common questions O(1).  Every edit of a body
+moves its function's stamp -- the IR's lists stamp in-place edits
+themselves, so no pass has to be trusted to use the right method (see
+:class:`Function`).  A snapshot records the function's and the
+module's stamps:
+:meth:`FunctionSnapshot.changed` answers ``False`` at once while both
+are where they were, and only when one has moved does it fall back to
+the structural diff, which still answers ``False`` for a pass that
+edited and then undid its edit.  :meth:`FunctionSnapshot.restore`
+puts both stamps back, so the restored state is recognised as the one
+captured -- a body verified before the transaction is not re-verified
+after its rollback -- while the rolled-back state's stamp is never
+drawn again: the next edit draws a fresh one.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from typing import List, Optional, Tuple
 
 from .instructions import Instruction
 from .module import BasicBlock, Function, Module
-from .values import Value
+from .values import Value, fresh_stamp
 
 #: One captured instruction: (object, name, operand list at capture).
 _InstEntry = Tuple[Instruction, str, Tuple[Value, ...]]
@@ -51,17 +65,20 @@ class FunctionSnapshot:
                 block,
                 block.name,
                 [
-                    (inst, inst.name, tuple(inst.operands))
+                    (inst, inst.name, tuple(inst._operands))
                     for inst in block.instructions
                 ],
             )
             for block in fn.blocks
         ]
+        self.stamp = fn.stamp
         self.module: Optional[Module] = fn.module
         if self.module is not None:
+            self.module_stamp = self.module.stamp
             self.global_ids = frozenset(id(g) for g in self.module.globals)
             self.global_count = len(self.module.globals)
         else:
+            self.module_stamp = 0
             self.global_ids = frozenset()
             self.global_count = 0
 
@@ -106,7 +123,23 @@ class FunctionSnapshot:
         return touched
 
     def changed(self) -> bool:
-        """Whether the function (or its module's globals) was mutated."""
+        """Whether the function (or its module's globals) was mutated:
+        ``False`` in O(1) while no stamp has moved, else the structural
+        diff's answer."""
+        if self._stamps_unchanged():
+            return False
+        return self._diff()
+
+    def _stamps_unchanged(self) -> bool:
+        """Whether the function and its module still hold the stamps
+        they held at capture."""
+        return self.fn.stamp == self.stamp and (
+            self.module is None or self.module.stamp == self.module_stamp
+        )
+
+    def _diff(self) -> bool:
+        """The structural diff: whether the block list, the global count
+        or any block's contents differ from the capture."""
         if [id(b) for b in self.fn.blocks] != [
             id(b) for b, _, _ in self.blocks
         ]:
@@ -145,22 +178,29 @@ class FunctionSnapshot:
                     inst.parent = None
         # Phase 2: rebuild block and instruction lists from the
         # snapshot, re-registering each captured operand.
-        fn.blocks = []
+        fn.blocks = [block for block, _, _ in self.blocks]
         for block, name, entries in self.blocks:
             block.name = name
             block.parent = fn
-            block.instructions = []
-            fn.blocks.append(block)
+            block.instructions = [inst for inst, _, _ in entries]
             for inst, inst_name, operands in entries:
                 inst.name = inst_name
                 inst.parent = block
-                block.instructions.append(inst)
                 for operand in operands:
                     inst.add_operand(operand)
         fn.reset_names()
+        fn.stamp = self.stamp
         # Phase 3: remove globals the pass added (RoLAG mismatch tables
-        # and the like).
-        if self.module is not None:
-            self.module.globals = [
-                g for g in self.module.globals if id(g) in self.global_ids
+        # and the like).  The module is back in its captured state, and
+        # takes that state's stamp, when exactly the captured globals
+        # remain.
+        module = self.module
+        if module is not None:
+            module.globals = [
+                g for g in module.globals if id(g) in self.global_ids
             ]
+            module.stamp = (
+                self.module_stamp
+                if len(module.globals) == self.global_count
+                else fresh_stamp()
+            )

@@ -10,7 +10,9 @@ this value" in O(uses).
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import attrgetter
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from .types import (
@@ -25,6 +27,86 @@ from .types import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instructions import Instruction
+
+
+#: Draws the next mutation stamp: process-wide and monotonic, so a
+#: stamp names exactly one IR state (see :class:`repro.ir.module.Function`).
+fresh_stamp = itertools.count(1).__next__
+
+
+#: The ``list`` methods that edit a list in place.
+_LIST_EDITS = (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append",
+    "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+)
+
+
+def _stamping(edit):
+    """The ``list`` method ``edit``, run between two ``_touch()`` calls
+    of the list (before, for what the edit removes; after, for what it
+    adds)."""
+
+    def method(self, *args, **kwargs):
+        self._touch()
+        result = edit(self, *args, **kwargs)
+        self._touch()
+        return result
+
+    method.__name__ = edit.__name__
+    method.__doc__ = f"``list.{edit.__name__}``, stamping the IR it edits."
+    return method
+
+
+def _stamp_edits(cls):
+    """Make every in-place edit of the list class ``cls`` stamp."""
+    for name in _LIST_EDITS:
+        setattr(cls, name, _stamping(getattr(list, name)))
+    return cls
+
+
+@_stamp_edits
+class StampedList(list):
+    """One of the IR's lists -- a block's instructions, a function's
+    blocks, a user's operands, a module's globals -- owned by the object
+    that holds it.
+
+    Reads are a plain list's.  Every in-place edit (``lst[i] = x``,
+    ``append``, ``remove``, a swap, ...) calls the owner's ``_touch()``,
+    which gives the function (or module) a fresh mutation stamp, so an
+    edit made with the list methods rather than the IR API is still a
+    new state: the verifier checks it, the gate diffs it and the
+    observation memo misses.  The IR's own methods edit the underlying
+    ``list`` directly and stamp once, and its hot paths read the
+    private attribute behind the public property.  A copy (slicing,
+    ``list(...)``) is a plain list.
+    """
+
+    __slots__ = ("_owner",)
+
+    def _touch(self) -> None:
+        self._owner._touch()
+
+
+def stamped_list(owner, items: Sequence = ()) -> StampedList:
+    """A :class:`StampedList` of ``items`` whose edits stamp ``owner``
+    (a plain function: every instruction builds one, and a classmethod
+    call costs twice as much)."""
+    parts = StampedList(items) if items else StampedList()
+    parts._owner = owner
+    return parts
+
+
+@_stamp_edits
+class UseList(list):
+    """A value's use records.  An in-place edit stamps the function of
+    every user the list names before or after it (a dropped record
+    breaks its user's use-def chain, an added one claims a use)."""
+
+    __slots__ = ()
+
+    def _touch(self) -> None:
+        for use in self:
+            use.user._touch()
 
 
 class Use:
@@ -46,13 +128,34 @@ class Value:
     def __init__(self, ty: Type, name: str = "") -> None:
         self.type = ty
         self.name = name
-        self.uses: List[Use] = []
+        self._uses = UseList()
+
+    def _set_uses(self, uses: Sequence[Use]) -> None:
+        old = self._uses
+        self._uses = UseList(uses)
+        old._touch()
+        self._uses._touch()
+
+    #: The :class:`Use` records of the operand slots naming this value.
+    #: Rebinding it, or editing it in place, stamps every user it names.
+    uses = property(attrgetter("_uses"), _set_uses)
+
+    def _touch(self) -> None:
+        """Note an edit of this value; one inside a function (an
+        instruction, a block) gives the function a fresh stamp."""
+
+    def rename(self, name: str) -> None:
+        """Set ``name``; renaming an instruction or block inside a
+        function gives the function a fresh stamp.  (Assigning ``name``
+        directly is for values not yet inserted.)"""
+        self.name = name
+        self._touch()
 
     @property
     def users(self) -> List["User"]:
         """Distinct users of this value, in first-use order."""
         seen = []
-        for use in self.uses:
+        for use in self._uses:
             if use.user not in seen:
                 seen.append(use.user)
         return seen
@@ -61,7 +164,7 @@ class Value:
         """Rewrite every operand slot referencing ``self`` to ``new``."""
         if new is self:
             return
-        for use in list(self.uses):
+        for use in list(self._uses):
             use.user.set_operand(use.index, new)
 
     def is_constant(self) -> bool:
@@ -81,7 +184,7 @@ class User(Value):
 
     def __init__(self, ty: Type, name: str = "") -> None:
         super().__init__(ty, name)
-        self.operands: List[Value] = []
+        self._operands = stamped_list(self)
         #: The Use record this user appended to each operand's use
         #: list, parallel to ``operands``.  Detaching removes the
         #: record *by identity* -- an O(n) C-level scan with no
@@ -89,37 +192,50 @@ class User(Value):
         #: matters for interned constants with module-wide use lists.
         self._use_links: List[Use] = []
 
+    def _set_operands(self, operands: Sequence[Value]) -> None:
+        self._operands = stamped_list(self, operands)
+        self._touch()
+
+    #: The operand values, in order.  Rebinding it, or editing it in
+    #: place, stamps (but updates no use list: use the methods below).
+    operands = property(attrgetter("_operands"), _set_operands)
+
     def add_operand(self, value: Value) -> None:
         """Append an operand, recording the use."""
-        link = Use(self, len(self.operands))
-        self.operands.append(value)
+        operands = self._operands
+        link = Use(self, len(operands))
+        list.append(operands, value)
         self._use_links.append(link)
-        value.uses.append(link)
+        list.append(value._uses, link)
+        self._touch()
 
     def set_operand(self, index: int, value: Value) -> None:
         """Replace operand ``index``, updating use lists."""
-        old = self.operands[index]
+        operands = self._operands
+        old = operands[index]
         if old is value:
             return
         link = self._use_links[index]
         try:
-            old.uses.remove(link)
+            list.remove(old._uses, link)
         except ValueError:
             pass  # already detached
         new_link = Use(self, index)
-        self.operands[index] = value
+        list.__setitem__(operands, index, value)
         self._use_links[index] = new_link
-        value.uses.append(new_link)
+        list.append(value._uses, new_link)
+        self._touch()
 
     def drop_all_references(self) -> None:
         """Detach this user from all of its operands."""
-        for old, link in zip(self.operands, self._use_links):
+        for old, link in zip(self._operands, self._use_links):
             try:
-                old.uses.remove(link)
+                list.remove(old._uses, link)
             except ValueError:
                 pass  # already detached
-        self.operands = []
+        self._operands = stamped_list(self)
         self._use_links = []
+        self._touch()
 
 
 class Constant(Value):

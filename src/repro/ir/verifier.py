@@ -6,6 +6,10 @@ the pass manager) to catch IR corruption early.
 Two entry granularities:
 
 * :func:`verify_function` / :func:`verify_module` -- the full check.
+  A body is checked once per state: a function the full check passed
+  at its current mutation stamp (see :class:`~repro.ir.module.Function`)
+  is skipped, so re-verifying a state a gate verified or a snapshot
+  restored costs O(1).
 * :func:`verify_blocks` -- the incremental check the transactional
   pass layer's ``fast`` gate uses: per-block structure, use-def
   consistency, phi/predecessor agreement, operand dominance and type
@@ -78,14 +82,23 @@ class VerificationError(Exception):
 
 
 def verify_function(fn: Function) -> None:
-    """Raise :class:`VerificationError` if ``fn`` is malformed."""
-    if fn.is_declaration:
+    """Raise :class:`VerificationError` if ``fn`` is malformed.
+
+    A function already verified at its current stamp is not checked
+    again."""
+    if fn.is_declaration or _verified_at_stamp(fn):
         return
     errors: List[str] = []
     if not fn.blocks:
         errors.append("function has no blocks")
     _check_blocks(fn, fn.blocks, errors, full=True)
     _raise_if_any(fn, errors)
+    fn.verified_stamp = fn.stamp
+
+
+def _verified_at_stamp(fn: Function) -> bool:
+    """Whether the full check already passed ``fn`` in this state."""
+    return fn.verified_stamp == fn.stamp
 
 
 def verify_blocks(fn: Function, blocks: Sequence[BasicBlock]) -> None:
@@ -128,7 +141,7 @@ def _check_blocks(
         if block.terminator is None:
             errors.append(f"block %{block.name} lacks a terminator")
         seen_non_phi = False
-        for inst in block.instructions:
+        for inst in block._instructions:
             if inst.parent is not block:
                 errors.append(f"instruction {inst!r} has wrong parent block")
             if isinstance(inst, Phi):
@@ -138,7 +151,7 @@ def _check_blocks(
                     )
             else:
                 seen_non_phi = True
-            if inst.is_terminator and inst is not block.instructions[-1]:
+            if inst.is_terminator and inst is not block._instructions[-1]:
                 errors.append(f"terminator mid-block in %{block.name}")
 
     # Use-def chain consistency: operand ``index`` of ``inst`` needs a
@@ -148,9 +161,9 @@ def _check_blocks(
     # memoized, so scanning it per referencing operand is not quadratic.
     use_sets: Dict[int, set] = {}
     for block in blocks:
-        for inst in block.instructions:
-            for index, op in enumerate(inst.operands):
-                uses = op.uses
+        for inst in block._instructions:
+            for index, op in enumerate(inst._operands):
+                uses = op._uses
                 if len(uses) <= _SCANNED_USE_LIST:
                     for use in uses:
                         if use.user is inst and use.index == index:
@@ -213,14 +226,14 @@ def _check_blocks(
         if not domtree.is_reachable(block):
             continue
         seen: Set[int] = set()
-        for inst in block.instructions:
+        for inst in block._instructions:
             inst_id = id(inst)
             in_order = (
                 inst.parent is block
                 and inst_id not in seen
                 and not isinstance(inst, Phi)
             )
-            for op in inst.operands:
+            for op in inst._operands:
                 if not isinstance(op, Instruction):
                     continue
                 if op.parent is None:
@@ -270,7 +283,7 @@ def _check_blocks(
 
 def _check_types(inst: Instruction, errors: List[str]) -> None:
     if isinstance(inst, BinaryOp):
-        a, b = inst.operands
+        a, b = inst._operands
         if a.type is not b.type or a.type is not inst.type:
             errors.append(f"binary op type mismatch: {inst!r}")
         if inst.opcode in _INT_ONLY_OPCODES and not isinstance(a.type, IntType):
@@ -282,19 +295,19 @@ def _check_types(inst: Instruction, errors: List[str]) -> None:
         # _SHIFT_OPCODES note: out-of-range shift amounts are legal here
         # by design (modulo-bit-width semantics); no range check.
     elif isinstance(inst, ICmp):
-        a, b = inst.operands
+        a, b = inst._operands
         if a.type is not b.type:
             errors.append(f"icmp operand type mismatch: {inst!r}")
         elif not (a.type.is_integer or a.type.is_pointer):
             errors.append(f"icmp on non-integer/pointer type: {inst!r}")
     elif isinstance(inst, Select):
-        cond, a, b = inst.operands
+        cond, a, b = inst._operands
         if not (cond.type.is_integer and cond.type.bits == 1):
             errors.append(f"select condition not i1: {inst!r}")
         if a.type is not b.type or a.type is not inst.type:
             errors.append(f"select arm type mismatch: {inst!r}")
     elif isinstance(inst, Cast):
-        (a,) = inst.operands
+        (a,) = inst._operands
         if inst.opcode in ("trunc", "zext", "sext"):
             if not (
                 isinstance(a.type, IntType) and isinstance(inst.type, IntType)

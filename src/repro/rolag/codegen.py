@@ -99,10 +99,8 @@ class LoopCodeGenerator:
         index = fn.blocks.index(block)
         loop_block = BasicBlock(fn.next_name("rolag.loop"))
         exit_block = BasicBlock(fn.next_name("rolag.exit"))
-        loop_block.parent = fn
-        exit_block.parent = fn
-        fn.blocks.insert(index + 1, loop_block)
-        fn.blocks.insert(index + 2, exit_block)
+        fn.insert_block(index + 1, loop_block)
+        fn.insert_block(index + 2, exit_block)
         self.loop_block = loop_block
         self.exit_block = exit_block
 
@@ -147,24 +145,12 @@ class LoopCodeGenerator:
         assert old_terminator is not None
         claimed_in_order = self.ag.claimed_instructions()
 
-        for inst in self.schedule.after:
-            inst.parent = exit_block
-        old_terminator.parent = exit_block
-        exit_block.instructions = (
+        exit_block.set_instructions(
             list(self.exit_extra) + list(self.schedule.after) + [old_terminator]
         )
-        for inst in self.exit_extra:
-            inst.parent = exit_block
-
-        for inst in self.pre_extra:
-            inst.parent = block
-        preheader_br = Br(loop_block)
-        block.instructions = list(self.schedule.before) + list(self.pre_extra) + [
-            preheader_br
-        ]
-        preheader_br.parent = block
-        for inst in self.schedule.before:
-            inst.parent = block
+        block.set_instructions(
+            list(self.schedule.before) + list(self.pre_extra) + [Br(loop_block)]
+        )
 
         # Entry allocas go to the very top of the entry block.
         entry = fn.entry
@@ -385,7 +371,7 @@ class LoopCodeGenerator:
         acc.add_incoming(start, self.block)
         leaf = self._lower(node.children[0])
         acc_next = builder.binop(node.opcode, acc, leaf)
-        acc_next.name = self.function.next_name("rolag.acc.next")
+        acc_next.rename(self.function.next_name("rolag.acc.next"))
         acc.add_incoming(acc_next, self.loop_block)
         # The original tree root's value is the final accumulator.
         node.root.replace_all_uses_with(acc_next)

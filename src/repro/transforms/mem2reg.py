@@ -110,7 +110,7 @@ def promote_memory_to_registers(fn: Function) -> int:
                     pushed.append(home)
                 kept.append(inst)
         if len(kept) != len(block.instructions):
-            block.instructions[:] = kept
+            block.set_instructions(kept)
         for succ in block.successors():
             for phi in succ.phis():
                 home = phi_homes.get(id(phi))

@@ -49,9 +49,6 @@ def simplify_cfg(fn: Function) -> int:
             for succ in block.successors():
                 for phi in succ.phis():
                     phi.remove_incoming(block)
-            for inst in list(block.instructions):
-                inst.drop_all_references()
-            block.instructions = []
             block.erase_from_parent()
             changed = True
             total += 1
@@ -78,7 +75,7 @@ def simplify_cfg(fn: Function) -> int:
                     continue
             term.erase_from_parent()
             for inst in list(succ.instructions):
-                succ.instructions.remove(inst)
+                succ.remove(inst)
                 block.append(inst)
             # Successor blocks' phis must now name `block` as the pred.
             succ.replace_all_uses_with(block)

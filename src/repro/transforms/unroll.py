@@ -132,9 +132,7 @@ def unroll_counted_loop(counted: CountedLoop, factor: int) -> bool:
         iv_next.set_operand(0, ConstantInt(int_ty, scaled))
 
     new_instructions += [iv_next, cmp, term]
-    block.instructions = new_instructions
-    for inst in new_instructions:
-        inst.parent = block
+    block.set_instructions(new_instructions)
 
     # External uses of body values now see the final copy (done after
     # parents are set so in-loop clones are not mistaken for external).

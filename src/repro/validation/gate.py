@@ -16,7 +16,9 @@ or rolls back, at one of four levels:
     :class:`~repro.difftest.runner.Evidence`, the original module's
     observations captured before any pass ran -- the same value the
     driver's difftest oracle checks its candidates against.  The gate
-    observes with the backend that captured its evidence.
+    observes with the backend that captured its evidence, through the
+    evidence's observation memo, so the oracle's later check of a
+    state the gate committed runs nothing.
 ``strict``
     ``safe`` plus cross-backend parity: the candidate's full
     observations under the interpreter and the compiling evaluator
@@ -271,6 +273,7 @@ class Validator:
         mismatch = first_mismatch(
             module, fn.name, reference, step_limit=self.step_limit,
             evaluator=self.evaluator, program=program,
+            memo=self._evidence.memo,
         )
         if mismatch is not None:
             return ("semantics",) + mismatch

@@ -207,7 +207,7 @@ class TestChaosCampaign:
         code = main([
             "chaos",
             "--seed", "5",
-            "--jobs", "6",
+            "--count", "6",
             "--rounds", "2",
             "--workers", "2",
             "--base-dir", str(tmp_path),

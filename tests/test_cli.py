@@ -177,6 +177,17 @@ class TestArgParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["x.c", "--validate", "paranoid"])
 
+    def test_chaos_corpus_size_is_count_not_jobs(self, capsys):
+        # ``--jobs`` means worker processes in batch; chaos spells its
+        # corpus size ``--count``, as ``difftest`` and ``bench`` do.
+        from repro.cli import build_chaos_parser
+
+        parser = build_chaos_parser()
+        assert parser.parse_args(["--count", "6"]).count == 6
+        assert parser.parse_args([]).count == 12
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--jobs", "6"])
+
 
 class TestValidatedSingleModule:
     @pytest.mark.guard

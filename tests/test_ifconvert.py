@@ -7,6 +7,8 @@ from tests.helpers import assert_transform_preserves, execute, ints_to_bytes
 from repro.ir import Select, parse_module, verify_module
 from repro.transforms import convert_ifs
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 class TestTriangle:
     def test_empty_then_side(self):

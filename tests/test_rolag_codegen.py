@@ -17,6 +17,8 @@ from repro.ir import (
 )
 from repro.rolag import RolagStats, roll_loops_in_function
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 ROLLABLE = """
 define void @f(i32* %p) {

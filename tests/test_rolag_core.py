@@ -18,6 +18,8 @@ from repro.rolag import (
     roll_loops_in_module,
 )
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 def roll(module, name="f", config=None, stats=None):
     return roll_loops_in_function(

@@ -20,6 +20,8 @@ from repro.driver import FunctionJob, optimize_one
 from repro.ir import Store, parse_module
 from repro.rolag import AlignmentGraph, RolagConfig
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 ANGHA_40 = "fa5eaff1f9c5a322855e4f119995be54026c89f88bbc45f4d94f86490966bd27"
 ANGHA_400 = "fb181db7cfe707f2a98dccb5dee6d33bde20e390e85876f53e610e918f74cb77"
 

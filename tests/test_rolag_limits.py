@@ -14,6 +14,8 @@ from repro.ir import parse_module, verify_module
 from repro.rolag import RolagConfig, RolagStats, roll_loops_in_module
 from repro.transforms import unroll_loops
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 class TestMultiBlockLimitation:
     def test_conditional_body_not_rolled(self):

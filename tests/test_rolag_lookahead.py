@@ -8,6 +8,8 @@ from repro.ir import parse_module
 from repro.rolag import RolagConfig, RolagStats, roll_loops_in_function
 from repro.rolag.alignment import _similarity
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 class TestSimilarityScoring:
     def test_identity_scores_highest(self):

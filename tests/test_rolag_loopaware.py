@@ -10,6 +10,8 @@ from repro.ir import Machine, parse_module, verify_module
 from repro.rolag import RolagConfig, RolagStats, roll_loops_in_module
 from repro.transforms import unroll_loops
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 AWARE = RolagConfig(fast_math=True, loop_aware=True)
 
 

@@ -9,6 +9,8 @@ from repro.ir import I32, Machine, parse_module, verify_module
 from repro.rolag import RolagConfig, RolagStats, roll_loops_in_module
 from repro.rolag.seeds import collect_minmax_seeds, collect_seed_groups
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 def straight_line_max(lanes, pred="sgt", cmp_leaf_first=True,
                       select_leaf_first=True):

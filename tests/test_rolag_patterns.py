@@ -16,6 +16,8 @@ from repro.rolag import (
     roll_loops_in_function,
 )
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 def roll(module, name="f", config=None, stats=None):
     return roll_loops_in_function(

@@ -7,6 +7,8 @@ from repro.frontend import compile_c
 from repro.ir import Machine, verify_module
 from repro.rolag import RolagConfig, roll_loops_in_module
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 #: A module with a hot rollable block (inside a 200-trip loop) and a
 #: cold rollable function that runs once.
 SOURCE = """

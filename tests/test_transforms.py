@@ -21,6 +21,8 @@ from repro.transforms import (
     simplify_cfg,
 )
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 class TestMem2Reg:
     COUNT_UP = """

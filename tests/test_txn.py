@@ -41,7 +41,7 @@ from repro.validation import (
     evidence_check,
 )
 
-pytestmark = pytest.mark.guard
+pytestmark = [pytest.mark.guard, pytest.mark.usefixtures("stamp_checker")]
 
 
 @pytest.fixture(autouse=True)

@@ -16,6 +16,8 @@ from repro.transforms import (
     unroll_loops,
 )
 
+pytestmark = pytest.mark.usefixtures("stamp_checker")
+
 
 INIT_LOOP = """
 @A = global [24 x i32] zeroinitializer

@@ -26,7 +26,7 @@ from repro.driver import FunctionJob, optimize_one
 from repro.ir import print_module
 from repro.rolag import RolagConfig
 
-pytestmark = pytest.mark.guard
+pytestmark = [pytest.mark.guard, pytest.mark.usefixtures("stamp_checker")]
 
 #: ``tsvc_safe_digest(8)``: every kernel unrolled by 8.
 SAFE_DIGEST_8 = "9cf925715e1d94e52a52ace2d0dfbfa46ec22573c09c3757e0fbd4087fa058de"
