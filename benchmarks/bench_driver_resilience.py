@@ -6,71 +6,33 @@ fault site is a single global read and a checkpoint is a no-op, so a
 fault-free serial batch through ``optimize_functions`` should cost
 within 3% of calling the raw per-job pipeline in a loop.
 
-Min-of-rounds on interleaved A/B runs keeps the comparison robust to
-background noise and thermal drift.
+The gate reads the median overhead of paired raw-loop/hardened-driver
+runs (``check_overhead`` in ``conftest.py``).
 """
 
-from time import perf_counter
+from conftest import angha_jobs, check_overhead
 
-from conftest import save_and_print
-
-from repro.bench import angha
-from repro.driver import FunctionJob, optimize_functions
+from repro.driver import optimize_functions
 from repro.driver.core import optimize_one
 
-ROUNDS = 5
 MAX_OVERHEAD = 0.03
 
 
-def _jobs(count):
-    return [
-        FunctionJob(
-            name=cs.name, c_source=cs.source, metadata=(("family", cs.family),)
-        )
-        for cs in angha.generate_sources(count=count, seed=2022)
-    ]
-
-
 def test_no_fault_overhead_under_3_percent(results_dir, bench_quick):
-    jobs = _jobs(12 if bench_quick else 24)
+    jobs = angha_jobs(12 if bench_quick else 24)
 
     def raw():
         for job in jobs:
             optimize_one(job)
 
-    def guarded():
-        optimize_functions(jobs, workers=1)
-
-    # Warm both paths once (imports, allocator steady state).
-    raw()
-    guarded()
-
-    raw_times, guarded_times = [], []
-    for _ in range(ROUNDS):
-        start = perf_counter()
-        raw()
-        raw_times.append(perf_counter() - start)
-        start = perf_counter()
-        guarded()
-        guarded_times.append(perf_counter() - start)
-
-    best_raw = min(raw_times)
-    best_guarded = min(guarded_times)
-    overhead = (best_guarded - best_raw) / best_raw
-
-    text = "\n".join(
-        [
-            "=== Resilience-stack overhead (no faults, serial driver) ===",
-            f"jobs per round: {len(jobs)}  rounds: {ROUNDS}",
-            f"raw pipeline:      best {best_raw * 1e3:8.1f} ms",
-            f"hardened driver:   best {best_guarded * 1e3:8.1f} ms",
-            f"overhead: {overhead * 100:+.2f}% (budget: "
-            f"{MAX_OVERHEAD * 100:.0f}%)",
-        ]
-    )
-    save_and_print(results_dir, "driver_resilience_overhead.txt", text)
-
-    assert overhead < MAX_OVERHEAD, (
-        f"no-fault resilience overhead {overhead * 100:.2f}% exceeds "
-        f"{MAX_OVERHEAD * 100:.0f}% budget"
+    check_overhead(
+        results_dir,
+        "driver_resilience_overhead.txt",
+        "Resilience-stack overhead (no faults, serial driver)",
+        len(jobs),
+        "raw pipeline",
+        raw,
+        "hardened driver",
+        lambda: optimize_functions(jobs, workers=1),
+        MAX_OVERHEAD,
     )

@@ -53,9 +53,9 @@ def test_ext_compiled_eval(benchmark, results_dir, bench_quick):
         # Where evaluation dominates, the compiled tier must win big:
         # hot-loop execution (the TSVC row) runs ~5x faster.  Fuzzed
         # oracle cases are tiny (hundreds of steps), so fresh
-        # per-observation machine setup bounds that row far lower; its
-        # speedup is the median of interleaved interpreter/compiled
-        # rounds, so host load slows both sides of each ratio alike.
+        # per-observation machine setup bounds that row far lower.
+        # Each speedup is the median of paired interpreter/compiled
+        # runs, so host load slows both sides of each ratio alike.
         assert results["oracle_observations"]["speedup"] >= 1.5
         assert results["tsvc_dynamic"]["speedup"] >= 3.0
 

@@ -10,16 +10,16 @@ module text and the ``RolagConfig`` fingerprint.
 A second, micro-scale section times seed-group formation on one wide
 synthetic block: the bucketed implementation (stores keyed by base
 object and stored type) against the historical pairwise scan that
-compared every store with a representative of every open group.
+compared every store with a representative of every open group, as
+the median speedup of :func:`repro.bench.paired.time_pairs` pairs.
 """
 
-import time
-
-from conftest import save_and_print
+from conftest import angha_jobs, save_and_print
 
 from repro.analysis.alias import underlying_object
-from repro.bench import angha, format_table
-from repro.driver import FunctionJob, optimize_functions
+from repro.bench import format_table
+from repro.bench.paired import describe_pairs, time_pairs
+from repro.driver import optimize_functions
 from repro.frontend import compile_c
 from repro.ir.instructions import Store
 from repro.rolag.seeds import collect_seed_groups
@@ -40,14 +40,8 @@ WIDE_SOURCE = "\n".join(
     for k in range(WIDTH)
 ) + "\n}\n"
 
-
-def _corpus_jobs():
-    return [
-        FunctionJob(
-            name=cs.name, c_source=cs.source, metadata=(("family", cs.family),)
-        )
-        for cs in angha.generate_sources(count=CORPUS_COUNT, seed=CORPUS_SEED)
-    ]
+#: Seed-grouping calls per timed side: one call is too short to time.
+ITERATIONS = 10
 
 
 def naive_store_groups(block, min_lanes=2):
@@ -71,19 +65,14 @@ def naive_store_groups(block, min_lanes=2):
     return [g for g in groups if len(g) >= min_lanes]
 
 
-def _time_best(fn, rounds=5, iterations=10):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        best = min(best, (time.perf_counter() - start) / iterations)
-    return best
+def _repeated(fn):
+    """``fn`` called :data:`ITERATIONS` times: one timed side."""
+    return lambda: [fn() for _ in range(ITERATIONS)][-1]
 
 
 def test_ext_parallel_driver(benchmark, results_dir, tmp_path):
     def experiment():
-        jobs = _corpus_jobs()
+        jobs = angha_jobs(CORPUS_COUNT, seed=CORPUS_SEED)
         serial = optimize_functions(jobs, workers=1, use_cache=False)
         pooled = optimize_functions(
             jobs, workers=2, chunk_size=4, use_cache=False
@@ -94,19 +83,15 @@ def test_ext_parallel_driver(benchmark, results_dir, tmp_path):
 
         module = compile_c(WIDE_SOURCE)
         block = module.get_function("wide").entry
-        bucketed_time = _time_best(lambda: collect_seed_groups(block))
-        naive_time = _time_best(lambda: naive_store_groups(block))
-        bucketed = [
-            g.instructions
-            for g in collect_seed_groups(block)
-            if g.kind == "store"
-        ]
-        naive = naive_store_groups(block)
-        return (serial, pooled, cold, warm, bucketed_time, naive_time,
-                bucketed, naive)
+        grouping = time_pairs(
+            _repeated(lambda: naive_store_groups(block)),
+            _repeated(lambda: collect_seed_groups(block)),
+        )
+        return serial, pooled, cold, warm, grouping
 
-    (serial, pooled, cold, warm, bucketed_time, naive_time,
-     bucketed, naive) = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    serial, pooled, cold, warm, grouping = benchmark.pedantic(
+        experiment, rounds=1, iterations=1
+    )
 
     driver_rows = [
         (label, r.stats.workers, r.stats.cache_hits, r.stats.executed,
@@ -118,7 +103,6 @@ def test_ext_parallel_driver(benchmark, results_dir, tmp_path):
             ("warm cache", warm),
         )
     ]
-    speedup = naive_time / bucketed_time
     text = "\n".join(
         [
             "=== Extension: parallel, memoizing corpus driver ===",
@@ -133,14 +117,17 @@ def test_ext_parallel_driver(benchmark, results_dir, tmp_path):
             f"block: {WIDTH} arrays x {LANES} stores each "
             f"({WIDTH * LANES} stores, {WIDTH} groups)",
             format_table(
-                ["Algorithm", "Best time", "Speedup"],
+                ["Algorithm", "Median time", "Speedup"],
                 [
                     ("pairwise scan (historical)",
-                     f"{naive_time * 1e3:.3f} ms", "1.0x"),
+                     f"{grouping.seconds('a') / ITERATIONS * 1e3:.3f} ms",
+                     "1.0x"),
                     ("bucketed (current)",
-                     f"{bucketed_time * 1e3:.3f} ms", f"{speedup:.1f}x"),
+                     f"{grouping.seconds('b') / ITERATIONS * 1e3:.3f} ms",
+                     f"{grouping.ratio:.1f}x"),
                 ],
             ),
+            "speedup " + describe_pairs(grouping.to_json(), "{:.1f}x"),
         ]
     )
     save_and_print(results_dir, "ext_parallel.txt", text)
@@ -157,5 +144,8 @@ def test_ext_parallel_driver(benchmark, results_dir, tmp_path):
     assert warm.stats.wall_seconds < cold.stats.wall_seconds / 2
     # Bucketed seed formation groups identically to the pairwise scan
     # and beats it by at least 2x on the wide block.
-    assert bucketed == naive
-    assert speedup >= 2.0
+    for naive, bucketed in zip(grouping.a, grouping.b):
+        assert naive.result == [
+            g.instructions for g in bucketed.result if g.kind == "store"
+        ]
+    assert grouping.ratio >= 2.0

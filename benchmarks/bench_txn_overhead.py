@@ -7,74 +7,32 @@ captures and the incremental verifier scales with the edit, so on a
 fault-free corpus batch the whole layer should cost within 5% of the
 untransacted driver.
 
-Min-of-rounds on interleaved A/B runs keeps the comparison robust to
-background noise and thermal drift.  The cache is off on both sides:
-the point is the per-transaction cost, not memoization.
+The gate reads the median overhead of paired untransacted/transacted
+runs (``check_overhead`` in ``conftest.py``).  The cache is off on
+both sides: the point is the per-transaction cost, not memoization.
 """
 
-from time import perf_counter
+from conftest import angha_jobs, check_overhead
 
-from conftest import save_and_print
-
-from repro.bench import angha
-from repro.driver import FunctionJob, optimize_functions
+from repro.driver import optimize_functions
 from repro.rolag.config import RolagConfig
 
-ROUNDS = 5
 MAX_OVERHEAD = 0.05
 
 
-def _jobs(count):
-    return [
-        FunctionJob(
-            name=cs.name, c_source=cs.source, metadata=(("family", cs.family),)
-        )
-        for cs in angha.generate_sources(count=count, seed=2022)
-    ]
-
-
 def test_fast_validation_overhead_under_5_percent(results_dir, bench_quick):
-    jobs = _jobs(12 if bench_quick else 24)
+    jobs = angha_jobs(12 if bench_quick else 24)
     plain = RolagConfig()
     validated = RolagConfig(validate="fast")
-
-    def untransacted():
-        optimize_functions(jobs, plain, workers=1)
-
-    def transacted():
-        optimize_functions(jobs, validated, workers=1)
-
-    # Warm both paths once (imports, allocator steady state).
-    untransacted()
-    transacted()
-
-    plain_times, validated_times = [], []
-    for _ in range(ROUNDS):
-        start = perf_counter()
-        untransacted()
-        plain_times.append(perf_counter() - start)
-        start = perf_counter()
-        transacted()
-        validated_times.append(perf_counter() - start)
-
-    best_plain = min(plain_times)
-    best_validated = min(validated_times)
-    overhead = (best_validated - best_plain) / best_plain
-
-    text = "\n".join(
-        [
-            "=== Transactional-pipeline overhead "
-            "(validate=fast, no faults, serial driver) ===",
-            f"jobs per round: {len(jobs)}  rounds: {ROUNDS}",
-            f"validate=off:      best {best_plain * 1e3:8.1f} ms",
-            f"validate=fast:     best {best_validated * 1e3:8.1f} ms",
-            f"overhead: {overhead * 100:+.2f}% (budget: "
-            f"{MAX_OVERHEAD * 100:.0f}%)",
-        ]
-    )
-    save_and_print(results_dir, "txn_overhead.txt", text)
-
-    assert overhead < MAX_OVERHEAD, (
-        f"fast-validation overhead {overhead * 100:.2f}% exceeds "
-        f"{MAX_OVERHEAD * 100:.0f}% budget"
+    check_overhead(
+        results_dir,
+        "txn_overhead.txt",
+        "Transactional-pipeline overhead "
+        "(validate=fast, no faults, serial driver)",
+        len(jobs),
+        "validate=off",
+        lambda: optimize_functions(jobs, plain, workers=1),
+        "validate=fast",
+        lambda: optimize_functions(jobs, validated, workers=1),
+        MAX_OVERHEAD,
     )

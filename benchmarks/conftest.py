@@ -9,6 +9,10 @@ import os
 
 import pytest
 
+from repro.bench import angha
+from repro.bench.paired import describe_pairs, overhead, time_pairs
+from repro.driver import FunctionJob
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 CACHE_DIR = os.path.join(os.path.dirname(__file__), ".rolag-cache")
 
@@ -18,8 +22,8 @@ def pytest_addoption(parser):
         "--bench-quick",
         action="store_true",
         default=False,
-        help="shrink long benchmark workloads (the compiled-eval suite) "
-        "to smoke-test sizes",
+        help="shrink the exhibit suites that time a ratio to smoke-test "
+        "sizes",
     )
 
 
@@ -68,3 +72,39 @@ def save_and_print(results_dir: str, filename: str, text: str) -> None:
     print()
     print(text)
     print(f"[saved to {path}]")
+
+
+def angha_jobs(count: int, seed: int = 2022):
+    """``count`` Angha-style mini-C functions as driver jobs."""
+    return [
+        FunctionJob(
+            name=cs.name, c_source=cs.source, metadata=(("family", cs.family),)
+        )
+        for cs in angha.generate_sources(count=count, seed=seed)
+    ]
+
+
+def check_overhead(results_dir, filename, title, job_count, label_a, run_a,
+                   label_b, run_b, budget):
+    """Assert that ``run_b``'s time overhead over ``run_a``, the median
+    of :func:`repro.bench.paired.time_pairs` pairs alternating which
+    side runs first, stays under ``budget``; each side is warmed once
+    before timing."""
+    run_a()
+    run_b()
+    timing = time_pairs(run_a, run_b, ratio=overhead)
+    text = "\n".join(
+        [
+            f"=== {title} ===",
+            f"jobs per run: {job_count}",
+            f"{label_a + ':':<18} median {timing.seconds('a') * 1e3:8.1f} ms",
+            f"{label_b + ':':<18} median {timing.seconds('b') * 1e3:8.1f} ms",
+            "overhead: "
+            + describe_pairs(timing.to_json(), "{:+.2%}")
+            + f" (budget: {budget:.0%})",
+        ]
+    )
+    save_and_print(results_dir, filename, text)
+    assert timing.ratio < budget, (
+        f"{title}: {timing.ratio:.2%} exceeds {budget:.0%} budget"
+    )

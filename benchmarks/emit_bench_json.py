@@ -76,8 +76,7 @@ def main(argv=None) -> int:
 
     if args.suite == "serve":
         from repro.bench.servebench import (
-            MAX_JOURNAL_OVERHEAD_PERCENT,
-            MIN_SUCCESS_RATE,
+            failed_bars,
             render_serve_bench,
             run_serve_suite,
         )
@@ -90,26 +89,7 @@ def main(argv=None) -> int:
         text = render_serve_bench(results)
         json_path = args.json or "BENCH_serve.json"
         text_path = args.text or "results/serve.txt"
-        storm = results["storm"]
-        recovery = results["recovery"]
-        ok = (
-            storm["ok"]
-            and results["clean"]["ok"]
-            and results["journaled"]["ok"]
-            and results["journal_pairs_ok"]
-            and recovery["ok"]
-            and recovery["duplicate_executions"] == 0
-            and recovery["supervisor_exit"] == 0
-            and storm["success_rate"] >= MIN_SUCCESS_RATE
-            and storm["wrong_outputs"] == 0
-            and storm["coalesced"] == storm["duplicates"]
-            # Overhead is a full-run bar: one quick pair is too noisy.
-            and (
-                args.quick
-                or results["journal_overhead_percent"]
-                <= MAX_JOURNAL_OVERHEAD_PERCENT
-            )
-        )
+        ok = not failed_bars(results)
     elif args.suite == "struct-cache":
         from repro.bench.structcache import (
             render_struct_cache,

@@ -7,32 +7,27 @@ fast tier and returns a plain JSON-serializable dict: the payload behind
 ``repro bench``, ``benchmarks/emit_bench_json.py`` and
 ``BENCH_compiled_eval.json``.
 
-Four experiments:
+Each timed row is a speedup (interpreter time over compiled time)
+from :func:`repro.bench.paired.time_pairs`: the backends run in
+alternating pairs, the row's ``speedup`` is the median of the
+per-pair speedups, each backend's ``seconds`` is its median run, and
+``timing`` holds every pair's values.  Four experiments:
 
 ``difftest_campaign``
     ``repro difftest`` end to end under each backend, plus the
     mismatch count (which must be zero).  The campaign also parses,
     prints, rolls and bisects, so by Amdahl's law its speedup is
     bounded by the share of time spent evaluating -- the honest
-    whole-campaign number.  A campaign runs for seconds, long enough
-    for host speed to drift between two of them, so the backends run
-    in :data:`CAMPAIGN_ROUNDS` interleaved rounds, alternating which
-    goes first, and the row records the median of the per-round ratios
-    (each backend's ``seconds`` is its median run) and every round's
-    times.
+    whole-campaign number, reported without a bar.
 ``oracle_observations``
     The evaluation-dominated slice of the same campaign: repeated
     observations of already-built fuzzer modules (no transforms, one
-    parse per case), where backend choice is the whole story.  The
-    timed region is short, so the backends alternate over
-    :data:`ORACLE_PAIRS` rounds and the row records the median of the
-    per-round ratios: load on a shared host slows both halves of a
-    round alike.
+    parse per case), where backend choice is the whole story.
 ``tsvc_dynamic``
     Repeated execution of unrolled TSVC kernels -- the fig18/Sec. V-D
     dynamic-step workload in its repeated-measurement shape.  Step
-    counts must agree exactly between backends; wall time is the
-    payoff.
+    counts must agree exactly across every run of both backends; wall
+    time is the payoff.
 ``parity``
     The fuzzer parity smoke: full Observation equality (status, trap
     kind, memory, extern traces, steps) between the two tiers.
@@ -42,9 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from statistics import median
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..difftest.fuzzer import FunctionFuzzer
 from ..difftest.oracle import (
@@ -57,57 +50,43 @@ from ..difftest.runner import run_difftest
 from ..ir import parse_module, print_module
 from ..ir.compile_eval import EVALUATOR_CHOICES, make_machine
 from . import tsvc
+from .paired import PairedTiming, describe_pairs, time_pairs
 
-#: Every measured backend, reference interpreter first.
+#: Every measured backend, reference interpreter first: side A of
+#: each paired row.
 BACKENDS = tuple(EVALUATOR_CHOICES)
 
 
-#: Interpreter/compiled rounds of the campaign row; odd, so the median
-#: is one round's ratio.
-CAMPAIGN_ROUNDS = 3
+def _backend_row(
+    run: Callable[[str], object], **fields
+) -> Tuple[Dict[str, object], PairedTiming]:
+    """Time ``run(backend)`` on the interpreter (side A) against the
+    compiled tier (side B): the row with the median speedup, each
+    backend's median seconds and every pair's values, and the timing
+    with each call's result."""
+    interp, compiled = BACKENDS
+    timing = time_pairs(lambda: run(interp), lambda: run(compiled))
+    row = dict(fields, speedup=timing.ratio, timing=timing.to_json())
+    for backend, side in zip(BACKENDS, ("a", "b")):
+        row[backend] = {"evaluator": backend, "seconds": timing.seconds(side)}
+    return row, timing
 
 
-def _time_difftest(seed: int, count: int) -> Dict[str, object]:
-    """The ``difftest_campaign`` row: :data:`CAMPAIGN_ROUNDS`
-    interleaved rounds, the interpreter first in even rounds and last
-    in odd ones."""
-    round_seconds: Dict[str, List[float]] = {b: [] for b in BACKENDS}
-    reports = {}
-    for index in range(CAMPAIGN_ROUNDS):
-        for backend in BACKENDS if index % 2 == 0 else BACKENDS[::-1]:
-            start = time.perf_counter()
-            reports[backend] = run_difftest(
-                seed=seed, count=count, evaluator=backend
-            )
-            round_seconds[backend].append(time.perf_counter() - start)
-    speedups = [
-        _speedup(interp, compiled)
-        for interp, compiled in zip(
-            round_seconds["interp"], round_seconds["compiled"]
+def _campaign_row(seed: int, count: int) -> Dict[str, object]:
+    """The ``difftest_campaign`` row: whole campaigns, paired."""
+    campaign, timing = _backend_row(
+        lambda evaluator: run_difftest(seed, count, evaluator=evaluator),
+        seed=seed,
+        count=count,
+    )
+    for backend, runs in zip(BACKENDS, (timing.a, timing.b)):
+        reports = [run.result for run in runs]
+        campaign[backend].update(
+            mismatches=max(len(r.mismatches) for r in reports),
+            unexplained=max(len(r.unexplained) for r in reports),
+            rolled_loops=reports[-1].rolled_loops,
         )
-    ]
-    campaign: Dict[str, object] = {
-        "seed": seed,
-        "count": count,
-        "rounds": len(speedups),
-        "round_speedups": speedups,
-        "speedup": median(speedups),
-    }
-    for backend, report in reports.items():
-        campaign[backend] = {
-            "evaluator": backend,
-            "seconds": median(round_seconds[backend]),
-            "round_seconds": round_seconds[backend],
-            "mismatches": len(report.mismatches),
-            "unexplained": len(report.unexplained),
-            "rolled_loops": report.rolled_loops,
-        }
     return campaign
-
-
-#: Interpreter/compiled rounds of the oracle row (see the module
-#: docstring); odd, so the median is one round's ratio.
-ORACLE_PAIRS = 7
 
 
 def _oracle_cases(seed: int, count: int, vectors_per_case: int = 3) -> list:
@@ -123,15 +102,14 @@ def _oracle_cases(seed: int, count: int, vectors_per_case: int = 3) -> list:
     return cases
 
 
-def _time_oracle_only(cases: list, evaluator: str, repeats: int = 3) -> float:
-    """Seconds to observe every case, ``repeats`` sweeps each.
+def _observe_all(cases: list, evaluator: str, repeats: int = 3) -> None:
+    """Observe every case, ``repeats`` sweeps each.
 
-    The cases are fuzzed and parsed *outside* the timed region: this
+    The cases are fuzzed and parsed before timing starts: this
     isolates evaluation the way the difftest campaign cannot, and the
     repeated sweeps model the bisector/minimizer re-observing one
     module many times.
     """
-    start = time.perf_counter()
     for module, fn_name, vectors in cases:
         program = program_for(module, evaluator)
         for _ in range(repeats):
@@ -143,27 +121,22 @@ def _time_oracle_only(cases: list, evaluator: str, repeats: int = 3) -> float:
                     evaluator=evaluator,
                     program=program,
                 )
-    return time.perf_counter() - start
 
 
-def _time_tsvc_dynamic(
-    kernels: List[str], factor: int, evaluator: str, calls: int = 100
-) -> Dict[str, object]:
-    """Seconds for ``calls`` executions of each unrolled kernel.
+def _run_tsvc_kernels(
+    modules: list, evaluator: str, calls: int
+) -> Dict[str, int]:
+    """``calls`` executions of each unrolled kernel; returns each
+    kernel's step count.
 
-    Modules are parsed outside the timed region (the harness measures
+    The modules are parsed before timing starts (the harness measures
     dynamic steps on modules it already holds), and each kernel keeps
     one machine across calls -- the repeated-measurement shape of
-    Sec. V-D sweeps and cache-warm reruns.  The recorded per-kernel
-    step counts come from the first call on the fresh machine, which
-    is the number the exhibits use.
+    Sec. V-D sweeps and cache-warm reruns.  The step counts come from
+    the first call on the fresh machine, which is the number the
+    exhibits use.
     """
-    modules = [
-        (name, parse_module(print_module(tsvc.build_unrolled_kernel(name, factor))))
-        for name in kernels
-    ]
     steps: Dict[str, int] = {}
-    start = time.perf_counter()
     for name, module in modules:
         program = program_for(module, evaluator)
         machine = make_machine(module, evaluator, program=program)
@@ -173,17 +146,7 @@ def _time_tsvc_dynamic(
         steps[name] = machine.steps
         for _ in range(calls - 1):
             machine.call(fn, [])
-    return {
-        "evaluator": evaluator,
-        "calls": calls,
-        "seconds": time.perf_counter() - start,
-        "total_steps": sum(steps.values()),
-        "steps": steps,
-    }
-
-
-def _speedup(reference: float, candidate: float) -> float:
-    return reference / candidate if candidate else 0.0
+    return steps
 
 
 def run_perf_suite(
@@ -210,40 +173,30 @@ def run_perf_suite(
 
     kernels = tsvc_kernels or tsvc.kernel_names()[:12]
 
-    campaign = _time_difftest(seed, difftest_count)
+    campaign = _campaign_row(seed, difftest_count)
 
     cases = _oracle_cases(seed, oracle_count)
-    rounds = [
-        {backend: _time_oracle_only(cases, backend) for backend in BACKENDS}
-        for _ in range(ORACLE_PAIRS)
-    ]
-    oracle = {
-        "seed": seed,
-        "count": oracle_count,
-        "pairs": ORACLE_PAIRS,
-        "interp_seconds": median(r["interp"] for r in rounds),
-        "compiled_seconds": median(r["compiled"] for r in rounds),
-        "speedup": median(
-            _speedup(r["interp"], r["compiled"]) for r in rounds
-        ),
-    }
+    oracle, _ = _backend_row(
+        lambda backend: _observe_all(cases, backend),
+        seed=seed,
+        count=oracle_count,
+    )
 
-    tsvc_runs = {
-        backend: _time_tsvc_dynamic(kernels, tsvc_factor, backend, tsvc_calls)
-        for backend in BACKENDS
-    }
-    tsvc_dynamic = {
-        "kernels": kernels,
-        "factor": tsvc_factor,
-        "steps_equal": all(
-            tsvc_runs[backend]["steps"] == tsvc_runs["interp"]["steps"]
-            for backend in BACKENDS
-        ),
-        "speedup": _speedup(
-            tsvc_runs["interp"]["seconds"], tsvc_runs["compiled"]["seconds"]
-        ),
-    }
-    tsvc_dynamic.update(tsvc_runs)
+    modules = [
+        (name, parse_module(print_module(
+            tsvc.build_unrolled_kernel(name, tsvc_factor)
+        )))
+        for name in kernels
+    ]
+    tsvc_dynamic, timing = _backend_row(
+        lambda backend: _run_tsvc_kernels(modules, backend, tsvc_calls),
+        kernels=kernels,
+        factor=tsvc_factor,
+        calls=tsvc_calls,
+    )
+    steps = [run.result for run in timing.a + timing.b]
+    tsvc_dynamic["steps"] = steps[0]
+    tsvc_dynamic["steps_equal"] = all(s == steps[0] for s in steps)
 
     parity_mismatches = check_backend_parity(seed, parity_count)
     parity = {
@@ -310,32 +263,40 @@ def render_perf_suite(results: Dict[str, object]) -> str:
         (
             f"repro difftest --seed {campaign['seed']} "
             f"--count {campaign['count']}",
-            f"{campaign['interp']['seconds']:.2f}s",
-            f"{campaign['compiled']['seconds']:.2f}s",
-            f"{campaign['speedup']:.2f}x",
+            campaign,
         ),
         (
             f"oracle observations ({oracle['count']} fuzzed cases, "
             f"repeated sweeps)",
-            f"{oracle['interp_seconds']:.2f}s",
-            f"{oracle['compiled_seconds']:.2f}s",
-            f"{oracle['speedup']:.2f}x",
+            oracle,
         ),
         (
             f"TSVC dynamic execution ({len(tsvc_dyn['kernels'])} kernels, "
-            f"factor {tsvc_dyn['factor']}, x{tsvc_dyn['interp']['calls']})",
-            f"{tsvc_dyn['interp']['seconds']:.2f}s",
-            f"{tsvc_dyn['compiled']['seconds']:.2f}s",
-            f"{tsvc_dyn['speedup']:.2f}x",
+            f"factor {tsvc_dyn['factor']}, x{tsvc_dyn['calls']})",
+            tsvc_dyn,
         ),
     ]
     lines = ["Evaluator backends vs reference interpreter"]
     lines.append(
         format_table(
             ["Workload", "interp", "compiled", "speedup"],
-            rows,
+            [
+                (
+                    label,
+                    f"{row['interp']['seconds']:.2f}s",
+                    f"{row['compiled']['seconds']:.2f}s",
+                    f"{row['speedup']:.2f}x",
+                )
+                for label, row in rows
+            ],
         )
     )
+    lines.append(
+        "per-pair speedups (median seconds above; pairs alternate "
+        "which backend runs first):"
+    )
+    for label, row in rows:
+        lines.append(f"  {label}: {describe_pairs(row['timing'])}")
     lines.append(
         "difftest mismatches: "
         + " ".join(

@@ -10,11 +10,10 @@ untested corner):
   baseline latency distribution and throughput (every answer still
   oracle-checked, after the stats snapshot);
 * **journaled** -- the identical clean run with the write-ahead job
-  journal on: its throughput delta against *clean* is the journal
-  overhead.  :data:`JOURNAL_PAIRS` clean/journaled pairs run
-  interleaved, alternating which side goes first, and the median of
-  the per-pair overheads must stay under
-  :data:`MAX_JOURNAL_OVERHEAD_PERCENT`;
+  journal on: its throughput loss against *clean* is the journal
+  overhead.  Clean (side A) and journaled (side B) runs are paired by
+  :func:`repro.bench.paired.time_pairs`, and the median of the
+  per-pair overheads must stay under :data:`MAX_JOURNAL_OVERHEAD_PERCENT`;
 * **storm** -- a seeded chaos plan (worker crashes, cooperative
   hangs, cache faults, semantics-changing ``corrupt-ir`` at pass
   exits) with the ``safe`` validation gate on: the service-grade
@@ -40,27 +39,24 @@ reported in the payload:
 * the recovery storm holds every durability invariant
   (``recovery.ok``) and journaling costs <=
   :data:`MAX_JOURNAL_OVERHEAD_PERCENT` percent of clean throughput in
-  the median pair (informational under ``quick``: one noisy pair).
+  the median of the pairs (informational under ``quick``: runs of 16
+  jobs are too short to time).
 """
 
 from __future__ import annotations
 
 from statistics import median
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..faultinject.chaos import run_serve_chaos, run_serve_kill_chaos
+from .paired import Run, describe_pairs, time_pairs
 
 #: Admitted jobs that must complete without degradation under the storm.
 MIN_SUCCESS_RATE = 0.99
 
 #: Journaling (batch sync) may cost at most this percent of the clean
-#: run's throughput, in the median of the interleaved pairs.
+#: run's throughput, in the median of the paired runs.
 MAX_JOURNAL_OVERHEAD_PERCENT = 5.0
-
-#: Interleaved clean/journaled pairs behind the journal-overhead gate
-#: (one under ``quick``).  Each pair is one sample of the overhead, so
-#: one slow run moves one sample, not the gate.
-JOURNAL_PAIRS = 5
 
 
 def _clean_run(seed: int, count: int, journal: bool) -> Dict[str, object]:
@@ -74,28 +70,13 @@ def _clean_run(seed: int, count: int, journal: bool) -> Dict[str, object]:
     ).to_json()
 
 
-def _overhead_percent(
-    clean: Dict[str, object], journaled: Dict[str, object]
-) -> float:
+def _overhead_percent(clean: Run, journaled: Run) -> float:
     """The journaled run's throughput loss, in percent of the clean's."""
-    if clean["jobs_per_second"] <= 0:
-        return 0.0
+    clean_rate = clean.result["jobs_per_second"]
     return (
-        (clean["jobs_per_second"] - journaled["jobs_per_second"])
-        / clean["jobs_per_second"] * 100.0
+        (clean_rate - journaled.result["jobs_per_second"])
+        / clean_rate * 100.0
     )
-
-
-def _journal_pairs(seed: int, count: int, pairs: int) -> List[Tuple]:
-    """``pairs`` interleaved ``(clean, journaled)`` runs; the clean run
-    goes first in even pairs and second in odd ones."""
-    out = []
-    for index in range(pairs):
-        clean_first = index % 2 == 0
-        first = _clean_run(seed, count, journal=not clean_first)
-        second = _clean_run(seed, count, journal=clean_first)
-        out.append((first, second) if clean_first else (second, first))
-    return out
 
 
 def run_serve_suite(
@@ -104,13 +85,11 @@ def run_serve_suite(
     """Measure the whole exhibit; returns the JSON-ready payload."""
     if quick:
         count = min(count, 16)
-    pairs = _journal_pairs(seed, count, 1 if quick else JOURNAL_PAIRS)
-    overheads = [_overhead_percent(*pair) for pair in pairs]
-    # The pair at the median overhead (the upper one for an even count)
-    # stands for the clean and journaled runs in the report.
-    clean, journaled = pairs[
-        sorted(range(len(pairs)), key=overheads.__getitem__)[len(pairs) // 2]
-    ]
+    journal = time_pairs(
+        lambda: _clean_run(seed, count, journal=False),
+        lambda: _clean_run(seed, count, journal=True),
+        ratio=_overhead_percent,
+    )
     storm = run_serve_chaos(seed=seed, job_count=count, validate="safe")
     recovery = run_serve_kill_chaos(
         seed=seed,
@@ -118,21 +97,68 @@ def run_serve_suite(
         validate="safe",
         kills=2,
     )
+    # The ratios read jobs_per_second; the clock also spans daemon start.
+    journal_timing = journal.to_json()
+    del journal_timing["a_seconds"], journal_timing["b_seconds"]
     return {
         "suite": "serve",
         "quick": bool(quick),
         "seed": seed,
         "count": count,
-        "clean": clean,
-        "journaled": journaled,
-        "journal_overhead_percent": median(overheads),
-        "journal_overhead_pairs_percent": overheads,
-        "journal_pairs_ok": all(run["ok"] for pair in pairs for run in pair),
+        "clean": [run.result for run in journal.a],
+        "journaled": [run.result for run in journal.b],
+        "journal_overhead_percent": journal.ratio,
+        "journal_timing": journal_timing,
         "storm": storm.to_json(),
         "recovery": recovery.to_json(),
         "min_success_rate_bar": MIN_SUCCESS_RATE,
         "max_journal_overhead_percent_bar": MAX_JOURNAL_OVERHEAD_PERCENT,
     }
+
+
+def failed_bars(results: Dict[str, object]) -> List[str]:
+    """Every service bar a :func:`run_serve_suite` payload misses, one
+    message each; empty when every bar holds."""
+    storm, recovery = results["storm"], results["recovery"]
+    runs = [("clean", run) for run in results["clean"]]
+    runs += [("journaled", run) for run in results["journaled"]]
+    checks = [
+        check
+        for label, run in runs + [("storm", storm)]
+        for check in (
+            (run["ok"], f"{label}: violations: {run['violations']}"),
+            (run["completed"] == run["accepted"], f"{label}: unanswered"),
+            (run["coalesced"] == run["duplicates"], f"{label}: uncoalesced"),
+        )
+    ]
+    for run in results["clean"]:
+        checks.append((run["failed"] == 0, "clean: failed jobs"))
+        checks.append((run["guard_failures"] == 0, "clean: guard rollbacks"))
+    checks += [
+        (
+            storm["success_rate"] >= MIN_SUCCESS_RATE,
+            f"storm success rate {storm['success_rate'] * 100:.1f}% below "
+            f"{MIN_SUCCESS_RATE * 100:.0f}% bar",
+        ),
+        (storm["wrong_outputs"] == 0, "storm: wrong outputs"),
+        (storm["latency_p99_ms"] > 0.0, "storm: no latency recorded"),
+        (storm["jobs_per_second"] > 0.0, "storm: no throughput recorded"),
+        (recovery["ok"], f"recovery: violations: {recovery['violations']}"),
+        (recovery["answered"] == recovery["jobs"], "recovery: unanswered"),
+        (recovery["kills"] >= 2, "recovery: fewer than 2 kills"),
+        (recovery["duplicate_executions"] == 0, "recovery: duplicates"),
+        (recovery["wrong_outputs"] == 0, "recovery: wrong outputs"),
+        (recovery["supervisor_exit"] == 0, "recovery: supervisor exit"),
+        # A full-run bar: quick runs are too short to time.
+        (
+            results["quick"]
+            or results["journal_overhead_percent"]
+            <= MAX_JOURNAL_OVERHEAD_PERCENT,
+            f"journal overhead {results['journal_overhead_percent']:.1f}% "
+            f"above {MAX_JOURNAL_OVERHEAD_PERCENT:.1f}% bar",
+        ),
+    ]
+    return [message for holds, message in checks if not holds]
 
 
 def render_serve_bench(results: Dict[str, object]) -> str:
@@ -142,22 +168,27 @@ def render_serve_bench(results: Dict[str, object]) -> str:
         f"  corpus: {results['count']} job(s), seed {results['seed']}"
         + (" [quick]" if results["quick"] else ""),
     ]
-    for label in ("clean", "journaled", "storm"):
-        r = results[label]
-        lines.append(
-            f"  {label:<9} p50 {r['latency_p50_ms']:8.2f} ms   "
-            f"p99 {r['latency_p99_ms']:8.2f} ms   "
-            f"{r['jobs_per_second']:6.1f} jobs/s   "
-            f"success {r['success_rate'] * 100:5.1f}%"
+    for label, runs in (
+        ("clean", results["clean"]),
+        ("journaled", results["journaled"]),
+        ("storm", [results["storm"]]),
+    ):
+        # Clean and journaled: the median of every pair's run.
+        p50, p99, rate, success = (
+            median(run[key] for run in runs)
+            for key in (
+                "latency_p50_ms", "latency_p99_ms", "jobs_per_second",
+                "success_rate",
+            )
         )
-    per_pair = ", ".join(
-        f"{overhead:+.1f}%"
-        for overhead in results["journal_overhead_pairs_percent"]
-    )
+        lines.append(
+            f"  {label:<9} p50 {p50:8.2f} ms   p99 {p99:8.2f} ms   "
+            f"{rate:6.1f} jobs/s   success {success * 100:5.1f}%"
+        )
     lines.append(
-        f"  journal overhead {results['journal_overhead_percent']:+.1f}% "
-        f"median of pairs [{per_pair}] "
-        f"(bar <= {results['max_journal_overhead_percent_bar']:.1f}%)"
+        "  journal overhead "
+        + describe_pairs(results["journal_timing"], "{:+.1f}%")
+        + f" (bar <= {results['max_journal_overhead_percent_bar']:.1f}%)"
     )
     storm = results["storm"]
     lines.append(
@@ -183,11 +214,9 @@ def render_serve_bench(results: Dict[str, object]) -> str:
         f"recovery [{recoveries}], supervisor exit "
         f"{recovery['supervisor_exit']}"
     )
+    failures = failed_bars(results)
     lines.append(
-        "  OK: service bars hold"
-        if storm["ok"]
-        and recovery["ok"]
-        and storm["success_rate"] >= results["min_success_rate_bar"]
-        else "  FAILED: service bars violated"
+        "  FAILED: " + "; ".join(failures) if failures
+        else "  OK: service bars hold"
     )
     return "\n".join(lines)

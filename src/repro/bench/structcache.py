@@ -5,33 +5,33 @@ structural cache exists for: a corpus is optimized once, then comes
 back *rename-perturbed* -- the functions are the same work modulo
 alpha-renaming (regenerated Angha dumps renumber every temporary;
 recompiled projects reseed local names), which a text-keyed cache
-misses wholesale.  Three timed runs over the same corpus:
+misses wholesale.  Each pair of :func:`repro.bench.paired.time_pairs`:
 
-* **cold** -- fresh structural cache, everything computes and writes;
-* **warm perturbed** -- every job alpha-renamed (locals *and* the
-  defined function, via the real text renamer), same cache: the
+* **cold** (untimed, before the pair) -- a fresh structural cache is
+  filled, since a warm rerun must follow a fill;
+* **text baseline** (side A) -- what a text-SHA keyed cache would do
+  with the perturbed corpus: miss everything and recompute (a cold run
+  into a fresh directory, which is exactly that);
+* **warm perturbed** (side B) -- every job alpha-renamed (locals *and*
+  the defined function, via the real text renamer), same cache: the
   structural keys must all hit;
-* **text baseline** -- what a text-SHA keyed cache would do with the
-  perturbed corpus: miss everything and recompute (measured as a cold
-  run into a fresh directory, which is exactly that).
 
-plus a **natural duplication** round: the corpus with an alpha-variant
-twin of every function, run with in-batch dedupe on and off.
+plus a **natural duplication** pairing: the corpus with an
+alpha-variant twin of every function, dedupe off (A) and on (B).
 
-Correctness bar: the warm hit rate is 100%, every result carries a
+Correctness bar: every warm rerun hits 100%, every result carries a
 passing differential-semantics verdict (the runs use
-``check_semantics``), and the warm results match a no-cache rerun of
-the perturbed corpus (sizes, savings, rolled-loop counts).
+``check_semantics``), and every warm rerun's results match a no-cache
+rerun of the perturbed corpus (sizes, savings, rolled-loop counts).
 Performance bar (full runs): warm-perturbed beats the text baseline by
 ``MIN_SPEEDUP``x.
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
-from time import perf_counter
-from typing import Dict, List, Tuple
+from statistics import median
+from typing import Dict, List
 
 from ..driver import FunctionJob, optimize_functions
 from ..frontend import compile_c
@@ -44,6 +44,7 @@ from ..ir import (
     structural_summary,
 )
 from . import angha
+from .paired import describe_pairs, time_pairs
 
 #: Full-run bar: a structural warm rerun of a renamed corpus must beat
 #: recomputation by at least this much.
@@ -81,12 +82,10 @@ def perturb_job(job: FunctionJob, suffix: str = "") -> FunctionJob:
     )
 
 
-def _timed_run(jobs, cache_dir, **kwargs):
-    start = perf_counter()
-    report = optimize_functions(
+def _run(jobs, cache_dir, **kwargs):
+    return optimize_functions(
         jobs, workers=1, cache_dir=cache_dir, check_semantics=True, **kwargs
     )
-    return perf_counter() - start, report
 
 
 def _count_mismatches(hits, computed) -> int:
@@ -116,65 +115,78 @@ def run_struct_cache_suite(
         count = min(count, 8)
     jobs = corpus_jobs(count, seed=seed)
     perturbed = [perturb_job(job) for job in jobs]
+    twins = jobs + [perturb_job(job, suffix="_twin") for job in jobs]
+    nocache_report = optimize_functions(
+        perturbed, workers=1, check_semantics=True
+    )
 
     with tempfile.TemporaryDirectory(prefix="rolag-structcache-") as root:
-        struct_dir = os.path.join(root, "structural")
-        cold_seconds, cold = _timed_run(jobs, struct_dir)
-        warm_seconds, warm = _timed_run(perturbed, struct_dir)
+        def fresh() -> str:
+            return tempfile.mkdtemp(dir=root)
+
+        fills = []  # (cache dir, cold report), one per pair
+
+        def fill() -> None:
+            cache_dir = fresh()
+            fills.append((cache_dir, _run(jobs, cache_dir)))
+
         # A text-keyed cache misses a renamed corpus wholesale; its
         # warm rerun *is* a cold run (plus writes, which it also pays).
-        text_seconds, text = _timed_run(
-            perturbed, os.path.join(root, "textbaseline")
+        warm = time_pairs(
+            lambda: _run(perturbed, fresh()),
+            lambda: _run(perturbed, fills[-1][0]),
+            setup=fill,
         )
-        nocache_report = optimize_functions(
-            perturbed, workers=1, check_semantics=True
-        )
-
-        # Natural duplication: every function plus one renamed twin.
-        twins = jobs + [perturb_job(job, suffix="_twin") for job in jobs]
-        dup_seconds, dup = _timed_run(twins, os.path.join(root, "dup"))
-        nodedupe_seconds, nodedupe = _timed_run(
-            twins, os.path.join(root, "dup_off"), dedupe=False
+        dedupe = time_pairs(
+            lambda: _run(twins, fresh(), dedupe=False),
+            lambda: _run(twins, fresh()),
         )
 
-    hit_rate = warm.stats.cache_hits / len(perturbed)
-    mismatches = _count_mismatches(warm.results, nocache_report.results)
-    semantics_ok = all(
-        r.semantics_ok for r in warm.results + nocache_report.results
-    )
+    # Counts come from the worst pair: every pair must pass.
+    cold = [report for _, report in fills]
+    warm_reports = [run.result for run in warm.b]
+    hits = min(r.stats.cache_hits for r in warm_reports)
+    with_dedupe = [run.result.stats for run in dedupe.b]
     return {
         "suite": "struct_cache",
         "quick": bool(quick),
         "seed": seed,
         "count": count,
         "cold": {
-            "seconds": cold_seconds,
-            "misses": cold.stats.cache_misses,
-            "writes": cold.stats.cache_writes,
+            "seconds": median(r.stats.wall_seconds for r in cold),
+            "misses": cold[-1].stats.cache_misses,
+            "writes": cold[-1].stats.cache_writes,
         },
         "warm_perturbed": {
-            "seconds": warm_seconds,
-            "hits": warm.stats.cache_hits,
-            "hit_rate": hit_rate,
+            "seconds": warm.seconds("b"),
+            "hits": hits,
+            "hit_rate": hits / len(perturbed),
         },
         "text_baseline": {
-            "seconds": text_seconds,
-            "misses": text.stats.cache_misses,
+            "seconds": warm.seconds("a"),
+            "misses": warm.a[-1].result.stats.cache_misses,
         },
-        "speedup": text_seconds / warm_seconds if warm_seconds else 0.0,
+        "speedup": warm.ratio,
+        "timing": warm.to_json(),
         "natural_duplication": {
-            "jobs": len(jobs) * 2,
-            "dedupe_hits": dup.stats.dedupe_hits,
-            "executed_with_dedupe": dup.stats.executed,
-            "executed_without": nodedupe.stats.executed,
-            "seconds_with_dedupe": dup_seconds,
-            "seconds_without": nodedupe_seconds,
-            "speedup": (
-                nodedupe_seconds / dup_seconds if dup_seconds else 0.0
-            ),
+            "jobs": len(twins),
+            "dedupe_hits": min(s.dedupe_hits for s in with_dedupe),
+            "executed_with_dedupe": max(s.executed for s in with_dedupe),
+            "executed_without": dedupe.a[-1].result.stats.executed,
+            "seconds_with_dedupe": dedupe.seconds("b"),
+            "seconds_without": dedupe.seconds("a"),
+            "speedup": dedupe.ratio,
+            "timing": dedupe.to_json(),
         },
-        "mismatches": mismatches,
-        "semantics_ok": semantics_ok,
+        "mismatches": max(
+            _count_mismatches(r.results, nocache_report.results)
+            for r in warm_reports
+        ),
+        "semantics_ok": all(
+            r.semantics_ok
+            for report in warm_reports + [nocache_report]
+            for r in report.results
+        ),
         "min_speedup_bar": MIN_SPEEDUP,
     }
 
@@ -197,6 +209,7 @@ def render_struct_cache(results: Dict[str, object]) -> str:
         f"({text['misses']} misses)",
         f"speedup vs text keying:        {results['speedup']:8.2f}x "
         f"(bar: {results['min_speedup_bar']:.1f}x, full runs)",
+        f"  per pair: {describe_pairs(results['timing'])}",
         "",
         "--- natural duplication (every function + a renamed twin) ---",
         f"with in-batch dedupe:          {dup['seconds_with_dedupe']:8.2f}s "
@@ -205,6 +218,7 @@ def render_struct_cache(results: Dict[str, object]) -> str:
         f"without dedupe:                {dup['seconds_without']:8.2f}s "
         f"({dup['executed_without']}/{dup['jobs']} executed)",
         f"dedupe speedup:                {dup['speedup']:8.2f}x",
+        f"  per pair: {describe_pairs(dup['timing'])}",
         "",
         f"result mismatches vs no-cache run: {results['mismatches']}",
         f"all differential-semantics verdicts pass: "
