@@ -73,10 +73,8 @@ def _repeated(fn):
 def test_ext_parallel_driver(benchmark, results_dir, tmp_path):
     def experiment():
         jobs = angha_jobs(CORPUS_COUNT, seed=CORPUS_SEED)
-        serial = optimize_functions(jobs, workers=1, use_cache=False)
-        pooled = optimize_functions(
-            jobs, workers=2, chunk_size=4, use_cache=False
-        )
+        serial = optimize_functions(jobs, workers=1)
+        pooled = optimize_functions(jobs, workers=2, chunk_size=4)
         cache_dir = str(tmp_path / "rolag-cache")
         cold = optimize_functions(jobs, workers=1, cache_dir=cache_dir)
         warm = optimize_functions(jobs, workers=1, cache_dir=cache_dir)

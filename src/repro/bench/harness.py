@@ -93,11 +93,6 @@ def run_angha_experiment(
     measure_model: Optional[CodeSizeCostModel] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    deadline: Optional[float] = None,
-    retries: int = 1,
-    quarantine_file: Optional[str] = None,
-    fault_plan: Optional[str] = None,
 ) -> AnghaExperiment:
     """Fig. 15/16: per-function reductions over the synthetic corpus.
 
@@ -125,16 +120,11 @@ def run_angha_experiment(
         config=config,
         workers=jobs,
         cache_dir=cache_dir,
-        use_cache=use_cache,
         measure_model=measure_model,
-        deadline=deadline,
-        retries=retries,
-        quarantine_file=quarantine_file,
-        fault_plan=fault_plan,
     )
-    # Degraded results (crash/timeout/quarantine under a deadline or a
-    # fault plan) carry no measurements; keep them out of the exhibit
-    # aggregates -- the failure counters on ``stats`` tell the story.
+    # Degraded results (a crash, e.g. under the config's fault plan)
+    # carry no measurements; keep them out of the exhibit aggregates --
+    # the failure counters on ``stats`` tell the story.
     results = [
         AnghaFunctionResult(
             r.name,
@@ -287,12 +277,7 @@ def run_tsvc_experiment(
     kernels: Optional[List[str]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     evaluator: str = "interp",
-    deadline: Optional[float] = None,
-    retries: int = 1,
-    quarantine_file: Optional[str] = None,
-    fault_plan: Optional[str] = None,
 ) -> TsvcExperiment:
     """Fig. 17/18 (and V-D with ``measure_dynamic``): the TSVC study.
 
@@ -321,11 +306,6 @@ def run_tsvc_experiment(
         config=config,
         workers=jobs,
         cache_dir=cache_dir,
-        use_cache=use_cache,
-        deadline=deadline,
-        retries=retries,
-        quarantine_file=quarantine_file,
-        fault_plan=fault_plan,
     )
 
     results: List[TsvcKernelResult] = []

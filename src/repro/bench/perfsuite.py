@@ -56,6 +56,13 @@ from .paired import PairedTiming, describe_pairs, time_pairs
 #: each paired row.
 BACKENDS = tuple(EVALUATOR_CHOICES)
 
+#: Full-run speedup bars, only where evaluation dominates: hot-loop
+#: execution (the TSVC row) runs about 5x faster, while fuzzed oracle
+#: cases are tiny (hundreds of steps), so fresh per-observation
+#: machine setup bounds that row far lower.
+MIN_ORACLE_SPEEDUP = 1.5
+MIN_TSVC_SPEEDUP = 3.0
+
 
 def _backend_row(
     run: Callable[[str], object], **fields
@@ -214,6 +221,32 @@ def run_perf_suite(
         "tsvc_dynamic": tsvc_dynamic,
         "parity": parity,
     }
+
+
+def failed_bars(results: Dict[str, object]) -> List[str]:
+    """Every bar a :func:`run_perf_suite` payload misses, one message
+    each; empty when every bar holds.  The correctness bars are
+    absolute; the speedup bars skip quick runs, too small to time."""
+    campaign, parity = results["difftest_campaign"], results["parity"]
+    checks = [
+        (campaign[b][kind] == 0, f"difftest {b}: {campaign[b][kind]} {kind}")
+        for b in BACKENDS
+        for kind in ("mismatches", "unexplained")
+    ]
+    checks += [
+        (parity["mismatches"] == 0, f"parity: {parity['details']}"),
+        (results["tsvc_dynamic"]["steps_equal"], "TSVC step counts differ"),
+    ]
+    for row, bar in (
+        ("oracle_observations", MIN_ORACLE_SPEEDUP),
+        ("tsvc_dynamic", MIN_TSVC_SPEEDUP),
+    ):
+        speedup = results[row]["speedup"]
+        checks.append((
+            results["quick"] or speedup >= bar,
+            f"{row} speedup {speedup:.2f}x below {bar:.1f}x bar",
+        ))
+    return [message for holds, message in checks if not holds]
 
 
 def write_bench_json(

@@ -191,6 +191,27 @@ def run_struct_cache_suite(
     }
 
 
+def failed_bars(results: Dict[str, object]) -> List[str]:
+    """Every bar a :func:`run_struct_cache_suite` payload misses, one
+    message each; empty when every bar holds.  Only the speedup bar
+    skips quick runs: the rest are the CI smoke gate."""
+    warm, dup = results["warm_perturbed"], results["natural_duplication"]
+    half = dup["jobs"] // 2
+    checks = [
+        (warm["hit_rate"] == 1.0, f"warm hit rate {warm['hit_rate']:.0%}"),
+        (results["mismatches"] == 0, "results differ from a no-cache run"),
+        (results["semantics_ok"], "a differential-semantics verdict failed"),
+        (dup["dedupe_hits"] == half, f"{dup['dedupe_hits']} dedupe hits"),
+        (dup["executed_with_dedupe"] == half, "twins executed twice"),
+        (
+            results["quick"] or results["speedup"] >= MIN_SPEEDUP,
+            f"warm rerun speedup {results['speedup']:.2f}x below "
+            f"{MIN_SPEEDUP:.1f}x bar",
+        ),
+    ]
+    return [message for holds, message in checks if not holds]
+
+
 def render_struct_cache(results: Dict[str, object]) -> str:
     """A human-readable report of one suite payload."""
     cold = results["cold"]

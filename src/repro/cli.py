@@ -33,7 +33,8 @@ minimized (see ``docs/difftest.md``).
 ``repro bench`` times the compiled evaluator (the one fast tier)
 against the reference interpreter on the difftest/oracle/TSVC
 workloads and writes
-``BENCH_compiled_eval.json`` (see ``repro.bench.perfsuite``).
+``BENCH_compiled_eval.json`` (see ``repro.bench.perfsuite``); it exits 1
+when a bar of ``repro.bench.perfsuite.failed_bars`` fails.
 
 ``repro serve`` runs the always-on streaming optimization daemon over
 stdio (or localhost HTTP with ``--http``); ``repro client`` submits
@@ -43,7 +44,9 @@ files to a freshly spawned daemon and prints the familiar batch table
 Batch, serve and difftest share the RoLAG option group
 (:func:`add_rolag_options`); batch and serve share the driver option
 group (:func:`add_driver_options`).  :func:`rolag_config_from_args`
-builds the one :class:`RolagConfig` all three run.
+builds the one :class:`RolagConfig` all three run, and
+:func:`driver_options_from_args` the driver keywords batch and serve
+pass to their :class:`~repro.driver.DriverSession`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .bench.objsize import measure_module, reduction_percent
 from .bench.reporting import format_table
@@ -202,6 +205,25 @@ def rolag_config_from_args(args: argparse.Namespace) -> RolagConfig:
     if args.no_special_nodes:
         config = config.all_special_disabled()
     return config
+
+
+def driver_options_from_args(args: argparse.Namespace) -> Dict[str, object]:
+    """The :class:`~repro.driver.DriverSession` keywords of the driver
+    group, for batch and serve; each adds its own worker count.
+
+    ``--no-cache`` is ``cache_dir=None``: nothing read, nothing written.
+    """
+    return dict(
+        cache_dir=None if args.no_cache else args.cache_dir,
+        dedupe=not args.no_dedupe,
+        check_semantics=args.check_semantics,
+        evaluator=args.evaluator,
+        deadline=args.deadline,
+        retries=args.retries,
+        retry_backoff=args.retry_backoff,
+        quarantine_file=args.quarantine_file,
+        fault_plan=args.fault_plan,
+    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -578,18 +600,8 @@ def serve_config_from_args(args: argparse.Namespace):
     from .serve import ServeConfig
 
     return ServeConfig(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        dedupe=not args.no_dedupe,
-        check_semantics=args.check_semantics,
-        evaluator=args.evaluator,
         rolag=rolag_config_from_args(args),
-        deadline=args.deadline,
-        retries=args.retries,
-        retry_backoff=args.retry_backoff,
-        quarantine_file=args.quarantine_file,
-        fault_plan=args.fault_plan,
+        driver=dict(driver_options_from_args(args), workers=args.workers),
         max_queue=args.max_queue,
         tenant_quota=args.tenant_quota,
         journal_dir=args.journal_dir,
@@ -774,7 +786,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
 def run_bench_command(argv: List[str]) -> int:
     """``repro bench ...``: measure every backend, write JSON (+ text)."""
     from .bench.perfsuite import (
-        BACKENDS,
+        failed_bars,
         render_perf_suite,
         run_perf_suite,
         write_bench_json,
@@ -793,15 +805,10 @@ def run_bench_command(argv: List[str]) -> int:
         with open(args.text, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         print(f"; text written: {args.text}")
-    failed = (
-        any(
-            results["difftest_campaign"][backend]["mismatches"]
-            for backend in BACKENDS
-        )
-        or results["parity"]["mismatches"]
-        or not results["tsvc_dynamic"]["steps_equal"]
-    )
-    return 1 if failed else 0
+    failures = failed_bars(results)
+    for failure in failures:
+        print(f"; FAILED: {failure}")
+    return 1 if failures else 0
 
 
 def run_difftest_command(argv: List[str]) -> int:
@@ -901,19 +908,10 @@ def run_batch(args: argparse.Namespace) -> int:
 
     report = optimize_functions(
         jobs,
-        config=rolag_config_from_args(args),
+        rolag_config_from_args(args),
         workers=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        dedupe=not args.no_dedupe,
-        check_semantics=args.check_semantics,
-        evaluator=args.evaluator,
-        deadline=args.deadline,
-        retries=args.retries,
-        retry_backoff=args.retry_backoff,
-        quarantine_file=args.quarantine_file,
-        fault_plan=args.fault_plan,
         serial_fallback=args.serial_fallback,
+        **driver_options_from_args(args),
     )
     rows = []
     for path, result in zip(args.input, report.results):

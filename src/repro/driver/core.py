@@ -472,8 +472,9 @@ def _dedupe_key(
 
 # --- pool plumbing ----------------------------------------------------------
 #
-# The per-run knobs are shipped once per worker through the pool
-# initializer instead of once per job through every pickle.
+# The session's attempt (``run_one_guarded`` with its per-job knobs
+# bound) is shipped once per worker through the pool initializer
+# instead of once per job through every pickle.
 
 _WORKER_STATE: dict = {}
 
@@ -508,23 +509,12 @@ def _watch_parent(parent_pid: int) -> None:
 
 
 def _init_worker(
-    config: RolagConfig,
-    measure_model: Optional[CodeSizeCostModel],
-    timed: bool,
-    check_semantics: bool,
-    evaluator: str,
-    deadline: Optional[float] = None,
-    fault_plan: Optional[FaultPlan] = None,
+    attempt: Callable[..., Outcome], fault_plan: Optional[FaultPlan]
 ) -> None:
     if "parent_watch" not in _WORKER_STATE:
         _WORKER_STATE["parent_watch"] = True
         _watch_parent(os.getppid())
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["measure_model"] = measure_model
-    _WORKER_STATE["timed"] = timed
-    _WORKER_STATE["check_semantics"] = check_semantics
-    _WORKER_STATE["evaluator"] = evaluator
-    _WORKER_STATE["deadline"] = deadline
+    _WORKER_STATE["attempt"] = attempt
     # Fault-plan hit counters are per worker process by design: each
     # worker unpickles its own zeroed copy.
     install_plan(fault_plan)
@@ -535,19 +525,8 @@ def _run_chunk(
 ) -> List[Outcome]:
     """Worker entry point: one guarded attempt per ``(job, shipped_ir)``
     pair in the chunk."""
-    return [
-        run_one_guarded(
-            job,
-            config=_WORKER_STATE["config"],
-            measure_model=_WORKER_STATE["measure_model"],
-            timed=_WORKER_STATE["timed"],
-            check_semantics=_WORKER_STATE["check_semantics"],
-            evaluator=_WORKER_STATE["evaluator"],
-            deadline=_WORKER_STATE.get("deadline"),
-            shipped_ir=shipped_ir,
-        )
-        for job, shipped_ir in pairs
-    ]
+    attempt = _WORKER_STATE["attempt"]
+    return [attempt(job, shipped_ir=shipped_ir) for job, shipped_ir in pairs]
 
 
 def _fingerprint_chunk(
@@ -585,81 +564,21 @@ def _terminate_pool_workers(executor) -> None:
 def optimize_functions(
     jobs: Sequence[FunctionJob],
     config: Optional[RolagConfig] = None,
-    *,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    measure_model: Optional[CodeSizeCostModel] = None,
-    chunk_size: Optional[int] = None,
-    timed: bool = False,
-    check_semantics: bool = False,
-    evaluator: str = "interp",
-    deadline: Optional[float] = None,
-    retries: int = 1,
-    retry_backoff: float = 0.05,
-    quarantine_file: Optional[str] = None,
-    fault_plan: Union[None, str, FaultPlan] = None,
-    serial_fallback: bool = False,
-    dedupe: bool = True,
+    **options,
 ) -> DriverReport:
     """Optimize every job, in parallel, memoized, and fault-tolerant.
 
-    A thin client of :class:`DriverSession`: every job is submitted
-    with a callback that stores its result at the job's index, and
-    closing the session drains it, so the results come back in job
-    order regardless of completion order.  Every keyword means what it
-    means on the session.  ``workers`` defaults to
-    :func:`default_worker_count`; ``workers=1`` runs serially
-    in-process (bit-identical to the pool path: either way a job's
-    module is parsed from the same text).  With ``cache_dir`` set
-    (and ``use_cache`` true), cache hits resolve at submit time, and
-    newly computed results are written back; a cached batch bound for a
-    pool is fingerprinted on that pool before its first submit, so this
-    process runs no frontend for it.
-    ``check_semantics`` turns on the per-job differential oracle (see
-    :func:`optimize_one`); it is part of the cache key, so checked and
-    unchecked results never mix.  ``evaluator`` picks the oracle's
-    execution backend and is likewise fingerprinted into the key.
-
-    Structurally identical jobs coalesce onto one leader computation
-    (``dedupe=False`` turns this off).  With a cache the coalescing key
-    is the structural cache key; without one the batch coalesces only
-    textually identical jobs, so a plain no-cache run fingerprints
-    nothing.  A batch with a single job left to compute runs it
-    in-process rather than start a pool for it.
-
-    Resilience knobs (see the module docstring and
-    ``docs/robustness.md``): ``deadline`` bounds each function's wall
-    clock; failed jobs are retried ``retries`` times with exponential
-    ``retry_backoff``; functions that exhaust their retries are
-    recorded in ``quarantine_file`` and skipped once they have failed
-    twice (see :class:`~repro.driver.quarantine.QuarantineList`).
-    ``fault_plan`` (a :class:`~repro.faultinject.FaultPlan`, a spec
-    string, or ``None`` to consult ``config.fault_plan`` and then
-    ``ROLAG_FAULT_PLAN``) injects deterministic faults for testing.
-    Every job always yields a result: on unrecoverable failure, a
-    degraded one carrying the original text and a structured
-    ``error``.
+    A thin client of :class:`DriverSession`, whose keyword list
+    declares every ``options`` keyword and whose docstring says what
+    each one does: every job is submitted with a callback that stores
+    its result at the job's index, and closing the session drains it,
+    so the results come back in job order regardless of completion
+    order.  The session is told the batch size, so it runs the batch
+    policies its docstring lists under ``_batch``.  Every job always
+    yields a result: on unrecoverable failure, a degraded one carrying
+    the original text and a structured ``error``.
     """
-    with DriverSession(
-        config,
-        workers=workers,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        measure_model=measure_model,
-        chunk_size=chunk_size,
-        timed=timed,
-        check_semantics=check_semantics,
-        evaluator=evaluator,
-        deadline=deadline,
-        retries=retries,
-        retry_backoff=retry_backoff,
-        quarantine_file=quarantine_file,
-        fault_plan=fault_plan,
-        serial_fallback=serial_fallback,
-        dedupe=dedupe,
-        _batch=len(jobs),
-    ) as session:
+    with DriverSession(config, _batch=len(jobs), **options) as session:
         results: List[FunctionResult] = [None] * len(jobs)
         session._submit_batch(
             [(job, partial(results.__setitem__, index))
@@ -759,12 +678,37 @@ class DriverSession:
     pool down -- no orphaned workers, no leaked in-flight jobs, even
     when teardown itself hits an exception.
 
-    ``_batch`` (the batch's job count) is set by
-    :func:`optimize_functions` alone: its whole batch is submitted
-    before the first pump, so it dedupes on exact text without a cache,
-    runs a lone job to compute in-process, opens its pool no wider than
-    the batch, and with a cache fingerprints on that pool (see
-    :meth:`_submit_batch`).
+    This keyword list is the one declaration of the driver's knobs:
+    :func:`optimize_functions` and ``repro serve``
+    (:attr:`~repro.serve.ServeConfig.driver`) forward keywords to it.
+
+    * ``workers`` defaults to :func:`default_worker_count`;
+    * ``cache_dir`` memoizes results under that directory (``None``:
+      no cache, neither read nor written);
+    * ``measure_model`` measures the final sizes with a different cost
+      model than profitability consulted; ``timed`` books per-phase
+      seconds on every result and on :attr:`stats`;
+    * ``check_semantics`` runs the per-job differential oracle (see
+      :func:`optimize_one`) on the ``evaluator`` backend; both are
+      part of the cache key, so checked and unchecked results, or
+      verdicts of two backends, never mix;
+    * ``deadline`` bounds each function's wall clock; a failed job is
+      retried ``retries`` times with exponential ``retry_backoff``;
+      functions that exhaust their retries are recorded in
+      ``quarantine_file`` (fsynced per write with
+      ``quarantine_fsync``) and skipped once they have failed twice
+      (see :class:`~repro.driver.quarantine.QuarantineList`);
+    * ``fault_plan`` (a :class:`~repro.faultinject.FaultPlan`, a spec
+      string, or ``None`` to consult ``config.fault_plan`` and then
+      ``ROLAG_FAULT_PLAN``) injects deterministic faults for testing;
+    * ``dedupe=False`` runs every job even when it coalesces with one
+      in flight;
+    * ``_batch`` (the batch's job count) is set by
+      :func:`optimize_functions` alone: its whole batch is submitted
+      before the first pump, so it dedupes on exact text without a
+      cache, runs a lone job to compute in-process, opens its pool no
+      wider than the batch, and with a cache fingerprints on that pool
+      (see :meth:`_submit_batch`).
     """
 
     def __init__(
@@ -773,7 +717,6 @@ class DriverSession:
         *,
         workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        use_cache: bool = True,
         measure_model: Optional[CodeSizeCostModel] = None,
         chunk_size: Optional[int] = None,
         timed: bool = False,
@@ -793,11 +736,28 @@ class DriverSession:
         self.workers = (
             default_worker_count() if workers is None else max(1, workers)
         )
-        self._measure_model = measure_model
+        #: One guarded attempt at one job under this session's per-job
+        #: knobs: run in-process by :meth:`_run_serially` and shipped to
+        #: every pool worker (:func:`_init_worker`).
+        self._attempt = partial(
+            run_one_guarded,
+            config=self.config,
+            measure_model=measure_model,
+            timed=timed,
+            check_semantics=check_semantics,
+            evaluator=evaluator,
+            deadline=deadline,
+        )
+        #: A job's cache key under the same knobs.
+        self._key = partial(
+            job_key,
+            config=self.config,
+            measure_model=measure_model,
+            check_semantics=check_semantics,
+            evaluator=evaluator,
+        )
         self._chunk_size = chunk_size
         self._timed = timed
-        self._check_semantics = check_semantics
-        self._evaluator = evaluator
         self._deadline = deadline
         self._retries = retries
         self._retry_backoff = retry_backoff
@@ -813,9 +773,7 @@ class DriverSession:
             # Structural fingerprinting books under ``hash``, at the
             # seconds it took in whichever process ran it.
             self.stats.phase_seconds["hash"] = 0.0
-        self._cache = (
-            ResultCache(cache_dir) if (cache_dir and use_cache) else None
-        )
+        self._cache = ResultCache(cache_dir) if cache_dir else None
         self._quarantine = QuarantineList(
             quarantine_file, fsync=quarantine_fsync
         )
@@ -986,10 +944,7 @@ class DriverSession:
 
         if self._cache is not None:
             summary = self._summary_of(rec)
-            rec.key = job_key(
-                job, self.config, self._measure_model,
-                self._check_semantics, self._evaluator, summary=summary,
-            )
+            rec.key = self._key(job, summary=summary)
             hit = self._cache.get(rec.key)
             if hit is not None:
                 # Structural hits may come from a differently-named
@@ -1113,11 +1068,7 @@ class DriverSession:
         rec = self._tickets[ticket]
         start = perf_counter()
         while True:
-            outcome = run_one_guarded(
-                rec.job, self.config, self._measure_model, self._timed,
-                self._check_semantics, self._evaluator, self._deadline,
-                rec.shipped_ir,
-            )
+            outcome = self._attempt(rec.job, shipped_ir=rec.shipped_ir)
             if isinstance(outcome, FunctionResult):
                 outcome.attempts = rec.attempts + 1
                 result = outcome
@@ -1142,8 +1093,7 @@ class DriverSession:
             max_workers=min(self.workers, max(1, want)),
             initializer=_init_worker,
             initargs=(
-                self.config, self._measure_model, self._timed,
-                self._check_semantics, self._evaluator, self._deadline,
+                self._attempt,
                 self._plan.fresh() if self._plan is not None else None,
             ),
         )

@@ -537,15 +537,17 @@ def run_serve_chaos(
         report = ChaosReport("serve chaos", seed, len(corpus), [entry])
         service = OptimizeService(
             ServeConfig(
-                workers=workers,
-                cache_dir=os.path.join(root, "cache"),
                 rolag=RolagConfig(
                     validate=validate, guard_dir=os.path.join(root, "guards")
                 ),
-                deadline=deadline,
-                retries=retries,
-                quarantine_file=os.path.join(root, "quarantine.json"),
-                fault_plan=spec or None,
+                driver=dict(
+                    workers=workers,
+                    cache_dir=os.path.join(root, "cache"),
+                    deadline=deadline,
+                    retries=retries,
+                    quarantine_file=os.path.join(root, "quarantine.json"),
+                    fault_plan=spec or None,
+                ),
                 max_queue=SERVE_MAX_QUEUE,
                 tenant_quota=SERVE_TENANT_QUOTA,
                 journal_dir=(

@@ -75,21 +75,11 @@ IDEMPOTENCY_MEMO_CAP = 1024
 class ServeConfig:
     """Everything a daemon boot needs, in one picklable bag."""
 
-    workers: int = 1
-    cache_dir: Optional[str] = None
-    use_cache: bool = True
-    check_semantics: bool = False
-    #: The difftest oracle's backend (``check_semantics``); the
-    #: validation gate's is ``rolag.validate_evaluator``.
-    evaluator: str = "interp"
     #: The RoLAG config every job runs, validation level included.
     rolag: RolagConfig = field(default_factory=RolagConfig)
-    deadline: Optional[float] = None
-    retries: int = 1
-    retry_backoff: float = 0.0
-    quarantine_file: Optional[str] = None
-    fault_plan: Optional[str] = None
-    dedupe: bool = True
+    #: :class:`~repro.driver.DriverSession` keywords (see
+    #: :class:`OptimizeService` for the daemon's defaults).
+    driver: Dict[str, object] = field(default_factory=dict)
     max_queue: int = DEFAULT_MAX_QUEUE
     tenant_quota: int = DEFAULT_TENANT_QUOTA
     #: Write-ahead job journal directory (None = no durability).
@@ -138,7 +128,10 @@ class OptimizeService:
 
     Thread-safe at the :meth:`handle` boundary; see the module
     docstring for the method vocabulary.  :meth:`stop` is idempotent
-    and always leaves zero pool workers behind.
+    and always leaves zero pool workers behind.  The driver session
+    takes ``config.driver`` over the daemon's defaults (one worker, no
+    retry backoff), always with ``serial_fallback`` on, and fsyncs its
+    quarantine list when the journal syncs ``always``.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
@@ -150,26 +143,22 @@ class OptimizeService:
             self._journal = JobJournal(
                 self.config.journal_dir, sync=self.config.journal_sync
             )
-        durable = (
-            self._journal is not None and self.config.journal_sync == "always"
-        )
         session = DriverSession(
             self.config.rolag,
-            workers=self.config.workers,
-            cache_dir=self.config.cache_dir,
-            use_cache=self.config.use_cache,
-            check_semantics=self.config.check_semantics,
-            evaluator=self.config.evaluator,
-            deadline=self.config.deadline,
-            retries=self.config.retries,
-            retry_backoff=self.config.retry_backoff,
-            quarantine_file=self.config.quarantine_file,
-            quarantine_fsync=durable,
-            fault_plan=self.config.fault_plan,
-            # The daemon's own process outlives a dying pool: leftover
-            # jobs are retried in-process rather than abandoned.
-            serial_fallback=True,
-            dedupe=self.config.dedupe,
+            **{
+                # No sleep between retries on the scheduler thread.
+                "workers": 1,
+                "retry_backoff": 0.0,
+                **self.config.driver,
+                # The daemon's own process outlives a dying pool:
+                # leftover jobs are retried in-process rather than
+                # abandoned.
+                "serial_fallback": True,
+                "quarantine_fsync": (
+                    self._journal is not None
+                    and self.config.journal_sync == "always"
+                ),
+            },
         )
         session.on_respawn = self._on_pool_respawn
         self.scheduler = Scheduler(

@@ -236,7 +236,7 @@ class TestDriverIntegration:
         jobs = [FunctionJob(name=None, c_source=self.C_SOURCE)]
         report = optimize_functions(
             jobs, workers=1, check_semantics=True,
-            cache_dir=str(tmp_path), use_cache=True,
+            cache_dir=str(tmp_path),
         )
         result = report.results[0]
         assert result.semantics_checked
@@ -247,7 +247,7 @@ class TestDriverIntegration:
         # The verdict survives the memo cache round-trip.
         warm = optimize_functions(
             jobs, workers=1, check_semantics=True,
-            cache_dir=str(tmp_path), use_cache=True,
+            cache_dir=str(tmp_path),
         )
         assert warm.stats.cache_hits == 1
         assert warm.results[0].semantics_ok is True
@@ -257,7 +257,7 @@ class TestDriverIntegration:
         # key (and vice versa): different key, so it recomputes.
         unchecked = optimize_functions(
             jobs, workers=1, check_semantics=False,
-            cache_dir=str(tmp_path), use_cache=True,
+            cache_dir=str(tmp_path),
         )
         assert unchecked.stats.cache_hits == 0
         assert unchecked.results[0].semantics_checked is False

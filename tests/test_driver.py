@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.bench import angha, run_angha_experiment, run_tsvc_experiment
+from repro.cli import build_arg_parser, driver_options_from_args
 from repro.driver import (
     FunctionJob,
     default_worker_count,
@@ -114,11 +115,14 @@ class TestResultCache:
         rerun = optimize_functions(other, workers=1, cache_dir=str(tmp_path))
         assert rerun.stats.cache_hits == 0
 
-    def test_use_cache_false_bypasses(self, tmp_path):
+    def test_no_cache_bypasses(self, tmp_path):
         jobs = _corpus_jobs(count=2)
         optimize_functions(jobs, workers=1, cache_dir=str(tmp_path))
+        args = build_arg_parser().parse_args(
+            ["x.c", "--cache-dir", str(tmp_path), "--no-cache"]
+        )
         bypassed = optimize_functions(
-            jobs, workers=1, cache_dir=str(tmp_path), use_cache=False
+            jobs, workers=1, **driver_options_from_args(args)
         )
         assert bypassed.stats.cache_hits == 0
         assert bypassed.stats.cache_writes == 0

@@ -552,7 +552,7 @@ class TestDriverSessionResilience:
     def test_close_degrades_unpumped_work(self):
         from repro.driver import DriverSession
 
-        session = DriverSession(workers=1, use_cache=False)
+        session = DriverSession(workers=1)
         jobs = _jobs(2)
         resolved = {}
         for index, job in enumerate(jobs):
@@ -572,7 +572,7 @@ class TestDriverSessionResilience:
 
         assert get_active_plan() is None
         session = DriverSession(
-            workers=1, use_cache=False,
+            workers=1,
             fault_plan="driver.worker.start:raise@1",
         )
         assert get_active_plan() is not None
@@ -627,7 +627,7 @@ class TestDriverSessionResilience:
 
         jobs = _jobs(3)
         with DriverSession(
-            workers=1, use_cache=False, retries=0,
+            workers=1, retries=0,
             fault_plan="driver.worker.start:raise@2x1",
         ) as session:
             resolved = {}
@@ -661,7 +661,6 @@ class TestPoolCollectExceptionSafety:
         jobs = _jobs(4)
         report = optimize_functions(
             jobs, workers=2, retries=0, serial_fallback=True,
-            use_cache=False,
         )
         assert len(report.results) == 4
         # The serial fallback recomputed everything the broken collect
@@ -681,7 +680,6 @@ class TestPoolCollectExceptionSafety:
         jobs = _jobs(3)
         report = optimize_functions(
             jobs, workers=2, retries=0, serial_fallback=False,
-            use_cache=False,
         )
         assert len(report.results) == 3
         assert all(r.failed for r in report.results)
@@ -711,9 +709,9 @@ class TestWakeUps:
 
         monkeypatch.setattr(core, "sleep", no_sleep)
         jobs = _jobs(4)
-        report = optimize_functions(jobs, workers=2, use_cache=False)
+        report = optimize_functions(jobs, workers=2)
         assert not any(r.failed for r in report.results)
-        with DriverSession(workers=2, use_cache=False) as session:
+        with DriverSession(workers=2) as session:
             resolved = {}
             for index, job in enumerate(jobs):
                 session.submit(job, partial(resolved.__setitem__, index))
@@ -736,7 +734,7 @@ class TestWakeUps:
             resolved[index] = (result, perf_counter() - start)
 
         with DriverSession(
-            workers=2, use_cache=False, retries=2, retry_backoff=0.2,
+            workers=2, retries=2, retry_backoff=0.2,
             fault_plan="driver.worker.start:raise@1",
         ) as session:
             for index, job in enumerate(jobs):

@@ -1,4 +1,4 @@
-"""One RoLAG option surface: batch, serve and difftest agree.
+"""One RoLAG option surface and one driver option surface.
 
 Batch, ``repro serve`` and ``repro difftest`` take the RoLAG options
 from one flag group and build their :class:`RolagConfig` with one
@@ -6,6 +6,14 @@ builder, :func:`repro.cli.rolag_config_from_args`.  So a daemon booted
 with ``--fast-math --validate safe`` runs ``tsvc_config()`` and answers
 the TSVC kernels whose float reductions need re-association exactly as
 the batch driver does.
+
+The driver's knobs are declared once, in
+:class:`~repro.driver.DriverSession`'s keyword list.  Batch and serve
+build their keywords from the driver flag group with one builder,
+:func:`repro.cli.driver_options_from_args`, so the same argv reaches
+both sessions as the same keywords, apart from the daemon's documented
+differences: its worker flag, ``retry_backoff`` 0.0 and
+``serial_fallback``.
 """
 
 import threading
@@ -18,10 +26,11 @@ from repro.cli import (
     build_arg_parser,
     build_difftest_parser,
     build_serve_parser,
+    main,
     rolag_config_from_args,
     serve_config_from_args,
 )
-from repro.driver import FunctionJob, optimize_functions
+from repro.driver import DriverSession, FunctionJob, optimize_functions
 from repro.ir import print_module
 from repro.rolag import RolagConfig
 from repro.serve import LoopbackClient, OptimizeService, ServeClient
@@ -147,3 +156,120 @@ def test_tsvc_checked_sweep_through_the_daemon():
     identical = sum(s == b for s, b in zip(served, batch))
     assert identical == len(jobs)
     assert sum(rolled for _, rolled in served) == 245
+
+
+IR = """define i32 @f(i32 %a) {
+entry:
+  %b = add i32 %a, 1
+  ret i32 %b
+}
+"""
+
+
+@pytest.fixture
+def sessions(monkeypatch):
+    """The ``(config, keywords)`` of every driver session built."""
+    built = []
+    real_init = DriverSession.__init__
+
+    def init(self, config=None, **keywords):
+        built.append((config, keywords))
+        real_init(self, config, **keywords)
+
+    monkeypatch.setattr(DriverSession, "__init__", init)
+    return built
+
+
+def batch_session(sessions, tmp_path, argv):
+    """Run the batch CLI on two IR inputs; its session's config and
+    keywords."""
+    inputs = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.ll"
+        path.write_text(IR.replace("@f", f"@{name}"))
+        inputs.append(str(path))
+    assert main([*inputs, "--roll", *argv]) == 0
+    (config, keywords), = sessions
+    sessions.clear()
+    assert keywords.pop("_batch") == len(inputs)
+    return config, keywords
+
+
+def serve_session(sessions, argv):
+    """Boot a loopback daemon on ``argv`` and answer one job; its
+    session's config and keywords."""
+    client = loopback_daemon(argv)
+    try:
+        assert client.optimize(IR, name="f")["status"] == "ok"
+    finally:
+        client.close()
+    (config, keywords), = sessions
+    sessions.clear()
+    return config, keywords
+
+
+def test_batch_and_serve_argv_reach_the_same_session(sessions, tmp_path):
+    argv = [
+        "--validate", "safe", "--evaluator", "compiled",
+        "--cache-dir", str(tmp_path / "cache"), "--no-dedupe",
+        "--check-semantics", "--deadline", "60", "--retries", "2",
+        "--quarantine-file", str(tmp_path / "quarantine.json"),
+        "--fault-plan", "cache.read:raise@1000",
+    ]
+    batch_config, batch = batch_session(
+        sessions, tmp_path, [*argv, "--jobs", "1"]
+    )
+    serve_config, serve = serve_session(sessions, [*argv, "--workers", "1"])
+    assert batch_config.fingerprint() == serve_config.fingerprint()
+    assert (batch.pop("retry_backoff"), serve.pop("retry_backoff")) == (
+        0.05, 0.0
+    )
+    assert (batch.pop("serial_fallback"), serve.pop("serial_fallback")) == (
+        False, True
+    )
+    assert serve.pop("quarantine_fsync") is False
+    assert batch == serve
+    assert batch["workers"] == 1 and batch["cache_dir"] is not None
+
+
+def test_no_cache_reaches_both_sessions_as_no_cache(sessions, tmp_path):
+    cache_dir = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache_dir), "--no-cache"]
+    _, batch = batch_session(sessions, tmp_path, [*argv, "--jobs", "1"])
+    _, serve = serve_session(sessions, argv)
+    assert batch["cache_dir"] is None
+    assert serve["cache_dir"] is None
+    assert not cache_dir.exists()
+
+
+def test_serve_mixed_daemon_session_keywords_are_unchanged(
+    sessions, tmp_path
+):
+    cache_dir = str(tmp_path / "cache")
+    argv = [
+        *SERVE_ARGS, "--cache-dir", cache_dir,
+        "--journal-dir", str(tmp_path / "journal"),
+    ]
+    config, keywords = serve_session(sessions, argv)
+    assert config.fingerprint() == RolagConfig(validate="safe").fingerprint()
+    assert keywords == dict(
+        workers=2,
+        cache_dir=cache_dir,
+        check_semantics=False,
+        evaluator="interp",
+        deadline=None,
+        retries=1,
+        retry_backoff=0.0,
+        quarantine_file=None,
+        quarantine_fsync=False,
+        fault_plan=None,
+        serial_fallback=True,
+        dedupe=True,
+    )
+
+
+def test_removed_use_cache_knob_is_refused():
+    with pytest.raises(TypeError):
+        optimize_functions(
+            [FunctionJob(name="f", ir_text=IR)], use_cache=False
+        )

@@ -65,7 +65,7 @@ IR_RESPELLED = (
 
 
 def unthreaded_service(**overrides):
-    config = ServeConfig(workers=1, use_cache=False, **overrides)
+    config = ServeConfig(**overrides)
     service = OptimizeService(config)
     service.start(threaded=False)
     return service
@@ -129,7 +129,7 @@ class TestInProcessDaemon:
 
     def test_failed_job_is_an_ok_response_with_error_status(self):
         service = unthreaded_service(
-            fault_plan="driver.worker.start:raise@1x9", retries=0
+            driver=dict(fault_plan="driver.worker.start:raise@1x9", retries=0)
         )
         client = LoopbackClient(service)
         try:
@@ -157,7 +157,7 @@ class TestInProcessDaemon:
         monkeypatch.setattr(Validator, "from_config", recording_from_config)
         service = unthreaded_service(
             rolag=RolagConfig(validate="safe", validate_evaluator="compiled"),
-            evaluator="compiled",
+            driver=dict(evaluator="compiled"),
         )
         client = LoopbackClient(service)
         try:
@@ -268,7 +268,7 @@ class TestInProcessDaemon:
     def test_shared_cache_across_daemon_lifetime(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         first = OptimizeService(
-            ServeConfig(workers=1, cache_dir=cache_dir)
+            ServeConfig(driver=dict(cache_dir=cache_dir))
         )
         first.start(threaded=False)
         client = LoopbackClient(first)
@@ -278,7 +278,7 @@ class TestInProcessDaemon:
         client.close()
 
         second = OptimizeService(
-            ServeConfig(workers=1, cache_dir=cache_dir)
+            ServeConfig(driver=dict(cache_dir=cache_dir))
         )
         second.start(threaded=False)
         client = LoopbackClient(second)
@@ -325,7 +325,7 @@ class TestInProcessDaemon:
 
 class TestConcurrentClients:
     def test_two_threaded_clients_interleave(self):
-        service = OptimizeService(ServeConfig(workers=1, use_cache=False))
+        service = OptimizeService(ServeConfig())
         service.start(threaded=True)
 
         outcomes = {}
@@ -493,7 +493,7 @@ class TestPoolServe:
 
     def test_pool_roundtrip_and_no_orphans(self):
         service = OptimizeService(
-            ServeConfig(workers=2, use_cache=False)
+            ServeConfig(driver=dict(workers=2))
         )
         service.start(threaded=True)
         client = LoopbackClient(service)
@@ -519,7 +519,7 @@ class TestEventDrivenScheduler:
     while idle, and an offer wakes it."""
 
     def test_idle_scheduler_takes_no_steps(self):
-        scheduler = Scheduler(DriverSession(workers=2, use_cache=False))
+        scheduler = Scheduler(DriverSession(workers=2))
         steps = []
         real_pump_once = scheduler.pump_once
 
@@ -554,7 +554,7 @@ class TestHttpTransport:
         from repro.serve.httpd import serve_http
 
         service = OptimizeService(
-            ServeConfig(workers=1, use_cache=False)
+            ServeConfig()
         ).start()
         started = threading.Event()
         address_box = {}

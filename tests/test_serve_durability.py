@@ -67,7 +67,7 @@ IR_RESPELLED = (
 
 
 def unthreaded_service(**overrides):
-    config = ServeConfig(workers=1, use_cache=False, **overrides)
+    config = ServeConfig(**overrides)
     service = OptimizeService(config)
     service.start(threaded=False)
     return service
@@ -394,7 +394,7 @@ class TestJournalReplay:
         blocker.write_text("file in the way")
         with pytest.raises(OSError):
             OptimizeService(
-                ServeConfig(workers=1, journal_dir=str(blocker))
+                ServeConfig(journal_dir=str(blocker))
             )
 
 
@@ -654,11 +654,10 @@ class TestOrphanedWorkers:
             "import time\n"
             "from concurrent.futures import ProcessPoolExecutor\n"
             "from repro.driver import core\n"
-            "from repro.rolag.config import RolagConfig\n"
             "ex = ProcessPoolExecutor(\n"
             "    max_workers=2,\n"
             "    initializer=core._init_worker,\n"
-            "    initargs=(RolagConfig(), None, False, False, 'interp'),\n"
+            "    initargs=(core.run_one_guarded, None),\n"
             ")\n"
             "for f in [ex.submit(time.sleep, 0.2) for _ in range(2)]:\n"
             "    f.result()\n"
