@@ -35,4 +35,5 @@ def test_no_fault_overhead_under_3_percent(results_dir, bench_quick):
         "hardened driver",
         lambda: optimize_functions(jobs, workers=1),
         MAX_OVERHEAD,
+        bench_quick,
     )

@@ -9,48 +9,33 @@ dynamic-step measurement.  It also runs the fuzzer parity smoke that
 holds the two tiers to identical Observations (results, memory,
 extern traces, trap kinds, and step counts).
 
-The bars are :func:`repro.bench.perfsuite.failed_bars`, which
-``repro bench`` and ``benchmarks/emit_bench_json.py`` apply too.  The
+It records the ``compiled-eval`` suite through
+:func:`repro.bench.record.record_suite`, exactly as
+``repro bench --suite compiled-eval`` does: ``BENCH_compiled_eval.json``
+and ``results/ext_compiled_eval.txt`` are written first, then the bars
+of :func:`repro.bench.perfsuite.failed_bars` are asserted.  The
 correctness bars are absolute: zero campaign mismatches and
 unexplained cases under any backend, zero parity mismatches,
-identical TSVC step counts.  The
-speedup bars are asserted only where evaluation dominates (oracle
-observations, TSVC dynamic steps); the whole campaign also parses,
-prints, rolls and bisects, so its end-to-end speedup is Amdahl-bounded
-and merely reported.
+identical TSVC step counts.  The speedup bars are asserted only where
+evaluation dominates (oracle observations, TSVC dynamic steps); the
+whole campaign also parses, prints, rolls and bisects, so its
+end-to-end speedup is Amdahl-bounded and merely reported.
 
-``pytest benchmarks/ --bench-quick`` (or ``ROLAG_BENCH_QUICK=1``)
-shrinks every workload to smoke sizes.  A quick run never overwrites
-a committed full-run ``BENCH_compiled_eval.json``; it is diverted to
-a ``*_quick.json`` sidecar instead.
+``pytest benchmarks/ --bench-quick`` shrinks every workload to smoke
+sizes and records to the ``_quick`` sidecars instead.
 """
 
-import os
+from conftest import REPO_ROOT
 
-from conftest import save_and_print
-
-from repro.bench.perfsuite import (
-    failed_bars,
-    render_perf_suite,
-    run_perf_suite,
-    write_bench_json,
-)
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from repro.bench.record import record_suite
 
 
-def test_ext_compiled_eval(benchmark, results_dir, bench_quick):
-    results = benchmark.pedantic(
-        lambda: run_perf_suite(seed=0, difftest_count=2000, quick=bench_quick),
+def test_ext_compiled_eval(benchmark, bench_quick):
+    failures = benchmark.pedantic(
+        record_suite,
+        args=("compiled-eval",),
+        kwargs={"quick": bench_quick, "root": REPO_ROOT},
         rounds=1,
         iterations=1,
     )
-
-    failures = failed_bars(results)
     assert not failures, failures
-
-    text = render_perf_suite(results)
-    save_and_print(results_dir, "ext_compiled_eval.txt", text)
-    json_path = os.path.join(REPO_ROOT, "BENCH_compiled_eval.json")
-    if write_bench_json(json_path, results):
-        print(f"[json saved to {json_path}]")

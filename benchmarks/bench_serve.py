@@ -1,8 +1,11 @@
 """Serve-daemon exhibit: streaming service quality under chaos.
 
-Runs :func:`repro.bench.servebench.run_serve_suite` -- a clean
-baseline pass and a seeded fault storm against the live daemon, both
-through the wire protocol -- and pins the service-grade bars:
+Records the ``serve`` suite (:mod:`repro.bench.servebench`: paired
+clean and journaled baselines, a seeded fault storm against the live
+daemon, and a kill storm, all through the wire protocol) through
+:func:`repro.bench.record.record_suite`, exactly as
+``repro bench --suite serve`` does, then asserts the service-grade
+bars of :func:`repro.bench.servebench.failed_bars`:
 
 * every resilience invariant holds under the storm (exactly-once
   answers, typed refusals, per-job degradation, daemon liveness),
@@ -14,26 +17,18 @@ through the wire protocol -- and pins the service-grade bars:
 * the kill storm (a real supervised daemon SIGKILLed mid-flight)
   recovers every admitted job with zero duplicate executions, and
   journaling stays within its throughput-overhead bar in the median
-  of paired clean/journaled runs (informational under ``--quick``:
-  runs of 16 jobs are too short to time).
+  of paired clean/journaled runs (informational under
+  ``--bench-quick``: runs of 16 jobs are too short to time).
 
-The machine-readable payload is emitted separately by
-``benchmarks/emit_bench_json.py --suite serve`` (writes
-``BENCH_serve.json``); this exhibit saves the human-readable report
-under ``results/``.
+``BENCH_serve.json`` and ``results/serve.txt`` are written before the
+assertion, or their ``_quick`` sidecars under ``--bench-quick``.
 """
 
-from conftest import save_and_print
+from conftest import REPO_ROOT
 
-from repro.bench.servebench import (
-    failed_bars,
-    render_serve_bench,
-    run_serve_suite,
-)
+from repro.bench.record import record_suite
 
 
-def test_serve_chaos_service_bars(results_dir, bench_quick):
-    results = run_serve_suite(quick=bench_quick)
-    save_and_print(results_dir, "serve.txt", render_serve_bench(results))
-    failures = failed_bars(results)
+def test_serve_chaos_service_bars(bench_quick):
+    failures = record_suite("serve", quick=bench_quick, root=REPO_ROOT)
     assert not failures, failures

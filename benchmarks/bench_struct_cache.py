@@ -1,10 +1,11 @@
 """Structural cache exhibit: a renamed corpus rerun must be (nearly) free.
 
-Runs :func:`repro.bench.structcache.run_struct_cache_suite` -- cold
-run, rename-perturbed warm rerun, text-SHA baseline, and the
-natural-duplication dedupe round -- and pins the acceptance bars of
-:func:`repro.bench.structcache.failed_bars`, which
-``benchmarks/emit_bench_json.py --suite struct-cache`` applies too:
+Records the ``struct-cache`` suite (:mod:`repro.bench.structcache`:
+cold run, rename-perturbed warm rerun, text-SHA baseline, and the
+natural-duplication dedupe round) through
+:func:`repro.bench.record.record_suite`, exactly as
+``repro bench --suite struct-cache`` does, then asserts the bars of
+:func:`repro.bench.structcache.failed_bars`:
 
 * the warm rerun of the fully renamed corpus hits the structural
   cache for **every** job (asserted in quick runs too: this is the CI
@@ -16,24 +17,16 @@ natural-duplication dedupe round -- and pins the acceptance bars of
 * on full runs, the warm rerun beats the text-keyed baseline by at
   least :data:`~repro.bench.structcache.MIN_SPEEDUP`x.
 
-The machine-readable payload is emitted separately by
-``benchmarks/emit_bench_json.py --suite struct-cache`` (writes
-``BENCH_struct_cache.json``); this exhibit saves the human-readable
-report under ``results/``.
+``BENCH_struct_cache.json`` and ``results/struct_cache.txt`` are
+written before the assertion, or their ``_quick`` sidecars under
+``--bench-quick``.
 """
 
-from conftest import save_and_print
+from conftest import REPO_ROOT
 
-from repro.bench.structcache import (
-    failed_bars,
-    render_struct_cache,
-    run_struct_cache_suite,
-)
+from repro.bench.record import record_suite
 
 
-def test_struct_cache_speedup(results_dir, bench_quick):
-    results = run_struct_cache_suite(quick=bench_quick)
-    text = render_struct_cache(results)
-    save_and_print(results_dir, "struct_cache.txt", text)
-    failures = failed_bars(results)
+def test_struct_cache_speedup(bench_quick):
+    failures = record_suite("struct-cache", quick=bench_quick, root=REPO_ROOT)
     assert not failures, failures

@@ -35,4 +35,5 @@ def test_fast_validation_overhead_under_5_percent(results_dir, bench_quick):
         "validate=fast",
         lambda: optimize_functions(jobs, validated, workers=1),
         MAX_OVERHEAD,
+        bench_quick,
     )

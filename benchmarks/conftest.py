@@ -11,9 +11,11 @@ import pytest
 
 from repro.bench import angha
 from repro.bench.paired import describe_pairs, overhead, time_pairs
+from repro.bench.record import quick_path
 from repro.driver import FunctionJob
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESULTS_DIR = os.path.join(REPO_ROOT, "results")
 CACHE_DIR = os.path.join(os.path.dirname(__file__), ".rolag-cache")
 
 
@@ -29,14 +31,13 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session")
 def bench_quick(request):
-    """True when ``--bench-quick`` (or ``ROLAG_BENCH_QUICK=1``) is set.
+    """True when ``--bench-quick`` is set.
 
     Exhibits with long-running sweeps consult this so a CI smoke can
-    exercise them without paying full workload sizes; the saved
-    results always record the effective sizes.
+    exercise them without paying full workload sizes.  A quick run
+    writes its reports to the ``_quick`` sidecars
+    (:func:`repro.bench.record.quick_path`), never over a full run's.
     """
-    if os.environ.get("ROLAG_BENCH_QUICK", "") not in ("", "0"):
-        return True
     return bool(request.config.getoption("--bench-quick"))
 
 
@@ -85,11 +86,12 @@ def angha_jobs(count: int, seed: int = 2022):
 
 
 def check_overhead(results_dir, filename, title, job_count, label_a, run_a,
-                   label_b, run_b, budget):
+                   label_b, run_b, budget, quick):
     """Assert that ``run_b``'s time overhead over ``run_a``, the median
     of :func:`repro.bench.paired.time_pairs` pairs alternating which
     side runs first, stays under ``budget``; each side is warmed once
-    before timing."""
+    before timing.  A ``quick`` run saves its report to the
+    ``_quick`` sidecar of ``filename``."""
     run_a()
     run_b()
     timing = time_pairs(run_a, run_b, ratio=overhead)
@@ -104,7 +106,9 @@ def check_overhead(results_dir, filename, title, job_count, label_a, run_a,
             + f" (budget: {budget:.0%})",
         ]
     )
-    save_and_print(results_dir, filename, text)
+    save_and_print(
+        results_dir, quick_path(filename) if quick else filename, text
+    )
     assert timing.ratio < budget, (
         f"{title}: {timing.ratio:.2%} exceeds {budget:.0%} budget"
     )

@@ -13,7 +13,6 @@ from .harness import (
     run_tsvc_experiment,
 )
 from .objsize import SizeReport, function_size, measure_module, reduction_percent
-from .perfsuite import render_perf_suite, run_perf_suite, write_bench_json
 from .reporting import ascii_curve, format_table, histogram
 
 __all__ = [
@@ -31,12 +30,9 @@ __all__ = [
     "measure_module",
     "programs",
     "reduction_percent",
-    "render_perf_suite",
     "run_angha_experiment",
-    "run_perf_suite",
     "run_programs_experiment",
     "run_tsvc_ablation",
     "run_tsvc_experiment",
     "tsvc",
-    "write_bench_json",
 ]

@@ -1,11 +1,12 @@
 """Evaluator-backend performance suite (machine-readable).
 
-One entry point, :func:`run_perf_suite`, measures both execution
-tiers -- the reference interpreter and the closure-compiling evaluator
+One entry point, :func:`run`, measures both execution tiers -- the
+reference interpreter and the closure-compiling evaluator
 (``repro.ir.compile_eval``) -- on the workloads that motivated the
-fast tier and returns a plain JSON-serializable dict: the payload behind
-``repro bench``, ``benchmarks/emit_bench_json.py`` and
-``BENCH_compiled_eval.json``.
+fast tier and returns a plain JSON-serializable dict: the
+``compiled-eval`` suite of :mod:`repro.bench.record`, which
+``repro bench`` and ``benchmarks/bench_ext_compiled_eval.py`` record
+as ``BENCH_compiled_eval.json`` and ``results/ext_compiled_eval.txt``.
 
 Each timed row is a speedup (interpreter time over compiled time)
 from :func:`repro.bench.paired.time_pairs`: the backends run in
@@ -35,8 +36,6 @@ per-pair speedups, each backend's ``seconds`` is its median run, and
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..difftest.fuzzer import FunctionFuzzer
@@ -63,16 +62,23 @@ BACKENDS = tuple(EVALUATOR_CHOICES)
 MIN_ORACLE_SPEEDUP = 1.5
 MIN_TSVC_SPEEDUP = 3.0
 
+#: The full run's workload seed and difftest campaign size, and the
+#: artifacts :func:`repro.bench.record.record_suite` writes.
+SEED = 0
+COUNT = 2000
+JSON = "BENCH_compiled_eval.json"
+TEXT = "ext_compiled_eval.txt"
+
 
 def _backend_row(
-    run: Callable[[str], object], **fields
+    measure: Callable[[str], object], **fields
 ) -> Tuple[Dict[str, object], PairedTiming]:
-    """Time ``run(backend)`` on the interpreter (side A) against the
+    """Time ``measure(backend)`` on the interpreter (side A) against the
     compiled tier (side B): the row with the median speedup, each
     backend's median seconds and every pair's values, and the timing
     with each call's result."""
     interp, compiled = BACKENDS
-    timing = time_pairs(lambda: run(interp), lambda: run(compiled))
+    timing = time_pairs(lambda: measure(interp), lambda: measure(compiled))
     row = dict(fields, speedup=timing.ratio, timing=timing.to_json())
     for backend, side in zip(BACKENDS, ("a", "b")):
         row[backend] = {"evaluator": backend, "seconds": timing.seconds(side)}
@@ -156,9 +162,9 @@ def _run_tsvc_kernels(
     return steps
 
 
-def run_perf_suite(
-    seed: int = 0,
-    difftest_count: int = 2000,
+def run(
+    seed: int = SEED,
+    count: int = COUNT,
     oracle_count: int = 150,
     parity_count: int = 200,
     tsvc_factor: int = 16,
@@ -166,21 +172,22 @@ def run_perf_suite(
     tsvc_calls: int = 100,
     quick: bool = False,
 ) -> Dict[str, object]:
-    """Measure both evaluator tiers on each workload.
+    """Measure both evaluator tiers on each workload; ``count`` is the
+    difftest campaign's size.
 
     ``quick`` shrinks every count for smoke-test runs; the saved JSON
     records the effective sizes either way so numbers are never
     compared across different workloads silently.
     """
     if quick:
-        difftest_count = min(difftest_count, 100)
+        count = min(count, 100)
         oracle_count = min(oracle_count, 30)
         parity_count = min(parity_count, 30)
         tsvc_calls = min(tsvc_calls, 10)
 
     kernels = tsvc_kernels or tsvc.kernel_names()[:12]
 
-    campaign = _campaign_row(seed, difftest_count)
+    campaign = _campaign_row(seed, count)
 
     cases = _oracle_cases(seed, oracle_count)
     oracle, _ = _backend_row(
@@ -224,7 +231,7 @@ def run_perf_suite(
 
 
 def failed_bars(results: Dict[str, object]) -> List[str]:
-    """Every bar a :func:`run_perf_suite` payload misses, one message
+    """Every bar a :func:`run` payload misses, one message
     each; empty when every bar holds.  The correctness bars are
     absolute; the speedup bars skip quick runs, too small to time."""
     campaign, parity = results["difftest_campaign"], results["parity"]
@@ -249,43 +256,8 @@ def failed_bars(results: Dict[str, object]) -> List[str]:
     return [message for holds, message in checks if not holds]
 
 
-def write_bench_json(
-    path: str, results: Dict[str, object], force: bool = False
-) -> bool:
-    """Write one perf-suite payload, refusing quick-over-full clobbers.
-
-    A ``--bench-quick`` run measures smoke-sized workloads; letting it
-    silently replace a full-run ``BENCH_*.json`` poisons trend
-    tracking (it happened: a committed payload carried
-    ``"quick": true``).  A quick payload aimed at a path holding a
-    full-run payload is therefore diverted to a ``*_quick.json``
-    sidecar unless ``force`` is set.  Returns ``True`` when ``path``
-    itself was written, ``False`` when the sidecar was used.
-    """
-    diverted = False
-    if results.get("quick") and not force and os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                existing = json.load(fh)
-        except (OSError, ValueError):
-            existing = None
-        if isinstance(existing, dict) and not existing.get("quick", False):
-            base, ext = os.path.splitext(path)
-            path = f"{base}_quick{ext or '.json'}"
-            diverted = True
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if diverted:
-        print(
-            f"; quick run diverted to {path} "
-            "(existing full-run payload preserved; pass --force to overwrite)"
-        )
-    return not diverted
-
-
-def render_perf_suite(results: Dict[str, object]) -> str:
-    """A human-readable report of one :func:`run_perf_suite` payload."""
+def render(results: Dict[str, object]) -> str:
+    """A human-readable report of one :func:`run` payload."""
     from .reporting import format_table
 
     campaign = results["difftest_campaign"]

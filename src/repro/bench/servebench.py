@@ -1,6 +1,7 @@
 """The serve-daemon benchmark: streaming throughput under chaos.
 
-The exhibit behind ``BENCH_serve.json``.  Four measured scenarios of
+The ``serve`` suite of :mod:`repro.bench.record`, behind
+``BENCH_serve.json``.  Four measured scenarios of
 the live daemon, all streaming the same Angha-style corpus through
 the wire protocol with a deliberately small admission window (so
 backpressure and resubmission are part of the measured path, not an
@@ -23,8 +24,9 @@ untested corner):
   job via journal replay / idempotent resubmission with zero
   duplicate executions and oracle-verified outputs.
 
-Acceptance bars, asserted by ``benchmarks/bench_serve.py`` and
-reported in the payload:
+Acceptance bars, checked by :func:`failed_bars` (which
+``repro bench --suite serve`` and ``benchmarks/bench_serve.py`` apply)
+and reported in the payload:
 
 * the storm completes >= :data:`MIN_SUCCESS_RATE` of admitted jobs
   without degradation, and every resilience invariant holds
@@ -58,6 +60,13 @@ MIN_SUCCESS_RATE = 0.99
 #: run's throughput, in the median of the paired runs.
 MAX_JOURNAL_OVERHEAD_PERCENT = 5.0
 
+#: The full run's workload seed and size, and the artifacts
+#: :func:`repro.bench.record.record_suite` writes.
+SEED = 0
+COUNT = 100
+JSON = "BENCH_serve.json"
+TEXT = "serve.txt"
+
 
 def _clean_run(seed: int, count: int, journal: bool) -> Dict[str, object]:
     return run_serve_chaos(
@@ -79,8 +88,8 @@ def _overhead_percent(clean: Run, journaled: Run) -> float:
     )
 
 
-def run_serve_suite(
-    seed: int = 0, count: int = 100, quick: bool = False
+def run(
+    seed: int = SEED, count: int = COUNT, quick: bool = False
 ) -> Dict[str, object]:
     """Measure the whole exhibit; returns the JSON-ready payload."""
     if quick:
@@ -117,7 +126,7 @@ def run_serve_suite(
 
 
 def failed_bars(results: Dict[str, object]) -> List[str]:
-    """Every service bar a :func:`run_serve_suite` payload misses, one
+    """Every service bar a :func:`run` payload misses, one
     message each; empty when every bar holds."""
     storm, recovery = results["storm"], results["recovery"]
     runs = [("clean", run) for run in results["clean"]]
@@ -161,7 +170,7 @@ def failed_bars(results: Dict[str, object]) -> List[str]:
     return [message for holds, message in checks if not holds]
 
 
-def render_serve_bench(results: Dict[str, object]) -> str:
+def render(results: Dict[str, object]) -> str:
     """The human-readable report for ``results/serve.txt``."""
     lines = [
         "serve daemon: streaming throughput and chaos resilience",

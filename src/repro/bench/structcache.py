@@ -1,6 +1,7 @@
 """The structural-cache benchmark: rename-proof warm reruns, dedupe wins.
 
-The exhibit behind ``BENCH_struct_cache.json``.  The scenario the
+The ``struct-cache`` suite of :mod:`repro.bench.record`, behind
+``BENCH_struct_cache.json``.  The scenario the
 structural cache exists for: a corpus is optimized once, then comes
 back *rename-perturbed* -- the functions are the same work modulo
 alpha-renaming (regenerated Angha dumps renumber every temporary;
@@ -49,6 +50,13 @@ from .paired import describe_pairs, time_pairs
 #: Full-run bar: a structural warm rerun of a renamed corpus must beat
 #: recomputation by at least this much.
 MIN_SPEEDUP = 5.0
+
+#: The full run's corpus seed and size, and the artifacts
+#: :func:`repro.bench.record.record_suite` writes.
+SEED = 2022
+COUNT = 40
+JSON = "BENCH_struct_cache.json"
+TEXT = "struct_cache.txt"
 
 
 def corpus_jobs(count: int, seed: int = 2022) -> List[FunctionJob]:
@@ -107,8 +115,8 @@ def _count_mismatches(hits, computed) -> int:
     return mismatches
 
 
-def run_struct_cache_suite(
-    seed: int = 2022, count: int = 40, quick: bool = False
+def run(
+    seed: int = SEED, count: int = COUNT, quick: bool = False
 ) -> Dict[str, object]:
     """Measure the whole exhibit; returns the JSON-ready payload."""
     if quick:
@@ -192,7 +200,7 @@ def run_struct_cache_suite(
 
 
 def failed_bars(results: Dict[str, object]) -> List[str]:
-    """Every bar a :func:`run_struct_cache_suite` payload misses, one
+    """Every bar a :func:`run` payload misses, one
     message each; empty when every bar holds.  Only the speedup bar
     skips quick runs: the rest are the CI smoke gate."""
     warm, dup = results["warm_perturbed"], results["natural_duplication"]
@@ -212,7 +220,7 @@ def failed_bars(results: Dict[str, object]) -> List[str]:
     return [message for holds, message in checks if not holds]
 
 
-def render_struct_cache(results: Dict[str, object]) -> str:
+def render(results: Dict[str, object]) -> str:
     """A human-readable report of one suite payload."""
     cold = results["cold"]
     warm = results["warm_perturbed"]

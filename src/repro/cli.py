@@ -11,6 +11,7 @@ Usage::
         --quarantine-file .rolag-quarantine.json
     python -m repro difftest --seed 0 --count 2000
     python -m repro bench --quick
+    python -m repro bench --suite serve --count 100
     python -m repro chaos --seed 0 --rounds 4
     python -m repro serve --workers 2 --cache-dir .rolag-cache
     python -m repro serve --fast-math --validate safe
@@ -30,11 +31,12 @@ fuzzed IR functions through the full pipeline, observed against the
 reference interpreter, mismatches bisected to the guilty pass and
 minimized (see ``docs/difftest.md``).
 
-``repro bench`` times the compiled evaluator (the one fast tier)
-against the reference interpreter on the difftest/oracle/TSVC
-workloads and writes
-``BENCH_compiled_eval.json`` (see ``repro.bench.perfsuite``); it exits 1
-when a bar of ``repro.bench.perfsuite.failed_bars`` fails.
+``repro bench`` runs one recorded benchmark suite (``--suite``:
+``compiled-eval``, the default, times the compiled evaluator against
+the reference interpreter; ``struct-cache`` and ``serve``) and writes
+its ``BENCH_*.json`` and ``results/*.txt`` through
+``repro.bench.record.record_suite``, the sidecars of both under
+``--quick``; it exits 1 when any of the suite's bars fails.
 
 ``repro serve`` runs the always-on streaming optimization daemon over
 stdio (or localhost HTTP with ``--http``); ``repro client`` submits
@@ -57,6 +59,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .bench.objsize import measure_module, reduction_percent
+from .bench.record import SUITES, record_suite
 from .bench.reporting import format_table
 from .driver import FunctionJob, optimize_functions
 from .frontend import CParseError, LexError, LowerError, compile_c
@@ -750,62 +753,61 @@ def build_bench_parser() -> argparse.ArgumentParser:
     """The ``repro bench`` subcommand's interface."""
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Run the evaluator-backend performance suite "
-        "(compiled vs. interpreted) and write machine-readable JSON.",
+        description="Run one benchmark suite and record its JSON payload "
+        "and text report.",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
+        "--suite",
+        choices=list(SUITES),
+        default="compiled-eval",
+        help="which suite to run (default compiled-eval)",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="workload seed (default: the suite's full run)",
     )
     parser.add_argument(
         "--count",
         type=int,
-        default=2000,
-        help="difftest campaign size (default 2000)",
+        default=None,
+        help="workload size: difftest campaign, corpus functions or "
+        "streamed jobs (default: the suite's full run)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shrink every workload for a fast smoke run",
+        help="shrink every workload for a fast smoke run; the default "
+        "artifact paths become their _quick sidecars",
     )
     parser.add_argument(
         "--json",
         metavar="PATH",
-        default="BENCH_compiled_eval.json",
-        help="where to write the JSON payload "
-        "(default BENCH_compiled_eval.json)",
+        default=None,
+        help="where to write the JSON payload (default BENCH_<suite>.json)",
     )
     parser.add_argument(
         "--text",
         metavar="PATH",
         default=None,
-        help="also write the human-readable report to PATH",
+        help="where to write the text report (default results/<name>.txt)",
     )
     return parser
 
 
 def run_bench_command(argv: List[str]) -> int:
-    """``repro bench ...``: measure every backend, write JSON (+ text)."""
-    from .bench.perfsuite import (
-        failed_bars,
-        render_perf_suite,
-        run_perf_suite,
-        write_bench_json,
-    )
-
+    """``repro bench ...``: run and record one suite; exit 1 on a
+    failed bar."""
     args = build_bench_parser().parse_args(argv)
-    results = run_perf_suite(
-        seed=args.seed, difftest_count=args.count, quick=args.quick
+    failures = record_suite(
+        args.suite,
+        seed=args.seed,
+        count=args.count,
+        quick=args.quick,
+        json_path=args.json,
+        text_path=args.text,
     )
-    wrote_primary = write_bench_json(args.json, results)
-    text = render_perf_suite(results)
-    print(text)
-    if wrote_primary:
-        print(f"; json written: {args.json}")
-    if args.text:
-        with open(args.text, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"; text written: {args.text}")
-    failures = failed_bars(results)
     for failure in failures:
         print(f"; FAILED: {failure}")
     return 1 if failures else 0

@@ -1,6 +1,4 @@
-"""Tests for the paired-timing rule and the benchmark JSON writer."""
-
-import json
+"""Tests for the paired-timing rule."""
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.bench.paired import (
     speedup,
     time_pairs,
 )
-from repro.bench.perfsuite import write_bench_json
 
 
 class FakeHost:
@@ -117,32 +114,3 @@ def test_an_exception_in_a_side_propagates():
 def test_a_zero_time_candidate_raises_instead_of_reading_zero():
     with pytest.raises(ZeroDivisionError):
         _paired({"a": [1.0], "b": [0.0]}, pairs=1, ratio=speedup)
-
-
-class TestWriteBenchJson:
-    def _write(self, path, payload):
-        path.write_text(json.dumps(payload), encoding="utf-8")
-
-    def test_quick_payload_is_diverted_from_a_full_run_file(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        self._write(path, {"quick": False, "speedup": 3.0})
-        assert not write_bench_json(str(path), {"quick": True})
-        assert json.loads(path.read_text()) == {
-            "quick": False, "speedup": 3.0
-        }
-        sidecar = tmp_path / "BENCH_x_quick.json"
-        assert json.loads(sidecar.read_text()) == {"quick": True}
-
-    def test_force_overwrites_the_full_run_file(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        self._write(path, {"quick": False})
-        assert write_bench_json(str(path), {"quick": True}, force=True)
-        assert json.loads(path.read_text()) == {"quick": True}
-        assert not (tmp_path / "BENCH_x_quick.json").exists()
-
-    def test_unreadable_existing_file_is_overwritten(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert write_bench_json(str(path), {"quick": True})
-        assert json.loads(path.read_text()) == {"quick": True}
-        assert not (tmp_path / "BENCH_x_quick.json").exists()
