@@ -2,7 +2,8 @@
 
 Implements the iterative algorithm of Cooper, Harvey and Kennedy
 ("A Simple, Fast Dominance Algorithm") over a reverse-postorder
-numbering of the CFG.  Used by the verifier (SSA dominance checks) and
+numbering of the CFG (:func:`repro.ir.module.reverse_postorder`,
+re-exported here).  Used by the verifier (SSA dominance checks) and
 by :mod:`repro.transforms.mem2reg` (phi placement).
 """
 
@@ -11,34 +12,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..ir.instructions import Instruction, Phi
-from ..ir.module import BasicBlock, Function
+from ..ir.module import BasicBlock, Function, reverse_postorder
 from ..ir.values import Value
-
-
-def reverse_postorder(fn: Function) -> List[BasicBlock]:
-    """Blocks reachable from entry, in reverse postorder."""
-    if not fn.blocks:
-        return []
-    visited: Set[int] = set()
-    order: List[BasicBlock] = []
-
-    # Iterative DFS to avoid recursion limits on deep CFGs.
-    stack: List[tuple] = [(fn.entry, iter(fn.entry.successors()))]
-    visited.add(id(fn.entry))
-    while stack:
-        block, successors = stack[-1]
-        advanced = False
-        for succ in successors:
-            if id(succ) not in visited:
-                visited.add(id(succ))
-                stack.append((succ, iter(succ.successors())))
-                advanced = True
-                break
-        if not advanced:
-            order.append(block)
-            stack.pop()
-    order.reverse()
-    return order
 
 
 class DominatorTree:

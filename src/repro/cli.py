@@ -1019,6 +1019,33 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if len(args.input) > 1:
         return run_batch(args)
+    # A single input runs in-process, without the driver: its options
+    # would be silently ignored, so name them and refuse the run.
+    unsupported = [
+        flag
+        for flag, given in (
+            ("--cache-dir", args.cache_dir is not None),
+            ("--no-dedupe", args.no_dedupe),
+            ("--deadline", args.deadline is not None),
+            ("--quarantine-file", args.quarantine_file is not None),
+            ("--fault-plan", args.fault_plan is not None),
+            ("--jobs", args.jobs is not None),
+            ("--serial-fallback", args.serial_fallback),
+            ("--retries", args.retries != parser.get_default("retries")),
+            (
+                "--retry-backoff",
+                args.retry_backoff != parser.get_default("retry_backoff"),
+            ),
+        )
+        if given
+    ]
+    if unsupported:
+        print(
+            "error: these driver options need several inputs "
+            f"(got {', '.join(unsupported)})",
+            file=sys.stderr,
+        )
+        return 1
 
     try:
         module = load_module(args.input[0], optimize=not args.no_opt)

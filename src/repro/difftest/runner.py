@@ -72,7 +72,7 @@ def default_pipeline(config: Optional[RolagConfig] = None) -> List[PipelineStage
     config = config if config is not None else RolagConfig()
     stages: List[PipelineStage] = [
         (name, _per_function(fn_pass))
-        for name, fn_pass in default_cleanup_pipeline(verify=False).passes
+        for name, fn_pass in default_cleanup_pipeline().passes
     ]
     stages.append(("reroll", _per_function(reroll_loops)))
     stages.append(

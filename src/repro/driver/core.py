@@ -95,8 +95,8 @@ from ..ir import (
 from ..ir.module import Module
 from ..ir.structhash import StructuralSummary, compose_witness_renames
 from ..rolag import RolagConfig, RolagStats, roll_loops_in_module
+from ..transforms.pass_manager import PassManager
 from ..transforms.reroll import reroll_loops
-from ..transforms.txn import TransactionalPassManager
 from .cache import ResultCache, fingerprint_job, job_key, materialize
 from .quarantine import QuarantineList, quarantine_key
 from .types import DriverReport, DriverStats, FunctionJob, FunctionResult
@@ -174,11 +174,11 @@ def optimize_one(
     stats' ``eval`` phase so timed runs show evaluation next to the
     rolling phases; a capture only the gate uses books under no phase.
 
-    With ``config.validate`` on, both the reroll baseline and every
-    RoLAG rolling decision run transactionally through the job's one
-    online validation gate (see ``repro.validation``): rejected edits
-    are rolled back to best-known-good IR and recorded on the result's
-    ``guard_reports``.
+    The reroll baseline and every RoLAG rolling decision cross the one
+    pass boundary (``repro.transforms.pass_manager.run_step``), with
+    ``config.validate`` on as transactions through the job's one gate
+    (see ``repro.validation``): rejected edits are rolled back to
+    best-known-good IR and recorded on the result's ``guard_reports``.
 
     The pipeline checkpoints the ambient deadline between stages, so a
     budgeted run (see :func:`optimize_functions`) bails out of a slow
@@ -224,10 +224,8 @@ def optimize_one(
         checkpoint("evidence")
     size_before = _measure(module, job.name, measure_model)
 
-    # Baseline: LLVM-style rerolling, measured and then rolled back.
-    # With validation on, reroll runs as a transaction through the gate;
-    # with it off, the historical direct path is kept bit-for-bit
-    # (including fault-site hit counts).
+    # Baseline: LLVM-style rerolling, measured and then rolled back,
+    # through the pass boundary (and, with validation on, the gate).
     functions = [f for f in module.functions if not f.is_declaration]
     snapshots = [FunctionSnapshot(f) for f in functions]
     validator = None
@@ -237,11 +235,9 @@ def optimize_one(
         from ..validation import Validator
 
         validator = Validator.from_config(config, evidence=evidence)
-        reroll_pm = TransactionalPassManager(verify=False, validator=validator)
-        reroll_pm.add("reroll", reroll_loops)
-        llvm_rolled = reroll_pm.run(module)
-    else:
-        llvm_rolled = sum(reroll_loops(f) for f in functions)
+    reroll_pm = PassManager(verify=False, validator=validator)
+    reroll_pm.add("reroll", reroll_loops)
+    llvm_rolled = reroll_pm.run(module)
     verify_module(module)
     llvm_size = _measure(module, job.name, measure_model)
     checkpoint("reroll")

@@ -921,7 +921,7 @@ def compile_c(
     if optimize:
         from ..transforms.pass_manager import default_cleanup_pipeline
 
-        default_cleanup_pipeline(verify=True).run(module)
+        default_cleanup_pipeline().run(module)
         verify_module(module)
     # Name later passes as if the module had been parsed from its text.
     for fn in module.functions:

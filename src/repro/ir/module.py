@@ -270,6 +270,37 @@ class Function(Constant):
         return iter(self.blocks)
 
 
+def reverse_postorder(fn: Function) -> List[BasicBlock]:
+    """Blocks reachable from entry, in reverse postorder.
+
+    Successors are visited in terminator operand order, so the result
+    depends only on the CFG, not on ``fn.blocks`` list order.  The one
+    walk behind dominator trees and structural fingerprints.
+    """
+    if not fn.blocks:
+        return []
+    visited: Set[int] = set()
+    order: List[BasicBlock] = []
+
+    # Iterative DFS to avoid recursion limits on deep CFGs.
+    stack: List[tuple] = [(fn.entry, iter(fn.entry.successors()))]
+    visited.add(id(fn.entry))
+    while stack:
+        block, successors = stack[-1]
+        advanced = False
+        for succ in successors:
+            if id(succ) not in visited:
+                visited.add(id(succ))
+                stack.append((succ, iter(succ.successors())))
+                advanced = True
+                break
+        if not advanced:
+            order.append(block)
+            stack.pop()
+    order.reverse()
+    return order
+
+
 class Module:
     """Top-level container of globals and functions."""
 

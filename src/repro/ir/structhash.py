@@ -51,7 +51,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .module import BasicBlock, Function, Module
+from .module import BasicBlock, Function, Module, reverse_postorder
 from .printer import module_header_chunks, print_function
 
 #: Bump when the canonical form changes meaning (new invariances,
@@ -85,39 +85,12 @@ class StructuralSummary:
 
 
 def rpo_blocks(fn: Function) -> List[BasicBlock]:
-    """Reverse post order over the CFG, unreachable blocks appended.
-
-    Successors are visited in terminator operand order, so the result
-    depends only on the CFG -- not on ``fn.blocks`` list order -- for
-    every reachable block.
-    """
-    if not fn.blocks:
-        return []
-    entry = fn.blocks[0]
-    seen = {id(entry)}
-    post: List[BasicBlock] = []
-    # Iterative DFS; the explicit stack carries (block, succs, cursor).
-    stack: List[Tuple[BasicBlock, List[BasicBlock], int]] = [
-        (entry, entry.successors(), 0)
-    ]
-    while stack:
-        block, succs, index = stack.pop()
-        advanced = False
-        while index < len(succs):
-            succ = succs[index]
-            index += 1
-            if id(succ) not in seen:
-                seen.add(id(succ))
-                stack.append((block, succs, index))
-                stack.append((succ, succ.successors(), 0))
-                advanced = True
-                break
-        if not advanced:
-            post.append(block)
-    order = list(reversed(post))
-    for block in fn.blocks:
-        if id(block) not in seen:
-            order.append(block)
+    """Reverse post order over the CFG
+    (:func:`~repro.ir.module.reverse_postorder`), unreachable blocks
+    appended in list order."""
+    order = reverse_postorder(fn)
+    seen = {id(block) for block in order}
+    order.extend(block for block in fn.blocks if id(block) not in seen)
     return order
 
 

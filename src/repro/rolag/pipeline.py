@@ -10,9 +10,9 @@ needs a schedule even where the cost model says no.  Newly created loop blocks a
 (rolling a rolled loop again is never profitable and would not
 terminate).
 
-With ``config.validate`` on, every rolling decision is a transaction:
-the function is snapshotted before each block visit, and the decision
-only commits if the validation ladder (see ``repro.validation``)
+Every block visit crosses the pass boundary (``run_step``, fault site
+``rolag.roll``), with ``config.validate`` on as a transaction: the
+decision only commits if the validation ladder (``repro.validation``)
 accepts it.  A rejected decision is rolled back to best-known-good IR
 and the worklist moves on -- degradation is per-decision, never
 per-function.
@@ -21,14 +21,15 @@ per-function.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from time import perf_counter
 from typing import Deque, List, Optional, Tuple
 
 from ..analysis.alias import AliasAnalysis
 from ..analysis.costmodel import CodeSizeCostModel
 from ..analysis.deps import DependenceGraph
-from ..faultinject import DeadlineExceeded, checkpoint, fire, fire_ir
 from ..ir.module import BasicBlock, Function, Module
+from ..transforms.pass_manager import run_step
 from .alignment import AlignmentGraph
 from .codegen import RolledLoop, generate_rolled_loop
 from .config import PHASE_NAMES, RolagConfig, RolagStats
@@ -66,6 +67,14 @@ def roll_loops_in_function(
         validator = Validator.from_config(config)
     guard = validator if validator is not None and validator.level != "off" else None
     guard_start = len(guard.reports) if guard is not None else 0
+    replay = None
+    if guard is not None:
+        # The guard's repro minimizer replays the pass without
+        # validation or fault firing: it must reproduce the pass.
+        quiet = replace(config, validate="off", fault_plan=None)
+
+        def replay(target: Function) -> int:
+            return roll_loops_in_function(target, quiet, cost_model)
 
     rolled = 0
     work: Deque[BasicBlock] = deque(fn.blocks)
@@ -77,35 +86,15 @@ def roll_loops_in_function(
         processed.add(id(block))
         # Block granularity is the pipeline's cooperative cancellation
         # point: a budgeted run bails out between blocks, never inside
-        # a half-applied rewrite.
-        checkpoint(f"rolag:{fn.name}:{block.name}")
-        decision = f"rolag:{block.name}"
-        snapshot = guard.begin(fn) if guard is not None else None
-        try:
-            fire("rolag.roll")
-            result = _roll_block(block, config, cost_model, stats)
-            fire_ir("rolag.roll.exit", fn)
-        except DeadlineExceeded:
-            raise
-        except Exception as error:
-            if snapshot is not None:
-                # The decision becomes a rolled-back transaction; the
-                # block stays in ``processed`` so the worklist moves on
-                # from best-known-good IR.
-                guard.rollback_exception(fn, snapshot, decision, error)
-                continue
-            from ..transforms.pass_manager import PassError
-
-            if isinstance(error, PassError):
-                raise
-            raise PassError("rolag", fn.name, error) from error
-        if snapshot is not None:
-            report = guard.commit_or_rollback(
-                fn, snapshot, decision, replay=_replay_for(config, cost_model)
-            )
-            if report is not None:
-                continue  # rolled back: do not count or requeue anything
-        if result is not None:
+        # a half-applied rewrite.  A decision the gate rolls back stays
+        # in ``processed``, so the worklist moves on from
+        # best-known-good IR without counting or requeueing anything.
+        committed, result = run_step(
+            fn, f"rolag:{block.name}",
+            lambda: _roll_block(block, config, cost_model, stats),
+            guard, "rolag.roll", "rolag", replay,
+        )
+        if committed and result is not None:
             rolled += 1
             # The preheader (same block object) may still hold seeds
             # ahead of the rolled region; the exit holds the tail.
@@ -119,20 +108,6 @@ def roll_loops_in_function(
             report.to_json_dict() for report in guard.reports[guard_start:]
         )
     return rolled
-
-
-def _replay_for(config: RolagConfig, cost_model: CodeSizeCostModel):
-    """A deterministic function-pass replay of the rolling pipeline,
-    used by the guard's repro minimizer (validation and fault firing
-    disabled: the replay must reproduce the *pass's* behaviour)."""
-    from dataclasses import replace
-
-    quiet = replace(config, validate="off", fault_plan=None)
-
-    def apply(target_fn: Function) -> int:
-        return roll_loops_in_function(target_fn, quiet, cost_model)
-
-    return apply
 
 
 def _roll_block(

@@ -1,27 +1,30 @@
-"""A small pass manager.
+"""A small pass manager and the one pass boundary.
 
-Runs a named pipeline of function passes over a module, optionally
-verifying the IR after each pass (the default in tests).  Function
-passes are callables ``(Function) -> int`` returning a change count,
-matching every transform in this package.
-
-A pass that raises is wrapped in :class:`PassError` carrying the pass
-and function names, so a crash deep inside a transform surfaces as
-``pass 'cse' failed on function 'foo': ...`` instead of a bare
-traceback.  Cooperative deadline signals pass through unwrapped -- the
-driver classifies those as timeouts, not crashes.  Each pass boundary
-fires the ``pipeline.pass`` fault-injection site and checkpoints the
-ambient deadline (see ``repro.faultinject``).
+Every IR edit made on a live function -- each cleanup pass, the reroll
+baseline, each RoLAG block decision -- crosses :func:`run_step`: a
+deadline checkpoint, the ``SITE`` fault-injection site, the step, the
+``SITE.exit`` IR site (so ``corrupt-ir`` storms reach the gate), then
+either the validation gate's commit-or-rollback (a step that raises
+rolls back too) or, ungated, an optional verify.  Ungated, a raising
+step is wrapped in :class:`PassError` carrying the pass and function
+names (``pass 'cse' failed on function 'foo': ...``).  Cooperative
+deadline signals pass through unwrapped -- the driver classifies those
+as timeouts, not crashes.  The gate (a ``repro.validation.Validator``)
+is handed in by the caller: importing that package here would pull in
+the difftest runner and with it the RoLAG pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..faultinject import DeadlineExceeded, checkpoint, fire, fire_ir
 from ..ir.module import Function, Module
 from ..ir.verifier import verify_function
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, see module docstring
+    from ..validation.gate import Validator
 
 FunctionPass = Callable[[Function], int]
 
@@ -43,13 +46,60 @@ class PassError(RuntimeError):
         )
 
 
+def run_step(
+    fn: Function,
+    decision: str,
+    step: Callable[[], object],
+    gate: Optional["Validator"] = None,
+    site: str = "pipeline.pass",
+    pass_name: str = "",
+    replay: Optional[Callable[[Function], object]] = None,
+    verify: bool = False,
+) -> Tuple[bool, object]:
+    """Run ``step`` on ``fn`` across the pass boundary; returns
+    ``(committed, value)``, with ``value`` ``None`` if the step raised.
+
+    ``decision`` names the edit in guard reports and ``pass_name`` (or
+    ``decision``) in a :class:`PassError`; a ``gate`` at level ``off``
+    counts as none; ``replay`` feeds the gate's repro minimizer;
+    ``verify`` verifies an ungated edit whose value is truthy.
+    """
+    if gate is not None and gate.level == "off":
+        gate = None
+    checkpoint(f"{decision} on @{fn.name}")
+    snapshot = gate.begin(fn) if gate is not None else None
+    try:
+        fire(site)
+        value = step()
+        fire_ir(f"{site}.exit", fn)
+        if gate is None and verify and value:
+            verify_function(fn)
+    except DeadlineExceeded:
+        raise
+    except Exception as error:
+        if gate is not None:
+            gate.rollback_exception(fn, snapshot, decision, error)
+            return False, None
+        if isinstance(error, PassError):
+            raise
+        raise PassError(pass_name or decision, fn.name, error) from error
+    if gate is not None and gate.commit_or_rollback(
+        fn, snapshot, decision, replay=replay
+    ) is not None:
+        return False, value
+    return True, value
+
+
 @dataclass
 class PassManager:
-    """Sequences function passes, with per-pass change accounting."""
+    """Sequences function passes through :func:`run_step` (gated by
+    ``validator``, else verified when ``verify``), with per-pass change
+    accounting; a rolled-back pass counts no changes."""
 
     verify: bool = True
     passes: List[Tuple[str, FunctionPass]] = field(default_factory=list)
     changes: Dict[str, int] = field(default_factory=dict)
+    validator: Optional["Validator"] = None
 
     def add(self, name: str, fn_pass: FunctionPass) -> "PassManager":
         """Append a named pass to the pipeline."""
@@ -60,19 +110,13 @@ class PassManager:
         """Run the pipeline over one function; returns total changes."""
         total = 0
         for name, fn_pass in self.passes:
-            checkpoint(f"pass:{name}")
-            try:
-                fire("pipeline.pass")
-                changed = fn_pass(fn)
-                fire_ir("pipeline.pass.exit", fn)
-                if self.verify and changed:
-                    verify_function(fn)
-            except (PassError, DeadlineExceeded):
-                raise
-            except Exception as error:
-                raise PassError(name, fn.name, error) from error
-            self.changes[name] = self.changes.get(name, 0) + changed
-            total += changed
+            committed, changed = run_step(
+                fn, name, lambda: fn_pass(fn), self.validator,
+                replay=fn_pass, verify=self.verify,
+            )
+            if committed:
+                self.changes[name] = self.changes.get(name, 0) + changed
+                total += changed
         return total
 
     def run(self, module: Module) -> int:
@@ -84,7 +128,7 @@ class PassManager:
         return total
 
 
-def default_cleanup_pipeline(verify: bool = True) -> PassManager:
+def default_cleanup_pipeline() -> PassManager:
     """The -Os style cleanup pipeline: mem2reg + scalar cleanups."""
     from .constfold import fold_constants
     from .cse import eliminate_common_subexpressions
@@ -93,7 +137,7 @@ def default_cleanup_pipeline(verify: bool = True) -> PassManager:
     from .mem2reg import promote_memory_to_registers
     from .simplifycfg import simplify_cfg
 
-    pm = PassManager(verify=verify)
+    pm = PassManager()
     pm.add("mem2reg", promote_memory_to_registers)
     pm.add("constfold", fold_constants)
     pm.add("cse", eliminate_common_subexpressions)

@@ -1,74 +1,15 @@
 """Transactional pass execution: every pass is a commit-or-rollback.
 
-:class:`TransactionalPassManager` runs the same pipelines as the plain
-:class:`~repro.transforms.pass_manager.PassManager`, but wraps each
-pass in a transaction gated by a :class:`repro.validation.Validator`:
-
-1. ``begin`` -- snapshot the function (and, at the semantic levels,
-   capture reference observations the first time the function is seen);
-2. run the pass, then fire the ``pipeline.pass.exit`` fault site over
-   the *IR itself* (so ``corrupt-ir`` storms exercise the gate);
-3. ``commit_or_rollback`` -- the validator's ladder decides: an edit
-   that fails verification / changes observed behaviour / breaks
-   backend parity is rolled back to the snapshot and recorded as a
-   :class:`~repro.validation.GuardReport`, and the pipeline continues
-   from best-known-good IR with the *next* pass.
-
-A pass that raises no longer aborts the whole function: the exception
-becomes a rolled-back transaction too, so one misbehaving pass degrades
-that one decision instead of the function (or the batch).
-
-This module deliberately has no import-time dependency on
-``repro.validation`` (which transitively imports the difftest runner
-and with it the RoLAG pipeline); the validator instance is handed in by
-the caller, typically the driver.
+:class:`TransactionalPassManager` is another name for
+:class:`~repro.transforms.pass_manager.PassManager`: handed a
+:class:`repro.validation.Validator`, it runs each pass as a transaction
+through :func:`~repro.transforms.pass_manager.run_step`, the one pass
+boundary it shares with the RoLAG worklist.  An edit the ladder rejects,
+or a pass that raises, is rolled back to the snapshot and recorded as a
+:class:`~repro.validation.GuardReport`; the pipeline continues from
+best-known-good IR with the next pass.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-from ..faultinject import DeadlineExceeded, checkpoint, fire, fire_ir
-from ..ir.module import Function
 from .pass_manager import PassManager
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, see module docstring
-    from ..validation.gate import Validator
-
-
-@dataclass
-class TransactionalPassManager(PassManager):
-    """A pass manager whose passes commit through a validation gate.
-
-    With no validator (or one at level ``off``) it behaves exactly like
-    the plain :class:`PassManager`, including its exception contract.
-    """
-
-    validator: Optional["Validator"] = None
-
-    def run_function(self, fn: Function) -> int:
-        validator = self.validator
-        if validator is None or validator.level == "off":
-            return super().run_function(fn)
-        total = 0
-        for name, fn_pass in self.passes:
-            checkpoint(f"pass:{name}")
-            snapshot = validator.begin(fn)
-            try:
-                fire("pipeline.pass")
-                changed = fn_pass(fn)
-                fire_ir("pipeline.pass.exit", fn)
-            except DeadlineExceeded:
-                raise
-            except Exception as error:
-                validator.rollback_exception(fn, snapshot, name, error)
-                continue
-            report = validator.commit_or_rollback(
-                fn, snapshot, name, replay=fn_pass
-            )
-            if report is not None:
-                continue  # rolled back; next pass starts from the snapshot
-            self.changes[name] = self.changes.get(name, 0) + changed
-            total += changed
-        return total
+TransactionalPassManager = PassManager

@@ -8,8 +8,10 @@ Public surface::
         unified_ir_diff, write_guard_bundle,
     )
 
-The :class:`Validator` gates every transaction the transactional pass
-manager (``repro.transforms.txn``) and the RoLAG worklist open; see
+The :class:`Validator` gates every transaction opened at the one pass
+boundary, :func:`repro.transforms.pass_manager.run_step`, which a
+:class:`~repro.transforms.PassManager` handed a validator and the
+RoLAG worklist run each pass and each block decision through; see
 ``docs/robustness.md`` for the ladder and the rollback contract.
 
 Import note: this package imports ``repro.difftest`` (the runner holds

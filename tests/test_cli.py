@@ -195,3 +195,52 @@ class TestValidatedSingleModule:
         assert main([c_file, "--roll", "--validate", "safe", "--size"]) == 0
         out = capsys.readouterr().out
         assert "RoLAG rolled 1 loop(s)" in out
+
+
+class TestSingleInputRefusesDriverOptions:
+    """A single input runs in-process: the driver's options would be
+    silently ignored, so the run exits 1 and names each one given."""
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--cache-dir", "CACHE"], "--cache-dir"),
+            (["--no-dedupe"], "--no-dedupe"),
+            (["--deadline", "1e-6"], "--deadline"),
+            (["--quarantine-file", "Q.json"], "--quarantine-file"),
+            (["--fault-plan", "rolag.roll:raise"], "--fault-plan"),
+            (["--jobs", "2"], "--jobs"),
+            (["--serial-fallback"], "--serial-fallback"),
+            (["--retries", "3"], "--retries"),
+            (["--retry-backoff", "0.5"], "--retry-backoff"),
+        ],
+    )
+    def test_each_flag_is_refused(self, c_file, capsys, extra, flag):
+        assert main([c_file, "--roll"] + extra) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "RoLAG rolled" not in captured.out
+
+    def test_every_given_flag_is_named_and_nothing_runs(
+        self, c_file, tmp_path, capsys
+    ):
+        cache_dir = tmp_path / "D"
+        code = main([
+            c_file, "--roll", "--fault-plan", "rolag.roll:raise",
+            "--deadline", "1e-6", "--cache-dir", str(cache_dir),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--cache-dir, --deadline, --fault-plan" in captured.err
+        assert captured.out == ""
+        assert not cache_dir.exists()
+
+    def test_parser_defaults_are_not_flags(self, c_file, capsys):
+        defaults = build_arg_parser()
+        retries = str(defaults.get_default("retries"))
+        backoff = str(defaults.get_default("retry_backoff"))
+        assert main([
+            c_file, "--roll", "--retries", retries,
+            "--retry-backoff", backoff, "--no-cache",
+        ]) == 0
+        assert "RoLAG rolled 1 loop(s)" in capsys.readouterr().out

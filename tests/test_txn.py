@@ -20,7 +20,14 @@ from repro.difftest.oracle import ArgumentVector, Observation
 from repro.difftest.parity import check_backend_parity
 from repro.difftest.runner import first_backend_divergence
 from repro.driver import FunctionJob, optimize_functions
-from repro.faultinject import clear_plan
+from repro.driver.core import optimize_one
+from repro.faultinject import (
+    DeadlineExceeded,
+    FaultPlan,
+    active_plan,
+    clear_plan,
+    deadline_scope,
+)
 from repro.frontend import compile_c
 from repro.ir import (
     ConstantInt,
@@ -31,8 +38,8 @@ from repro.ir import (
     print_module,
     verify_function,
 )
-from repro.rolag import RolagConfig
-from repro.transforms.pass_manager import PassError
+from repro.rolag import RolagConfig, RolagStats, roll_loops_in_function
+from repro.transforms.pass_manager import PassError, default_cleanup_pipeline
 from repro.transforms.txn import TransactionalPassManager
 from repro.validation import (
     FAILURE_KINDS,
@@ -221,6 +228,121 @@ class TestTransactionalRollback:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown validation level"):
             Validator("paranoid")
+
+
+#: Four stores RoLAG rolls into one loop (one block decision) and two
+#: functions for the pass-level sites.
+ROLLABLE_SRC = """
+define void @st(i32* %p) {
+entry:
+  %p0 = getelementptr i32, i32* %p, i64 0
+  store i32 1, i32* %p0
+  %p1 = getelementptr i32, i32* %p, i64 1
+  store i32 1, i32* %p1
+  %p2 = getelementptr i32, i32* %p, i64 2
+  store i32 1, i32* %p2
+  %p3 = getelementptr i32, i32* %p, i64 3
+  store i32 1, i32* %p3
+  ret void
+}
+""" + SRC
+
+
+class _SiteLog(FaultPlan):
+    """A fault plan that also records every site visit, in order."""
+
+    def __init__(self, spec=""):
+        parsed = FaultPlan.parse(spec)
+        super().__init__(specs=parsed.specs, seed=parsed.seed)
+        self.log = []
+
+    def visit(self, site, data=None, ir_fn=None):
+        self.log.append(site)
+        return super().visit(site, data=data, ir_fn=ir_fn)
+
+
+def _run_cleanup(gate):
+    module = parse_module(ROLLABLE_SRC)
+    pm = default_cleanup_pipeline()
+    pm.validator = gate
+    pm.run(module)
+    return gate.reports if gate is not None else []
+
+
+def _run_reroll(level):
+    def run(gate):
+        result = optimize_one(
+            FunctionJob(name=None, ir_text=ROLLABLE_SRC),
+            RolagConfig(validate=level),
+        )
+        return [GuardReport.from_json_dict(d) for d in result.guard_reports]
+
+    return run
+
+
+def _run_rolag(gate):
+    module = parse_module(ROLLABLE_SRC)
+    stats = RolagStats()
+    roll_loops_in_function(
+        module.get_function("st"), RolagConfig(), stats=stats, validator=gate
+    )
+    return [GuardReport.from_json_dict(d) for d in stats.guard_reports]
+
+
+#: (id, site, gated, run, PassError name / guard decision).  ``run``
+#: takes the gate to hand over (``None`` or a fresh ``fast`` one; the
+#: reroll stage builds its own from the config) and returns the
+#: guard reports filed.
+BOUNDARY_SUBJECTS = [
+    ("cleanup-pass", "pipeline.pass", False, _run_cleanup, "mem2reg"),
+    ("cleanup-pass-gated", "pipeline.pass", True, _run_cleanup, "mem2reg"),
+    ("reroll-validate-off", "pipeline.pass", False, _run_reroll("off"),
+     "reroll"),
+    ("reroll-validate-fast", "pipeline.pass", True, _run_reroll("fast"),
+     "reroll"),
+    ("rolag-decision", "rolag.roll", False, _run_rolag, "rolag"),
+    ("rolag-decision-gated", "rolag.roll", True, _run_rolag,
+     "rolag:entry"),
+]
+
+
+@pytest.mark.fault
+@pytest.mark.parametrize(
+    "site, gated, run, name",
+    [subject[1:] for subject in BOUNDARY_SUBJECTS],
+    ids=[subject[0] for subject in BOUNDARY_SUBJECTS],
+)
+class TestOnePassBoundary:
+    """Cleanup passes, the reroll stage of ``optimize_one`` (validation
+    off and on) and RoLAG block decisions share one boundary contract."""
+
+    def _go(self, run, gated, plan):
+        with active_plan(plan):
+            return run(Validator("fast") if gated else None)
+
+    def test_site_fires_before_its_exit(self, site, gated, run, name):
+        plan = _SiteLog()
+        self._go(run, gated, plan)
+        visits = [s for s in plan.log if s in (site, site + ".exit")]
+        assert visits and visits == [site, site + ".exit"] * (len(visits) // 2)
+
+    def test_raising_step(self, site, gated, run, name):
+        plan = _SiteLog(f"{site}:raise")
+        if not gated:
+            with pytest.raises(PassError) as caught:
+                self._go(run, gated, plan)
+            assert caught.value.pass_name == name
+            return
+        reports = self._go(run, gated, plan)
+        (report,) = [r for r in reports if r.failure_kind == "exception"]
+        assert report.pass_name == name
+        assert "InjectedFault" in report.detail
+
+    def test_deadline_passes_through_unwrapped(self, site, gated, run, name):
+        plan = _SiteLog(f"{site}:hang")
+        with deadline_scope(60.0):
+            with pytest.raises(DeadlineExceeded):
+                self._go(run, gated, plan)
 
 
 TRAPPING_SRC = """
